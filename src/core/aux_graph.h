@@ -138,24 +138,47 @@ class AuxiliaryGraph {
  private:
   AuxiliaryGraph() = default;
 
-  /// Shared gadget + E_org construction; terminals added by the callers.
-  static AuxiliaryGraph build_common(const WdmNetwork& net);
+  /// Which terminals the build adds after the core G'.
+  enum class TerminalMode : std::uint8_t { kNone, kSinglePair, kAllPairs };
 
-  NodeId add_aux_node(AuxNodeInfo info);
+  /// The one construction routine behind the three public builders.  It
+  /// counts every node, link and adjacency row first, then fills storage
+  /// sized exactly once, so the hot loops never reallocate.
+  static AuxiliaryGraph build(const WdmNetwork& net, TerminalMode mode,
+                              NodeId s = NodeId::invalid(),
+                              NodeId t = NodeId::invalid());
+
+  NodeId add_aux_node(AuxNodeInfo info, std::uint32_t out_capacity,
+                      std::uint32_t in_capacity);
   LinkId add_aux_link(NodeId from, NodeId to, double weight, AuxLinkInfo info);
 
   /// Sorted (λ, aux-node) pairs; lookup by binary search so that build cost
   /// never depends on the universe size k (essential for Theorem 4's
   /// independence-of-k claim).
-  using LambdaIndex = std::vector<std::pair<Wavelength, NodeId>>;
-  [[nodiscard]] static NodeId lookup(const LambdaIndex& index,
+  using LambdaEntry = std::pair<Wavelength, NodeId>;
+  [[nodiscard]] static NodeId lookup(std::span<const LambdaEntry> index,
                                      Wavelength lambda);
+  /// X_v / Y_v as slices of the flattened per-node indexes.
+  [[nodiscard]] std::span<const LambdaEntry> x_row(std::uint32_t v) const {
+    return std::span(x_entries_).subspan(x_begin_[v],
+                                         x_begin_[v + 1] - x_begin_[v]);
+  }
+  [[nodiscard]] std::span<const LambdaEntry> y_row(std::uint32_t v) const {
+    return std::span(y_entries_).subspan(y_begin_[v],
+                                         y_begin_[v + 1] - y_begin_[v]);
+  }
+  [[nodiscard]] std::uint32_t num_physical_nodes() const noexcept {
+    return static_cast<std::uint32_t>(x_begin_.size()) - 1;
+  }
 
   Digraph graph_;
   std::vector<AuxNodeInfo> node_info_;
   std::vector<AuxLinkInfo> link_info_;
-  std::vector<LambdaIndex> x_index_;  ///< per physical node
-  std::vector<LambdaIndex> y_index_;  ///< per physical node
+  std::vector<LambdaEntry> x_entries_;  ///< every X_v, grouped by v
+  std::vector<LambdaEntry> y_entries_;  ///< every Y_v, grouped by v
+  /// X_v = x_entries_[x_begin_[v], x_begin_[v + 1]); likewise Y_v.
+  std::vector<std::uint32_t> x_begin_{0};
+  std::vector<std::uint32_t> y_begin_{0};
   bool all_pairs_ = false;
   NodeId single_source_terminal_;
   NodeId single_sink_terminal_;

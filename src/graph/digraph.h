@@ -4,9 +4,17 @@
 // auxiliary graphs of the Liang–Shen algorithm, and the CFZ wavelength graph
 // are all Digraph instances.  Parallel links and self-loops are permitted
 // (the multigraph G_M in the paper relies on parallel links).
+//
+// Adjacency rows live in one pooled array per direction, so a graph of tens
+// of thousands of nodes (one G_{s,t} per route) is built and freed with a
+// handful of allocations.  A row that fills up moves to the pool's tail with
+// doubled capacity; a builder that knows its degrees sizes every row exactly
+// with add_node(out_capacity, in_capacity).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -18,6 +26,11 @@ namespace lumen {
 /// A directed weighted multigraph.  Nodes and links are dense 0-based ids.
 /// Link weights are non-negative doubles; +infinity is a legal weight
 /// meaning "unusable" (such links are skipped by the shortest-path codes).
+///
+/// Span lifetime: any add_node or add_link may relocate the adjacency pool,
+/// which invalidates *every* span previously returned by out_links/in_links
+/// (not only those of the nodes touched).  Finish iterating a row, or copy
+/// it, before mutating the same graph.  set_weight never invalidates spans.
 class Digraph {
  public:
   Digraph() = default;
@@ -27,10 +40,15 @@ class Digraph {
       : out_(num_nodes), in_(num_nodes) {}
 
   /// Adds an isolated node and returns its id.
-  NodeId add_node() {
-    out_.emplace_back();
-    in_.emplace_back();
-    return NodeId{static_cast<std::uint32_t>(out_.size() - 1)};
+  NodeId add_node() { return add_node(0, 0); }
+
+  /// Adds an isolated node whose adjacency rows are pre-sized for
+  /// `out_capacity` outgoing and `in_capacity` incoming links (a layout
+  /// hint: a row that outgrows its capacity still relocates).
+  NodeId add_node(std::uint32_t out_capacity, std::uint32_t in_capacity) {
+    out_.add_row(out_capacity);
+    in_.add_row(in_capacity);
+    return NodeId{out_.num_rows() - 1};
   }
 
   /// Adds a directed link tail -> head with the given weight (>= 0, may be
@@ -43,13 +61,13 @@ class Digraph {
     tails_.push_back(tail);
     heads_.push_back(head);
     weights_.push_back(weight);
-    out_[tail.value()].push_back(id);
-    in_[head.value()].push_back(id);
+    out_.push(tail.value(), id);
+    in_.push(head.value(), id);
     return id;
   }
 
   [[nodiscard]] std::uint32_t num_nodes() const noexcept {
-    return static_cast<std::uint32_t>(out_.size());
+    return out_.num_rows();
   }
   [[nodiscard]] std::uint32_t num_links() const noexcept {
     return static_cast<std::uint32_t>(tails_.size());
@@ -75,16 +93,18 @@ class Digraph {
     weights_[e.value()] = weight;
   }
 
-  /// Outgoing links of `v`, in insertion order.
+  /// Outgoing links of `v`, in insertion order.  Invalidated by the next
+  /// add_node / add_link on this graph.
   [[nodiscard]] std::span<const LinkId> out_links(NodeId v) const {
     LUMEN_REQUIRE(v.value() < num_nodes());
-    return out_[v.value()];
+    return out_.row(v.value());
   }
 
-  /// Incoming links of `v`, in insertion order.
+  /// Incoming links of `v`, in insertion order.  Invalidated by the next
+  /// add_node / add_link on this graph.
   [[nodiscard]] std::span<const LinkId> in_links(NodeId v) const {
     LUMEN_REQUIRE(v.value() < num_nodes());
-    return in_[v.value()];
+    return in_.row(v.value());
   }
 
   [[nodiscard]] std::uint32_t out_degree(NodeId v) const {
@@ -97,10 +117,8 @@ class Digraph {
   /// max over nodes of max(in-degree, out-degree): the paper's `d`.
   [[nodiscard]] std::uint32_t max_degree() const noexcept {
     std::uint32_t d = 0;
-    for (std::uint32_t v = 0; v < num_nodes(); ++v) {
-      d = std::max({d, static_cast<std::uint32_t>(out_[v].size()),
-                    static_cast<std::uint32_t>(in_[v].size())});
-    }
+    for (std::uint32_t v = 0; v < num_nodes(); ++v)
+      d = std::max({d, out_.row_size(v), in_.row_size(v)});
     return d;
   }
 
@@ -111,12 +129,88 @@ class Digraph {
     weights_.reserve(expected);
   }
 
+  /// Reserves storage for `nodes` nodes in total and `links` links in total,
+  /// adjacency pools included (performance hint for counted builds).
+  void reserve(std::size_t nodes, std::size_t links) {
+    reserve_links(links);
+    out_.reserve(nodes, links);
+    in_.reserve(nodes, links);
+  }
+
  private:
+  /// Per-node rows of link ids carved out of one pooled array.  Each row is
+  /// a [begin, begin + capacity) window of the pool holding `size` ids in
+  /// insertion order.  Growth appends a doubled window at the pool's tail
+  /// (in place when the row already ends there); the abandoned window stays
+  /// as slack, which geometric growth bounds by the live capacity.
+  class RowStore {
+   public:
+    explicit RowStore(std::uint32_t num_rows = 0) : rows_(num_rows) {}
+
+    [[nodiscard]] std::uint32_t num_rows() const noexcept {
+      return static_cast<std::uint32_t>(rows_.size());
+    }
+    [[nodiscard]] std::uint32_t row_size(std::uint32_t r) const noexcept {
+      return rows_[r].size;
+    }
+    [[nodiscard]] std::span<const LinkId> row(std::uint32_t r) const noexcept {
+      const Row& row = rows_[r];
+      return {pool_.data() + row.begin, row.size};
+    }
+
+    void add_row(std::uint32_t capacity) {
+      const std::size_t begin = pool_.size();
+      LUMEN_REQUIRE_MSG(begin + capacity <= kMaxPool,
+                        "adjacency pool exceeds 32-bit indexing");
+      rows_.push_back(Row{static_cast<std::uint32_t>(begin), 0, capacity});
+      pool_.resize(begin + capacity);
+    }
+
+    void push(std::uint32_t r, LinkId id) {
+      Row& row = rows_[r];
+      if (row.size == row.capacity) grow(row);
+      pool_[row.begin + row.size++] = id;
+    }
+
+    void reserve(std::size_t num_rows, std::size_t entries) {
+      rows_.reserve(num_rows);
+      pool_.reserve(entries);
+    }
+
+   private:
+    struct Row {
+      std::uint32_t begin = 0;
+      std::uint32_t size = 0;
+      std::uint32_t capacity = 0;
+    };
+    static constexpr std::size_t kMaxPool =
+        std::numeric_limits<std::uint32_t>::max();
+    static constexpr std::uint32_t kMinCapacity = 4;
+
+    void grow(Row& row) {
+      const std::uint32_t capacity =
+          row.capacity == 0 ? kMinCapacity : 2 * row.capacity;
+      const bool last = std::size_t{row.begin} + row.capacity == pool_.size();
+      const std::size_t begin = last ? row.begin : pool_.size();
+      LUMEN_REQUIRE_MSG(begin + capacity <= kMaxPool,
+                        "adjacency pool exceeds 32-bit indexing");
+      pool_.resize(begin + capacity);
+      if (!last)
+        std::copy_n(pool_.begin() + row.begin, row.size,
+                    pool_.begin() + static_cast<std::ptrdiff_t>(begin));
+      row.begin = static_cast<std::uint32_t>(begin);
+      row.capacity = capacity;
+    }
+
+    std::vector<Row> rows_;
+    std::vector<LinkId> pool_;
+  };
+
   std::vector<NodeId> tails_;
   std::vector<NodeId> heads_;
   std::vector<double> weights_;
-  std::vector<std::vector<LinkId>> out_;
-  std::vector<std::vector<LinkId>> in_;
+  RowStore out_;
+  RowStore in_;
 };
 
 }  // namespace lumen

@@ -57,13 +57,17 @@ ShortestPathTree dijkstra_with(const Digraph& g, NodeId source,
   tree.dist.assign(g.num_nodes(), kInfiniteCost);
   tree.parent_link.assign(g.num_nodes(), LinkId::invalid());
 
-  // Per-thread search buffers, reused across calls: repeated queries (the
-  // RouteEngine regime, all-pairs trees, per-wavelength sweeps) stop
-  // paying three O(n) heap allocations each.  assign() recycles capacity.
+  // Per-thread search buffers and heap, reused across calls: repeated
+  // queries (the RouteEngine regime, all-pairs trees, per-wavelength sweeps,
+  // one G_{s,t} per route) stop paying O(n) heap allocations each, and a
+  // warm heap keeps its node pool.  assign()/clear() recycle capacity; an
+  // early exit (target settled) may leave entries behind, which clear()
+  // drops at the start of the next call.
   struct Scratch {
     std::vector<typename Heap::Handle> handle;
     std::vector<char> in_heap;
     std::vector<char> settled;
+    Heap heap;
   };
   thread_local Scratch scratch;
   if (scratch.handle.size() < g.num_nodes())
@@ -73,8 +77,9 @@ ShortestPathTree dijkstra_with(const Digraph& g, NodeId source,
   std::vector<typename Heap::Handle>& handle = scratch.handle;
   std::vector<char>& in_heap = scratch.in_heap;
   std::vector<char>& settled = scratch.settled;
+  Heap& heap = scratch.heap;
+  heap.clear();
 
-  Heap heap;
   tree.dist[source.value()] = 0.0;
   handle[source.value()] = heap.push(0.0, source.value());
   in_heap[source.value()] = 1;

@@ -1,5 +1,6 @@
 #include "graph/fib_heap.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace lumen {
@@ -10,8 +11,8 @@ FibNode* FibHeap::allocate(double key, std::uint32_t item) {
     node = free_.back();
     free_.pop_back();
   } else {
-    pool_.emplace_back();
-    node = &pool_.back();
+    if (pool_used_ == pool_.size()) pool_.emplace_back();
+    node = &pool_[pool_used_++];
   }
   node->key = key;
   node->item = item;
@@ -79,18 +80,19 @@ void FibHeap::link_under(FibNode* child, FibNode* parent) noexcept {
 void FibHeap::consolidate() {
   if (min_ == nullptr) return;
   // max degree is O(log_phi n); 64 entries is ample headroom for any
-  // size_t-addressable heap.
-  degree_scratch_.assign(64, nullptr);
+  // size_t-addressable heap.  The table is all-null on entry and exit.
+  if (degree_scratch_.empty()) degree_scratch_.assign(64, nullptr);
 
   // Collect current roots first (the ring is restructured while linking).
-  std::vector<FibNode*> roots;
+  roots_.clear();
   FibNode* w = min_;
   do {
-    roots.push_back(w);
+    roots_.push_back(w);
     w = w->right;
   } while (w != min_);
 
-  for (FibNode* x : roots) {
+  std::uint32_t max_degree = 0;
+  for (FibNode* x : roots_) {
     std::uint32_t d = x->degree;
     while (degree_scratch_[d] != nullptr) {
       FibNode* y = degree_scratch_[d];
@@ -100,12 +102,15 @@ void FibHeap::consolidate() {
       ++d;
     }
     degree_scratch_[d] = x;
+    max_degree = std::max(max_degree, d);
   }
 
-  // Rebuild the root ring from the scratch table.
+  // Rebuild the root ring from the scratch table, emptying it as we go.
   min_ = nullptr;
-  for (FibNode* x : degree_scratch_) {
+  for (std::uint32_t d = 0; d <= max_degree; ++d) {
+    FibNode* x = degree_scratch_[d];
     if (x == nullptr) continue;
+    degree_scratch_[d] = nullptr;
     x->parent = nullptr;
     add_to_roots(x);
   }
@@ -193,11 +198,9 @@ void FibHeap::clear() {
   min_ = nullptr;
   size_ = 0;
   free_.clear();
-  free_.reserve(pool_.size());
-  for (auto& node : pool_) {
-    node.in_heap = false;
-    free_.push_back(&node);
-  }
+  // Stale handles must keep failing decrease_key's liveness check.
+  for (std::size_t i = 0; i < pool_used_; ++i) pool_[i].in_heap = false;
+  pool_used_ = 0;
 }
 
 }  // namespace lumen

@@ -4,6 +4,10 @@
 // obtain the O(m' + n' log n') Dijkstra bound on the auxiliary graph; this is
 // a from-scratch implementation.  Items are 32-bit payloads, keys are
 // doubles.  Handles stay valid until the item is popped.
+//
+// A heap is meant to be reused: clear() keeps the node pool and every
+// scratch buffer, so a warm heap runs push / pop_min / decrease_key without
+// touching the allocator (dijkstra_with keeps one per thread).
 #pragma once
 
 #include <cstdint>
@@ -25,8 +29,9 @@ class FibHeap {
   FibHeap() = default;
   FibHeap(const FibHeap&) = delete;
   FibHeap& operator=(const FibHeap&) = delete;
-  FibHeap(FibHeap&&) = default;
-  FibHeap& operator=(FibHeap&&) = default;
+  // Not movable: a moved-from heap would keep pool_used_ over an empty pool_.
+  FibHeap(FibHeap&&) = delete;
+  FibHeap& operator=(FibHeap&&) = delete;
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -45,7 +50,8 @@ class FibHeap {
   /// Lowers the key of a live entry to `new_key` (<= current key).
   void decrease_key(Handle h, double new_key);
 
-  /// Removes all entries (storage is retained for reuse).
+  /// Removes all entries.  Node storage and scratch buffers are retained
+  /// for reuse; the cost is O(nodes handed out since the last clear).
   void clear();
 
  private:
@@ -59,7 +65,11 @@ class FibHeap {
   FibNode* min_ = nullptr;
   std::size_t size_ = 0;
   std::deque<FibNode> pool_;     // stable-address node storage
-  std::vector<FibNode*> free_;   // recycled nodes
+  std::size_t pool_used_ = 0;    // pool_[0, pool_used_) handed out since clear
+  std::vector<FibNode*> free_;   // popped nodes, recycled first
+  // consolidate() scratch: the root snapshot, and the degree table, which
+  // is all-null between calls.
+  std::vector<FibNode*> roots_;
   std::vector<FibNode*> degree_scratch_;
 };
 

@@ -30,8 +30,9 @@ class PairingHeap {
   PairingHeap() = default;
   PairingHeap(const PairingHeap&) = delete;
   PairingHeap& operator=(const PairingHeap&) = delete;
-  PairingHeap(PairingHeap&&) = default;
-  PairingHeap& operator=(PairingHeap&&) = default;
+  // Not movable: a moved-from heap would keep pool_used_ over an empty pool_.
+  PairingHeap(PairingHeap&&) = delete;
+  PairingHeap& operator=(PairingHeap&&) = delete;
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -81,16 +82,15 @@ class PairingHeap {
     root_ = meld(root_, h);
   }
 
-  /// Removes all entries (storage retained).
+  /// Removes all entries.  Node storage is retained for reuse; the cost is
+  /// O(nodes handed out since the last clear).
   void clear() {
     root_ = nullptr;
     size_ = 0;
     free_.clear();
-    free_.reserve(pool_.size());
-    for (auto& node : pool_) {
-      node.in_heap = false;
-      free_.push_back(&node);
-    }
+    // Stale handles must keep failing decrease_key's liveness check.
+    for (std::size_t i = 0; i < pool_used_; ++i) pool_[i].in_heap = false;
+    pool_used_ = 0;
   }
 
  private:
@@ -100,8 +100,8 @@ class PairingHeap {
       node = free_.back();
       free_.pop_back();
     } else {
-      pool_.emplace_back();
-      node = &pool_.back();
+      if (pool_used_ == pool_.size()) pool_.emplace_back();
+      node = &pool_[pool_used_++];
     }
     node->key = key;
     node->item = item;
@@ -166,8 +166,9 @@ class PairingHeap {
 
   Node* root_ = nullptr;
   std::size_t size_ = 0;
-  std::deque<Node> pool_;
-  std::vector<Node*> free_;
+  std::deque<Node> pool_;      // stable-address node storage
+  std::size_t pool_used_ = 0;  // pool_[0, pool_used_) handed out since clear
+  std::vector<Node*> free_;    // popped nodes, recycled first
   std::vector<Node*> scratch_;
 };
 

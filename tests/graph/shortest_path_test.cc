@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <tuple>
 
 #include "graph/bellman_ford.h"
 #include "graph/binary_heap.h"
 #include "graph/dijkstra.h"
+#include "graph/fib_heap.h"
 #include "graph/pairing_heap.h"
 #include "util/rng.h"
 
@@ -166,6 +168,71 @@ TEST(DijkstraTest, TreePathsAreConsistent) {
     for (const LinkId e : *path) total += g.weight(e);
     EXPECT_NEAR(total, tree.dist[v], 1e-9);
   }
+}
+
+
+// dijkstra_with keeps its heap in thread-local scratch and clear()s it per
+// call.  A run must not see anything a previous run on the same thread left
+// behind, including entries abandoned by an early exit.
+template <class Heap>
+class DijkstraHeapReuseTest : public ::testing::Test {};
+
+using ReuseHeapTypes =
+    ::testing::Types<FibHeap, BinaryHeap, QuaternaryHeap, PairingHeap>;
+TYPED_TEST_SUITE(DijkstraHeapReuseTest, ReuseHeapTypes);
+
+Digraph random_tie_heavy_graph(std::uint64_t seed, std::uint32_t n,
+                               std::uint32_t m) {
+  // Small integer weights: many equal keys, so parent links and pop counts
+  // depend on the heap's internal order, not only on the distances.
+  Rng rng(seed);
+  Digraph g(n);
+  for (std::uint32_t i = 0; i < m; ++i) {
+    const auto u = static_cast<std::uint32_t>(rng.next_below(n));
+    const auto v = static_cast<std::uint32_t>(rng.next_below(n));
+    g.add_link(NodeId{u}, NodeId{v}, static_cast<double>(rng.next_below(4)));
+  }
+  return g;
+}
+
+void expect_same_tree(const ShortestPathTree& got,
+                      const ShortestPathTree& want) {
+  EXPECT_EQ(got.dist, want.dist);
+  EXPECT_EQ(got.parent_link, want.parent_link);
+  EXPECT_EQ(got.pops, want.pops);
+  EXPECT_EQ(got.relaxations, want.relaxations);
+}
+
+TYPED_TEST(DijkstraHeapReuseTest, RunAfterEarlyExitMatchesFreshThread) {
+  using Heap = TypeParam;
+  const Digraph big = random_tie_heavy_graph(11, 3000, 15000);
+  const Digraph small = random_tie_heavy_graph(12, 400, 1800);
+  const NodeId small_target{399};
+
+  const auto fresh = [&](std::optional<NodeId> target) {
+    ShortestPathTree tree;
+    std::thread([&] { tree = dijkstra_with<Heap>(small, NodeId{3}, target); })
+        .join();
+    return tree;
+  };
+  const ShortestPathTree want_full = fresh(std::nullopt);
+  const ShortestPathTree want_early = fresh(small_target);
+
+  // The early exit must really abandon entries: nodes with a tentative
+  // distance that were never popped are still in the heap.
+  const ShortestPathTree abandoned =
+      dijkstra_with<Heap>(big, NodeId{0}, NodeId{1500});
+  std::uint64_t labelled = 0;
+  for (const double d : abandoned.dist) labelled += d < kInfiniteCost;
+  ASSERT_GT(labelled, abandoned.pops);
+
+  expect_same_tree(dijkstra_with<Heap>(small, NodeId{3}), want_full);
+  // Again after a run that emptied the heap, then an early exit of its own.
+  expect_same_tree(dijkstra_with<Heap>(small, NodeId{3}, small_target),
+                   want_early);
+  (void)dijkstra_with<Heap>(big, NodeId{7}, NodeId{42});
+  expect_same_tree(dijkstra_with<Heap>(small, NodeId{3}, small_target),
+                   want_early);
 }
 
 }  // namespace
