@@ -4,7 +4,6 @@
 #include "graph/dijkstra.h"
 #include "graph/pairing_heap.h"
 #include "obs/registry.h"
-#include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "util/stopwatch.h"
 
@@ -65,18 +64,12 @@ RouteResult route_on_aux(const WdmNetwork& net, const AuxiliaryGraph& aux,
   Stopwatch timer;
   const NodeId source = aux.source_terminal();
   const NodeId sink = aux.sink_terminal();
-  obs::TraceSpan dijkstra_span("route.dijkstra");
+  obs::CausalSpan dijkstra_span("route.dijkstra");
   const ShortestPathTree tree = run_dijkstra(aux.graph(), source, sink, heap);
   dijkstra_span.close();
   result.stats.search_seconds = timer.seconds();
   result.stats.search_pops = tree.pops;
   result.stats.search_relaxations = tree.relaxations;
-
-#if LUMEN_OBS_ENABLED
-  result.telemetry.emplace();
-  result.telemetry->aux_build_seconds = aux.stats().build_seconds;
-  result.telemetry->dijkstra_seconds = result.stats.search_seconds;
-#endif
 
   if (!tree.reached(sink)) {
     result.found = false;
@@ -87,14 +80,11 @@ RouteResult route_on_aux(const WdmNetwork& net, const AuxiliaryGraph& aux,
   }
   result.found = true;
   result.cost = tree.dist[sink.value()];
-  obs::TraceSpan extract_span("route.path_extract");
+  obs::CausalSpan extract_span("route.path_extract");
   const auto aux_path = extract_path(aux.graph(), tree, sink);
   LUMEN_ASSERT(aux_path.has_value());
   result.path = aux.to_semilightpath(*aux_path);
   result.switches = result.path.switch_settings(net);
-#if LUMEN_OBS_ENABLED
-  result.telemetry->path_extract_seconds = extract_span.elapsed_seconds();
-#endif
   extract_span.close();
   instruments.found.add();
   instruments.latency.record_seconds(result.stats.total_seconds());
@@ -106,10 +96,9 @@ RouteResult route_semilightpath(const WdmNetwork& net, NodeId s, NodeId t,
   LUMEN_REQUIRE(s.value() < net.num_nodes());
   LUMEN_REQUIRE(t.value() < net.num_nodes());
   if (s == t) return trivial_self_route();
-  obs::TraceSpan route_span("route.semilightpath");
-  obs::CausalSpan causal_span("route.semilightpath");
-  causal_span.set_node(s.value());
-  obs::TraceSpan build_span("route.aux_build");
+  obs::CausalSpan route_span("route.semilightpath");
+  route_span.set_node(s.value());
+  obs::CausalSpan build_span("route.aux_build");
   const AuxiliaryGraph aux = AuxiliaryGraph::build_single_pair(net, s, t);
   build_span.close();
   return route_on_aux(net, aux, heap);
@@ -122,9 +111,8 @@ RouteResult route_lightpath(const WdmNetwork& net, NodeId s, NodeId t) {
 
   RouteInstruments& instruments = RouteInstruments::get();
   instruments.requests.add();
-  obs::TraceSpan route_span("route.lightpath");
-  obs::CausalSpan causal_span("route.lightpath");
-  causal_span.set_node(s.value());
+  obs::CausalSpan route_span("route.lightpath");
+  route_span.set_node(s.value());
 
   RouteResult best;
   best.found = false;
@@ -169,10 +157,6 @@ RouteResult route_lightpath(const WdmNetwork& net, NodeId s, NodeId t) {
   }
   best.switches.clear();  // lightpaths never convert
   best.stats.search_seconds = timer.seconds();
-#if LUMEN_OBS_ENABLED
-  best.telemetry.emplace();
-  best.telemetry->dijkstra_seconds = best.stats.search_seconds;
-#endif
   (best.found ? instruments.found : instruments.not_found).add();
   instruments.latency.record_seconds(best.stats.total_seconds());
   return best;

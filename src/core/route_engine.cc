@@ -6,7 +6,6 @@
 
 #include "core/aux_graph.h"
 #include "obs/registry.h"
-#include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -130,7 +129,7 @@ RouteEngine::RouteEngine(const WdmNetwork& net, const Options& options)
       k_(net.num_wavelengths()),
       potential_token_(next_potential_token()) {
   Stopwatch timer;
-  obs::TraceSpan build_span("route.engine.build");
+  obs::CausalSpan build_span("route.engine.build");
 
   // --- semilightpath core: flatten G' into a CSR arena -------------------
   const AuxiliaryGraph aux = AuxiliaryGraph::build_core(net);
@@ -249,6 +248,9 @@ RouteEngine::RouteEngine(const WdmNetwork& net, const Options& options)
 
 std::uint32_t RouteEngine::customize_hierarchy() {
   if (hierarchy_ == nullptr || !hierarchy_->stale()) return 0;
+  // Auto-customization runs inline, just before a route query; its own
+  // span keeps that cost out of the caller's self-time.
+  obs::CausalSpan span("engine.customize");
   EngineInstruments& instruments = EngineInstruments::get();
   Stopwatch timer;
   const std::uint32_t touched = hierarchy_->customize();
@@ -320,7 +322,6 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
     instruments.found.add();
     return trivial_self_route();
   }
-  obs::TraceSpan query_span("route.engine.query");
   // Ambient causal span: an engine query launched inside a traced request
   // (SessionManager::open) becomes a child of that request's span tree.
   obs::CausalSpan causal_span("engine.semilightpath");
@@ -376,10 +377,6 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
     result.stats.search_relaxations = run_stats.relaxations;
     result.stats.search_pruned = run_stats.pruned;
     result.stats.search_seconds = timer.seconds();
-#if LUMEN_OBS_ENABLED
-    result.telemetry.emplace();
-    result.telemetry->dijkstra_seconds = result.stats.search_seconds;
-#endif
     if (!route_found) {
       result.found = false;
       result.cost = kInfiniteCost;
@@ -431,11 +428,6 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
   result.stats.search_relaxations = run_stats.relaxations;
   result.stats.search_pruned = run_stats.pruned;
   result.stats.search_seconds = timer.seconds();
-
-#if LUMEN_OBS_ENABLED
-  result.telemetry.emplace();
-  result.telemetry->dijkstra_seconds = result.stats.search_seconds;
-#endif
 
   if (!hit.valid()) {
     result.found = false;
@@ -490,7 +482,6 @@ RouteResult RouteEngine::route_lightpath(NodeId s, NodeId t,
     result.stats.aux_links = phys_->num_links();
     return result;
   }
-  obs::TraceSpan query_span("route.engine.query");
   obs::CausalSpan causal_span("engine.lightpath");
   causal_span.set_node(s.value());
 
@@ -537,10 +528,6 @@ RouteResult RouteEngine::route_lightpath(NodeId s, NodeId t,
   }
   best.switches.clear();  // lightpaths never convert
   best.stats.search_seconds = timer.seconds();
-#if LUMEN_OBS_ENABLED
-  best.telemetry.emplace();
-  best.telemetry->dijkstra_seconds = best.stats.search_seconds;
-#endif
   (best.found ? instruments.found : instruments.not_found).add();
   instruments.latency.record_seconds(best.stats.total_seconds());
   return best;

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "wdm/semilightpath.h"
@@ -12,6 +11,8 @@ namespace lumen {
 /// Size and effort instrumentation for one routing run.  The size fields
 /// let tests check the paper's Observations 1–5 and benches expose the
 /// structural difference between the Liang–Shen and CFZ constructions.
+/// The routers' obs::CausalSpans time the operational stages (build,
+/// search, path extraction); see docs/OBSERVABILITY.md.
 struct RouteStats {
   /// Nodes in the auxiliary graph actually searched.
   std::uint64_t aux_nodes = 0;
@@ -41,22 +42,6 @@ struct RouteStats {
   }
 };
 
-/// Fine-grained stage decomposition of one routing call, populated by the
-/// routers when the lumen::obs subsystem is enabled (std::nullopt under
-/// LUMEN_OBS_DISABLED).  Unlike RouteStats — which exists for the paper's
-/// complexity checks — this is operational telemetry: the same stages are
-/// also emitted as obs::TraceSpan records ("route.aux_build",
-/// "route.dijkstra", "route.path_extract").
-struct RouteTelemetry {
-  double aux_build_seconds = 0.0;
-  double dijkstra_seconds = 0.0;
-  double path_extract_seconds = 0.0;
-
-  [[nodiscard]] double total_seconds() const noexcept {
-    return aux_build_seconds + dijkstra_seconds + path_extract_seconds;
-  }
-};
-
 /// The outcome of a single-pair routing query.
 struct RouteResult {
   /// True when a semilightpath from s to t exists.
@@ -69,8 +54,6 @@ struct RouteResult {
   std::vector<SwitchSetting> switches;
   /// Instrumentation.
   RouteStats stats;
-  /// Stage telemetry; engaged only when lumen::obs is compiled in.
-  std::optional<RouteTelemetry> telemetry;
 };
 
 }  // namespace lumen

@@ -1,19 +1,18 @@
 // Causal span records + a lock-free bounded ring buffer for them.
 //
-// A CausalSpanRecord is the v2 counterpart of TraceRecord: besides the
-// name and wall timing it carries the Dapper-style identity triple
-// (trace_id, span_id, parent_span_id) that trace_assembler.h uses to
-// reconstruct the causal tree of a distributed run, plus a node id, a
-// virtual-time interval (protocol rounds / async virtual time), and two
-// free attribute words.
+// A CausalSpanRecord is one closed span: besides the name and wall timing
+// it carries the Dapper-style identity triple (trace_id, span_id,
+// parent_span_id) that trace_assembler.h uses to reconstruct the causal
+// tree of a distributed run, plus a node id, a virtual-time interval
+// (protocol rounds / async virtual time), and two free attribute words.
 //
-// SpanBuffer is the flight-recorder ring those records land in.  Unlike
-// TraceCollector it is lock-free on the emit path (a seqlock per slot:
-// writers never block, readers retry or skip slots that are mid-write),
-// so span emission is safe from the parallel batch-routing threads and
-// cheap enough for protocol inner loops.  Overwritten records are counted
-// in dropped() and in the `lumen.obs.spans_dropped` counter.  With
-// LUMEN_OBS_DISABLED everything here is a no-op (see obs.h).
+// SpanBuffer is the flight-recorder ring those records land in.  It is
+// lock-free on the emit path (a seqlock per slot: writers never block,
+// readers retry or skip slots that are mid-write), so span emission is
+// safe from the parallel batch-routing threads and cheap enough for
+// protocol inner loops.  Overwritten records are counted in dropped() and
+// in the `lumen.obs.spans_dropped` counter.  With LUMEN_OBS_DISABLED
+// everything here is a no-op (see obs.h).
 #pragma once
 
 #include <cstddef>

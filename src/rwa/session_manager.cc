@@ -7,8 +7,8 @@
 #include "graph/dijkstra.h"  // kInfiniteCost
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
-#include "obs/trace.h"
 #include "obs/trace_context.h"
+#include "util/stopwatch.h"
 
 namespace lumen {
 
@@ -148,7 +148,7 @@ std::optional<SessionId> SessionManager::open(NodeId source, NodeId target) {
   static obs::LatencyHistogram& open_latency =
       obs::Registry::global().histogram("lumen.rwa.open_latency_ns");
   offered_counter.add();
-  obs::TraceSpan open_span("rwa.open");
+  const Stopwatch open_timer;
   // Ambient causal root of the request: the engine query (and, for
   // distributed policies, the whole protocol run) nests under it, and the
   // trace id is stamped onto the request's RouteEvents so the flight
@@ -162,13 +162,13 @@ std::optional<SessionId> SessionManager::open(NodeId source, NodeId target) {
   if (!route.found) {
     ++stats_.blocked;
     blocked_counter.add();
-    open_latency.record_seconds(open_span.elapsed_seconds());
+    open_latency.record_seconds(open_timer.seconds());
     record_event(source, target, route, "blocked");
     maybe_snapshot_metrics();
     return std::nullopt;
   }
   carried_counter.add();
-  open_latency.record_seconds(open_span.elapsed_seconds());
+  open_latency.record_seconds(open_timer.seconds());
 
   SessionRecord record;
   record.id = SessionId{static_cast<std::uint32_t>(next_id_++)};

@@ -129,8 +129,8 @@ TEST(BulkCostsTest, StaleHierarchyFallsBackPerSourceAndStaysExact) {
       obs::Registry::global().counter("lumen.core.sweep.fallbacks");
   obs::Counter& runs =
       obs::Registry::global().counter("lumen.core.sweep.runs");
-  const std::uint64_t fallbacks_before = fallbacks.value();
-  const std::uint64_t runs_before = runs.value();
+  [[maybe_unused]] const std::uint64_t fallbacks_before = fallbacks.value();
+  [[maybe_unused]] const std::uint64_t runs_before = runs.value();
 
   // Const call on a stale hierarchy: every source must be served by the
   // flat fallback (never a wrong sweep), and each one is counted.

@@ -78,7 +78,9 @@ TEST(GoalDirectedEngineTest, PaperExampleAllPairsAllModes) {
       const RouteResult goal =
           engine.route_semilightpath(NodeId{s}, NodeId{t}, kCombined);
       ASSERT_EQ(reference.found, goal.found);
-      if (reference.found) EXPECT_NEAR(reference.cost, goal.cost, 1e-9);
+      if (reference.found) {
+        EXPECT_NEAR(reference.cost, goal.cost, 1e-9);
+      }
     }
   }
 }
@@ -107,7 +109,9 @@ TEST_P(GoalDirectedEngineFuzz, EquivalenceOnRandomNetworks) {
       const RouteResult goal = engine.route_semilightpath(s, t, kCombined);
       ASSERT_EQ(reference.found, goal.found)
           << "s=" << s.value() << " t=" << t.value();
-      if (reference.found) EXPECT_NEAR(reference.cost, goal.cost, 1e-9);
+      if (reference.found) {
+        EXPECT_NEAR(reference.cost, goal.cost, 1e-9);
+      }
       plain_pops += plain.stats.search_pops;
       goal_pops += goal.stats.search_pops;
       EXPECT_EQ(goal.stats.search_settled, goal.stats.search_pops);
@@ -187,7 +191,9 @@ TEST(GoalDirectedEngineTest, ChurnKeepsBaseBoundsAdmissible) {
       const RouteResult goal = engine.route_semilightpath(s, t, kCombined);
       ASSERT_EQ(reference.found, goal.found)
           << "s=" << s.value() << " t=" << t.value() << " step=" << step;
-      if (reference.found) EXPECT_NEAR(reference.cost, goal.cost, 1e-9);
+      if (reference.found) {
+        EXPECT_NEAR(reference.cost, goal.cost, 1e-9);
+      }
     }
   }
 }
@@ -319,7 +325,9 @@ TEST(GoalDirectedEngineTest, StandaloneCacheMatchesAndReuses) {
       EXPECT_NEAR(reference.cost, cached.cost, 1e-9);
       EXPECT_EQ(uncached.cost, cached.cost);
     }
-    if (s != t) EXPECT_TRUE(cache.warm());
+    if (s != t) {
+      EXPECT_TRUE(cache.warm());
+    }
   }
   cache.invalidate();
   EXPECT_FALSE(cache.warm());

@@ -8,14 +8,17 @@
 // yet customized) must fall back to the flat search, never answer wrong.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/liang_shen.h"
 #include "core/route_engine.h"
 #include "obs/registry.h"
+#include "obs/span_buffer.h"
 #include "rwa/session_manager.h"
 #include "tests/test_util.h"
 #include "util/error.h"
@@ -79,7 +82,9 @@ TEST(HierarchyEngineTest, PaperExampleAllPairsAllModes) {
       const RouteResult hier =
           engine.route_semilightpath(NodeId{s}, NodeId{t}, kChAlt);
       ASSERT_EQ(reference.found, hier.found);
-      if (reference.found) EXPECT_NEAR(reference.cost, hier.cost, 1e-9);
+      if (reference.found) {
+        EXPECT_NEAR(reference.cost, hier.cost, 1e-9);
+      }
     }
   }
 }
@@ -145,7 +150,9 @@ TEST_P(HierarchyEngineFuzz, EquivalenceThroughChurnOnRandomNetworks) {
       const RouteResult hier = engine.route_semilightpath(s, t, kChAlt);
       ASSERT_EQ(reference.found, hier.found)
           << "s=" << s.value() << " t=" << t.value() << " step=" << step;
-      if (reference.found) EXPECT_NEAR(reference.cost, hier.cost, 1e-9);
+      if (reference.found) {
+        EXPECT_NEAR(reference.cost, hier.cost, 1e-9);
+      }
     }
   }
 }
@@ -181,8 +188,9 @@ TEST(HierarchyEngineTest, StaleFallbackThenRecustomize) {
       obs::Registry::global().counter("lumen.core.hierarchy.fallbacks");
   obs::Counter& hierarchy_queries =
       obs::Registry::global().counter("lumen.core.hierarchy.queries");
-  const std::uint64_t fallbacks_before = fallbacks.value();
-  const std::uint64_t queries_before = hierarchy_queries.value();
+  [[maybe_unused]] const std::uint64_t fallbacks_before = fallbacks.value();
+  [[maybe_unused]] const std::uint64_t queries_before =
+      hierarchy_queries.value();
   for (int trial = 0; trial < 10; ++trial) {
     const NodeId s{static_cast<std::uint32_t>(rng.next_below(20))};
     const NodeId t{static_cast<std::uint32_t>(rng.next_below(20))};
@@ -227,6 +235,34 @@ TEST(HierarchyEngineTest, StaleFallbackThenRecustomize) {
   auto_engine.release(h2);
 }
 
+#if LUMEN_OBS_ENABLED
+TEST(HierarchyEngineTest, AutoCustomizationRunsUnderOneSpan) {
+  Rng rng(0x57a1eULL);
+  const WdmNetwork net = random_network(20, 30, 4, 2, ConvKind::kUniform, rng);
+  RouteEngine engine(net, kWithHierarchy);
+  obs::SpanBuffer& buffer = obs::SpanBuffer::global();
+  const auto customize_spans = [&buffer] {
+    const std::vector<obs::CausalSpanRecord> spans = buffer.snapshot();
+    return std::count_if(spans.begin(), spans.end(),
+                         [](const obs::CausalSpanRecord& span) {
+                           return std::string_view(span.name) ==
+                                  "engine.customize";
+                         });
+  };
+  buffer.clear();
+  const LinkId e{0};
+  const auto handle = engine.reserve(e, net.available(e)[0].lambda);
+  ASSERT_TRUE(engine.hierarchy_stale());
+  (void)engine.route_semilightpath(NodeId{0}, NodeId{1}, kChAlt);
+  EXPECT_FALSE(engine.hierarchy_stale());
+  EXPECT_EQ(customize_spans(), 1);
+  // No patch since: the hierarchy is fresh, so no customization runs.
+  (void)engine.route_semilightpath(NodeId{0}, NodeId{1}, kChAlt);
+  EXPECT_EQ(customize_spans(), 1);
+  engine.release(handle);
+}
+#endif
+
 TEST(HierarchyEngineTest, SinglePatchRecustomizationIsSublinear) {
   // Counter-based sublinearity gate: one span fail/repair must touch only
   // that span's support cone, a small fraction of the arc set (flat
@@ -241,7 +277,7 @@ TEST(HierarchyEngineTest, SinglePatchRecustomizationIsSublinear) {
                                               engine.stats().hierarchy_shortcuts);
   obs::Counter& recustomized = obs::Registry::global().counter(
       "lumen.core.hierarchy.recustomized_arcs");
-  const std::uint64_t counter_before = recustomized.value();
+  [[maybe_unused]] const std::uint64_t counter_before = recustomized.value();
 
   std::uint64_t touched_total = 0;
   std::uint32_t patches = 0;
@@ -368,8 +404,8 @@ TEST(HierarchyEngineTest, PrunedStatsSurfacedOnSearchCounters) {
   obs::Counter& upward_pops =
       obs::Registry::global().counter("lumen.core.hierarchy.upward_pops");
 
-  const std::uint64_t pruned_before = pruned.value();
-  const std::uint64_t pops_before = pops.value();
+  [[maybe_unused]] const std::uint64_t pruned_before = pruned.value();
+  [[maybe_unused]] const std::uint64_t pops_before = pops.value();
   const RouteResult goal =
       engine.route_semilightpath(NodeId{0}, NodeId{2}, kAlt);
   ASSERT_TRUE(goal.found);
@@ -379,8 +415,8 @@ TEST(HierarchyEngineTest, PrunedStatsSurfacedOnSearchCounters) {
   EXPECT_EQ(pops.value() - pops_before, goal.stats.search_pops);
 #endif
 
-  const std::uint64_t upward_before = upward_pops.value();
-  const std::uint64_t pruned_before_hier = pruned.value();
+  [[maybe_unused]] const std::uint64_t upward_before = upward_pops.value();
+  [[maybe_unused]] const std::uint64_t pruned_before_hier = pruned.value();
   const RouteResult hier =
       engine.route_semilightpath(NodeId{0}, NodeId{2}, kChAlt);
   ASSERT_TRUE(hier.found);

@@ -41,7 +41,9 @@ TEST(RouteEngineParallelTest, RouteManyMatchesSerialQueries) {
           engine.route_semilightpath(pairs[i].first, pairs[i].second);
       ASSERT_EQ(batch[i].found, serial.found)
           << "threads=" << threads << " pair " << i;
-      if (serial.found) EXPECT_NEAR(batch[i].cost, serial.cost, 1e-12);
+      if (serial.found) {
+        EXPECT_NEAR(batch[i].cost, serial.cost, 1e-12);
+      }
     }
   }
 }
@@ -58,7 +60,9 @@ TEST(RouteEngineParallelTest, RouteManyLightpathKind) {
     const RouteResult reference =
         route_lightpath(net, pairs[i].first, pairs[i].second);
     ASSERT_EQ(batch[i].found, reference.found) << "pair " << i;
-    if (reference.found) EXPECT_NEAR(batch[i].cost, reference.cost, 1e-9);
+    if (reference.found) {
+      EXPECT_NEAR(batch[i].cost, reference.cost, 1e-9);
+    }
   }
 }
 
@@ -91,7 +95,9 @@ TEST(RouteEngineParallelTest, SharedEngineWithPerThreadScratch) {
 
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     ASSERT_EQ(got[i].found, expected[i].found) << "pair " << i;
-    if (expected[i].found) EXPECT_NEAR(got[i].cost, expected[i].cost, 1e-12);
+    if (expected[i].found) {
+      EXPECT_NEAR(got[i].cost, expected[i].cost, 1e-12);
+    }
   }
 }
 

@@ -96,7 +96,9 @@ TEST(RouteEngineTest, LightpathEquivalenceOnRandomNetworks) {
       const RouteResult reference = route_lightpath(net, s, t);
       const RouteResult got = engine.route_lightpath(s, t);
       expect_equivalent(net, reference, got, s, t);
-      if (got.found && s != t) EXPECT_TRUE(got.path.is_lightpath());
+      if (got.found && s != t) {
+        EXPECT_TRUE(got.path.is_lightpath());
+      }
     }
   }
 }
@@ -149,14 +151,16 @@ TEST(RouteEngineTest, ReserveReleaseTracksRebuiltOracle) {
       const RouteResult reference = route_semilightpath(oracle, s, t);
       const RouteResult semilight = engine.route_semilightpath(s, t);
       ASSERT_EQ(reference.found, semilight.found) << "step " << step;
-      if (reference.found)
+      if (reference.found) {
         EXPECT_NEAR(reference.cost, semilight.cost, 1e-9) << "step " << step;
+      }
 
       const RouteResult lp_reference = route_lightpath(oracle, s, t);
       const RouteResult lp = engine.route_lightpath(s, t);
       ASSERT_EQ(lp_reference.found, lp.found) << "step " << step;
-      if (lp_reference.found)
+      if (lp_reference.found) {
         EXPECT_NEAR(lp_reference.cost, lp.cost, 1e-9) << "step " << step;
+      }
     }
 
     // Releasing everything must restore the pristine answers.

@@ -211,7 +211,9 @@ TEST(HierarchyTest, DegreeCapZeroKeepsEveryNodeInCore) {
     const bool found =
         hierarchy.query(sources, sinks, scratch, NoPotential{}, slots);
     ASSERT_EQ(found, expected < kInfiniteCost);
-    if (found) EXPECT_EQ(path_cost(csr, slots, sources, sinks), expected);
+    if (found) {
+      EXPECT_EQ(path_cost(csr, slots, sources, sinks), expected);
+    }
   }
 }
 
