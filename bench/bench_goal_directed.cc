@@ -1,25 +1,23 @@
-// E11/E17 (extension) — goal-directed search ablations.
+// E17 (extension) — goal-directed search ablations.
 //
 // Theorem 1 is a single-pair query answered by an SSSP run that settles
-// the whole auxiliary graph.  Two goal-directed variants prune that work:
+// the whole auxiliary graph.  RouteEngine + QueryOptions{goal_directed}
+// prunes that work: A* over the build-once flattened core with ALT
+// landmark bounds max-combined with the cached per-target reverse-Dijkstra
+// potential.  The target-only series drops the landmark term by building
+// the engine with num_landmarks = 0.
 //
-//   * core/goal_directed — per-request A* over G_{s,t} with a physical
-//     reverse-Dijkstra potential (optionally cached across calls).
-//   * RouteEngine + QueryOptions{goal_directed} — A* over the build-once
-//     flattened core with ALT landmark bounds max-combined with the
-//     cached per-target potential (E17).
-//
-// The engine series isolates the search cost (construction is amortized
-// outside the loop) at low load (pristine residual) and high load (~half
-// the (link, λ) pairs reserved, where +inf patches erode the pruning).
-// Every series is verified in-bench to return the plain-Dijkstra optimum.
+// BM_PlainDijkstraRoute is the per-request reference (G_{s,t} build plus
+// heap Dijkstra).  The engine series isolate the search cost
+// (construction is amortized outside the loop) at low load (pristine
+// residual) and high load (~half the (link, λ) pairs reserved, where +inf
+// patches erode the pruning).  Every engine series is verified in-bench
+// to return the engine's plain-Dijkstra optimum.
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <cstdint>
 
 #include "bench/bench_common.h"
-#include "core/goal_directed.h"
 #include "core/liang_shen.h"
 #include "core/route_engine.h"
 
@@ -30,8 +28,7 @@ using namespace lumen;
 constexpr std::uint64_t kSeed = 13579;
 
 constexpr RouteEngine::QueryOptions kAlt{.goal_directed = true};
-constexpr RouteEngine::QueryOptions kTargetOnly{.goal_directed = true,
-                                                .use_landmarks = false};
+constexpr RouteEngine::Options kNoLandmarks{.num_landmarks = 0};
 
 /// Reserves ~`fraction` of the engine's (link, λ) slots, mirroring a
 /// loaded residual network.  Deterministic in `seed`.
@@ -62,65 +59,14 @@ BENCHMARK(BM_PlainDijkstraRoute)
     ->Range(64, 4096)
     ->Unit(benchmark::kMillisecond);
 
-void BM_AStarRoute(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const WdmNetwork net = bench::comparison_network(n, kSeed);
-
-  // Verify equality once per size.
-  const RouteResult plain = route_semilightpath(net, NodeId{0}, NodeId{n / 2});
-  const RouteResult astar =
-      route_semilightpath_astar(net, NodeId{0}, NodeId{n / 2});
-  if (plain.found != astar.found ||
-      (plain.found && std::abs(plain.cost - astar.cost) > 1e-6)) {
-    state.SkipWithError("A* optimum disagrees with Dijkstra");
-    return;
-  }
-
-  std::uint64_t pops = 0;
-  for (auto _ : state) {
-    const RouteResult r =
-        route_semilightpath_astar(net, NodeId{0}, NodeId{n / 2});
-    pops = r.stats.search_pops;
-    benchmark::DoNotOptimize(r.cost);
-  }
-  state.counters["search_pops"] = static_cast<double>(pops);
-  state.counters["pop_reduction_pct"] =
-      plain.stats.search_pops == 0
-          ? 0.0
-          : 100.0 * (1.0 - static_cast<double>(astar.stats.search_pops) /
-                               static_cast<double>(plain.stats.search_pops));
-}
-BENCHMARK(BM_AStarRoute)
-    ->RangeMultiplier(4)
-    ->Range(64, 4096)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_AStarRouteCachedPotential(benchmark::State& state) {
-  // Same per-request aux-graph build, but the reverse-Dijkstra potential
-  // is computed once and reused (the steady state of a query stream with
-  // repeated targets).
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const WdmNetwork net = bench::comparison_network(n, kSeed);
-  AstarPotentialCache cache;
-  for (auto _ : state) {
-    const RouteResult r =
-        route_semilightpath_astar(net, NodeId{0}, NodeId{n / 2}, cache);
-    benchmark::DoNotOptimize(r.cost);
-  }
-}
-BENCHMARK(BM_AStarRouteCachedPotential)
-    ->RangeMultiplier(4)
-    ->Range(64, 4096)
-    ->Unit(benchmark::kMillisecond);
-
 /// Shared engine-series body: routes (0, n/2) under `query` on an engine
-/// at `load` reserved fraction, verifying against the engine's own
-/// uninformed search and exporting pop/settle/prune counters.
-void engine_series(benchmark::State& state, const RouteEngine::QueryOptions& query,
-                   double load) {
+/// built with `options` at `load` reserved fraction, verifying against the
+/// engine's own uninformed search and exporting pop/settle/prune counters.
+void engine_series(benchmark::State& state, const RouteEngine::Options& options,
+                   const RouteEngine::QueryOptions& query, double load) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const WdmNetwork net = bench::comparison_network(n, kSeed);
-  RouteEngine engine(net);
+  RouteEngine engine(net, options);
   if (load > 0.0) load_engine(engine, net, load, kSeed ^ 0x10adULL);
 
   const RouteResult plain = engine.route_semilightpath(NodeId{0}, NodeId{n / 2});
@@ -149,7 +95,7 @@ void engine_series(benchmark::State& state, const RouteEngine::QueryOptions& que
 }
 
 void BM_EngineDijkstra(benchmark::State& state) {
-  engine_series(state, RouteEngine::QueryOptions{}, 0.0);
+  engine_series(state, {}, RouteEngine::QueryOptions{}, 0.0);
 }
 BENCHMARK(BM_EngineDijkstra)
     ->RangeMultiplier(4)
@@ -157,21 +103,23 @@ BENCHMARK(BM_EngineDijkstra)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_EngineAstarTargetOnly(benchmark::State& state) {
-  engine_series(state, kTargetOnly, 0.0);
+  engine_series(state, kNoLandmarks, kAlt, 0.0);
 }
 BENCHMARK(BM_EngineAstarTargetOnly)
     ->RangeMultiplier(4)
     ->Range(64, 4096)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_EngineAlt(benchmark::State& state) { engine_series(state, kAlt, 0.0); }
+void BM_EngineAlt(benchmark::State& state) {
+  engine_series(state, {}, kAlt, 0.0);
+}
 BENCHMARK(BM_EngineAlt)
     ->RangeMultiplier(4)
     ->Range(64, 4096)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_EngineDijkstraHighLoad(benchmark::State& state) {
-  engine_series(state, RouteEngine::QueryOptions{}, 0.5);
+  engine_series(state, {}, RouteEngine::QueryOptions{}, 0.5);
 }
 BENCHMARK(BM_EngineDijkstraHighLoad)
     ->RangeMultiplier(4)
@@ -179,7 +127,7 @@ BENCHMARK(BM_EngineDijkstraHighLoad)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_EngineAltHighLoad(benchmark::State& state) {
-  engine_series(state, kAlt, 0.5);
+  engine_series(state, {}, kAlt, 0.5);
 }
 BENCHMARK(BM_EngineAltHighLoad)
     ->RangeMultiplier(4)

@@ -71,10 +71,10 @@ void BM_Blocking_FirstFit(benchmark::State& state) {
   run_policy(state, RoutingPolicy::kLightpathFirstFit);
 }
 void BM_Blocking_OptimalLightpath(benchmark::State& state) {
-  run_policy(state, RoutingPolicy::kLightpathBestCost);
+  run_policy(state, RoutingPolicy::kLightpathEngine);
 }
 void BM_Blocking_Semilightpath(benchmark::State& state) {
-  run_policy(state, RoutingPolicy::kSemilightpath);
+  run_policy(state, RoutingPolicy::kSemilightpathEngine);
 }
 BENCHMARK(BM_Blocking_FirstFit)
     ->Arg(30)->Arg(60)->Arg(90)->Arg(120)
@@ -101,7 +101,7 @@ void BM_Blocking_SparseConverters(benchmark::State& state) {
   double blocking = 0.0;
   for (auto _ : state) {
     SessionManager manager(arpanet_full(conv),
-                           RoutingPolicy::kSemilightpath);
+                           RoutingPolicy::kSemilightpathEngine);
     const auto result = run_dynamic_workload(manager, config_for(90.0));
     blocking = result.stats.blocking_rate();
     benchmark::DoNotOptimize(blocking);

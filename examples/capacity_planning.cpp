@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
                          full_availability(topo, k, CostSpec::unit(),
                                            avail_rng),
                          std::make_shared<UniformConversion>(0.1)),
-        RoutingPolicy::kSemilightpath);
+        RoutingPolicy::kSemilightpathEngine);
     const auto result =
         provision_batch(manager, demands, DemandOrder::kLongestFirst);
     const NetworkMetrics metrics = compute_metrics(manager.residual());

@@ -85,10 +85,10 @@ int main(int argc, char** argv) {
          fmt_double(100 * blocking_at(RoutingPolicy::kLightpathFirstFit, load,
                                       num_arrivals, seed, events),
                     1),
-         fmt_double(100 * blocking_at(RoutingPolicy::kLightpathBestCost, load,
+         fmt_double(100 * blocking_at(RoutingPolicy::kLightpathEngine, load,
                                       num_arrivals, seed, events),
                     1),
-         fmt_double(100 * blocking_at(RoutingPolicy::kSemilightpath, load,
+         fmt_double(100 * blocking_at(RoutingPolicy::kSemilightpathEngine, load,
                                       num_arrivals, seed, events),
                     1)});
   }

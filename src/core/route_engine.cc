@@ -29,10 +29,10 @@ struct EngineInstruments {
       obs::Registry::global().counter("lumen.route.engine.weight_patches");
   obs::LatencyHistogram& latency =
       obs::Registry::global().histogram("lumen.route.engine.latency_ns");
-  // Search-effort family shared by every engine search path (and the
-  // standalone A*), so lumen_top / the Prometheus endpoint can watch the
-  // pruning win live: pruned / (pruned + relax-attempts) is the fraction
-  // of frontier work goal direction removed.
+  // Search-effort family shared by every engine search path, so lumen_top
+  // and the Prometheus endpoint can watch the pruning win live: pruned /
+  // (pruned + relax-attempts) is the fraction of frontier work goal
+  // direction removed.
   obs::Counter& search_pops =
       obs::Registry::global().counter("lumen.core.search.pops");
   obs::Counter& search_settled =
@@ -115,6 +115,14 @@ struct EngineInstruments {
   }
 };
 
+/// Farthest-point landmark selection seed and the hierarchy elimination
+/// caps (see ContractionHierarchy::Options): nodes with more live
+/// neighbors, or whose elimination would add more shortcut arcs, stay in
+/// the never-contracted core.  Tuned on metro/backbone WDM gadgets.
+constexpr std::uint64_t kLandmarkSeed = 0x1a27'5eedULL;
+constexpr std::uint32_t kHierarchyDegreeCap = 32;
+constexpr std::uint32_t kHierarchyFillCap = 160;
+
 /// Unique per-engine identity for scratch-resident potential caches; never
 /// zero (zero marks an empty cache slot).
 std::uint64_t next_potential_token() {
@@ -172,11 +180,11 @@ RouteEngine::RouteEngine(const WdmNetwork& net, const Options& options)
       rev_base_ch_ = std::make_unique<ContractionHierarchy>(
           *rev_base_, ContractionHierarchy::Options{});
       landmarks_ = select_landmarks(base_min, options.num_landmarks,
-                                    options.landmark_seed, fwd_base_ch,
+                                    kLandmarkSeed, fwd_base_ch,
                                     *rev_base_ch_);
     } else {
       landmarks_ = select_landmarks(base_min, options.num_landmarks,
-                                    options.landmark_seed);
+                                    kLandmarkSeed);
     }
     stats_.landmarks = landmarks_.num_landmarks;
     stats_.landmark_seconds = landmark_timer.seconds();
@@ -230,8 +238,8 @@ RouteEngine::RouteEngine(const WdmNetwork& net, const Options& options)
   if (options.build_hierarchy) {
     Stopwatch hierarchy_timer;
     ContractionHierarchy::Options ch;
-    ch.degree_cap = options.hierarchy_degree_cap;
-    ch.fill_cap = options.hierarchy_fill_cap;
+    ch.degree_cap = kHierarchyDegreeCap;
+    ch.fill_cap = kHierarchyFillCap;
     hierarchy_ = std::make_unique<ContractionHierarchy>(*core_, ch);
     stats_.hierarchy_seconds = hierarchy_timer.seconds();
     stats_.hierarchy_shortcuts = hierarchy_->num_shortcuts();
@@ -342,7 +350,7 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
   // π_t over core nodes = max of the active base-weight bounds for the
   // node's physical site.  Both bounds are 0 at t itself, so every sink
   // has potential 0 and the first settled sink is still the cheapest.
-  const bool use_alt = goal && query.use_landmarks && !landmarks_.empty();
+  const bool use_alt = goal && !landmarks_.empty();
   const std::uint32_t tv = t.value();
   const auto potential = [&](std::uint32_t aux_node) {
     const std::uint32_t p = core_phys_[aux_node];
@@ -703,6 +711,29 @@ std::vector<std::vector<double>> RouteEngine::bulk_costs(
   }
   pool.wait();
   return rows;
+}
+
+std::vector<double> RouteEngine::pair_costs(
+    std::span<const std::pair<NodeId, NodeId>> demands, unsigned threads,
+    const QueryOptions& query) const {
+  constexpr std::uint32_t kUnseen = 0xffffffffu;
+  std::vector<std::uint32_t> src_row(n_, kUnseen);
+  std::vector<NodeId> src_nodes;  // distinct sources, first-seen order
+  for (const auto& [s, t] : demands) {
+    LUMEN_REQUIRE(s.value() < n_ && t.value() < n_);
+    if (src_row[s.value()] == kUnseen) {
+      src_row[s.value()] = static_cast<std::uint32_t>(src_nodes.size());
+      src_nodes.push_back(s);
+    }
+  }
+  const std::vector<std::vector<double>> rows =
+      bulk_costs(src_nodes, threads, query);
+  std::vector<double> costs(demands.size());
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    const auto& [s, t] = demands[i];
+    costs[i] = rows[src_row[s.value()]][t.value()];
+  }
+  return costs;
 }
 
 std::pair<std::uint32_t, std::uint32_t> RouteEngine::locate(

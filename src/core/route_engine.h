@@ -63,7 +63,7 @@ namespace lumen {
 /// construction.  The engine copies everything it needs at build time, so
 /// the source network need not outlive it; keeping the engine's patched
 /// weights in sync with a mutating residual network is the caller's job
-/// (SessionManager does this for the engine-backed policies).
+/// (SessionManager does this for every policy).
 class RouteEngine {
  public:
   /// Build-time configuration.
@@ -73,19 +73,12 @@ class RouteEngine {
     /// 0 disables the tables; goal-directed queries then rely on the
     /// per-target reverse-Dijkstra potential alone.
     std::uint32_t num_landmarks = 8;
-    /// Seed of the deterministic farthest-point selection.
-    std::uint64_t landmark_seed = 0x1a27'5eedULL;
     /// Build a partial contraction hierarchy over the flattened core
     /// (QueryOptions{use_hierarchy} then answers semilightpath queries
     /// with a bidirectional upward search).  Off by default: the
     /// elimination ordering costs noticeably more than the flatten
     /// itself, so only engines that expect many queries opt in.
     bool build_hierarchy = false;
-    /// Elimination caps (see ContractionHierarchy::Options): nodes with
-    /// more live neighbors, or whose elimination would add more shortcut
-    /// arcs, stay in the never-contracted core.
-    std::uint32_t hierarchy_degree_cap = 32;
-    std::uint32_t hierarchy_fill_cap = 160;
     /// Scratch-less (non-const) hierarchy queries re-customize a stale
     /// hierarchy inline before searching.  Const/concurrent queries never
     /// customize — they fall back to the flat search while stale.
@@ -98,9 +91,6 @@ class RouteEngine {
     /// Run the semilightpath query as goal-directed A* (same optimum,
     /// fewer heap pops — see stats search_pops/settled/pruned).
     bool goal_directed = false;
-    /// Include the ALT landmark term in the potential (needs tables;
-    /// no-op when the engine was built with num_landmarks = 0).
-    bool use_landmarks = true;
     /// Include the exact per-target reverse-Dijkstra term (lazily
     /// computed once per target, cached in the scratch).
     bool use_target_potential = true;
@@ -184,6 +174,14 @@ class RouteEngine {
       const QueryOptions& query);
   [[nodiscard]] std::vector<std::vector<double>> bulk_costs(
       std::span<const NodeId> sources, unsigned threads,
+      const QueryOptions& query) const;
+
+  /// One semilightpath cost per (s, t) demand: costs[i] answers
+  /// demands[i] (+inf when unroutable, 0 when s == t).  Runs bulk_costs
+  /// once over the distinct sources, in first-seen order, so a batch
+  /// fanning out of few sources costs few sweep lanes.
+  [[nodiscard]] std::vector<double> pair_costs(
+      std::span<const std::pair<NodeId, NodeId>> demands, unsigned threads,
       const QueryOptions& query) const;
 
   // --- in-place residual updates ------------------------------------------

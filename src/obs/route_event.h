@@ -35,8 +35,8 @@ struct RouteEvent {
   std::uint64_t sequence = 0;
   std::uint32_t source = 0;
   std::uint32_t target = 0;
-  /// Routing policy that served the request ("first_fit", "lightpath",
-  /// "semilightpath", ...).
+  /// Routing policy that served the request ("first_fit",
+  /// "lightpath_engine", "semilightpath_engine", ...).
   std::string policy;
   /// Dijkstra heap used, when applicable ("fibonacci", "binary", ...).
   std::string heap;

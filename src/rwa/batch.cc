@@ -58,22 +58,8 @@ BatchResult provision_batch(
       engine_options.num_landmarks = 0;  // bulk sweeps: no goal direction
       engine_options.build_hierarchy = true;
       RouteEngine engine(manager.residual(), engine_options);
-      constexpr std::uint32_t kUnseen = 0xffffffffu;
-      std::vector<std::uint32_t> src_row(engine.num_nodes(), kUnseen);
-      std::vector<NodeId> src_nodes;  // distinct sources, first-seen order
-      for (const auto& [s, t] : ordered) {
-        (void)t;
-        if (src_row[s.value()] == kUnseen) {
-          src_row[s.value()] = static_cast<std::uint32_t>(src_nodes.size());
-          src_nodes.push_back(s);
-        }
-      }
-      const std::vector<std::vector<double>> rows =
-          engine.bulk_costs(src_nodes, route_threads);
-      std::vector<double> cost(ordered.size());
-      for (std::size_t i = 0; i < ordered.size(); ++i)
-        cost[i] = rows[src_row[ordered[i].first.value()]]
-                      [ordered[i].second.value()];
+      const std::vector<double> cost = engine.pair_costs(
+          ordered, route_threads, {.use_hierarchy = true});
       std::vector<std::size_t> index(ordered.size());
       for (std::size_t i = 0; i < index.size(); ++i) index[i] = i;
       std::stable_sort(index.begin(), index.end(),

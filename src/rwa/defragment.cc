@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "core/route_engine.h"
@@ -30,25 +31,19 @@ DefragReport defragment(SessionManager& manager, DefragOrder order,
       engine_options.num_landmarks = 0;  // bulk sweeps: no goal direction
       engine_options.build_hierarchy = true;
       RouteEngine engine(manager.residual(), engine_options);
-      constexpr std::uint32_t kUnseen = 0xffffffffu;
-      std::vector<std::uint32_t> src_row(engine.num_nodes(), kUnseen);
-      std::vector<NodeId> src_nodes;  // distinct sources, first-seen order
+      std::vector<std::pair<NodeId, NodeId>> demands;
+      demands.reserve(ids.size());
       for (const SessionId id : ids) {
-        const NodeId s = manager.find(id)->source;
-        if (src_row[s.value()] == kUnseen) {
-          src_row[s.value()] = static_cast<std::uint32_t>(src_nodes.size());
-          src_nodes.push_back(s);
-        }
+        const SessionRecord* session = manager.find(id);
+        demands.emplace_back(session->source, session->target);
       }
-      const std::vector<std::vector<double>> rows =
-          engine.bulk_costs(src_nodes, route_threads);
+      const std::vector<double> priced = engine.pair_costs(
+          demands, route_threads, {.use_hierarchy = true});
       std::vector<double> gain(ids.size());
       for (std::size_t i = 0; i < ids.size(); ++i) {
-        const SessionRecord* session = manager.find(ids[i]);
-        const double priced =
-            rows[src_row[session->source.value()]][session->target.value()];
-        gain[i] = priced == kInfiniteCost ? -kInfiniteCost
-                                          : session->cost - priced;
+        gain[i] = priced[i] == kInfiniteCost
+                      ? -kInfiniteCost
+                      : manager.find(ids[i])->cost - priced[i];
       }
       std::vector<std::size_t> index(ids.size());
       for (std::size_t i = 0; i < index.size(); ++i) index[i] = i;

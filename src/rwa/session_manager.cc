@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "core/liang_shen.h"
 #include "graph/dijkstra.h"  // kInfiniteCost
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
@@ -17,12 +16,8 @@ namespace {
 const char* policy_name(RoutingPolicy policy) {
   switch (policy) {
     case RoutingPolicy::kLightpathFirstFit: return "first_fit";
-    case RoutingPolicy::kLightpathBestCost: return "lightpath";
-    case RoutingPolicy::kSemilightpath: return "semilightpath";
     case RoutingPolicy::kSemilightpathEngine: return "semilightpath_engine";
     case RoutingPolicy::kLightpathEngine: return "lightpath_engine";
-    case RoutingPolicy::kGoalDirectedEngine: return "goal_directed_engine";
-    case RoutingPolicy::kHierarchyEngine: return "hierarchy_engine";
   }
   return "unknown";
 }
@@ -32,20 +27,16 @@ const char* policy_name(RoutingPolicy policy) {
 SessionManager::SessionManager(WdmNetwork network, RoutingPolicy policy)
     : net_(std::move(network)),
       policy_(policy),
+      // The flatten cost is paid once here; afterwards every net_
+      // availability change below is mirrored into the engine as an O(1)
+      // weight patch, so the two views of the residual state stay equal.
+      engine_(std::make_unique<RouteEngine>(net_)),
       base_pairs_(net_.total_link_wavelengths()),
       link_failed_(net_.num_links(), 0) {
   base_availability_.reserve(net_.num_links());
   for (std::uint32_t e = 0; e < net_.num_links(); ++e) {
     const auto list = net_.available(LinkId{e});
     base_availability_.emplace_back(list.begin(), list.end());
-  }
-  // Engine policies pay the flatten cost once here; afterwards every net_
-  // availability change below is mirrored into the engine as an O(1)
-  // weight patch, so the two views of the residual state stay equal.
-  if (uses_engine()) {
-    RouteEngine::Options options;
-    options.build_hierarchy = policy_ == RoutingPolicy::kHierarchyEngine;
-    engine_ = std::make_unique<RouteEngine>(net_, options);
   }
 }
 
@@ -111,24 +102,10 @@ RouteResult SessionManager::route_request(NodeId source, NodeId target) const {
   switch (policy_) {
     case RoutingPolicy::kLightpathFirstFit:
       return first_fit_route(source, target);
-    case RoutingPolicy::kLightpathBestCost:
-      return route_lightpath(net_, source, target);
-    case RoutingPolicy::kSemilightpath:
-      return route_semilightpath(net_, source, target);
     case RoutingPolicy::kSemilightpathEngine:
       return engine_->route_semilightpath(source, target);
     case RoutingPolicy::kLightpathEngine:
       return engine_->route_lightpath(source, target);
-    case RoutingPolicy::kGoalDirectedEngine:
-      return engine_->route_semilightpath(
-          source, target, RouteEngine::QueryOptions{.goal_directed = true});
-    case RoutingPolicy::kHierarchyEngine:
-      // Auto-customization inside the scratch-less overload re-evaluates
-      // the patched cone before the search, so this never falls back.
-      return engine_->route_semilightpath(
-          source, target,
-          RouteEngine::QueryOptions{.goal_directed = true,
-                                    .use_hierarchy = true});
   }
   LUMEN_ASSERT(false);
 }
@@ -202,7 +179,6 @@ void SessionManager::record_event(NodeId source, NodeId target,
   event.source = source.value();
   event.target = target.value();
   event.policy = policy_name(policy_);
-  if (policy_ == RoutingPolicy::kSemilightpath) event.heap = "fibonacci";
   event.outcome = outcome;
   // Documented as 0 when no route: kInfiniteCost would serialize as the
   // JSON-invalid token `inf` in the JSONL export.
@@ -299,10 +275,8 @@ void SessionManager::reserve(SessionRecord& record,
     record.reserved_costs.push_back(LinkWavelength{hop.wavelength, cost});
     const bool removed = net_.clear_wavelength(hop.link, hop.wavelength);
     LUMEN_ASSERT(removed);
-    if (engine_) {
-      record.engine_handles.push_back(
-          engine_->reserve(hop.link, hop.wavelength));
-    }
+    record.engine_handles.push_back(
+        engine_->reserve(hop.link, hop.wavelength));
     ++reserved_pairs_;
   }
 }
@@ -315,7 +289,7 @@ void SessionManager::release_resources(SessionRecord& record) {
     if (!link_failed_[hops[i].link.value()]) {
       net_.set_wavelength(hops[i].link, record.reserved_costs[i].lambda,
                           record.reserved_costs[i].cost);
-      if (engine_) engine_->release(record.engine_handles[i]);
+      engine_->release(record.engine_handles[i]);
     }
     --reserved_pairs_;
   }
@@ -367,7 +341,7 @@ SessionManager::FailureReport SessionManager::fail_span(NodeId a, NodeId b) {
     // already reserved, which are +inf already).
     for (const LinkWavelength& lw : base_availability_[ei]) {
       (void)net_.clear_wavelength(e, lw.lambda);
-      if (engine_) engine_->set_weight(e, lw.lambda, kInfiniteCost);
+      engine_->set_weight(e, lw.lambda, kInfiniteCost);
     }
   }
   if (report.links_failed == 0) return report;
@@ -446,7 +420,7 @@ std::uint32_t SessionManager::repair_span(NodeId a, NodeId b) {
     for (const LinkWavelength& lw : base_availability_[ei]) {
       if (!keep_out.contains(lw.lambda)) {
         net_.set_wavelength(e, lw.lambda, lw.cost);
-        if (engine_) engine_->set_weight(e, lw.lambda, lw.cost);
+        engine_->set_weight(e, lw.lambda, lw.cost);
       }
     }
   }
@@ -500,10 +474,8 @@ bool SessionManager::reoptimize(SessionId id) {
     // clear fails only if release above didn't restore it (failed link —
     // impossible for an active session's healthy route).
     LUMEN_ASSERT(removed);
-    if (engine_) {
-      record.engine_handles.push_back(
-          engine_->reserve(hop.link, hop.wavelength));
-    }
+    record.engine_handles.push_back(
+        engine_->reserve(hop.link, hop.wavelength));
     ++reserved_pairs_;
   }
   return false;

@@ -8,30 +8,22 @@
 // blocking — the standard WDM evaluation loop built on the Liang–Shen
 // router.
 //
-// Policies, weakest to strongest:
-//   kLightpathFirstFit  — classic greedy: hop-shortest route on links with
-//                         any free wavelength, then the first wavelength
-//                         free along the whole route (blocked otherwise).
-//   kLightpathBestCost  — optimal wavelength-continuous route (one
-//                         Dijkstra per wavelength).
-//   kSemilightpath      — the paper's router: optimal with conversion.
+// Every manager builds one RouteEngine at construction and keeps it in
+// sync with the residual availability by O(1) weight patches on every
+// reserve/release/failure/repair, so each request costs only a search.
 //
-// The *Engine variants return the same routes as their per-request
-// counterparts but amortize construction: a RouteEngine is built once per
-// manager and kept in sync with the residual availability by O(1) weight
-// patches on every reserve/release/failure/repair, so each request costs
-// only a search.
-//   kSemilightpathEngine — kSemilightpath served by the build-once engine.
-//   kLightpathEngine     — kLightpathBestCost served by the engine's
-//                          per-wavelength subnetwork cache.
-//   kGoalDirectedEngine  — kSemilightpathEngine with goal-directed A*
-//                          (ALT landmarks + per-target potential): same
-//                          routes and costs, fewer heap pops per request.
-//   kHierarchyEngine     — kGoalDirectedEngine over the engine's partial
-//                          contraction hierarchy (bidirectional upward
-//                          search, re-customized incrementally as the
-//                          residual churns): same routes and costs again,
-//                          fewer pops still.
+// Policies, weakest to strongest:
+//   kLightpathFirstFit   — classic greedy: hop-shortest route on links
+//                          with any free wavelength, then the first
+//                          wavelength free along the whole route (blocked
+//                          otherwise).
+//   kLightpathEngine     — optimal wavelength-continuous route (one search
+//                          per wavelength over the engine's per-λ
+//                          subnetwork cache).
+//   kSemilightpathEngine — the paper's router: optimal with conversion,
+//                          served by the engine's flattened core (same
+//                          optimum as route_semilightpath; among equal-cost
+//                          routes it takes the lowest wavelength).
 #pragma once
 
 #include <cstdint>
@@ -57,12 +49,8 @@ using SessionId = StrongId<SessionTag>;
 /// Routing policy used for each arriving request.
 enum class RoutingPolicy {
   kLightpathFirstFit,
-  kLightpathBestCost,
-  kSemilightpath,
   kSemilightpathEngine,
   kLightpathEngine,
-  kGoalDirectedEngine,
-  kHierarchyEngine,
 };
 
 /// One carried connection.
@@ -75,7 +63,7 @@ struct SessionRecord {
   bool active = false;
   /// Reserved resources with their original costs (for release).
   std::vector<LinkWavelength> reserved_costs;  // parallel to path.hops()
-  /// Engine patch receipts (engine policies only; parallel to path.hops()).
+  /// Engine patch receipts (parallel to path.hops()).
   std::vector<RouteEngine::ReserveHandle> engine_handles;
 };
 
@@ -187,11 +175,11 @@ class SessionManager {
   /// The session record, or nullptr when unknown.
   [[nodiscard]] const SessionRecord* find(SessionId id) const;
 
-  /// The build-once engine kept weight-synchronized with residual(), or
-  /// nullptr for non-engine policies.  Exposed so tests can check the
-  /// patched weights against a rebuilt-from-scratch oracle.
-  [[nodiscard]] const RouteEngine* engine() const noexcept {
-    return engine_.get();
+  /// The build-once engine kept weight-synchronized with residual().
+  /// Exposed so tests can check the patched weights against a
+  /// rebuilt-from-scratch oracle.
+  [[nodiscard]] const RouteEngine& engine() const noexcept {
+    return *engine_;
   }
 
   /// Fraction of the base network's (link, λ) pairs currently reserved.
@@ -239,20 +227,12 @@ class SessionManager {
   /// Samples the residual-state metrics when the period is due.
   void maybe_snapshot_metrics();
 
-  /// True for the build-once engine-backed policies.
-  [[nodiscard]] bool uses_engine() const noexcept {
-    return policy_ == RoutingPolicy::kSemilightpathEngine ||
-           policy_ == RoutingPolicy::kLightpathEngine ||
-           policy_ == RoutingPolicy::kGoalDirectedEngine ||
-           policy_ == RoutingPolicy::kHierarchyEngine;
-  }
-
   WdmNetwork net_;  // residual availability (mutated)
   RoutingPolicy policy_;
-  /// Build-once flattened router, kept weight-synchronized with net_ (engine
-  /// policies only; null otherwise).  unique_ptr keeps queries usable from
-  /// const methods — route_request is logically const, the engine scratch is
-  /// not part of the observable state.
+  /// Build-once flattened router, kept weight-synchronized with net_.
+  /// unique_ptr keeps queries usable from const methods — route_request is
+  /// logically const, the engine scratch is not part of the observable
+  /// state.
   std::unique_ptr<RouteEngine> engine_;
   SessionStats stats_;
   /// Hot table: looked up on every close/reoptimize and scanned on every

@@ -68,25 +68,11 @@ std::vector<Shard::AdmitOutcome> Shard::admit_batch(
   // the offer order and the +inf short-circuit; each surviving demand
   // still routes and commits through the ordinary retry loop (the
   // residual shifts as earlier demands in the batch claim slots).
-  constexpr std::uint32_t kUnseen = 0xffffffffu;
-  std::vector<std::uint32_t> src_row(engine_.num_nodes(), kUnseen);
-  std::vector<NodeId> src_nodes;  // distinct sources, first-seen order
-  for (const auto& [s, t] : demands) {
-    (void)t;
-    if (src_row[s.value()] == kUnseen) {
-      src_row[s.value()] = static_cast<std::uint32_t>(src_nodes.size());
-      src_nodes.push_back(s);
-    }
-  }
-  const std::vector<std::vector<double>> rows =
-      engine_.bulk_costs(src_nodes, /*threads=*/1, options_.query);
-
-  std::vector<double> cost(demands.size());
+  const std::vector<double> cost =
+      engine_.pair_costs(demands, /*threads=*/1, options_.query);
   std::vector<std::size_t> offer;  // demands worth routing, by index
   offer.reserve(demands.size());
   for (std::size_t i = 0; i < demands.size(); ++i) {
-    cost[i] = rows[src_row[demands[i].first.value()]]
-                  [demands[i].second.value()];
     if (cost[i] == kInfiniteCost) {
       // Unroutable on the replica right now — admit_locked would run a
       // full search only to conclude the same kBlocked.  Claims by the

@@ -68,6 +68,7 @@ std::vector<NodeId> all_nodes(std::uint32_t n) {
 }
 
 TEST(BulkCostsTest, SweepRowsMatchPointQueriesBitwise) {
+  std::uint32_t unroutable = 0;
   for (const std::uint64_t seed : {71ULL, 72ULL, 73ULL}) {
     Rng rng(seed);
     const WdmNetwork net =
@@ -76,7 +77,38 @@ TEST(BulkCostsTest, SweepRowsMatchPointQueriesBitwise) {
     ASSERT_TRUE(engine.has_hierarchy());
     const auto rows = engine.bulk_costs(all_nodes(net.num_nodes()));
     expect_rows_match_point_queries(engine, rows, "sweep");
+
+    // pair_costs answers one cost per demand: every source repeats, the
+    // diagonal (s == t) demands cost 0, and cutting every link into node
+    // 0 makes the demands to it unroutable (+inf).
+    for (std::uint32_t ei = 0; ei < net.num_links(); ++ei) {
+      const LinkId e{ei};
+      if (net.head(e) != NodeId{0}) continue;
+      for (const auto& lw : net.available(e))
+        engine.set_weight(e, lw.lambda, kInfiniteCost);
+    }
+    std::vector<std::pair<NodeId, NodeId>> demands;
+    for (std::uint32_t t = 0; t < net.num_nodes(); ++t)
+      for (std::uint32_t s = 0; s < net.num_nodes(); ++s)
+        demands.emplace_back(NodeId{s}, NodeId{t});
+    const std::vector<double> costs =
+        engine.pair_costs(demands, 2, {.use_hierarchy = true});
+    ASSERT_EQ(costs.size(), demands.size());
+    SearchScratch scratch;
+    for (std::size_t i = 0; i < demands.size(); ++i) {
+      const auto [s, t] = demands[i];
+      const RouteResult point = engine.route_semilightpath(s, t, scratch);
+      EXPECT_EQ(costs[i], point.found ? point.cost : kInfiniteCost)
+          << s.value() << "->" << t.value();
+      if (s == t) {
+        EXPECT_EQ(costs[i], 0.0);
+      } else if (t == NodeId{0}) {
+        EXPECT_EQ(costs[i], kInfiniteCost);
+        ++unroutable;
+      }
+    }
   }
+  EXPECT_GT(unroutable, 0u);
 }
 
 TEST(BulkCostsTest, SweepAndFlatFallbackAgreeBitwise) {
@@ -193,7 +225,7 @@ TEST(BulkCostsTest, DefragMatrixGainKeepsTheContract) {
   SessionManager manager(
       assemble_network(topo, 3, avail,
                        std::make_shared<UniformConversion>(0.1)),
-      RoutingPolicy::kSemilightpath);
+      RoutingPolicy::kSemilightpathEngine);
   DynamicWorkloadConfig config;
   config.arrival_rate = 20.0;
   config.mean_holding_time = 1.0;

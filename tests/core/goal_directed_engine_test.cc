@@ -9,14 +9,14 @@
 // ever raise weights).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
 
-#include "core/goal_directed.h"
 #include "core/liang_shen.h"
 #include "core/route_engine.h"
-#include "rwa/session_manager.h"
+#include "tests/session_checks.h"
 #include "tests/test_util.h"
 #include "util/error.h"
 
@@ -41,19 +41,22 @@ WdmNetwork random_engine_network(Rng& rng) {
 }
 
 constexpr RouteEngine::QueryOptions kCombined{.goal_directed = true};
-constexpr RouteEngine::QueryOptions kTargetOnly{.goal_directed = true,
-                                                .use_landmarks = false};
 constexpr RouteEngine::QueryOptions kLandmarksOnly{
     .goal_directed = true, .use_target_potential = false};
+/// The target-only ablation: kCombined on an engine without landmarks.
+constexpr RouteEngine::Options kNoLandmarks{.num_landmarks = 0};
 
 /// Every goal-directed flavor must agree with the engine's own uninformed
 /// search exactly (same costs as doubles, same feasibility) and produce a
-/// valid path of the claimed cost.
+/// valid path of the claimed cost.  `target_only` is an engine over the
+/// same network (and patches) built with kNoLandmarks.
 void expect_modes_identical(const WdmNetwork& net, RouteEngine& engine,
-                            NodeId s, NodeId t) {
+                            RouteEngine& target_only, NodeId s, NodeId t) {
   const RouteResult plain = engine.route_semilightpath(s, t);
-  for (const auto& query : {kCombined, kTargetOnly, kLandmarksOnly}) {
-    const RouteResult goal = engine.route_semilightpath(s, t, query);
+  for (const RouteResult& goal :
+       {engine.route_semilightpath(s, t, kCombined),
+        target_only.route_semilightpath(s, t, kCombined),
+        engine.route_semilightpath(s, t, kLandmarksOnly)}) {
     ASSERT_EQ(plain.found, goal.found)
         << "s=" << s.value() << " t=" << t.value();
     // Bit-identical, not NEAR: both searches sum the same weights in the
@@ -70,9 +73,10 @@ void expect_modes_identical(const WdmNetwork& net, RouteEngine& engine,
 TEST(GoalDirectedEngineTest, PaperExampleAllPairsAllModes) {
   const WdmNetwork net = paper_example_network();
   RouteEngine engine(net);
+  RouteEngine target_only(net, kNoLandmarks);
   for (std::uint32_t s = 0; s < net.num_nodes(); ++s) {
     for (std::uint32_t t = 0; t < net.num_nodes(); ++t) {
-      expect_modes_identical(net, engine, NodeId{s}, NodeId{t});
+      expect_modes_identical(net, engine, target_only, NodeId{s}, NodeId{t});
       const RouteResult reference =
           route_semilightpath(net, NodeId{s}, NodeId{t});
       const RouteResult goal =
@@ -96,6 +100,7 @@ TEST_P(GoalDirectedEngineFuzz, EquivalenceOnRandomNetworks) {
         iteration < 5 ? random_engine_network(rng) : fuzz_network(rng);
     if (net.num_nodes() < 2) continue;
     RouteEngine engine(net);
+    RouteEngine target_only(net, kNoLandmarks);
     std::uint64_t plain_pops = 0;
     std::uint64_t goal_pops = 0;
     for (int query = 0; query < 8; ++query) {
@@ -103,7 +108,7 @@ TEST_P(GoalDirectedEngineFuzz, EquivalenceOnRandomNetworks) {
           static_cast<std::uint32_t>(rng.next_below(net.num_nodes()))};
       const NodeId t{
           static_cast<std::uint32_t>(rng.next_below(net.num_nodes()))};
-      expect_modes_identical(net, engine, s, t);
+      expect_modes_identical(net, engine, target_only, s, t);
       const RouteResult reference = route_semilightpath(net, s, t);
       const RouteResult plain = engine.route_semilightpath(s, t);
       const RouteResult goal = engine.route_semilightpath(s, t, kCombined);
@@ -142,13 +147,15 @@ TEST(GoalDirectedEngineTest, ChurnKeepsBaseBoundsAdmissible) {
   for (int iteration = 0; iteration < 12; ++iteration) {
     WdmNetwork oracle = random_engine_network(rng);
     RouteEngine engine(oracle);
+    RouteEngine target_only(oracle, kNoLandmarks);
 
     struct Claim {
       LinkId link;
       Wavelength lambda;
       double cost = 0.0;
-      RouteEngine::ReserveHandle handle;
       bool failed = false;  // true: set_weight(inf) fail, not a reserve
+      RouteEngine::ReserveHandle handle;
+      RouteEngine::ReserveHandle target_only_handle;
     };
     std::vector<Claim> claims;
 
@@ -161,12 +168,14 @@ TEST(GoalDirectedEngineTest, ChurnKeepsBaseBoundsAdmissible) {
         if (oracle.num_links() == 0 || oracle.num_available(e) == 0) continue;
         const LinkWavelength lw =
             oracle.available(e)[rng.next_below(oracle.num_available(e))];
-        Claim claim{e, lw.lambda, lw.cost, {}, rng.next_bool(0.4)};
+        Claim claim{e, lw.lambda, lw.cost, rng.next_bool(0.4), {}, {}};
         ASSERT_TRUE(oracle.clear_wavelength(e, claim.lambda));
         if (claim.failed) {
           engine.set_weight(e, claim.lambda, kInfiniteCost);
+          target_only.set_weight(e, claim.lambda, kInfiniteCost);
         } else {
           claim.handle = engine.reserve(e, claim.lambda);
+          claim.target_only_handle = target_only.reserve(e, claim.lambda);
         }
         claims.push_back(claim);
       } else {
@@ -177,8 +186,10 @@ TEST(GoalDirectedEngineTest, ChurnKeepsBaseBoundsAdmissible) {
         oracle.set_wavelength(claim.link, claim.lambda, claim.cost);
         if (claim.failed) {
           engine.set_weight(claim.link, claim.lambda, claim.cost);
+          target_only.set_weight(claim.link, claim.lambda, claim.cost);
         } else {
           engine.release(claim.handle);
+          target_only.release(claim.target_only_handle);
         }
       }
 
@@ -186,7 +197,7 @@ TEST(GoalDirectedEngineTest, ChurnKeepsBaseBoundsAdmissible) {
           static_cast<std::uint32_t>(rng.next_below(oracle.num_nodes()))};
       const NodeId t{
           static_cast<std::uint32_t>(rng.next_below(oracle.num_nodes()))};
-      expect_modes_identical(oracle, engine, s, t);
+      expect_modes_identical(oracle, engine, target_only, s, t);
       const RouteResult reference = route_semilightpath(oracle, s, t);
       const RouteResult goal = engine.route_semilightpath(s, t, kCombined);
       ASSERT_EQ(reference.found, goal.found)
@@ -221,62 +232,18 @@ TEST(GoalDirectedEngineTest, RouteManyGoalDirectedMatchesSequential) {
 }
 
 TEST(GoalDirectedEngineTest, SessionManagerPolicyParity) {
-  // The goal-directed policy must make the same accept/block decisions at
-  // the same costs as the uninformed engine policy across a full workload
-  // with departures and a span failure/repair cycle.
+  // Flat, goal-directed and hierarchy answers must agree with every
+  // accept/block decision and cost of the engine policy across a full
+  // workload with departures and a span failure/repair cycle.
   Rng rng(0x90a1'd1ecULL);
   const WdmNetwork net = random_network(24, 36, 4, 2, ConvKind::kUniform, rng);
-  SessionManager plain(net, RoutingPolicy::kSemilightpathEngine);
-  SessionManager goal(net, RoutingPolicy::kGoalDirectedEngine);
-  ASSERT_NE(goal.engine(), nullptr);  // engine policies build an engine
-
-  std::vector<std::pair<std::optional<SessionId>, std::optional<SessionId>>>
-      open_sessions;
-  Rng workload(0x77'2026ULL);
-  for (int step = 0; step < 200; ++step) {
-    if (step == 80) {
-      const NodeId a{static_cast<std::uint32_t>(workload.next_below(24))};
-      const NodeId b{static_cast<std::uint32_t>(workload.next_below(24))};
-      (void)plain.fail_span(a, b);
-      (void)goal.fail_span(a, b);
-    }
-    if (step == 140) {
-      const NodeId a{static_cast<std::uint32_t>(workload.next_below(24))};
-      const NodeId b{static_cast<std::uint32_t>(workload.next_below(24))};
-      plain.repair_span(a, b);
-      goal.repair_span(a, b);
-    }
-    if (!open_sessions.empty() && workload.next_bool(0.3)) {
-      const std::size_t i = workload.next_below(open_sessions.size());
-      const auto [p, g] = open_sessions[i];
-      open_sessions.erase(open_sessions.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-      if (p) plain.close(*p);
-      if (g) goal.close(*g);
-      continue;
-    }
-    const auto s = static_cast<std::uint32_t>(workload.next_below(24));
-    auto t = static_cast<std::uint32_t>(workload.next_below(24));
-    if (s == t) t = (t + 1) % 24;
-    const auto p = plain.open(NodeId{s}, NodeId{t});
-    const auto g = goal.open(NodeId{s}, NodeId{t});
-    ASSERT_EQ(p.has_value(), g.has_value()) << "step=" << step;
-    if (p && g) {
-      EXPECT_NEAR(plain.find(*p)->cost, goal.find(*g)->cost, 1e-9)
-          << "step=" << step;
-      open_sessions.emplace_back(p, g);
-    }
-  }
-  EXPECT_EQ(plain.stats().carried, goal.stats().carried);
-  EXPECT_EQ(plain.stats().blocked, goal.stats().blocked);
-  EXPECT_NEAR(plain.stats().carried_cost_sum, goal.stats().carried_cost_sum,
-              1e-6);
+  testing::run_policy_parity_tape(net, 0x77'2026ULL);
 }
 
 TEST(GoalDirectedEngineTest, ZeroLandmarksAndDisabledTermsStillExact) {
   Rng rng(0x0'1a27ULL);
   const WdmNetwork net = random_network(30, 45, 4, 2, ConvKind::kSparse, rng);
-  RouteEngine engine(net, RouteEngine::Options{.num_landmarks = 0});
+  RouteEngine engine(net, kNoLandmarks);
   EXPECT_EQ(engine.stats().landmarks, 0u);
   for (int query = 0; query < 20; ++query) {
     const NodeId s{static_cast<std::uint32_t>(rng.next_below(30))};
@@ -284,7 +251,7 @@ TEST(GoalDirectedEngineTest, ZeroLandmarksAndDisabledTermsStillExact) {
     const RouteResult plain = engine.route_semilightpath(s, t);
     // kLandmarksOnly on a 0-landmark engine degenerates to plain Dijkstra
     // through the A* code path (potential ≡ 0) — still exact.
-    for (const auto& query_opts : {kCombined, kTargetOnly, kLandmarksOnly}) {
+    for (const auto& query_opts : {kCombined, kLandmarksOnly}) {
       const RouteResult goal = engine.route_semilightpath(s, t, query_opts);
       ASSERT_EQ(plain.found, goal.found);
       EXPECT_EQ(plain.cost, goal.cost);
@@ -307,30 +274,50 @@ TEST(GoalDirectedEngineTest, SetWeightBelowBaseIsRejected) {
 }
 
 TEST(GoalDirectedEngineTest, StandaloneCacheMatchesAndReuses) {
-  // The cached standalone A* must equal the uncached overload and the
-  // plain router; reusing the cache across targets stays correct.
+  // The per-target potential lives in the caller's SearchScratch: a
+  // same-target query must read the cached row instead of recomputing it,
+  // and every query must still match the plain engine and the reference
+  // router.  Reuse is made visible by overwriting the cached row with the
+  // zero potential (admissible, so the answer stays exact): a query that
+  // reads it searches exactly like the uninformed Dijkstra.
   Rng rng(0xcac'8e01ULL);
   const WdmNetwork net = random_network(40, 60, 5, 3, ConvKind::kRange, rng);
-  AstarPotentialCache cache;
-  EXPECT_FALSE(cache.warm());
+  RouteEngine engine(net, kNoLandmarks);
+  SearchScratch scratch;
+  SearchScratch::TargetPotential& cached = scratch.target_potential();
+  EXPECT_EQ(cached.owner, 0u);
+  std::uint32_t reused = 0;
   for (int query = 0; query < 25; ++query) {
     const NodeId s{static_cast<std::uint32_t>(rng.next_below(40))};
     const NodeId t{static_cast<std::uint32_t>(rng.next_below(40))};
     const RouteResult reference = route_semilightpath(net, s, t);
-    const RouteResult cached = route_semilightpath_astar(net, s, t, cache);
-    const RouteResult uncached = route_semilightpath_astar(net, s, t);
-    ASSERT_EQ(reference.found, cached.found);
-    ASSERT_EQ(reference.found, uncached.found);
+    const RouteResult plain = engine.route_semilightpath(s, t);
+    const RouteResult goal =
+        engine.route_semilightpath(s, t, scratch, kCombined);
+    ASSERT_EQ(reference.found, goal.found);
+    ASSERT_EQ(plain.found, goal.found);
     if (reference.found) {
-      EXPECT_NEAR(reference.cost, cached.cost, 1e-9);
-      EXPECT_EQ(uncached.cost, cached.cost);
+      EXPECT_NEAR(reference.cost, goal.cost, 1e-9);
+      EXPECT_EQ(plain.cost, goal.cost);
     }
-    if (s != t) {
-      EXPECT_TRUE(cache.warm());
-    }
+    if (s == t) continue;
+    EXPECT_NE(cached.owner, 0u);
+    EXPECT_EQ(cached.target, t.value());
+
+    // Same target, other source: the zeroed row must be what it searches.
+    const NodeId other{(s.value() + 1) % 40};
+    if (other == t) continue;
+    std::fill(cached.dist.begin(), cached.dist.end(), 0.0);
+    const RouteResult again =
+        engine.route_semilightpath(other, t, scratch, kCombined);
+    const RouteResult uninformed = engine.route_semilightpath(other, t);
+    ASSERT_EQ(uninformed.found, again.found);
+    EXPECT_EQ(uninformed.cost, again.cost);
+    EXPECT_EQ(uninformed.stats.search_pops, again.stats.search_pops);
+    EXPECT_EQ(again.stats.search_pruned, 0u);
+    ++reused;
   }
-  cache.invalidate();
-  EXPECT_FALSE(cache.warm());
+  EXPECT_GT(reused, 10u);
 }
 
 TEST(GoalDirectedEngineTest, PrunedAndSettledStatsAreConsistent) {

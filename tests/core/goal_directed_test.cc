@@ -1,8 +1,9 @@
-#include "core/goal_directed.h"
-
+// The engine's goal-directed query (QueryOptions{goal_directed}) checked
+// against the paper's per-request router: same optimum, fewer heap pops.
 #include <gtest/gtest.h>
 
 #include "core/liang_shen.h"
+#include "core/route_engine.h"
 #include "tests/test_util.h"
 
 namespace lumen {
@@ -11,12 +12,16 @@ namespace {
 using testing::ConvKind;
 using testing::random_network;
 
+constexpr RouteEngine::QueryOptions kGoal{.goal_directed = true};
+
 TEST(GoalDirectedTest, MatchesDijkstraOnPaperExample) {
   const auto net = testing::paper_example_network();
+  RouteEngine engine(net);
   for (std::uint32_t s = 0; s < 7; ++s) {
     for (std::uint32_t t = 0; t < 7; ++t) {
       const auto plain = route_semilightpath(net, NodeId{s}, NodeId{t});
-      const auto astar = route_semilightpath_astar(net, NodeId{s}, NodeId{t});
+      const auto astar =
+          engine.route_semilightpath(NodeId{s}, NodeId{t}, kGoal);
       ASSERT_EQ(plain.found, astar.found) << s << "->" << t;
       if (plain.found) {
         EXPECT_NEAR(plain.cost, astar.cost, 1e-9) << s << "->" << t;
@@ -34,6 +39,7 @@ TEST_P(GoalDirectedRandomTest, SameOptimumFewerPops) {
   const std::uint64_t seed = GetParam();
   Rng rng(seed);
   const auto net = random_network(60, 120, 6, 3, ConvKind::kUniform, rng);
+  RouteEngine engine(net);
   std::uint64_t plain_pops = 0, astar_pops = 0;
   Rng pick(seed ^ 0xa57aULL);
   for (int trial = 0; trial < 10; ++trial) {
@@ -41,7 +47,7 @@ TEST_P(GoalDirectedRandomTest, SameOptimumFewerPops) {
     auto t = static_cast<std::uint32_t>(pick.next_below(60));
     if (s == t) t = (t + 1) % 60;
     const auto plain = route_semilightpath(net, NodeId{s}, NodeId{t});
-    const auto astar = route_semilightpath_astar(net, NodeId{s}, NodeId{t});
+    const auto astar = engine.route_semilightpath(NodeId{s}, NodeId{t}, kGoal);
     ASSERT_EQ(plain.found, astar.found) << s << "->" << t;
     if (plain.found) {
       EXPECT_NEAR(plain.cost, astar.cost, 1e-9) << s << "->" << t;
@@ -59,11 +65,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GoalDirectedRandomTest,
 
 TEST(GoalDirectedTest, SelfRouteAndUnreachable) {
   const auto net = testing::paper_example_network();
-  const auto self = route_semilightpath_astar(net, NodeId{3}, NodeId{3});
+  RouteEngine engine(net);
+  const auto self = engine.route_semilightpath(NodeId{3}, NodeId{3}, kGoal);
   EXPECT_TRUE(self.found);
   EXPECT_DOUBLE_EQ(self.cost, 0.0);
-  const auto unreachable = route_semilightpath_astar(net, NodeId{6}, NodeId{0});
+  const auto unreachable =
+      engine.route_semilightpath(NodeId{6}, NodeId{0}, kGoal);
   EXPECT_FALSE(unreachable.found);
+  EXPECT_FALSE(route_semilightpath(net, NodeId{6}, NodeId{0}).found);
 }
 
 TEST(GoalDirectedTest, PrunesPhysicallyDeadBranches) {
@@ -83,8 +92,9 @@ TEST(GoalDirectedTest, PrunesPhysicallyDeadBranches) {
     const LinkId e = net.add_link(NodeId{i}, NodeId{i + 1});
     net.set_wavelength(e, Wavelength{0}, 0.01);
   }
+  RouteEngine engine(net);
   const auto plain = route_semilightpath(net, NodeId{0}, NodeId{2});
-  const auto astar = route_semilightpath_astar(net, NodeId{0}, NodeId{2});
+  const auto astar = engine.route_semilightpath(NodeId{0}, NodeId{2}, kGoal);
   ASSERT_TRUE(plain.found);
   ASSERT_TRUE(astar.found);
   EXPECT_NEAR(plain.cost, astar.cost, 1e-9);

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -19,7 +18,7 @@
 #include "core/route_engine.h"
 #include "obs/registry.h"
 #include "obs/span_buffer.h"
-#include "rwa/session_manager.h"
+#include "tests/session_checks.h"
 #include "tests/test_util.h"
 #include "util/error.h"
 
@@ -326,57 +325,12 @@ TEST(HierarchyEngineTest, RouteManyHierarchyMatchesSequential) {
 }
 
 TEST(HierarchyEngineTest, SessionManagerPolicyParity) {
-  // The hierarchy policy must make the same accept/block decisions at the
-  // same costs as the goal-directed engine policy across a full workload
-  // with departures and a span failure/repair cycle.
+  // Flat, goal-directed and hierarchy answers must agree with every
+  // accept/block decision and cost of the engine policy across a full
+  // workload with departures and a span failure/repair cycle.
   Rng rng(0x91a2'77feULL);
   const WdmNetwork net = random_network(24, 36, 4, 2, ConvKind::kUniform, rng);
-  SessionManager goal(net, RoutingPolicy::kGoalDirectedEngine);
-  SessionManager hier(net, RoutingPolicy::kHierarchyEngine);
-  ASSERT_NE(hier.engine(), nullptr);
-  ASSERT_TRUE(hier.engine()->has_hierarchy());
-
-  std::vector<std::pair<std::optional<SessionId>, std::optional<SessionId>>>
-      open_sessions;
-  Rng workload(0x88'2026ULL);
-  for (int step = 0; step < 200; ++step) {
-    if (step == 80) {
-      const NodeId a{static_cast<std::uint32_t>(workload.next_below(24))};
-      const NodeId b{static_cast<std::uint32_t>(workload.next_below(24))};
-      (void)goal.fail_span(a, b);
-      (void)hier.fail_span(a, b);
-    }
-    if (step == 140) {
-      const NodeId a{static_cast<std::uint32_t>(workload.next_below(24))};
-      const NodeId b{static_cast<std::uint32_t>(workload.next_below(24))};
-      goal.repair_span(a, b);
-      hier.repair_span(a, b);
-    }
-    if (!open_sessions.empty() && workload.next_bool(0.3)) {
-      const std::size_t i = workload.next_below(open_sessions.size());
-      const auto [g, h] = open_sessions[i];
-      open_sessions.erase(open_sessions.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-      if (g) goal.close(*g);
-      if (h) hier.close(*h);
-      continue;
-    }
-    const auto s = static_cast<std::uint32_t>(workload.next_below(24));
-    auto t = static_cast<std::uint32_t>(workload.next_below(24));
-    if (s == t) t = (t + 1) % 24;
-    const auto g = goal.open(NodeId{s}, NodeId{t});
-    const auto h = hier.open(NodeId{s}, NodeId{t});
-    ASSERT_EQ(g.has_value(), h.has_value()) << "step=" << step;
-    if (g && h) {
-      EXPECT_NEAR(goal.find(*g)->cost, hier.find(*h)->cost, 1e-9)
-          << "step=" << step;
-      open_sessions.emplace_back(g, h);
-    }
-  }
-  EXPECT_EQ(goal.stats().carried, hier.stats().carried);
-  EXPECT_EQ(goal.stats().blocked, hier.stats().blocked);
-  EXPECT_NEAR(goal.stats().carried_cost_sum, hier.stats().carried_cost_sum,
-              1e-6);
+  testing::run_policy_parity_tape(net, 0x88'2026ULL);
 }
 
 TEST(HierarchyEngineTest, PrunedStatsSurfacedOnSearchCounters) {

@@ -6,8 +6,8 @@
 #include <memory>
 
 #include "core/constrained.h"
-#include "core/goal_directed.h"
 #include "core/liang_shen.h"
+#include "core/route_engine.h"
 #include "core/state_dijkstra.h"
 #include "dist/dist_router.h"
 #include "tests/test_util.h"
@@ -30,7 +30,8 @@ TEST(FuzzTest, RoutersAgreeWithOracleAcrossManySeeds) {
 
     const auto oracle = state_dijkstra_route(net, s, t);
     const auto ls = route_semilightpath(net, s, t);
-    const auto astar = route_semilightpath_astar(net, s, t);
+    const auto astar = RouteEngine(net).route_semilightpath(
+        s, t, RouteEngine::QueryOptions{.goal_directed = true});
     const auto dist = distributed_route_semilightpath(net, s, t);
 
     ASSERT_EQ(ls.found, oracle.found) << "seed " << seed;

@@ -139,7 +139,7 @@ TEST(StaticRwaPipelineTest, ConversionBeatsContinuityBoundOnNsfnet) {
                        full_availability(topo, k, CostSpec::unit(),
                                          avail_rng),
                        std::make_shared<UniformConversion>(0.1)),
-      RoutingPolicy::kSemilightpath);
+      RoutingPolicy::kSemilightpathEngine);
   std::uint32_t blocked = 0;
   // Longest-first ordering, as in the example.
   std::vector<std::pair<NodeId, NodeId>> ordered(demands.begin(),

@@ -111,7 +111,7 @@ TEST(FlightRecorderTest, SessionManagerMirrorsEventsWithMatchingTraces) {
   SpanBuffer::global().clear();
 
   SessionManager manager(testing::paper_example_network(),
-                         RoutingPolicy::kSemilightpath);
+                         RoutingPolicy::kSemilightpathEngine);
   // No RouteEventLog attached: the global recorder must capture anyway.
   const auto id = manager.open(NodeId{0}, NodeId{6});
   ASSERT_TRUE(id.has_value());
@@ -129,7 +129,7 @@ TEST(FlightRecorderTest, SessionManagerMirrorsEventsWithMatchingTraces) {
   ASSERT_EQ(tree.roots.size(), 1u);
   EXPECT_STREQ(tree.roots[0].span.name, "rwa.open");
   EXPECT_EQ(tree.roots[0].span.node, 0u);
-  EXPECT_NE(obs::find_span(tree, "route.semilightpath"), nullptr);
+  EXPECT_NE(obs::find_span(tree, "engine.semilightpath"), nullptr);
 }
 
 TEST(FlightRecorderTest, FailSpanStormSharesOneTrace) {
@@ -142,7 +142,7 @@ TEST(FlightRecorderTest, FailSpanStormSharesOneTrace) {
   ASSERT_FALSE(route.path.hops().empty());
   const LinkId first_link = route.path.hops()[0].link;
 
-  SessionManager manager(net, RoutingPolicy::kSemilightpath);
+  SessionManager manager(net, RoutingPolicy::kSemilightpathEngine);
   ASSERT_TRUE(manager.open(NodeId{0}, NodeId{6}).has_value());
   FlightRecorder::global().clear();
 

@@ -35,7 +35,7 @@ WdmNetwork chain_net() {
 
 TEST(SessionTelemetryTest, OneEventPerOfferedRequest) {
   obs::RouteEventLog log;
-  SessionManager manager(chain_net(), RoutingPolicy::kSemilightpath);
+  SessionManager manager(chain_net(), RoutingPolicy::kSemilightpathEngine);
   manager.set_telemetry(&log);
   ASSERT_TRUE(manager.open(NodeId{0}, NodeId{2}).has_value());
   ASSERT_TRUE(manager.open(NodeId{0}, NodeId{2}).has_value());
@@ -48,7 +48,7 @@ TEST(SessionTelemetryTest, OneEventPerOfferedRequest) {
     EXPECT_EQ(events[i].sequence, i);
     EXPECT_EQ(events[i].source, 0u);
     EXPECT_EQ(events[i].target, 2u);
-    EXPECT_EQ(events[i].policy, "semilightpath");
+    EXPECT_EQ(events[i].policy, "semilightpath_engine");
   }
   EXPECT_EQ(events[0].outcome, "carried");
   EXPECT_EQ(events[1].outcome, "carried");
@@ -64,7 +64,7 @@ TEST(SessionTelemetryTest, OneEventPerOfferedRequest) {
 
 TEST(SessionTelemetryTest, EventsSurviveJsonlRoundTrip) {
   obs::RouteEventLog log;
-  SessionManager manager(chain_net(), RoutingPolicy::kSemilightpath);
+  SessionManager manager(chain_net(), RoutingPolicy::kSemilightpathEngine);
   manager.set_telemetry(&log);
   (void)manager.open(NodeId{0}, NodeId{2});
   (void)manager.open(NodeId{0}, NodeId{2});
@@ -79,7 +79,7 @@ TEST(SessionTelemetryTest, EventsSurviveJsonlRoundTrip) {
 
 TEST(SessionTelemetryTest, MetricsSeriesSamplesOnPeriod) {
   obs::RouteEventLog log;
-  SessionManager manager(chain_net(), RoutingPolicy::kSemilightpath);
+  SessionManager manager(chain_net(), RoutingPolicy::kSemilightpathEngine);
   manager.set_telemetry(&log, /*metrics_every=*/2);
   (void)manager.open(NodeId{0}, NodeId{2});  // offered 1: no sample
   (void)manager.open(NodeId{0}, NodeId{2});  // offered 2: sample
@@ -96,7 +96,7 @@ TEST(SessionTelemetryTest, MetricsSeriesSamplesOnPeriod) {
 }
 
 TEST(SessionTelemetryTest, SnapshotsWithoutEventLog) {
-  SessionManager manager(chain_net(), RoutingPolicy::kSemilightpath);
+  SessionManager manager(chain_net(), RoutingPolicy::kSemilightpathEngine);
   manager.set_telemetry(nullptr, /*metrics_every=*/1);
   (void)manager.open(NodeId{0}, NodeId{2});
   EXPECT_EQ(manager.metrics_series().size(), 1u);
@@ -104,7 +104,7 @@ TEST(SessionTelemetryTest, SnapshotsWithoutEventLog) {
 
 TEST(SessionTelemetryTest, DetachStopsRecording) {
   obs::RouteEventLog log;
-  SessionManager manager(chain_net(), RoutingPolicy::kSemilightpath);
+  SessionManager manager(chain_net(), RoutingPolicy::kSemilightpathEngine);
   manager.set_telemetry(&log, 1);
   (void)manager.open(NodeId{0}, NodeId{2});
   manager.set_telemetry(nullptr, 0);
@@ -121,7 +121,7 @@ TEST(SessionTelemetryTest, FailSpanRecordsRerouteOrDropEvents) {
   WdmNetwork net =
       assemble_network(topo, 2, avail, std::make_shared<UniformConversion>(0.1));
   obs::RouteEventLog log;
-  SessionManager manager(std::move(net), RoutingPolicy::kSemilightpath);
+  SessionManager manager(std::move(net), RoutingPolicy::kSemilightpathEngine);
   manager.set_telemetry(&log);
   const auto id = manager.open(NodeId{0}, NodeId{1});
   ASSERT_TRUE(id.has_value());
@@ -142,7 +142,7 @@ TEST(SessionTelemetryTest, UtilizationGaugesTrackOccupancyAndFragmentation) {
   const LinkId e = net.add_link(NodeId{0}, NodeId{1});
   for (std::uint32_t l = 0; l < 3; ++l)
     net.set_wavelength(e, Wavelength{l}, 1.0);
-  SessionManager manager(std::move(net), RoutingPolicy::kSemilightpath);
+  SessionManager manager(std::move(net), RoutingPolicy::kSemilightpathEngine);
 
   const auto gauge = [](const char* name) {
     return obs::Registry::global().gauge(name).value();

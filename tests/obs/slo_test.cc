@@ -167,7 +167,7 @@ TEST(MetricsPumpTest, BreachTriggersDumpWithBreachingEventChain) {
   obs::SpanBuffer::global().clear();
 
   SessionManager manager(testing::paper_example_network(),
-                         RoutingPolicy::kSemilightpath);
+                         RoutingPolicy::kSemilightpathEngine);
 
   SloWatchdog dog;
   dog.add_rule(

@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "core/liang_shen.h"
 #include "tests/test_util.h"
 #include "topo/topologies.h"
 #include "topo/wavelengths.h"
@@ -22,7 +23,7 @@ SessionManager nsfnet_manager(std::uint32_t k, RoutingPolicy policy) {
 }
 
 TEST(BatchTest, GivenOrderCarriesInOrder) {
-  auto manager = nsfnet_manager(4, RoutingPolicy::kSemilightpath);
+  auto manager = nsfnet_manager(4, RoutingPolicy::kSemilightpathEngine);
   const std::vector<std::pair<NodeId, NodeId>> demands = {
       {NodeId{0}, NodeId{13}}, {NodeId{1}, NodeId{12}},
       {NodeId{2}, NodeId{11}}};
@@ -35,7 +36,7 @@ TEST(BatchTest, GivenOrderCarriesInOrder) {
 }
 
 TEST(BatchTest, AccountingMatchesManagerStats) {
-  auto manager = nsfnet_manager(2, RoutingPolicy::kLightpathBestCost);
+  auto manager = nsfnet_manager(2, RoutingPolicy::kLightpathEngine);
   Rng rng(42);
   const auto demands = random_demands(14, 60, rng);
   const auto result = provision_batch(manager, demands, DemandOrder::kGiven);
@@ -52,7 +53,7 @@ TEST(BatchTest, OrderingsAreValidPermutations) {
        {DemandOrder::kGiven, DemandOrder::kShortestFirst,
         DemandOrder::kLongestFirst, DemandOrder::kRandom,
         DemandOrder::kCheapestFirst, DemandOrder::kCostliestFirst}) {
-    auto manager = nsfnet_manager(8, RoutingPolicy::kSemilightpath);
+    auto manager = nsfnet_manager(8, RoutingPolicy::kSemilightpathEngine);
     Rng shuffle_rng(7);
     const auto result = provision_batch(manager, demands, order, &shuffle_rng);
     EXPECT_EQ(result.carried + result.blocked, 30u);
@@ -62,7 +63,7 @@ TEST(BatchTest, OrderingsAreValidPermutations) {
 }
 
 TEST(BatchTest, RandomNeedsRng) {
-  auto manager = nsfnet_manager(2, RoutingPolicy::kSemilightpath);
+  auto manager = nsfnet_manager(2, RoutingPolicy::kSemilightpathEngine);
   const std::vector<std::pair<NodeId, NodeId>> demands = {
       {NodeId{0}, NodeId{1}}};
   EXPECT_THROW(
@@ -78,7 +79,7 @@ TEST(BatchTest, CostOrderingsOfferCheapestOrCostliestFirst) {
       {NodeId{0}, NodeId{13}}, {NodeId{0}, NodeId{1}}, {NodeId{2}, NodeId{9}},
       {NodeId{5}, NodeId{6}},  {NodeId{3}, NodeId{12}}};
 
-  auto cheap = nsfnet_manager(8, RoutingPolicy::kSemilightpath);
+  auto cheap = nsfnet_manager(8, RoutingPolicy::kSemilightpathEngine);
   const auto cheap_result =
       provision_batch(cheap, demands, DemandOrder::kCheapestFirst,
                       /*rng=*/nullptr, /*route_threads=*/2);
@@ -88,7 +89,7 @@ TEST(BatchTest, CostOrderingsOfferCheapestOrCostliestFirst) {
               cheap.find(cheap_result.sessions[i])->cost + 1e-9);
   }
 
-  auto costly = nsfnet_manager(8, RoutingPolicy::kSemilightpath);
+  auto costly = nsfnet_manager(8, RoutingPolicy::kSemilightpathEngine);
   const auto costly_result =
       provision_batch(costly, demands, DemandOrder::kCostliestFirst);
   ASSERT_EQ(costly_result.carried, demands.size());
@@ -99,31 +100,41 @@ TEST(BatchTest, CostOrderingsOfferCheapestOrCostliestFirst) {
 }
 
 TEST(BatchTest, EnginePolicyCarriesTheBatchLikeThePlainPolicy) {
-  // Continuous random costs keep optimal routes unique (ties are
-  // measure-zero), so both policies must make identical decisions; with
-  // unit costs they could legitimately pick different equal-cost routes
-  // and the residual states would diverge.
-  const auto make_manager = [](RoutingPolicy policy) {
-    Rng rng(41);
-    const Topology topo = nsfnet_topology();
-    const Availability avail =
-        full_availability(topo, 4, CostSpec::uniform(1.0, 2.0), rng);
-    return SessionManager(
-        assemble_network(topo, 4, avail,
-                         std::make_shared<UniformConversion>(0.1)),
-        policy);
-  };
+  // Every open the batch makes must match the per-request router on the
+  // residual state just before it.  In kGiven order the batch opens the
+  // demands in sequence, so mirroring each carried session's reservations
+  // into a copy of the base network replays that residual state exactly.
+  Rng rng(41);
+  const Topology topo = nsfnet_topology();
+  const Availability avail =
+      full_availability(topo, 4, CostSpec::uniform(1.0, 2.0), rng);
+  WdmNetwork residual = assemble_network(
+      topo, 4, avail, std::make_shared<UniformConversion>(0.1));
+  SessionManager manager(residual, RoutingPolicy::kSemilightpathEngine);
   Rng demand_rng(45);
   const auto demands = random_demands(14, 40, demand_rng);
-  auto plain = make_manager(RoutingPolicy::kSemilightpath);
-  auto engine = make_manager(RoutingPolicy::kSemilightpathEngine);
-  const auto plain_result =
-      provision_batch(plain, demands, DemandOrder::kGiven);
-  const auto engine_result =
-      provision_batch(engine, demands, DemandOrder::kGiven);
-  EXPECT_EQ(plain_result.carried, engine_result.carried);
-  EXPECT_EQ(plain_result.blocked, engine_result.blocked);
-  EXPECT_NEAR(plain_result.total_cost, engine_result.total_cost, 1e-6);
+  const auto result = provision_batch(manager, demands, DemandOrder::kGiven);
+
+  std::size_t next_session = 0;
+  double total_cost = 0.0;
+  for (const auto& [s, t] : demands) {
+    const RouteResult reference = route_semilightpath(residual, s, t);
+    if (!reference.found) continue;
+    ASSERT_LT(next_session, result.sessions.size());
+    const SessionRecord* session =
+        manager.find(result.sessions[next_session++]);
+    EXPECT_EQ(session->source, s);
+    EXPECT_EQ(session->target, t);
+    EXPECT_NEAR(session->cost, reference.cost, 1e-9);
+    total_cost += reference.cost;
+    for (const Hop& hop : session->path.hops())
+      ASSERT_TRUE(residual.clear_wavelength(hop.link, hop.wavelength));
+  }
+  EXPECT_EQ(next_session, result.sessions.size());
+  EXPECT_EQ(result.carried, result.sessions.size());
+  EXPECT_EQ(result.carried + result.blocked, demands.size());
+  EXPECT_GT(result.blocked, 0u);
+  EXPECT_NEAR(result.total_cost, total_cost, 1e-6);
 }
 
 TEST(BatchTest, OrderingChangesOutcomeUnderPressure) {
@@ -135,7 +146,7 @@ TEST(BatchTest, OrderingChangesOutcomeUnderPressure) {
   std::uint32_t min_carried = ~0u, max_carried = 0;
   for (const auto order : {DemandOrder::kGiven, DemandOrder::kShortestFirst,
                            DemandOrder::kLongestFirst}) {
-    auto manager = nsfnet_manager(3, RoutingPolicy::kSemilightpath);
+    auto manager = nsfnet_manager(3, RoutingPolicy::kSemilightpathEngine);
     const auto result = provision_batch(manager, demands, order);
     EXPECT_GT(result.blocked, 0u);
     min_carried = std::min(min_carried, result.carried);

@@ -20,7 +20,7 @@ SessionManager grid_manager(std::uint32_t k) {
   return SessionManager(
       assemble_network(topo, k, avail,
                        std::make_shared<UniformConversion>(0.1)),
-      RoutingPolicy::kSemilightpath);
+      RoutingPolicy::kSemilightpathEngine);
 }
 
 TEST(DefragmentTest, NoSessionsNothingToDo) {
@@ -49,7 +49,7 @@ TEST(DefragmentTest, ReleasedCapacityGetsReclaimed) {
   const Availability avail = full_availability(topo, 1, CostSpec::unit(), rng);
   SessionManager manager(
       assemble_network(topo, 1, avail, std::make_shared<NoConversion>()),
-      RoutingPolicy::kSemilightpath);
+      RoutingPolicy::kSemilightpathEngine);
 
   // Blocker takes the short way 0->2 (2 hops on the single wavelength).
   const auto blocker = manager.open(NodeId{0}, NodeId{2});

@@ -23,7 +23,7 @@ SessionManager make_manager(RoutingPolicy policy, std::uint32_t k = 6) {
 }
 
 TEST(DynamicWorkloadTest, OffersExactlyConfiguredArrivals) {
-  auto manager = make_manager(RoutingPolicy::kSemilightpath);
+  auto manager = make_manager(RoutingPolicy::kSemilightpathEngine);
   DynamicWorkloadConfig config;
   config.arrival_rate = 5.0;
   config.mean_holding_time = 1.0;
@@ -39,8 +39,8 @@ TEST(DynamicWorkloadTest, OffersExactlyConfiguredArrivals) {
 }
 
 TEST(DynamicWorkloadTest, Deterministic) {
-  auto a = make_manager(RoutingPolicy::kSemilightpath);
-  auto b = make_manager(RoutingPolicy::kSemilightpath);
+  auto a = make_manager(RoutingPolicy::kSemilightpathEngine);
+  auto b = make_manager(RoutingPolicy::kSemilightpathEngine);
   DynamicWorkloadConfig config;
   config.arrival_rate = 10.0;
   config.num_arrivals = 300;
@@ -53,7 +53,7 @@ TEST(DynamicWorkloadTest, Deterministic) {
 }
 
 TEST(DynamicWorkloadTest, LightLoadCarriesEverything) {
-  auto manager = make_manager(RoutingPolicy::kSemilightpath);
+  auto manager = make_manager(RoutingPolicy::kSemilightpathEngine);
   DynamicWorkloadConfig config;
   config.arrival_rate = 0.2;  // 0.2 Erlang on 6 wavelengths: trivial
   config.mean_holding_time = 1.0;
@@ -67,7 +67,7 @@ TEST(DynamicWorkloadTest, LightLoadCarriesEverything) {
 TEST(DynamicWorkloadTest, BlockingGrowsWithLoad) {
   double prev_blocking = -1.0;
   for (const double load : {5.0, 40.0, 160.0}) {
-    auto manager = make_manager(RoutingPolicy::kSemilightpath);
+    auto manager = make_manager(RoutingPolicy::kSemilightpathEngine);
     DynamicWorkloadConfig config;
     config.arrival_rate = load;
     config.mean_holding_time = 1.0;
@@ -87,8 +87,8 @@ TEST(DynamicWorkloadTest, SemilightpathBlocksNoMoreThanLightpath) {
     config.mean_holding_time = 1.0;
     config.num_arrivals = 400;
     config.seed = 13;
-    auto light = make_manager(RoutingPolicy::kLightpathBestCost);
-    auto semi = make_manager(RoutingPolicy::kSemilightpath);
+    auto light = make_manager(RoutingPolicy::kLightpathEngine);
+    auto semi = make_manager(RoutingPolicy::kSemilightpathEngine);
     const auto rl = run_dynamic_workload(light, config);
     const auto rs = run_dynamic_workload(semi, config);
     // Same arrival/holding sequence (same seed): conversion can only help
@@ -103,12 +103,12 @@ TEST(DynamicWorkloadTest, UtilizationTracksLoad) {
   light_config.arrival_rate = 2.0;
   light_config.num_arrivals = 300;
   light_config.seed = 21;
-  auto manager_light = make_manager(RoutingPolicy::kSemilightpath);
+  auto manager_light = make_manager(RoutingPolicy::kSemilightpathEngine);
   const auto light = run_dynamic_workload(manager_light, light_config);
 
   DynamicWorkloadConfig heavy_config = light_config;
   heavy_config.arrival_rate = 30.0;
-  auto manager_heavy = make_manager(RoutingPolicy::kSemilightpath);
+  auto manager_heavy = make_manager(RoutingPolicy::kSemilightpathEngine);
   const auto heavy = run_dynamic_workload(manager_heavy, heavy_config);
 
   EXPECT_GT(heavy.mean_utilization, light.mean_utilization);
@@ -116,7 +116,7 @@ TEST(DynamicWorkloadTest, UtilizationTracksLoad) {
 }
 
 TEST(DynamicWorkloadTest, Preconditions) {
-  auto manager = make_manager(RoutingPolicy::kSemilightpath);
+  auto manager = make_manager(RoutingPolicy::kSemilightpathEngine);
   DynamicWorkloadConfig config;
   config.arrival_rate = 0.0;
   EXPECT_THROW((void)run_dynamic_workload(manager, config), Error);

@@ -6,13 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
-#include "core/route_engine.h"
 #include "dist/fault_plan.h"
 #include "rwa/session_manager.h"
+#include "tests/session_checks.h"
 #include "tests/test_util.h"
 #include "topo/topologies.h"
 #include "topo/wavelengths.h"
@@ -32,7 +31,7 @@ SessionManager ring_manager(RoutingPolicy policy) {
 }
 
 TEST(FailureTest, CutSpanReroutesAroundRing) {
-  auto manager = ring_manager(RoutingPolicy::kSemilightpath);
+  auto manager = ring_manager(RoutingPolicy::kSemilightpathEngine);
   const auto id = manager.open(NodeId{0}, NodeId{2});
   ASSERT_TRUE(id.has_value());
   EXPECT_EQ(manager.find(*id)->path.length(), 2u);  // 0-1-2 the short way
@@ -56,7 +55,7 @@ TEST(FailureTest, CutSpanReroutesAroundRing) {
 }
 
 TEST(FailureTest, UnaffectedSessionsUntouched) {
-  auto manager = ring_manager(RoutingPolicy::kSemilightpath);
+  auto manager = ring_manager(RoutingPolicy::kSemilightpathEngine);
   const auto far = manager.open(NodeId{3}, NodeId{5});
   ASSERT_TRUE(far.has_value());
   const auto before = manager.find(*far)->path;
@@ -72,7 +71,7 @@ TEST(FailureTest, DropWhenNoAlternateRoute) {
   const Availability avail = full_availability(topo, 2, CostSpec::unit(), rng);
   SessionManager manager(
       assemble_network(topo, 2, avail, std::make_shared<NoConversion>()),
-      RoutingPolicy::kSemilightpath);
+      RoutingPolicy::kSemilightpathEngine);
   const auto id = manager.open(NodeId{0}, NodeId{3});
   ASSERT_TRUE(id.has_value());
   const auto report = manager.fail_span(NodeId{1}, NodeId{2});
@@ -92,7 +91,7 @@ TEST(FailureTest, FailedLinksRejectNewSessions) {
   const Availability avail = full_availability(topo, 2, CostSpec::unit(), rng);
   SessionManager manager(
       assemble_network(topo, 2, avail, std::make_shared<NoConversion>()),
-      RoutingPolicy::kSemilightpath);
+      RoutingPolicy::kSemilightpathEngine);
   (void)manager.fail_span(NodeId{0}, NodeId{1});
   EXPECT_FALSE(manager.open(NodeId{0}, NodeId{2}).has_value());
   // But the unaffected half still works.
@@ -105,7 +104,7 @@ TEST(FailureTest, RepairRestoresCapacity) {
   const Availability avail = full_availability(topo, 2, CostSpec::unit(), rng);
   SessionManager manager(
       assemble_network(topo, 2, avail, std::make_shared<NoConversion>()),
-      RoutingPolicy::kSemilightpath);
+      RoutingPolicy::kSemilightpathEngine);
   (void)manager.fail_span(NodeId{0}, NodeId{1});
   EXPECT_FALSE(manager.open(NodeId{0}, NodeId{2}).has_value());
   manager.repair_span(NodeId{0}, NodeId{1});
@@ -113,7 +112,7 @@ TEST(FailureTest, RepairRestoresCapacity) {
 }
 
 TEST(FailureTest, RepairRespectsActiveReservations) {
-  auto manager = ring_manager(RoutingPolicy::kSemilightpath);
+  auto manager = ring_manager(RoutingPolicy::kSemilightpathEngine);
   // Fill span 0-1 in the 0->1 direction on both wavelengths.
   const auto a = manager.open(NodeId{0}, NodeId{1});
   const auto b = manager.open(NodeId{0}, NodeId{1});
@@ -134,7 +133,7 @@ TEST(FailureTest, RepairRespectsActiveReservations) {
 }
 
 TEST(FailureTest, IdempotentFailAndRepair) {
-  auto manager = ring_manager(RoutingPolicy::kSemilightpath);
+  auto manager = ring_manager(RoutingPolicy::kSemilightpathEngine);
   const auto first = manager.fail_span(NodeId{0}, NodeId{1});
   EXPECT_EQ(first.links_failed, 2u);
   const auto second = manager.fail_span(NodeId{0}, NodeId{1});
@@ -145,7 +144,7 @@ TEST(FailureTest, IdempotentFailAndRepair) {
 }
 
 TEST(FailureTest, IsFailedAccessor) {
-  auto manager = ring_manager(RoutingPolicy::kSemilightpath);
+  auto manager = ring_manager(RoutingPolicy::kSemilightpathEngine);
   (void)manager.fail_span(NodeId{0}, NodeId{1});
   std::uint32_t failed = 0;
   for (std::uint32_t e = 0; e < manager.residual().num_links(); ++e)
@@ -157,7 +156,7 @@ TEST(FailureTest, IsFailedAccessor) {
 TEST(FailureTest, MultiFailureCascade) {
   // Cut spans one by one around the ring; a 0->3 session survives until
   // the last route dies.
-  auto manager = ring_manager(RoutingPolicy::kSemilightpath);
+  auto manager = ring_manager(RoutingPolicy::kSemilightpathEngine);
   const auto id = manager.open(NodeId{0}, NodeId{3});
   ASSERT_TRUE(id.has_value());
   (void)manager.fail_span(NodeId{1}, NodeId{2});   // kills clockwise
@@ -168,24 +167,6 @@ TEST(FailureTest, MultiFailureCascade) {
 }
 
 // --- engine-backed policies through fail/reroute/repair cycles ----------
-
-/// The manager's live engine must carry exactly the weights a fresh
-/// engine built from the current residual network would: reserved and
-/// failed slots +inf, free slots at their base cost.
-void expect_engine_matches_rebuilt(const SessionManager& manager,
-                                   const char* where) {
-  const RouteEngine* live = manager.engine();
-  ASSERT_NE(live, nullptr) << where;
-  RouteEngine rebuilt(manager.residual());
-  const WdmNetwork& net = manager.residual();
-  for (std::uint32_t e = 0; e < net.num_links(); ++e) {
-    for (std::uint32_t l = 0; l < net.num_wavelengths(); ++l) {
-      EXPECT_EQ(live->weight(LinkId{e}, Wavelength{l}),
-                rebuilt.weight(LinkId{e}, Wavelength{l}))
-          << where << ": link " << e << " lambda " << l;
-    }
-  }
-}
 
 class EnginePolicyFailureTest
     : public ::testing::TestWithParam<RoutingPolicy> {};
@@ -202,13 +183,13 @@ INSTANTIATE_TEST_SUITE_P(EnginePolicies, EnginePolicyFailureTest,
 
 TEST_P(EnginePolicyFailureTest, WeightsMatchRebuiltOracleThroughCycle) {
   auto manager = ring_manager(GetParam());
-  expect_engine_matches_rebuilt(manager, "pristine");
+  testing::expect_engine_matches_rebuilt(manager, "pristine");
 
   const auto a = manager.open(NodeId{0}, NodeId{2});
   const auto b = manager.open(NodeId{3}, NodeId{5});
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
-  expect_engine_matches_rebuilt(manager, "after opens");
+  testing::expect_engine_matches_rebuilt(manager, "after opens");
 
   const auto report = manager.fail_span(NodeId{1}, NodeId{2});
   EXPECT_EQ(report.links_failed, 2u);
@@ -216,21 +197,21 @@ TEST_P(EnginePolicyFailureTest, WeightsMatchRebuiltOracleThroughCycle) {
   EXPECT_EQ(report.rerouted, 1u);
   EXPECT_TRUE(manager.find(*a)->active);
   EXPECT_EQ(manager.find(*a)->path.length(), 4u);  // the long way round
-  expect_engine_matches_rebuilt(manager, "after fail+reroute");
+  testing::expect_engine_matches_rebuilt(manager, "after fail+reroute");
 
   manager.repair_span(NodeId{1}, NodeId{2});
-  expect_engine_matches_rebuilt(manager, "after repair");
+  testing::expect_engine_matches_rebuilt(manager, "after repair");
 
   // The repaired span is routable again at the pre-cut optimum.
   const auto c = manager.open(NodeId{1}, NodeId{2});
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(manager.find(*c)->path.length(), 1u);
-  expect_engine_matches_rebuilt(manager, "after reopen");
+  testing::expect_engine_matches_rebuilt(manager, "after reopen");
 
   EXPECT_TRUE(manager.close(*a));
   EXPECT_TRUE(manager.close(*b));
   EXPECT_TRUE(manager.close(*c));
-  expect_engine_matches_rebuilt(manager, "after closes");
+  testing::expect_engine_matches_rebuilt(manager, "after closes");
   EXPECT_DOUBLE_EQ(manager.wavelength_utilization(), 0.0);
 }
 
@@ -246,53 +227,49 @@ TEST_P(EnginePolicyFailureTest, DropOnLineMatchesRebuiltOracle) {
   const auto report = manager.fail_span(NodeId{1}, NodeId{2});
   EXPECT_EQ(report.dropped, 1u);
   EXPECT_FALSE(manager.find(*id)->active);
-  expect_engine_matches_rebuilt(manager, "after drop");
+  testing::expect_engine_matches_rebuilt(manager, "after drop");
   // Healthy-half resources of the dropped session are back in the pool.
   EXPECT_DOUBLE_EQ(manager.wavelength_utilization(), 0.0);
   manager.repair_span(NodeId{1}, NodeId{2});
-  expect_engine_matches_rebuilt(manager, "after repair");
+  testing::expect_engine_matches_rebuilt(manager, "after repair");
   EXPECT_TRUE(manager.open(NodeId{0}, NodeId{3}).has_value());
 }
 
 TEST_P(EnginePolicyFailureTest, MatchesNonEngineTwinThroughCycle) {
-  // The engine policy must make the same accept/reroute/drop decisions at
-  // the same costs as its per-request twin on an identical op sequence.
-  const RoutingPolicy twin_policy =
-      GetParam() == RoutingPolicy::kSemilightpathEngine
-          ? RoutingPolicy::kSemilightpath
-          : RoutingPolicy::kLightpathBestCost;
-  auto engine_manager = ring_manager(GetParam());
-  auto twin_manager = ring_manager(twin_policy);
-
-  // Every pair below has a unique shortest route around the ring, so the
-  // twins cannot legitimately diverge by tie-breaking.
+  // Every open and the span failure's reroutes must match the per-request
+  // reference router on the residual state just before them, and the live
+  // engine must match a rebuilt one after every fail, repair and close.
+  auto manager = ring_manager(GetParam());
   const std::pair<std::uint32_t, std::uint32_t> opens[] = {
       {0, 2}, {3, 5}, {1, 5}, {2, 4}};
-  std::vector<std::optional<SessionId>> engine_ids, twin_ids;
+  std::vector<SessionId> ids;
   for (const auto& [s, t] : opens) {
-    engine_ids.push_back(engine_manager.open(NodeId{s}, NodeId{t}));
-    twin_ids.push_back(twin_manager.open(NodeId{s}, NodeId{t}));
-    ASSERT_EQ(engine_ids.back().has_value(), twin_ids.back().has_value())
-        << s << "->" << t;
-    if (engine_ids.back().has_value()) {
-      EXPECT_NEAR(engine_manager.find(*engine_ids.back())->cost,
-                  twin_manager.find(*twin_ids.back())->cost, 1e-9)
-          << s << "->" << t;
-    }
+    const auto id = testing::open_checked(manager, NodeId{s}, NodeId{t});
+    ASSERT_TRUE(id.has_value()) << s << "->" << t;
+    ids.push_back(*id);
   }
 
-  const auto engine_report = engine_manager.fail_span(NodeId{1}, NodeId{2});
-  const auto twin_report = twin_manager.fail_span(NodeId{1}, NodeId{2});
-  EXPECT_EQ(engine_report.affected, twin_report.affected);
-  EXPECT_EQ(engine_report.rerouted, twin_report.rerouted);
-  EXPECT_EQ(engine_report.dropped, twin_report.dropped);
+  // Only 0->2 crosses 1-2; it survives the long way round.
+  const auto report =
+      testing::fail_span_checked(manager, NodeId{1}, NodeId{2});
+  EXPECT_EQ(report.links_failed, 2u);
+  EXPECT_EQ(report.affected, 1u);
+  EXPECT_EQ(report.rerouted, 1u);
+  EXPECT_EQ(report.dropped, 0u);
+  EXPECT_TRUE(manager.find(ids[0])->active);
+  EXPECT_EQ(manager.find(ids[0])->path.length(), 4u);
+  testing::expect_engine_matches_rebuilt(manager, "after fail");
+  (void)testing::open_checked(manager, NodeId{1}, NodeId{3});
 
-  engine_manager.repair_span(NodeId{1}, NodeId{2});
-  twin_manager.repair_span(NodeId{1}, NodeId{2});
-  EXPECT_EQ(engine_manager.active_sessions(), twin_manager.active_sessions());
-  EXPECT_NEAR(engine_manager.wavelength_utilization(),
-              twin_manager.wavelength_utilization(), 1e-12);
-  expect_engine_matches_rebuilt(engine_manager, "after twin cycle");
+  manager.repair_span(NodeId{1}, NodeId{2});
+  testing::expect_engine_matches_rebuilt(manager, "after repair");
+  (void)testing::open_checked(manager, NodeId{1}, NodeId{2});
+
+  for (const SessionId id : ids) {
+    if (!manager.find(id)->active) continue;
+    EXPECT_TRUE(manager.close(id));
+    testing::expect_engine_matches_rebuilt(manager, "after close");
+  }
 }
 
 // --- FaultPlan span-timeline replay --------------------------------------
@@ -322,7 +299,7 @@ TEST(FaultTimelineTest, SpanTimelineReplayDrivesFailAndRepair) {
     const auto report =
         manager.apply_span_state(event.a, event.b, event.down);
     reroutes += report.rerouted;
-    expect_engine_matches_rebuilt(manager, "after span event");
+    testing::expect_engine_matches_rebuilt(manager, "after span event");
   }
   // Cutting 1-2 forced the session the long way; after that span healed,
   // cutting 4-5 forced it back onto the (repaired) short route — the

@@ -27,12 +27,11 @@ using lumen::testing::paper_example_network;
 /// base pair carries its residual cost when available, +inf otherwise.
 void expect_engine_matches_residual(const SessionManager& manager,
                                     const WdmNetwork& base) {
-  ASSERT_NE(manager.engine(), nullptr);
   const WdmNetwork& residual = manager.residual();
   for (std::uint32_t e = 0; e < base.num_links(); ++e) {
     for (const LinkWavelength& lw : base.available(LinkId{e})) {
       const double engine_weight =
-          manager.engine()->weight(LinkId{e}, lw.lambda);
+          manager.engine().weight(LinkId{e}, lw.lambda);
       if (residual.is_available(LinkId{e}, lw.lambda)) {
         EXPECT_DOUBLE_EQ(engine_weight,
                          residual.link_cost(LinkId{e}, lw.lambda))

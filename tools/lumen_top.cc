@@ -446,7 +446,7 @@ int run_demo(const Options& options) {
   SessionManager manager(
       assemble_network(topo, kWavelengths, avail,
                        std::make_shared<UniformConversion>(0.5)),
-      RoutingPolicy::kSemilightpath);
+      RoutingPolicy::kSemilightpathEngine);
   const std::uint32_t n = manager.residual().num_nodes();
 
   obs::SloWatchdog watchdog;
