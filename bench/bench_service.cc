@@ -4,7 +4,7 @@
 // thread drives an independent virtual clock with exponential
 // inter-arrival and holding times (no sleeps — the virtual clock only
 // orders opens against departures), opening sessions through the full
-// admission path (quota check, shard route with CH+ALT, two-phase slot
+// admission path (quota check, shard route with ALT, two-phase slot
 // commit, cross-shard broadcast) and closing them when their holding
 // time expires.  The headline counters are route_reserve_per_min (opens
 // — each one is a route + reserve attempt; the PR gate demands >= 1M on
@@ -141,7 +141,7 @@ void churn_events(svc::RoutingService& service, Worker& worker,
 }
 
 /// The macro-benchmark: threads x shards churn over a 64-node WAN.  The
-/// service (and its CH+ALT engine replicas) is built once per run;
+/// service (and its ALT engine replicas) is built once per run;
 /// every iteration continues the steady-state churn, so setup cost
 /// never pollutes the throughput numbers.
 void run_churn(benchmark::State& state, std::uint32_t threads,
@@ -152,9 +152,6 @@ void run_churn(benchmark::State& state, std::uint32_t threads,
   svc::ServiceOptions options;
   options.num_shards = shards;
   options.num_tenants = g_num_tenants;
-  options.engine.build_hierarchy = true;
-  options.query.goal_directed = true;
-  options.query.use_hierarchy = true;
   svc::RoutingService service(net, options);
 
   std::vector<Worker> workers(threads);

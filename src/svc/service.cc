@@ -72,23 +72,11 @@ RoutingService::RoutingService(const WdmNetwork& net,
     : options_(options), table_(net) {
   LUMEN_REQUIRE(options_.num_shards >= 1 && options_.num_shards <= 0xffff);
   LUMEN_REQUIRE(options_.num_tenants >= 1);
-  if (options_.record_commit_log) log_.enable();
-
-  Shard::Options shard_options;
-  shard_options.engine = options_.engine;
-  shard_options.query = options_.query;
-  shard_options.max_commit_retries = options_.max_commit_retries;
   shards_.reserve(options_.num_shards);
   for (std::uint32_t i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(
-        std::make_unique<Shard>(i, net, &table_, &log_, shard_options));
+    shards_.push_back(std::make_unique<Shard>(i, net, &table_, &log_));
   }
-
   tenants_ = std::make_unique<TenantState[]>(options_.num_tenants);
-  for (std::uint32_t t = 0; t < options_.num_tenants; ++t) {
-    tenants_[t].quota.store(options_.default_quota,
-                            std::memory_order_relaxed);
-  }
 }
 
 void RoutingService::broadcast(std::uint32_t from,
@@ -152,8 +140,9 @@ AdmitTicket RoutingService::open(TenantId tenant, NodeId source,
         .add(outcome.ticket.conflicts);
   }
 
+  // Every owner-word change the admission made, rolled-back claims too.
+  broadcast(shard_index, outcome.slots);
   if (outcome.ticket.status == AdmitStatus::kAdmitted) {
-    broadcast(shard_index, outcome.slots);
     state.admitted.fetch_add(1, std::memory_order_relaxed);
     stats_admitted_.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t active =
@@ -178,98 +167,6 @@ AdmitTicket RoutingService::open(TenantId tenant, NodeId source,
   ins.admit_latency_by_tenant.at(tenant_tags)
       .record_seconds(secs, span.trace_id());
   return outcome.ticket;
-}
-
-std::vector<AdmitTicket> RoutingService::open_batch(
-    TenantId tenant, std::span<const std::pair<NodeId, NodeId>> demands) {
-  LUMEN_REQUIRE(tenant.value() < options_.num_tenants);
-  std::vector<AdmitTicket> tickets(demands.size());
-  if (demands.empty()) return tickets;
-  Instruments& ins = Instruments::get();
-  // One ambient span covers the whole batch; the shard's svc.route /
-  // svc.commit sub-spans nest under it as usual.
-  obs::CausalSpan span("svc.admit");
-  const obs::TagSet tenant_tags = obs::TagSet{}.tenant(tenant.value());
-  const auto start = std::chrono::steady_clock::now();
-  stats_offered_.fetch_add(demands.size(), std::memory_order_relaxed);
-  ins.offered.add(demands.size());
-
-  // Optimistic per-demand quota claims, exactly as open() makes them:
-  // the whole batch counts in-flight, over-quota demands refund at once.
-  TenantState& state = tenants_[tenant.value()];
-  std::vector<std::pair<NodeId, NodeId>> accepted;
-  std::vector<std::size_t> accepted_index;
-  accepted.reserve(demands.size());
-  accepted_index.reserve(demands.size());
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    const std::uint64_t prior =
-        state.active.fetch_add(1, std::memory_order_acq_rel);
-    if (prior >= state.quota.load(std::memory_order_acquire)) {
-      state.active.fetch_sub(1, std::memory_order_acq_rel);
-      state.quota_denied.fetch_add(1, std::memory_order_relaxed);
-      stats_quota_denied_.fetch_add(1, std::memory_order_relaxed);
-      ins.quota_denied.add();
-      ins.quota_denied_by_tenant.at(tenant_tags).add();
-      tickets[i].status = AdmitStatus::kQuotaDenied;
-    } else {
-      accepted.push_back(demands[i]);
-      accepted_index.push_back(i);
-    }
-  }
-
-  const std::uint32_t shard_index =
-      round_robin_.fetch_add(1, std::memory_order_relaxed) % num_shards();
-  std::vector<Shard::AdmitOutcome> outcomes;
-  if (!accepted.empty()) {
-    outcomes = shards_[shard_index]->admit_batch(tenant, accepted);
-  }
-
-  std::vector<std::uint32_t> claimed;  // all admitted slots, one broadcast
-  std::uint64_t admitted = 0;
-  for (std::size_t j = 0; j < outcomes.size(); ++j) {
-    Shard::AdmitOutcome& outcome = outcomes[j];
-    tickets[accepted_index[j]] = outcome.ticket;
-    if (outcome.ticket.conflicts > 0) {
-      stats_conflicts_.fetch_add(outcome.ticket.conflicts,
-                                 std::memory_order_relaxed);
-      ins.conflicts.add(outcome.ticket.conflicts);
-      ins.conflicts_by_shard.at(obs::TagSet{}.shard(shard_index))
-          .add(outcome.ticket.conflicts);
-    }
-    if (outcome.ticket.status == AdmitStatus::kAdmitted) {
-      ++admitted;
-      claimed.insert(claimed.end(), outcome.slots.begin(),
-                     outcome.slots.end());
-      state.admitted.fetch_add(1, std::memory_order_relaxed);
-      stats_admitted_.fetch_add(1, std::memory_order_relaxed);
-      ins.admitted.add();
-      ins.admitted_by_tenant.at(tenant_tags).add();
-    } else {
-      state.active.fetch_sub(1, std::memory_order_acq_rel);
-      if (outcome.ticket.status == AdmitStatus::kBlocked) {
-        state.blocked.fetch_add(1, std::memory_order_relaxed);
-        stats_blocked_.fetch_add(1, std::memory_order_relaxed);
-        ins.blocked.add();
-        ins.blocked_by_tenant.at(tenant_tags).add();
-      } else {
-        stats_aborted_.fetch_add(1, std::memory_order_relaxed);
-        ins.aborted.add();
-      }
-    }
-  }
-  broadcast(shard_index, claimed);
-  const std::uint64_t active =
-      stats_active_.fetch_add(admitted, std::memory_order_acq_rel) + admitted;
-  ins.active.set(static_cast<double>(active));
-
-  const double mean_secs =
-      seconds_since(start) / static_cast<double>(demands.size());
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    ins.admit_latency.record_seconds(mean_secs, span.trace_id());
-    ins.admit_latency_by_tenant.at(tenant_tags)
-        .record_seconds(mean_secs, span.trace_id());
-  }
-  return tickets;
 }
 
 bool RoutingService::close(SvcSessionId id) {

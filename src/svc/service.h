@@ -24,7 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/route_engine.h"
 #include "obs/slo.h"
 #include "svc/shard.h"
 #include "svc/slot_table.h"
@@ -36,20 +35,9 @@ namespace lumen::svc {
 struct ServiceOptions {
   /// Session-space partitions (each owns a full RouteEngine replica).
   std::uint32_t num_shards = 4;
-  /// Tenants known to the service (TenantId 0 .. num_tenants-1).
+  /// Tenants known to the service (TenantId 0 .. num_tenants-1).  Every
+  /// tenant starts with an unlimited quota; set_quota limits it.
   std::uint32_t num_tenants = 1;
-  /// Default per-tenant active-session quota (UINT64_MAX = unlimited;
-  /// override per tenant with set_quota).
-  std::uint64_t default_quota = UINT64_MAX;
-  /// Commit attempts per admission before kAborted.
-  std::uint32_t max_commit_retries = 4;
-  /// Replica build configuration (CH + ALT flags live here).
-  RouteEngine::Options engine{};
-  /// Per-query configuration for every admission route.
-  RouteEngine::QueryOptions query{.goal_directed = true};
-  /// Record every commit/release in the CommitLog (the linearizability
-  /// harness turns this on; costs one fetch_add + locked append per op).
-  bool record_commit_log = false;
 };
 
 /// See file comment.
@@ -62,20 +50,6 @@ class RoutingService {
   /// Routes and commits one session for `tenant`.  Thread-safe.
   [[nodiscard]] AdmitTicket open(TenantId tenant, NodeId source,
                                  NodeId target);
-
-  /// Admits a whole demand batch for `tenant` in one shard visit: quota
-  /// is claimed per demand up front (over-quota demands get
-  /// kQuotaDenied), the survivors go to one round-robin-chosen shard
-  /// whose admit_batch bulk pre-costs them with lane-packed sweeps,
-  /// blocks the unroutable ones without individual searches, and offers
-  /// the rest cheapest-first under a single mutex acquisition; all
-  /// admitted slots are broadcast to peer shards as one re-sync note
-  /// batch.  Tickets are returned in input order.  Thread-safe, and the
-  /// per-demand accounting (offered/admitted/blocked/aborted, tenant
-  /// splits) matches what the same demands would record through open();
-  /// admit latency is recorded once per demand as the batch mean.
-  [[nodiscard]] std::vector<AdmitTicket> open_batch(
-      TenantId tenant, std::span<const std::pair<NodeId, NodeId>> demands);
 
   /// Releases an admitted session.  False when the id is unknown or
   /// already closed.  Thread-safe.
@@ -95,6 +69,8 @@ class RoutingService {
     return static_cast<std::uint32_t>(shards_.size());
   }
   [[nodiscard]] const SlotTable& slot_table() const noexcept { return table_; }
+  /// The linearizability witness; disabled until commit_log().enable()
+  /// (call it before traffic).
   [[nodiscard]] CommitLog& commit_log() noexcept { return log_; }
 
   /// Applies every pending cross-shard re-sync note now (tests quiesce

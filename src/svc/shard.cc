@@ -1,7 +1,6 @@
 #include "svc/shard.h"
 
 #include <algorithm>
-#include <cstddef>
 #include <utility>
 
 #include "graph/dijkstra.h"  // kInfiniteCost
@@ -9,16 +8,34 @@
 #include "util/error.h"
 
 namespace lumen::svc {
+namespace {
+
+// Every replica is RouteEngine(net): 8 ALT landmarks, no hierarchy, and
+// every admission is one goal-directed query with the exact per-target
+// potential.  Chosen by measurement (5 s perfbench runs, seeds 301-303,
+// 4-CPU host; ops_per_s median of 3, setup_s and peak_rss_mib ranges):
+//
+//   workload       metric        ALT + target   CH+ALT        CH
+//   svc-sparse-mt  ops_per_s     23.7k          6.96k         4.09k
+//                  setup_s       0.034-0.036    1.64-1.85     1.73-1.86
+//                  peak_rss_mib  24.8-25.1      139.5-139.6   138.6-138.8
+//   svc-backbone   ops_per_s     15.1k          4.09k         5.12k
+//                  setup_s       0.018-0.020    0.51-0.56     0.49-0.53
+//                  peak_rss_mib  16.7           65.7-65.9     65.2-65.3
+//
+// ALT without the target term ran at 13.2k ops/s on svc-sparse-mt.
+constexpr RouteEngine::QueryOptions kQuery{.goal_directed = true};
+
+/// Commit attempts per admission before kAborted.  Each retry re-routes
+/// after patching the lost slot from the table truth.
+constexpr std::uint32_t kMaxCommitAttempts = 4;
+
+}  // namespace
 
 Shard::Shard(std::uint32_t index, const WdmNetwork& net, SlotTable* table,
-             CommitLog* log, const Options& options)
-    : index_(index),
-      table_(table),
-      log_(log),
-      options_(options),
-      engine_(net, options.engine) {
+             CommitLog* log)
+    : index_(index), table_(table), log_(log), engine_(net) {
   LUMEN_REQUIRE(table_ != nullptr && log_ != nullptr);
-  LUMEN_REQUIRE(options_.max_commit_retries >= 1);
 }
 
 void Shard::resync_slot_locked(std::uint32_t slot) {
@@ -38,74 +55,19 @@ void Shard::drain_inbox_locked() {
   for (const std::uint32_t slot : notes) resync_slot_locked(slot);
 }
 
-void Shard::reverify_suspects_locked() {
-  std::size_t kept = 0;
-  for (const std::uint32_t slot : suspects_) {
-    resync_slot_locked(slot);
-    if (table_->owner(slot) != 0) suspects_[kept++] = slot;
-  }
-  suspects_.resize(kept);
-}
-
 Shard::AdmitOutcome Shard::admit(TenantId tenant, NodeId source,
                                  NodeId target) {
   const std::lock_guard<std::mutex> lock(mutex_);
   drain_inbox_locked();
-  reverify_suspects_locked();
-  return admit_locked(tenant, source, target);
-}
-
-std::vector<Shard::AdmitOutcome> Shard::admit_batch(
-    TenantId tenant, std::span<const std::pair<NodeId, NodeId>> demands) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<AdmitOutcome> out(demands.size());
-  if (demands.empty()) return out;
-  drain_inbox_locked();
-  reverify_suspects_locked();
-
-  // Bulk pre-cost on the replica's current view: one lane per distinct
-  // source instead of one point query per demand.  The costs decide only
-  // the offer order and the +inf short-circuit; each surviving demand
-  // still routes and commits through the ordinary retry loop (the
-  // residual shifts as earlier demands in the batch claim slots).
-  const std::vector<double> cost =
-      engine_.pair_costs(demands, /*threads=*/1, options_.query);
-  std::vector<std::size_t> offer;  // demands worth routing, by index
-  offer.reserve(demands.size());
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    if (cost[i] == kInfiniteCost) {
-      // Unroutable on the replica right now — admit_locked would run a
-      // full search only to conclude the same kBlocked.  Claims by the
-      // rest of the batch can only raise costs, so this cannot flip.
-      out[i].ticket.status = AdmitStatus::kBlocked;
-    } else {
-      offer.push_back(i);
-    }
-  }
-  // Cheapest-first (stable on ties): under contention the short, cheap
-  // demands commit before expensive ones fragment the slot space.
-  std::stable_sort(offer.begin(), offer.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return cost[a] < cost[b];
-                   });
-  for (const std::size_t i : offer) {
-    out[i] = admit_locked(tenant, demands[i].first, demands[i].second);
-  }
-  return out;
-}
-
-Shard::AdmitOutcome Shard::admit_locked(TenantId tenant, NodeId source,
-                                        NodeId target) {
   AdmitOutcome out;
   out.ticket.status = AdmitStatus::kBlocked;
-  for (std::uint32_t attempt = 0; attempt < options_.max_commit_retries;
-       ++attempt) {
+  for (std::uint32_t attempt = 0; attempt < kMaxCommitAttempts; ++attempt) {
     RouteResult route;
     {
       // Sub-span of the ambient svc.admit span: attributes route time to
       // its own profiler stage and trace node.
       obs::CausalSpan route_span("svc.route");
-      route = engine_.route_semilightpath(source, target, options_.query);
+      route = engine_.route_semilightpath(source, target, kQuery);
     }
     if (!route.found) {
       out.ticket.status = AdmitStatus::kBlocked;
@@ -133,13 +95,16 @@ Shard::AdmitOutcome Shard::admit_locked(TenantId tenant, NodeId source,
     // both the win and the conflict-retry path.
     obs::CausalSpan commit_span("svc.commit");
     if (!table_->claim_all(slots, id.bits(), &conflict_pos)) {
-      // Lost a slot race to a concurrent commit.  Patch the replica with
-      // the table truth for the contested slot, remember it as a suspect
-      // (the winner may yet roll back and never broadcast), and re-route.
+      // Lost a slot race.  claim_all claimed and then rolled back
+      // slots[0, conflict_pos): a peer that lost a race on one of them in
+      // between patched it +inf, so the prefix goes out for broadcast
+      // too.  Patch the contested slot from the table truth and re-route;
+      // if its holder rolls back as well, the holder's broadcast restores
+      // it here.
       ++out.ticket.conflicts;
-      const std::uint32_t contested = slots[conflict_pos];
-      resync_slot_locked(contested);
-      suspects_.push_back(contested);
+      out.slots.insert(out.slots.end(), slots.begin(),
+                       slots.begin() + conflict_pos);
+      resync_slot_locked(slots[conflict_pos]);
       out.ticket.status = AdmitStatus::kAborted;
       continue;
     }
@@ -159,7 +124,7 @@ Shard::AdmitOutcome Shard::admit_locked(TenantId tenant, NodeId source,
     out.ticket.id = id;
     out.ticket.cost = route.cost;
     out.ticket.hops = static_cast<std::uint32_t>(slots.size());
-    out.slots = std::move(slots);
+    out.slots.insert(out.slots.end(), slots.begin(), slots.end());
     return out;
   }
   return out;  // every attempt lost its race: kAborted
@@ -202,12 +167,6 @@ void Shard::push_resync(std::span<const std::uint32_t> slots) {
 void Shard::drain() {
   const std::lock_guard<std::mutex> lock(mutex_);
   drain_inbox_locked();
-  reverify_suspects_locked();
-}
-
-std::uint64_t Shard::active() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return sessions_.size();
 }
 
 std::vector<std::pair<std::uint64_t, std::vector<std::uint32_t>>>

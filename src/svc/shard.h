@@ -16,9 +16,12 @@
 // *now* and setting the replica weight accordingly (owned → +inf, free →
 // base cost).  Out-of-order delivery, duplicated notes, or a note raced
 // by a concurrent commit all converge to the truth at the next touch.
-// The table, never the replica, decides admission — a stale replica can
-// only cause a commit conflict (retried after patching the conflicting
-// slot) or a transiently pessimistic route.
+// One rule keeps every replica converging: every change a shard makes to
+// a slot's owner word — commit, release, and the rollback of a partial
+// claim — is broadcast to its peers.  The table, never the replica,
+// decides admission — a stale replica can only cause a commit conflict
+// (retried after patching the conflicting slot) or a transiently
+// pessimistic route.
 #pragma once
 
 #include <atomic>
@@ -36,42 +39,25 @@
 namespace lumen::svc {
 
 /// See file comment.  Shards are created and wired by RoutingService;
-/// the public methods are its internal API (exposed for the fuzz
-/// harness, which drives shards through the service anyway).
+/// the public methods are its internal API (public so a unit test can
+/// drive one shard against its own table).
 class Shard {
  public:
-  struct Options {
-    RouteEngine::Options engine;
-    RouteEngine::QueryOptions query;
-    /// Commit attempts per admission before giving up (kAborted).  Each
-    /// retry re-routes after patching the lost slot to +inf locally.
-    std::uint32_t max_commit_retries = 4;
-  };
-
   Shard(std::uint32_t index, const WdmNetwork& net, SlotTable* table,
-        CommitLog* log, const Options& options);
+        CommitLog* log);
 
   struct AdmitOutcome {
     AdmitTicket ticket;
-    /// Slots claimed on success — the service broadcasts these to peer
-    /// shards as re-sync notes.
+    /// Every slot whose owner word this admission changed: the committed
+    /// route on success, plus the prefix each lost claim rolled back.
+    /// The service broadcasts them to peer shards as re-sync notes.
     std::vector<std::uint32_t> slots;
   };
 
-  /// Routes on the replica, two-phase-commits against the table.
+  /// Routes on the replica (ALT + target potential), two-phase-commits
+  /// against the table, and re-routes after a lost slot race.
   [[nodiscard]] AdmitOutcome admit(TenantId tenant, NodeId source,
                                    NodeId target);
-
-  /// Admits a whole demand batch under ONE mutex acquisition.  The batch
-  /// is first bulk pre-costed on the replica (RouteEngine::bulk_costs —
-  /// lane-packed one-to-all sweeps when the replica carries a hierarchy,
-  /// one flat run per distinct source otherwise): demands the replica
-  /// prices at +inf are blocked without any further search (exactly what
-  /// a per-demand admit would conclude), and the rest are offered
-  /// cheapest-first, so under contention the resources go to the demands
-  /// that use them best.  Outcomes are returned in input order.
-  [[nodiscard]] std::vector<AdmitOutcome> admit_batch(
-      TenantId tenant, std::span<const std::pair<NodeId, NodeId>> demands);
 
   struct CloseOutcome {
     bool ok = false;
@@ -86,13 +72,11 @@ class Shard {
   /// threads; never takes the shard mutex).
   void push_resync(std::span<const std::uint32_t> slots);
 
-  /// Applies pending inbox notes and suspect re-verification now.
-  /// admit() does this implicitly; tests and idle sweeps call it
-  /// directly.
+  /// Applies pending inbox notes now.  admit() does this implicitly;
+  /// tests and idle sweeps call it directly.
   void drain();
 
   [[nodiscard]] std::uint32_t index() const noexcept { return index_; }
-  [[nodiscard]] std::uint64_t active() const;
 
   /// (owner bits, claimed slots) of every live session — the fuzz
   /// harness's double-booking audit.  Quiesce for exact answers.
@@ -107,29 +91,18 @@ class Shard {
     std::vector<std::uint32_t> slots;
   };
 
-  /// The route/claim/commit retry loop behind admit() and admit_batch()
-  /// (mutex held, inbox drained, suspects re-verified by the caller).
-  [[nodiscard]] AdmitOutcome admit_locked(TenantId tenant, NodeId source,
-                                          NodeId target);
   /// Sets the replica weight of `slot` from the SlotTable truth.
   void resync_slot_locked(std::uint32_t slot);
   void drain_inbox_locked();
-  /// Re-reads slots patched +inf on past conflicts; restores the ones
-  /// whose owner rolled back without ever committing (no re-sync note is
-  /// broadcast for an aborted two-phase claim, so this sweep is what
-  /// keeps such slots from leaking out of the replica forever).
-  void reverify_suspects_locked();
 
   const std::uint32_t index_;
   SlotTable* const table_;
   CommitLog* const log_;
-  const Options options_;
 
-  mutable std::mutex mutex_;  // guards engine_, sessions_, next_seq_, suspects_
+  mutable std::mutex mutex_;  // guards engine_, sessions_, next_seq_
   RouteEngine engine_;
   FlatMap<std::uint64_t, Session> sessions_;  // keyed by local seq
   std::uint64_t next_seq_ = 1;                // ids start at 1 (0 = free)
-  std::vector<std::uint32_t> suspects_;
 
   std::mutex inbox_mutex_;
   std::vector<std::uint32_t> inbox_;

@@ -4,7 +4,8 @@
 // stale-hierarchy path must fall back per source — counted on
 // lumen.core.sweep.fallbacks — and never answer wrong, and the consumers
 // rewired onto the sweeps (landmark selection, defragment's kMatrixGain
-// ordering, the svc batch admission) must keep their contracts.
+// ordering) must keep their contracts.  The svc cases check a demand
+// list opened one by one: accounting, double-booking, quota order.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -254,16 +255,21 @@ TEST(BulkCostsTest, DefragMatrixGainKeepsTheContract) {
   }
 }
 
+/// Opens `demands` one by one for tenant 0, tickets in input order.
+std::vector<svc::AdmitTicket> open_each(
+    svc::RoutingService& service,
+    const std::vector<std::pair<NodeId, NodeId>>& demands) {
+  std::vector<svc::AdmitTicket> tickets;
+  for (const auto& [s, t] : demands) {
+    tickets.push_back(service.open(svc::TenantId{0}, s, t));
+  }
+  return tickets;
+}
+
 TEST(BulkCostsTest, SvcOpenBatchAdmitsAndAccounts) {
   Rng rng(0x5c'0001ULL);
   const WdmNetwork net = random_network(12, 14, 4, 3, ConvKind::kUniform, rng);
-  svc::ServiceOptions options;
-  options.num_shards = 2;
-  options.num_tenants = 1;
-  options.engine.num_landmarks = 0;
-  options.engine.build_hierarchy = true;
-  options.query = {.use_hierarchy = true};
-  svc::RoutingService service(net, options);
+  svc::RoutingService service(net, svc::ServiceOptions{.num_shards = 2});
 
   std::vector<std::pair<NodeId, NodeId>> demands;
   for (std::uint32_t i = 0; i < 24; ++i) {
@@ -272,7 +278,7 @@ TEST(BulkCostsTest, SvcOpenBatchAdmitsAndAccounts) {
     if (s == t) continue;
     demands.emplace_back(s, t);
   }
-  const auto tickets = service.open_batch(svc::TenantId{0}, demands);
+  const auto tickets = open_each(service, demands);
   ASSERT_EQ(tickets.size(), demands.size());
 
   std::uint64_t admitted = 0;
@@ -315,20 +321,17 @@ TEST(BulkCostsTest, SvcOpenBatchAdmitsAndAccounts) {
 TEST(BulkCostsTest, SvcOpenBatchHonorsQuotaInInputOrder) {
   Rng rng(0x5c'0002ULL);
   const WdmNetwork net = random_network(10, 12, 4, 3, ConvKind::kUniform, rng);
-  svc::ServiceOptions options;
-  options.num_shards = 1;
-  options.num_tenants = 1;
-  svc::RoutingService service(net, options);
+  svc::RoutingService service(net, svc::ServiceOptions{.num_shards = 1});
   service.set_quota(svc::TenantId{0}, 2);
 
   std::vector<std::pair<NodeId, NodeId>> demands;
   for (std::uint32_t i = 0; i + 1 < 10; i += 2) {
     demands.emplace_back(NodeId{i}, NodeId{i + 1});
   }
-  const auto tickets = service.open_batch(svc::TenantId{0}, demands);
+  const auto tickets = open_each(service, demands);
   ASSERT_EQ(tickets.size(), 5u);
-  // Quota claims run in input order before any routing: demands past the
-  // quota are denied regardless of how cheap they would have been.
+  // Quota claims run in input order: demands past the quota are denied
+  // regardless of how cheap they would have been.
   std::uint64_t denied = 0;
   for (std::size_t i = 0; i < tickets.size(); ++i) {
     if (tickets[i].status == svc::AdmitStatus::kQuotaDenied) {

@@ -95,10 +95,12 @@ TEST(SloWatchdogTest, PercentileRuleReadsHistogram) {
   for (int i = 0; i < 100; ++i) latency.record(10);
   EXPECT_TRUE(dog.evaluate(registry).empty());  // p99 ~10: fine
   for (int i = 0; i < 100; ++i) latency.record(1 << 20);
+#if LUMEN_OBS_ENABLED
   const auto alerts = dog.evaluate(registry);
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_GT(alerts[0].value, 1000.0);
   EXPECT_EQ(alerts[0].metric, "lat");
+#endif
 }
 
 TEST(MetricsPumpTest, TickSnapshotsCountersAndDeltas) {
@@ -108,15 +110,19 @@ TEST(MetricsPumpTest, TickSnapshotsCountersAndDeltas) {
   MetricsPump pump(registry);
   auto snap = pump.tick();
   EXPECT_EQ(snap.tick, 1u);
+#if LUMEN_OBS_ENABLED
   ASSERT_EQ(snap.counters.size(), 1u);
   EXPECT_EQ(snap.counters[0].first, "pump.c");
   EXPECT_EQ(snap.counters[0].second, 3u);
   EXPECT_EQ(snap.counter_deltas[0].second, 3u);  // first tick: delta = value
+#endif
   c.add(2);
   snap = pump.tick();
   EXPECT_EQ(snap.tick, 2u);
+#if LUMEN_OBS_ENABLED
   EXPECT_EQ(snap.counters[0].second, 5u);
   EXPECT_EQ(snap.counter_deltas[0].second, 2u);
+#endif
   EXPECT_GE(snap.uptime_seconds, 0.0);
   EXPECT_EQ(pump.ticks(), 2u);
 }
@@ -182,6 +188,7 @@ TEST(MetricsPumpTest, BreachTriggersDumpWithBreachingEventChain) {
 
   // Paper node 7 (index 6) has no out-links: this request always blocks.
   EXPECT_FALSE(manager.open(NodeId{6}, NodeId{0}).has_value());
+#if LUMEN_OBS_ENABLED
   const auto events = FlightRecorder::global().events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].outcome, "blocked");
@@ -217,6 +224,7 @@ TEST(MetricsPumpTest, BreachTriggersDumpWithBreachingEventChain) {
   }
   EXPECT_TRUE(open_span_in_trace);
   std::remove(alert.dump_path.c_str());
+#endif
 }
 
 TEST(MetricsServerTest, ServesPrometheusTextOverHttp) {

@@ -1,6 +1,6 @@
 // Unit coverage for the svc building blocks: session-id packing, the
-// atomic SlotTable (two-phase claim/rollback), the commit log, and the
-// RoutingService front-end (admission outcomes, quotas, tenant/service
+// atomic SlotTable (two-phase claim/rollback), the commit log, one
+// Shard's re-sync rule, and the RoutingService front-end (admission outcomes, quotas, tenant/service
 // accounting, SLO rule wiring) on the paper's example network.
 #include "svc/service.h"
 
@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "svc/shard.h"
 #include "svc/slot_table.h"
 #include "svc/types.h"
 #include "tests/test_util.h"
@@ -128,6 +129,35 @@ TEST(CommitLogTest, DisabledByDefaultSnapshotSorted) {
   EXPECT_EQ(sorted[1].seq, b);
   log.clear();
   EXPECT_TRUE(log.snapshot().empty());
+}
+
+TEST(ShardTest, LostClaimReportsItsRolledBackPrefix) {
+  // Chain 0 -> 1 -> 2, one wavelength per link.  A foreign owner holds
+  // the second hop, which the shard's replica does not know: the shard
+  // routes 0 -> 2, claims the first hop, loses the second, rolls the
+  // first back and re-routes into a block.  The rolled-back slot changed
+  // owner twice, so it must come back for broadcast.
+  WdmNetwork net(3, 1, std::make_shared<NoConversion>());
+  const LinkId first = net.add_link(NodeId{0}, NodeId{1});
+  const LinkId second = net.add_link(NodeId{1}, NodeId{2});
+  net.set_wavelength(first, Wavelength{0}, 1.0);
+  net.set_wavelength(second, Wavelength{0}, 1.0);
+
+  SlotTable table(net);
+  CommitLog log;
+  Shard shard(0, net, &table, &log);
+  const std::uint32_t first_slot = table.slot_of(first, Wavelength{0});
+  const std::uint32_t second_slot = table.slot_of(second, Wavelength{0});
+  const std::uint64_t foreign = SvcSessionId::make(1, 1).bits();
+  ASSERT_TRUE(table.try_claim(second_slot, foreign));
+
+  const Shard::AdmitOutcome outcome =
+      shard.admit(TenantId{0}, NodeId{0}, NodeId{2});
+  EXPECT_EQ(outcome.ticket.status, AdmitStatus::kBlocked);
+  EXPECT_EQ(outcome.ticket.conflicts, 1u);
+  EXPECT_EQ(outcome.slots, std::vector<std::uint32_t>{first_slot});
+  EXPECT_EQ(table.owner(first_slot), 0u);
+  EXPECT_EQ(table.owner(second_slot), foreign);
 }
 
 TEST(RoutingServiceTest, AdmitsRoutesAndReleases) {

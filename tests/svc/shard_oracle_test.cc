@@ -12,6 +12,8 @@
 //      recorded history replayed SERIALLY in seq order into a fresh
 //      occupancy table must never conflict.  A conflict would mean the
 //      concurrent decisions have no linearization.
+//      The churn sweep then probes every shard once against a fresh
+//      RouteEngine on the table truth: quiesced replicas must agree.
 //   3. Serial equivalence: driven single-threaded, the service (any
 //      shard count — cross-shard re-sync is synchronous in that regime)
 //      must make exactly the admit/block decisions of the serial
@@ -26,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "graph/dijkstra.h"  // kInfiniteCost
 #include "rwa/session_manager.h"
 #include "svc/service.h"
 #include "tests/test_util.h"
@@ -147,6 +150,43 @@ WorkerResult churn(RoutingService& service, TenantId tenant,
   return result;
 }
 
+/// After a quiesced audit: opens one probe on every shard (round-robin)
+/// and checks each against a fresh RouteEngine on the table truth, so a
+/// replica left stale by the churn shows up as a wrong decision or cost.
+void probe_every_shard(RoutingService& service, const WdmNetwork& net,
+                       TenantId tenant, std::uint64_t seed,
+                       const std::string& context) {
+  const SlotTable& table = service.slot_table();
+  Rng rng(seed * 31 + 7);
+  for (std::uint32_t probe = 0; probe < service.num_shards(); ++probe) {
+    service.drain_all();
+    RouteEngine truth(net);
+    for (std::uint32_t slot = 0; slot < table.num_slots(); ++slot) {
+      if (table.owner(slot) != 0) {
+        truth.set_weight(table.link_of(slot), table.lambda_of(slot),
+                         kInfiniteCost);
+      }
+    }
+    const auto s = NodeId{static_cast<std::uint32_t>(
+        rng.next_below(net.num_nodes()))};
+    auto t = NodeId{static_cast<std::uint32_t>(
+        rng.next_below(net.num_nodes()))};
+    if (s == t) t = NodeId{(t.value() + 1) % net.num_nodes()};
+
+    const RouteResult expected = truth.route_semilightpath(s, t);
+    const AdmitTicket ticket = service.open(tenant, s, t);
+    ASSERT_EQ(ticket.status == AdmitStatus::kAdmitted, expected.found)
+        << context << " probe=" << probe << " s=" << s.value()
+        << " t=" << t.value() << ": replica disagrees with the table";
+    if (expected.found) {
+      ASSERT_NEAR(ticket.cost, expected.cost, 1e-9)
+          << context << " probe=" << probe;
+      ASSERT_TRUE(service.close(ticket.id)) << context;
+    }
+  }
+  service.drain_all();
+}
+
 TEST(ShardOracleTest, ConcurrentChurnAcross50NetsNeverDoubleBooks) {
   constexpr std::uint32_t kThreads = 4;
   constexpr std::uint32_t kOpsPerThread = 60;
@@ -164,13 +204,8 @@ TEST(ShardOracleTest, ConcurrentChurnAcross50NetsNeverDoubleBooks) {
     // races and re-sync traffic).
     options.num_shards = (net_seed % 7 == 0) ? 1 : 4;
     options.num_tenants = 2;
-    options.record_commit_log = true;
-    options.query.goal_directed = true;
-    if (net_seed % 5 == 0) {
-      options.engine.build_hierarchy = true;
-      options.query.use_hierarchy = true;
-    }
     RoutingService service(net, options);
+    service.commit_log().enable();
     if (net_seed % 3 == 0) {
       service.set_quota(TenantId{1}, 5);  // starve tenant 1
     }
@@ -192,6 +227,7 @@ TEST(ShardOracleTest, ConcurrentChurnAcross50NetsNeverDoubleBooks) {
     if (net_seed % 3 == 0) {
       EXPECT_LE(service.tenant_stats(TenantId{1}).active, 5u) << context;
     }
+    probe_every_shard(service, net, TenantId{0}, net_seed, context);
     const ServiceStats stats = service.stats();
     total_admitted += stats.admitted;
     total_conflicts += stats.commit_conflicts;
@@ -210,13 +246,12 @@ TEST(ShardOracleTest, SerialDecisionsMatchSessionManagerOracle) {
                        testing::ConvKind::kUniform, rng);
 
     for (const std::uint32_t shards : {1u, 3u}) {
-      ServiceOptions options;
-      options.num_shards = shards;
-      options.record_commit_log = true;
-      // Plain (non-goal-directed) queries: bit-identical search order to
-      // the kSemilightpathEngine oracle policy.
-      options.query = RouteEngine::QueryOptions{};
-      RoutingService service(net, options);
+      // The service's goal-directed search and the oracle's plain one
+      // pop in different orders, but random_network draws real-valued
+      // costs (uniform 0.5-3.0), so every optimum is unique and both
+      // must pick the same route.
+      RoutingService service(net, ServiceOptions{.num_shards = shards});
+      service.commit_log().enable();
       SessionManager oracle(net, RoutingPolicy::kSemilightpathEngine);
 
       const std::string context =
@@ -270,10 +305,8 @@ TEST(ShardOracleTest, AbortedAdmissionsLeakNothing) {
     net.set_wavelength(e, Wavelength{0}, 1.0);
   }
   for (std::uint64_t round = 0; round < 20; ++round) {
-    ServiceOptions options;
-    options.num_shards = 4;
-    options.record_commit_log = true;
-    RoutingService service(net, options);
+    RoutingService service(net, ServiceOptions{.num_shards = 4});
+    service.commit_log().enable();
 
     std::vector<std::thread> workers;
     std::vector<AdmitTicket> tickets(4);
