@@ -68,10 +68,8 @@ std::vector<std::vector<double>> AllPairsRouter::cost_matrix() {
 
 RouteEngine& AllPairsRouter::matrix_engine() {
   if (engine_ == nullptr) {
-    RouteEngine::Options options;
-    options.num_landmarks = 0;      // bulk sweeps are not goal-directed
-    options.build_hierarchy = true; // the sweeps' substrate
-    engine_ = std::make_unique<RouteEngine>(*net_, options);
+    engine_ = std::make_unique<RouteEngine>(
+        *net_, RouteEngine::Options{.num_landmarks = 0});
   }
   return *engine_;
 }
@@ -79,11 +77,10 @@ RouteEngine& AllPairsRouter::matrix_engine() {
 std::vector<std::vector<double>> AllPairsRouter::cost_matrix(
     unsigned threads) {
   if (threads == 1) return cost_matrix();
-  // Lane-packed sweeps over the flattened core: every worker drains
-  // chunks of up to kMaxLanes sources, one scratch and one one-to-all
-  // sweep per chunk, instead of the old per-source tree Dijkstras (which
-  // re-allocated their whole search state every call).  Isolated sources
-  // return their +inf row without any search at all.
+  // One flat full Dijkstra per source over the flattened core, each
+  // worker reusing one scratch, instead of the per-source tree Dijkstras
+  // (which re-allocate their whole search state every call).  Isolated
+  // sources return their +inf row without any search at all.
   const std::uint32_t n = net_->num_nodes();
   std::vector<NodeId> sources;
   sources.reserve(n);

@@ -39,15 +39,14 @@ class AllPairsRouter {
   /// The n×n matrix of optimal costs (row = source); forces all n trees.
   [[nodiscard]] std::vector<std::vector<double>> cost_matrix();
 
-  /// Same matrix, served by lane-packed PHAST sweeps: a hierarchy-backed
-  /// RouteEngine (built lazily on first call, cached) partitions the
-  /// sources across `threads` workers (0 = one per hardware thread), each
-  /// sweeping up to ContractionHierarchy::kMaxLanes sources per one-to-all
-  /// pass.  Sweep distances re-accumulate in the flat search's addition
-  /// order, so the matrix matches the serial overload (which still builds
-  /// per-source trees — route() needs them for path extraction); trees
-  /// are neither built nor consumed here, so trees_computed() does not
-  /// advance.  threads = 1 falls through to the serial overload.
+  /// Same matrix, served by RouteEngine::bulk_costs: an engine over the
+  /// flattened core (built lazily on first call, cached) spreads the
+  /// sources across `threads` workers (0 = one per hardware thread), one
+  /// flat full Dijkstra per source.  The matrix matches the serial
+  /// overload (which still builds per-source trees — route() needs them
+  /// for path extraction); trees are neither built nor consumed here, so
+  /// trees_computed() does not advance.  threads = 1 falls through to the
+  /// serial overload.
   [[nodiscard]] std::vector<std::vector<double>> cost_matrix(unsigned threads);
 
   /// Structural stats of G_all (Corollary 1 size checks).
@@ -62,9 +61,8 @@ class AllPairsRouter {
 
  private:
   const ShortestPathTree& tree_for(NodeId s);
-  /// The sweep engine behind cost_matrix(threads), built on first use
-  /// (no landmarks — bulk sweeps are not goal-directed — but with the
-  /// contraction hierarchy the sweeps run on).
+  /// The engine behind cost_matrix(threads), built on first use (no
+  /// landmarks: full one-to-all searches are not goal-directed).
   RouteEngine& matrix_engine();
 
   const WdmNetwork* net_;

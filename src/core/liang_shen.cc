@@ -39,7 +39,7 @@ ShortestPathTree run_dijkstra(const Digraph& g, NodeId source, NodeId target,
     case HeapKind::kPairing:
       return dijkstra_with<PairingHeap>(g, source, target);
   }
-  LUMEN_ASSERT(false);
+  LUMEN_UNREACHABLE();
 }
 
 RouteResult trivial_self_route() {

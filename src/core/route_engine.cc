@@ -1,7 +1,6 @@
 #include "core/route_engine.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 
 #include "core/aux_graph.h"
@@ -39,51 +38,17 @@ struct EngineInstruments {
       obs::Registry::global().counter("lumen.core.search.settled");
   obs::Counter& search_pruned =
       obs::Registry::global().counter("lumen.core.search.pruned");
-  // Hierarchy family: build size, query effort, and the customization
-  // work the residual churn actually costs (recustomized_arcs per
-  // customize_runs is the touched-cone size the sublinearity tests gate).
-  obs::Counter& hierarchy_shortcuts =
-      obs::Registry::global().counter("lumen.core.hierarchy.shortcuts");
-  obs::Counter& hierarchy_queries =
-      obs::Registry::global().counter("lumen.core.hierarchy.queries");
-  obs::Counter& hierarchy_fallbacks =
-      obs::Registry::global().counter("lumen.core.hierarchy.fallbacks");
-  obs::Counter& hierarchy_upward_pops =
-      obs::Registry::global().counter("lumen.core.hierarchy.upward_pops");
-  obs::Counter& hierarchy_customize_runs =
-      obs::Registry::global().counter("lumen.core.hierarchy.customize_runs");
-  obs::Counter& hierarchy_recustomized_arcs = obs::Registry::global().counter(
-      "lumen.core.hierarchy.recustomized_arcs");
-  obs::LatencyHistogram& hierarchy_customize =
-      obs::Registry::global().histogram("lumen.core.hierarchy.customize_ns");
-  // Batched-sweep family: one `run` per many_to_all/one_to_all invocation
-  // (lanes counts the sources it carried, so lanes/runs is the achieved
-  // packing), arcs_scanned the downward arc·lane relaxations, fallbacks
-  // the bulk_costs source rows served by the flat Dijkstra instead (no or
-  // stale hierarchy), ns the wall time inside the sweep kernels.
-  obs::Counter& sweep_runs =
-      obs::Registry::global().counter("lumen.core.sweep.runs");
-  obs::Counter& sweep_lanes =
-      obs::Registry::global().counter("lumen.core.sweep.lanes");
-  obs::Counter& sweep_arcs_scanned =
-      obs::Registry::global().counter("lumen.core.sweep.arcs_scanned");
-  obs::Counter& sweep_fallbacks =
-      obs::Registry::global().counter("lumen.core.sweep.fallbacks");
-  obs::Counter& sweep_ns =
-      obs::Registry::global().counter("lumen.core.sweep.ns");
-  // Per-stage search split: labeled children keyed stage=hierarchy /
-  // astar / dijkstra / lightpath.  The tag sets are interned once here,
-  // so the per-query cost is a lock-free family probe.
+  // Per-stage search split: labeled children keyed stage=astar /
+  // dijkstra / lightpath.  The tag sets are interned once here, so the
+  // per-query cost is a lock-free family probe.
   obs::LabeledFamily<obs::Counter>& stage_queries =
       obs::Registry::global().labeled_counter(
           "lumen.route.engine.stage_queries");
   obs::LabeledFamily<obs::Counter>& stage_pops =
       obs::Registry::global().labeled_counter("lumen.route.engine.stage_pops");
-  const obs::TagSet hierarchy_stage = obs::TagSet{}.stage("hierarchy");
   const obs::TagSet astar_stage = obs::TagSet{}.stage("astar");
   const obs::TagSet dijkstra_stage = obs::TagSet{}.stage("dijkstra");
   const obs::TagSet lightpath_stage = obs::TagSet{}.stage("lightpath");
-  const obs::TagSet sweep_stage = obs::TagSet{}.stage("sweep");
 
   static EngineInstruments& get() {
     static EngineInstruments instruments;
@@ -101,33 +66,44 @@ struct EngineInstruments {
     stage_queries.at(stage).add();
     stage_pops.at(stage).add(run.pops);
   }
-
-  /// One sweep kernel invocation carrying `lanes` sources.
-  void record_sweep(std::uint32_t lanes,
-                    const ContractionHierarchy::SweepStats& sweep,
-                    double seconds) {
-    sweep_runs.add();
-    sweep_lanes.add(lanes);
-    sweep_arcs_scanned.add(sweep.arcs_scanned);
-    sweep_ns.add(static_cast<std::uint64_t>(seconds * 1e9));
-    stage_queries.at(sweep_stage).add();
-    stage_pops.at(sweep_stage).add(sweep.upward_pops);
-  }
 };
 
-/// Farthest-point landmark selection seed and the hierarchy elimination
-/// caps (see ContractionHierarchy::Options): nodes with more live
-/// neighbors, or whose elimination would add more shortcut arcs, stay in
-/// the never-contracted core.  Tuned on metro/backbone WDM gadgets.
+/// Farthest-point landmark selection seed.
 constexpr std::uint64_t kLandmarkSeed = 0x1a27'5eedULL;
-constexpr std::uint32_t kHierarchyDegreeCap = 32;
-constexpr std::uint32_t kHierarchyFillCap = 160;
 
 /// Unique per-engine identity for scratch-resident potential caches; never
 /// zero (zero marks an empty cache slot).
 std::uint64_t next_potential_token() {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+/// Runs work(i, scratch) for every i in [0, count): inline for threads ==
+/// 1 or a single item, otherwise one drainer per pool worker, each owning
+/// its scratch, with a shared cursor balancing uneven item costs.  Items
+/// write distinct result slots, so the pool's join is the only
+/// synchronization needed.
+template <class Work>
+void drain(std::size_t count, unsigned threads, const Work& work) {
+  if (threads == 1 || count <= 1) {
+    SearchScratch scratch;
+    for (std::size_t i = 0; i < count; ++i) work(i, scratch);
+    return;
+  }
+  ThreadPool pool(threads);
+  std::atomic<std::size_t> cursor{0};
+  const std::size_t drainers = std::min<std::size_t>(pool.size(), count);
+  for (std::size_t w = 0; w < drainers; ++w) {
+    pool.submit([&] {
+      SearchScratch scratch;
+      for (;;) {
+        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i >= count) return;
+        work(i, scratch);
+      }
+    });
+  }
+  pool.wait();
 }
 
 }  // namespace
@@ -168,24 +144,8 @@ RouteEngine::RouteEngine(const WdmNetwork& net, const Options& options)
       base_min.add_link(net.tail(e), net.head(e), net.min_link_cost(e));
     }
     rev_base_ = std::make_unique<CsrDigraph>(CsrDigraph::reversed(base_min));
-    if (options.build_hierarchy) {
-      // Hierarchy-backed engines also contract the (much smaller) base
-      // topology both ways: landmark selection then runs off one-to-all
-      // sweeps instead of 2·count flat Dijkstras, and rev_base_ch_ keeps
-      // warming per-target reverse potentials for the engine's lifetime.
-      // Sweep distances are bit-identical to the flat search, so the
-      // tables (and every potential built from them) are unchanged.
-      const CsrDigraph fwd_base(base_min);
-      const ContractionHierarchy fwd_base_ch(fwd_base, {});
-      rev_base_ch_ = std::make_unique<ContractionHierarchy>(
-          *rev_base_, ContractionHierarchy::Options{});
-      landmarks_ = select_landmarks(base_min, options.num_landmarks,
-                                    kLandmarkSeed, fwd_base_ch,
-                                    *rev_base_ch_);
-    } else {
-      landmarks_ = select_landmarks(base_min, options.num_landmarks,
-                                    kLandmarkSeed);
-    }
+    landmarks_ =
+        select_landmarks(base_min, options.num_landmarks, kLandmarkSeed);
     stats_.landmarks = landmarks_.num_landmarks;
     stats_.landmark_seconds = landmark_timer.seconds();
   }
@@ -233,39 +193,10 @@ RouteEngine::RouteEngine(const WdmNetwork& net, const Options& options)
   for (std::uint32_t slot = 0; slot < core_->num_links(); ++slot)
     base_core_weights_[slot] = core_->link(slot).weight;
 
-  // --- optional contraction hierarchy over the flattened core ------------
-  hierarchy_auto_customize_ = options.hierarchy_auto_customize;
-  if (options.build_hierarchy) {
-    Stopwatch hierarchy_timer;
-    ContractionHierarchy::Options ch;
-    ch.degree_cap = kHierarchyDegreeCap;
-    ch.fill_cap = kHierarchyFillCap;
-    hierarchy_ = std::make_unique<ContractionHierarchy>(*core_, ch);
-    stats_.hierarchy_seconds = hierarchy_timer.seconds();
-    stats_.hierarchy_shortcuts = hierarchy_->num_shortcuts();
-    stats_.hierarchy_core_nodes = hierarchy_->build_stats().core_nodes;
-    EngineInstruments::get().hierarchy_shortcuts.add(
-        stats_.hierarchy_shortcuts);
-  }
-
   stats_.core_nodes = core_->num_nodes();
   stats_.core_links = core_->num_links();
   stats_.build_seconds = timer.seconds();
   EngineInstruments::get().core_builds.add();
-}
-
-std::uint32_t RouteEngine::customize_hierarchy() {
-  if (hierarchy_ == nullptr || !hierarchy_->stale()) return 0;
-  // Auto-customization runs inline, just before a route query; its own
-  // span keeps that cost out of the caller's self-time.
-  obs::CausalSpan span("engine.customize");
-  EngineInstruments& instruments = EngineInstruments::get();
-  Stopwatch timer;
-  const std::uint32_t touched = hierarchy_->customize();
-  instruments.hierarchy_customize_runs.add();
-  instruments.hierarchy_recustomized_arcs.add(touched);
-  instruments.hierarchy_customize.record_seconds(timer.seconds());
-  return touched;
 }
 
 RouteResult RouteEngine::trivial_self_route() const {
@@ -283,11 +214,6 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t) {
 
 RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
                                              const QueryOptions& query) {
-  // The scratch-less overload may mutate the engine, so a stale hierarchy
-  // can self-heal here; the const overloads below must fall back instead.
-  if (query.use_hierarchy && hierarchy_auto_customize_) {
-    (void)customize_hierarchy();
-  }
   return route_semilightpath(s, t, scratch_, query);
 }
 
@@ -295,24 +221,14 @@ const double* RouteEngine::target_potential(NodeId t,
                                             SearchScratch& scratch) const {
   SearchScratch::TargetPotential& slot = scratch.target_potential();
   if (slot.owner != potential_token_ || slot.target != t.value()) {
-    // Miss: one reverse one-to-all over the base-weight physical topology
-    // — a PHAST sweep when the engine contracted the base graph (never
-    // stale: base weights are frozen), a flat Dijkstra otherwise; both
-    // produce the same bits.  Hits (repeated queries / batches to the
-    // same target) cost nothing.
+    // Miss: one reverse Dijkstra over the base-weight physical topology.
+    // Hits (repeated queries / batches to the same target) cost nothing.
     slot.dist.resize(n_);
     const NodeId sources[1] = {t};
-    if (rev_base_ch_ != nullptr) {
-      ContractionHierarchy::SweepStats sweep;
-      Stopwatch sweep_timer;
-      rev_base_ch_->one_to_all(sources, scratch, slot.dist.data(), &sweep);
-      EngineInstruments::get().record_sweep(1, sweep, sweep_timer.seconds());
-    } else {
-      scratch.begin(rev_base_->num_nodes());
-      (void)dijkstra_csr_run(*rev_base_, sources, scratch);
-      for (std::uint32_t v = 0; v < n_; ++v)
-        slot.dist[v] = scratch.dist(NodeId{v});
-    }
+    scratch.begin(rev_base_->num_nodes());
+    (void)dijkstra_csr_run(*rev_base_, sources, scratch);
+    for (std::uint32_t v = 0; v < n_; ++v)
+      slot.dist[v] = scratch.dist(NodeId{v});
     slot.owner = potential_token_;
     slot.target = t.value();
   }
@@ -361,57 +277,6 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
     }
     return h;
   };
-
-  // Hierarchy path: bidirectional upward query over the customized
-  // shortcuts.  Requires a fresh customization — a stale (or absent)
-  // hierarchy silently degrades to the flat search below.
-  const bool hier =
-      query.use_hierarchy && hierarchy_ != nullptr && !hierarchy_->stale();
-  if (query.use_hierarchy && !hier) instruments.hierarchy_fallbacks.add();
-  if (hier) {
-    instruments.hierarchy_queries.add();
-    CsrRunStats run_stats;
-    std::vector<std::uint32_t> slots;
-    const bool route_found =
-        goal ? hierarchy_->query(sources_of_[s.value()], sinks_of_[t.value()],
-                                 scratch, potential, slots, &run_stats)
-             : hierarchy_->query(sources_of_[s.value()], sinks_of_[t.value()],
-                                 scratch, NoPotential{}, slots, &run_stats);
-    instruments.record_search(run_stats);
-    instruments.record_stage(instruments.hierarchy_stage, run_stats);
-    instruments.hierarchy_upward_pops.add(run_stats.pops);
-    result.stats.search_pops = run_stats.pops;
-    result.stats.search_settled = run_stats.settled;
-    result.stats.search_relaxations = run_stats.relaxations;
-    result.stats.search_pruned = run_stats.pruned;
-    result.stats.search_seconds = timer.seconds();
-    if (!route_found) {
-      result.found = false;
-      result.cost = kInfiniteCost;
-      instruments.not_found.add();
-      instruments.latency.record_seconds(result.stats.total_seconds());
-      return result;
-    }
-    result.found = true;
-    // Re-accumulate the cost left-to-right over the unpacked slots: the
-    // same addition order the flat Dijkstra uses along this path, so the
-    // modes agree bit-for-bit instead of up to tree-sum rounding.
-    double cost = 0.0;
-    for (const std::uint32_t slot : slots) {
-      cost += core_->weight(slot);
-      const SlotInfo& info = slot_info_[slot];
-      if (info.phys.valid()) {
-        result.path.append(Hop{info.phys, info.from});
-      } else if (info.from != info.to) {
-        result.switches.push_back(
-            SwitchSetting{info.node, info.from, info.to});
-      }
-    }
-    result.cost = cost;
-    instruments.found.add();
-    instruments.latency.record_seconds(result.stats.total_seconds());
-    return result;
-  }
 
   // Virtual terminals: every y_s(λ) is a distance-0 seed (≡ the zero-weight
   // s' → Y_s ties), every x_t(λ) a sink; the first settled sink is the best
@@ -545,195 +410,47 @@ std::vector<RouteResult> RouteEngine::route_many(
     std::span<const std::pair<NodeId, NodeId>> pairs, unsigned threads,
     QueryKind kind, const QueryOptions& query) const {
   std::vector<RouteResult> results(pairs.size());
-  const auto route_one = [&](std::size_t i, SearchScratch& scratch) {
+  drain(pairs.size(), threads, [&](std::size_t i, SearchScratch& scratch) {
     const auto& [s, t] = pairs[i];
     results[i] = kind == QueryKind::kSemilightpath
                      ? route_semilightpath(s, t, scratch, query)
                      : route_lightpath(s, t, scratch);
-  };
-
-  if (threads == 1 || pairs.size() <= 1) {
-    SearchScratch scratch;
-    for (std::size_t i = 0; i < pairs.size(); ++i) route_one(i, scratch);
-    return results;
-  }
-
-  // One drainer per worker, each owning its scratch; a shared cursor
-  // balances uneven query costs.  Results land in distinct slots, so no
-  // synchronization beyond the pool's own join is needed.
-  ThreadPool pool(threads);
-  std::atomic<std::size_t> cursor{0};
-  const std::size_t drainers =
-      std::min<std::size_t>(pool.size(), pairs.size());
-  for (std::size_t w = 0; w < drainers; ++w) {
-    pool.submit([&] {
-      SearchScratch scratch;
-      for (;;) {
-        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= pairs.size()) return;
-        route_one(i, scratch);
-      }
-    });
-  }
-  pool.wait();
+  });
   return results;
 }
 
 std::vector<std::vector<double>> RouteEngine::bulk_costs(
-    std::span<const NodeId> sources, unsigned threads) {
-  QueryOptions query;
-  query.use_hierarchy = true;
-  return bulk_costs(sources, threads, query);
-}
-
-std::vector<std::vector<double>> RouteEngine::bulk_costs(
-    std::span<const NodeId> sources, unsigned threads,
-    const QueryOptions& query) {
-  if (query.use_hierarchy && hierarchy_auto_customize_) {
-    (void)customize_hierarchy();
-  }
-  return static_cast<const RouteEngine&>(*this).bulk_costs(sources, threads,
-                                                           query);
-}
-
-std::vector<std::vector<double>> RouteEngine::bulk_costs(
-    std::span<const NodeId> sources, unsigned threads,
-    const QueryOptions& query) const {
+    std::span<const NodeId> sources, unsigned threads) const {
+  for (const NodeId s : sources) LUMEN_REQUIRE(s.value() < n_);
   EngineInstruments& instruments = EngineInstruments::get();
   std::vector<std::vector<double>> rows(sources.size());
-
-  // Diagonal-0 rows up front; isolated sources (no usable wavelength at
-  // all) are complete already and never occupy a sweep lane.
-  std::vector<std::size_t> active;
-  active.reserve(sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
+  drain(sources.size(), threads, [&](std::size_t i, SearchScratch& scratch) {
     const NodeId s = sources[i];
-    LUMEN_REQUIRE(s.value() < n_);
-    rows[i].assign(n_, kInfiniteCost);
-    rows[i][s.value()] = 0.0;
-    if (!sources_of_[s.value()].empty()) active.push_back(i);
-  }
-  if (active.empty()) return rows;
-
-  const bool sweep =
-      query.use_hierarchy && hierarchy_ != nullptr && !hierarchy_->stale();
-  if (query.use_hierarchy && !sweep) {
-    instruments.sweep_fallbacks.add(active.size());
-  }
-
-  // row[t] = min over the sinks X_t of the core distance — the same
-  // reduction the point query's first-settled-sink rule computes, applied
-  // to every target at once.  The diagonal stays 0 (trivial self-route).
-  const auto reduce = [&](NodeId s, const auto& core_dist,
-                          std::vector<double>& out) {
+    std::vector<double>& row = rows[i];
+    row.assign(n_, kInfiniteCost);
+    row[s.value()] = 0.0;
+    // Isolated sources (no usable wavelength at all) need no search.
+    if (sources_of_[s.value()].empty()) return;
+    scratch.begin(core_->num_nodes());
+    CsrRunStats run_stats;
+    (void)dijkstra_csr_run(*core_, sources_of_[s.value()], scratch,
+                           &run_stats);
+    instruments.record_search(run_stats);
+    instruments.record_stage(instruments.dijkstra_stage, run_stats);
+    // row[t] = min over the sinks X_t of the core distance — the point
+    // query's first-settled-sink rule applied to every target at once.
+    // The diagonal stays 0 (trivial self-route).
     for (std::uint32_t t = 0; t < n_; ++t) {
       if (t == s.value()) continue;
       double best = kInfiniteCost;
       for (const NodeId x : sinks_of_[t]) {
-        const double d = core_dist(x.value());
+        const double d = scratch.dist(x);
         if (d < best) best = d;
       }
-      out[t] = best;
+      row[t] = best;
     }
-  };
-
-  const std::uint32_t lane_width = ContractionHierarchy::kMaxLanes;
-  // Lane-chunked work list: chunk c covers active[c*W, min((c+1)*W, ...)).
-  const std::size_t num_chunks =
-      sweep ? (active.size() + lane_width - 1) / lane_width : active.size();
-
-  const auto run_chunk = [&](std::size_t c, SearchScratch& scratch,
-                             std::vector<double>& lane_buf) {
-    if (!sweep) {
-      // Fallback: one flat full Dijkstra per source over the core.
-      const std::size_t i = active[c];
-      const NodeId s = sources[i];
-      scratch.begin(core_->num_nodes());
-      CsrRunStats run_stats;
-      (void)dijkstra_csr_run(*core_, sources_of_[s.value()], scratch,
-                             &run_stats);
-      instruments.record_search(run_stats);
-      instruments.record_stage(instruments.dijkstra_stage, run_stats);
-      reduce(s, [&](std::uint32_t x) { return scratch.dist(NodeId{x}); },
-             rows[i]);
-      return;
-    }
-    const std::size_t begin = c * lane_width;
-    const std::size_t end = std::min(begin + lane_width, active.size());
-    const auto lanes = static_cast<std::uint32_t>(end - begin);
-    const std::uint32_t nc = core_->num_nodes();
-    lane_buf.resize(static_cast<std::size_t>(lanes) * nc);
-    std::array<std::span<const NodeId>, ContractionHierarchy::kMaxLanes>
-        seed_sets;
-    std::array<double*, ContractionHierarchy::kMaxLanes> row_ptrs{};
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-      const NodeId s = sources[active[begin + l]];
-      seed_sets[l] = sources_of_[s.value()];
-      row_ptrs[l] = lane_buf.data() + static_cast<std::size_t>(l) * nc;
-    }
-    ContractionHierarchy::SweepStats sweep_stats;
-    Stopwatch sweep_timer;
-    hierarchy_->many_to_all({seed_sets.data(), lanes}, scratch,
-                            {row_ptrs.data(), lanes}, &sweep_stats);
-    instruments.record_sweep(lanes, sweep_stats, sweep_timer.seconds());
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-      const std::size_t i = active[begin + l];
-      const double* core_row = row_ptrs[l];
-      reduce(sources[i], [&](std::uint32_t x) { return core_row[x]; },
-             rows[i]);
-    }
-  };
-
-  if (threads == 1 || num_chunks <= 1) {
-    SearchScratch scratch;
-    std::vector<double> lane_buf;
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      run_chunk(c, scratch, lane_buf);
-    }
-    return rows;
-  }
-
-  // route_many's drainer pattern: one scratch + lane buffer per worker,
-  // a shared cursor balancing chunks of unequal sweep cost.
-  ThreadPool pool(threads);
-  std::atomic<std::size_t> cursor{0};
-  const std::size_t drainers = std::min<std::size_t>(pool.size(), num_chunks);
-  for (std::size_t w = 0; w < drainers; ++w) {
-    pool.submit([&] {
-      SearchScratch scratch;
-      std::vector<double> lane_buf;
-      for (;;) {
-        const std::size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (c >= num_chunks) return;
-        run_chunk(c, scratch, lane_buf);
-      }
-    });
-  }
-  pool.wait();
+  });
   return rows;
-}
-
-std::vector<double> RouteEngine::pair_costs(
-    std::span<const std::pair<NodeId, NodeId>> demands, unsigned threads,
-    const QueryOptions& query) const {
-  constexpr std::uint32_t kUnseen = 0xffffffffu;
-  std::vector<std::uint32_t> src_row(n_, kUnseen);
-  std::vector<NodeId> src_nodes;  // distinct sources, first-seen order
-  for (const auto& [s, t] : demands) {
-    LUMEN_REQUIRE(s.value() < n_ && t.value() < n_);
-    if (src_row[s.value()] == kUnseen) {
-      src_row[s.value()] = static_cast<std::uint32_t>(src_nodes.size());
-      src_nodes.push_back(s);
-    }
-  }
-  const std::vector<std::vector<double>> rows =
-      bulk_costs(src_nodes, threads, query);
-  std::vector<double> costs(demands.size());
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    const auto& [s, t] = demands[i];
-    costs[i] = rows[src_row[s.value()]][t.value()];
-  }
-  return costs;
 }
 
 std::pair<std::uint32_t, std::uint32_t> RouteEngine::locate(
@@ -754,9 +471,6 @@ RouteEngine::ReserveHandle RouteEngine::reserve(LinkId e, Wavelength lambda) {
   ReserveHandle handle{core_slot, weight_index, core_->link(core_slot).weight};
   core_->set_weight(core_slot, kInfiniteCost);
   lightpath_weights_[weight_index] = kInfiniteCost;
-  if (hierarchy_ != nullptr) {
-    hierarchy_->update_slot(core_slot, kInfiniteCost);
-  }
   EngineInstruments::get().weight_patches.add();
   return handle;
 }
@@ -765,9 +479,6 @@ void RouteEngine::release(const ReserveHandle& handle) {
   LUMEN_REQUIRE(handle.core_slot != CsrDigraph::kInvalidSlot);
   core_->set_weight(handle.core_slot, handle.cost);
   lightpath_weights_[handle.phys_weight_index] = handle.cost;
-  if (hierarchy_ != nullptr) {
-    hierarchy_->update_slot(handle.core_slot, handle.cost);
-  }
   EngineInstruments::get().weight_patches.add();
 }
 
@@ -778,9 +489,6 @@ void RouteEngine::set_weight(LinkId e, Wavelength lambda, double weight) {
                     "goal-direction lower bounds; build a new RouteEngine");
   core_->set_weight(core_slot, weight);
   lightpath_weights_[weight_index] = weight;
-  if (hierarchy_ != nullptr) {
-    hierarchy_->update_slot(core_slot, weight);
-  }
   EngineInstruments::get().weight_patches.add();
 }
 

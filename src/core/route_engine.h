@@ -53,7 +53,6 @@
 
 #include "core/route_types.h"
 #include "graph/csr.h"
-#include "graph/hierarchy.h"
 #include "graph/landmarks.h"
 #include "wdm/network.h"
 
@@ -73,17 +72,6 @@ class RouteEngine {
     /// 0 disables the tables; goal-directed queries then rely on the
     /// per-target reverse-Dijkstra potential alone.
     std::uint32_t num_landmarks = 8;
-    /// Build a partial contraction hierarchy over the flattened core
-    /// (QueryOptions{use_hierarchy} then answers semilightpath queries
-    /// with a bidirectional upward search).  Off by default: the
-    /// elimination ordering costs noticeably more than the flatten
-    /// itself, so only engines that expect many queries opt in.
-    bool build_hierarchy = false;
-    /// Scratch-less (non-const) hierarchy queries re-customize a stale
-    /// hierarchy inline before searching.  Const/concurrent queries never
-    /// customize — they fall back to the flat search while stale.
-    /// Disable to control customization timing via customize_hierarchy().
-    bool hierarchy_auto_customize = true;
   };
 
   /// Per-query configuration.
@@ -94,15 +82,6 @@ class RouteEngine {
     /// Include the exact per-target reverse-Dijkstra term (lazily
     /// computed once per target, cached in the scratch).
     bool use_target_potential = true;
-    /// Answer semilightpath queries with the bidirectional hierarchy
-    /// search when the engine built one (Options{build_hierarchy}) and
-    /// its customization is fresh; otherwise the query silently falls
-    /// back to the flat (ALT/plain) search and bumps
-    /// lumen.core.hierarchy.fallbacks.  Combine with goal_directed for
-    /// the CH+ALT mode: the forward ascent is additionally pruned by the
-    /// same residual-safe potential (admissible on shortcuts because a
-    /// shortcut's value is at least the real distance it spans).
-    bool use_hierarchy = false;
   };
 
   /// Builds the flattened core from the network's current availability
@@ -152,37 +131,18 @@ class RouteEngine {
       std::span<const std::pair<NodeId, NodeId>> pairs, unsigned threads,
       QueryKind kind, const QueryOptions& query) const;
 
-  // --- batched one-to-all costs (PHAST sweeps) ----------------------------
+  // --- one-to-all cost rows ----------------------------------------------
 
   /// Full semilightpath cost rows: result[i][t] = cheapest cost
   /// sources[i] → t for every physical node t (+inf when unreachable,
-  /// always 0 on the diagonal).  When `query.use_hierarchy` is set and
-  /// the engine's hierarchy is fresh, each worker serves up to
-  /// ContractionHierarchy::kMaxLanes sources per lane-packed one-to-all
-  /// sweep; otherwise every source falls back to one flat full Dijkstra
-  /// over the core — never wrong, counted per source in
-  /// lumen.core.sweep.fallbacks.  Either path yields bit-identical rows
-  /// (the sweep re-accumulates in the flat search's addition order).
-  /// threads = 0 → one per hardware thread, 1 → inline; weights must not
-  /// be patched while a call is in flight.  The convenience overload
-  /// enables use_hierarchy (and, non-const, self-heals a stale hierarchy
-  /// under Options{hierarchy_auto_customize} first).
+  /// always 0 on the diagonal).  One flat full Dijkstra over the core per
+  /// source, reduced over each target's sinks — the same relaxations and
+  /// additions as a point query, so every row entry equals the matching
+  /// route_semilightpath cost bit-for-bit.  threads = 0 → one per
+  /// hardware thread, 1 → inline; weights must not be patched while a
+  /// call is in flight.
   [[nodiscard]] std::vector<std::vector<double>> bulk_costs(
-      std::span<const NodeId> sources, unsigned threads = 0);
-  [[nodiscard]] std::vector<std::vector<double>> bulk_costs(
-      std::span<const NodeId> sources, unsigned threads,
-      const QueryOptions& query);
-  [[nodiscard]] std::vector<std::vector<double>> bulk_costs(
-      std::span<const NodeId> sources, unsigned threads,
-      const QueryOptions& query) const;
-
-  /// One semilightpath cost per (s, t) demand: costs[i] answers
-  /// demands[i] (+inf when unroutable, 0 when s == t).  Runs bulk_costs
-  /// once over the distinct sources, in first-seen order, so a batch
-  /// fanning out of few sources costs few sweep lanes.
-  [[nodiscard]] std::vector<double> pair_costs(
-      std::span<const std::pair<NodeId, NodeId>> demands, unsigned threads,
-      const QueryOptions& query) const;
+      std::span<const NodeId> sources, unsigned threads = 0) const;
 
   // --- in-place residual updates ------------------------------------------
 
@@ -213,25 +173,6 @@ class RouteEngine {
   /// Current (patched) w(e, λ); +inf when λ ∉ base Λ(e) or patched out.
   [[nodiscard]] double weight(LinkId e, Wavelength lambda) const;
 
-  // --- hierarchy maintenance ----------------------------------------------
-
-  /// Re-evaluates the hierarchy arcs invalidated by weight patches since
-  /// the last customization — only the support cone above the patched
-  /// spans, not the whole shortcut set.  Returns the number of arcs
-  /// re-evaluated (0 when no hierarchy was built or nothing is stale).
-  /// Not thread-safe against in-flight queries.
-  std::uint32_t customize_hierarchy();
-  [[nodiscard]] bool has_hierarchy() const noexcept {
-    return hierarchy_ != nullptr;
-  }
-  /// True when patches are pending customization; hierarchy queries fall
-  /// back to the flat search until customize_hierarchy() runs (the
-  /// scratch-less overloads do it automatically under
-  /// Options{hierarchy_auto_customize}).
-  [[nodiscard]] bool hierarchy_stale() const noexcept {
-    return hierarchy_ != nullptr && hierarchy_->stale();
-  }
-
   // --- introspection --------------------------------------------------------
 
   struct Stats {
@@ -239,11 +180,8 @@ class RouteEngine {
     std::uint64_t core_links = 0;          ///< gadget + transmission links
     std::uint64_t transmission_slots = 0;  ///< patchable (e, λ) slots
     std::uint32_t landmarks = 0;           ///< ALT landmarks precomputed
-    std::uint32_t hierarchy_shortcuts = 0; ///< shortcut arcs added
-    std::uint32_t hierarchy_core_nodes = 0;///< never-eliminated core nodes
     double build_seconds = 0.0;            ///< one-time flatten cost
     double landmark_seconds = 0.0;         ///< of which: landmark tables
-    double hierarchy_seconds = 0.0;        ///< ordering + first customize
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -286,11 +224,6 @@ class RouteEngine {
   /// Reversed physical topology, each link weighted by its *base*
   /// cheapest-wavelength cost (the per-target potential's search graph).
   std::unique_ptr<CsrDigraph> rev_base_;
-  /// Hierarchy over rev_base_ (built with Options{build_hierarchy}): the
-  /// per-target reverse potential then warms from one one-to-all sweep
-  /// instead of a flat Dijkstra.  Base weights are frozen, so this
-  /// hierarchy is never stale.
-  std::unique_ptr<ContractionHierarchy> rev_base_ch_;
   /// Base (build-time) weight per core slot; set_weight's floor.
   std::vector<double> base_core_weights_;
   /// Identity token stamped into scratch-resident potential caches.
@@ -309,11 +242,6 @@ class RouteEngine {
   // wavelengths; weight rows lw_[λ * phys_links + slot].
   std::unique_ptr<CsrDigraph> phys_;
   std::vector<double> lightpath_weights_;
-
-  // Optional partial contraction hierarchy over the core; weight patches
-  // are mirrored into it (update_slot) and re-customized lazily.
-  std::unique_ptr<ContractionHierarchy> hierarchy_;
-  bool hierarchy_auto_customize_ = true;
 
   Stats stats_;
   SearchScratch scratch_;  // backs the scratch-less query overloads

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "graph/fib_heap.h"
-#include "graph/simd_min.h"
 
 namespace lumen {
 
@@ -25,19 +24,18 @@ CsrDigraph::CsrDigraph(const Digraph& g) {
   offsets_[g.num_nodes()] = cursor;
 }
 
-CsrDigraph CsrDigraph::reversed(const Digraph& g, ReversalMode mode) {
-  const bool copy_weights = mode == ReversalMode::kCopyWeights;
+CsrDigraph CsrDigraph::reversed(const Digraph& g) {
   CsrDigraph csr;
   csr.offsets_.resize(g.num_nodes() + 1);
   csr.heads_.reserve(g.num_links());
-  if (copy_weights) csr.weights_.reserve(g.num_links());
+  csr.weights_.reserve(g.num_links());
   csr.originals_.reserve(g.num_links());
   std::uint32_t cursor = 0;
   for (std::uint32_t v = 0; v < g.num_nodes(); ++v) {
     csr.offsets_[v] = cursor;
     for (const LinkId e : g.in_links(NodeId{v})) {
       csr.heads_.push_back(g.tail(e).value());
-      if (copy_weights) csr.weights_.push_back(g.weight(e));
+      csr.weights_.push_back(g.weight(e));
       csr.originals_.push_back(e);
       ++cursor;
     }
@@ -74,9 +72,8 @@ void SearchScratch::begin(std::uint32_t num_nodes) {
     parent_.resize(num_nodes, CsrDigraph::kInvalidSlot);
     state_.resize(num_nodes, 0);
     pos_.resize(num_nodes, 0);
-    // The A* potential memo and the hierarchy backward-side arrays are
-    // sized lazily by their modes (ensure_potentials / begin_backward),
-    // so plain-Dijkstra scratches carry only this set.
+    // The A* potential memo is sized lazily by ensure_potentials(), so
+    // plain-Dijkstra scratches carry only this set.
   }
   ++generation_;  // O(1) invalidation of all per-node state
   heap_.clear();
@@ -141,32 +138,13 @@ void SearchScratch::sift_down(std::size_t i) {
     const std::size_t first_child = 4 * i + 1;
     if (first_child >= size) break;
     const std::size_t count = std::min<std::size_t>(4, size - first_child);
-    std::size_t best;
-    double best_key;
-#if defined(LUMEN_SIMD_HEAP)
-    if (count == 4) {
-      // Full fan-out: the four child keys sit contiguously in hkey_
-      // (position-parallel layout), so the comparison tree runs as packed
-      // mins over one straight 32-byte load — no per-child gather through
-      // heap_ (see simd_min.h).  Ties pick the first index, matching the
-      // scalar scan below bit-for-bit.  Opt-in: on the reference container
-      // the compare/movemask/ctz index extraction sits on the sift's
-      // critical path and loses to three predicted scalar compares (see
-      // the sift-down ablation in docs/PERFORMANCE.md).
-      const unsigned arg = argmin4(&hkey_[first_child]);
-      best = first_child + arg;
-      best_key = hkey_[best];
-    } else
-#endif
-    {
-      best = first_child;
-      best_key = hkey_[first_child];
-      for (std::size_t c = first_child + 1; c < first_child + count; ++c) {
-        const double ck = hkey_[c];
-        if (ck < best_key) {
-          best = c;
-          best_key = ck;
-        }
+    std::size_t best = first_child;
+    double best_key = hkey_[first_child];
+    for (std::size_t c = first_child + 1; c < first_child + count; ++c) {
+      const double ck = hkey_[c];
+      if (ck < best_key) {
+        best = c;
+        best_key = ck;
       }
     }
     if (best_key >= key) break;

@@ -49,31 +49,13 @@ class CsrDigraph {
   /// Snapshots `g` (O(n + m)).
   explicit CsrDigraph(const Digraph& g);
 
-  /// What reversed() copies besides the structure.
-  enum class ReversalMode {
-    kCopyWeights,    ///< snapshot g's weights per slot (default)
-    kStructureOnly,  ///< offsets/heads/originals only; no weight row
-  };
-
   /// Snapshots the *reversed* graph: slot (v, e) holds link e of g packed
   /// under its head v, pointing back at g.tail(e).  Searches over this
   /// view compute distances *to* a node (the reverse-Dijkstra potentials
   /// of goal-directed routing).  Slot order differs from the forward CSR,
   /// so per-slot weight rows built against one view do not apply to the
   /// other; `original` ids stay those of g.
-  ///
-  /// kStructureOnly skips the weight row entirely (has_weights() is then
-  /// false): callers that keep their own separately-customized weight row
-  /// — the hierarchy's downward-sweep CSR — would otherwise double-store
-  /// every weight.  Such a view must always be searched with an explicit
-  /// weight override; weight()/set_weight() on it are errors.
-  [[nodiscard]] static CsrDigraph reversed(
-      const Digraph& g, ReversalMode mode = ReversalMode::kCopyWeights);
-
-  /// False only for ReversalMode::kStructureOnly views.
-  [[nodiscard]] bool has_weights() const noexcept {
-    return weights_.size() == heads_.size();
-  }
+  [[nodiscard]] static CsrDigraph reversed(const Digraph& g);
 
   [[nodiscard]] std::uint32_t num_nodes() const noexcept {
     return static_cast<std::uint32_t>(offsets_.size() - 1);
@@ -95,7 +77,6 @@ class CsrDigraph {
   }
   [[nodiscard]] double weight(std::uint32_t slot) const {
     LUMEN_REQUIRE(slot < num_links());
-    LUMEN_REQUIRE_MSG(has_weights(), "structure-only view stores no weights");
     return weights_[slot];
   }
   [[nodiscard]] LinkId original(std::uint32_t slot) const {
@@ -106,7 +87,6 @@ class CsrDigraph {
   /// The packed out-link stored in `slot`, materialized by value.
   [[nodiscard]] OutLink link(std::uint32_t slot) const {
     LUMEN_REQUIRE(slot < num_links());
-    LUMEN_REQUIRE_MSG(has_weights(), "structure-only view stores no weights");
     return {NodeId{heads_[slot]}, weights_[slot], originals_[slot]};
   }
 
@@ -128,7 +108,6 @@ class CsrDigraph {
   /// structure is untouched, so views/spans stay valid.
   void set_weight(std::uint32_t slot, double weight) {
     LUMEN_REQUIRE(slot < num_links());
-    LUMEN_REQUIRE_MSG(has_weights(), "structure-only view stores no weights");
     LUMEN_REQUIRE_MSG(weight >= 0.0, "link weights must be non-negative");
     weights_[slot] = weight;
   }
@@ -147,7 +126,6 @@ class CsrDigraph {
 };
 
 class SearchScratch;
-class ContractionHierarchy;
 struct CsrRunStats;
 
 /// Tag potential for the shared kernel: compiles the uninformed Dijkstra
@@ -188,10 +166,9 @@ NodeId astar_csr_run(const CsrDigraph& g, std::span<const NodeId> sources,
 /// each (the graph itself is safe to share read-only).
 ///
 /// Footprint is mode-aware: begin() sizes only the arrays every search
-/// touches.  The A* potential memo, the hierarchy query's backward-side
-/// arrays, and the per-target reverse-potential cache are each sized
-/// lazily on the first query of their mode, so a scratch that only ever
-/// runs plain Dijkstra never allocates the other two sets.
+/// touches.  The A* potential memo and the per-target reverse-potential
+/// cache are each sized lazily on the first goal-directed query, so a
+/// scratch that only ever runs plain Dijkstra never allocates them.
 class SearchScratch {
  public:
   /// Opens a new query over an `num_nodes`-node graph: grows the buffers
@@ -245,10 +222,6 @@ class SearchScratch {
   friend NodeId csr_search_run_impl(const CsrDigraph&, std::span<const NodeId>,
                                     SearchScratch&, Potential&&, CsrRunStats*,
                                     std::span<const double>);
-  /// The hierarchy query drives both sides of its bidirectional search
-  /// through this scratch (forward pass on the primary arrays, backward
-  /// pass results parked in the b* set).
-  friend class ContractionHierarchy;
 
   static constexpr std::uint8_t kInHeap = 1;
   static constexpr std::uint8_t kSettled = 2;
@@ -270,29 +243,6 @@ class SearchScratch {
       pot_.resize(stamp_.size(), 0.0);
     }
   }
-  /// Lazily sizes the batched-sweep lane arrays (one_to_all/many_to_all
-  /// only): `entries` = positions × lanes.  The sweep kernels fill and
-  /// consume these wholesale each call, so no generation stamping is
-  /// needed — only capacity survives between calls.
-  void ensure_sweep(std::size_t entries) {
-    if (sweep_dist_.size() < entries) {
-      sweep_dist_.resize(entries);
-      sweep_parent_.resize(entries);
-      sweep_done_.resize(entries);
-    }
-  }
-
-  /// Lazily sizes the hierarchy backward-side arrays (hierarchy queries
-  /// only) and opens a fresh backward generation.
-  void begin_backward() {
-    if (bstamp_.size() < stamp_.size()) {
-      bstamp_.resize(stamp_.size(), 0);
-      bdist_.resize(stamp_.size(), kInfiniteCost);
-      bparent_.resize(stamp_.size(), CsrDigraph::kInvalidSlot);
-    }
-    ++bgeneration_;
-  }
-
   // --- indexed 4-ary heap over node ids, keyed by hkey_ -----------------
   // (Dijkstra pushes key == dist; A* pushes key == dist + potential.)
   void heap_push(std::uint32_t v, double key);
@@ -310,8 +260,8 @@ class SearchScratch {
   AlignedVector<std::uint32_t> heap_;  // node ids, min-ordered by hkey_
   // Heap keys (f-values) stored position-parallel to heap_, NOT per node:
   // sift-down's four child keys then sit in one contiguous 32-byte run, so
-  // the min scan is a straight load (SIMD-friendly) instead of a gather
-  // through heap_ into a node-indexed array.
+  // the min scan reads them in place instead of gathering through heap_
+  // into a node-indexed array.
   AlignedVector<double> hkey_;
   AlignedVector<std::uint32_t> pos_;  // heap position (valid while kInHeap)
   // Per-query memo of the A* potential (evaluating it costs O(L) per
@@ -319,21 +269,6 @@ class SearchScratch {
   // lazily by ensure_potentials().
   AlignedVector<std::uint64_t> pot_stamp_;
   AlignedVector<double> pot_;
-  // Backward side of the hierarchy's bidirectional query, stamped by its
-  // own generation so one begin() can host both passes; sized lazily by
-  // begin_backward().
-  std::uint64_t bgeneration_ = 0;
-  AlignedVector<std::uint64_t> bstamp_;
-  AlignedVector<double> bdist_;
-  AlignedVector<std::uint32_t> bparent_;  // hierarchy arc id
-  // Batched-sweep lane state (position-major, lane-minor: entry p·L + l),
-  // sized lazily by ensure_sweep(); plus the exact-fix work buffers, kept
-  // here so one worker's sweeps reuse one allocation.
-  AlignedVector<double> sweep_dist_;
-  AlignedVector<std::uint32_t> sweep_parent_;  // hierarchy arc id
-  AlignedVector<std::uint8_t> sweep_done_;     // exact-fix memo byte
-  std::vector<std::uint32_t> sweep_stack_;     // exact-fix recursion stack
-  std::vector<std::uint32_t> sweep_slots_;     // unpack scratch
   TargetPotential target_potential_;
 };
 
@@ -380,8 +315,6 @@ NodeId csr_search_run_impl(const CsrDigraph& g, std::span<const NodeId> sources,
   // stay within typical out-degrees.
   [[maybe_unused]] constexpr std::uint32_t kLookahead = 4;
   LUMEN_REQUIRE(weights.empty() || weights.size() == g.num_links());
-  LUMEN_REQUIRE_MSG(!weights.empty() || g.has_weights(),
-                    "structure-only view needs an explicit weight override");
   // SoA: an override is a wholesale row swap, not a per-link branch.
   const double* w = weights.empty() ? g.weights_data() : weights.data();
   const std::uint32_t* heads = g.heads_data();

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/hierarchy.h"
-
 namespace lumen {
 
 namespace {
@@ -18,19 +16,19 @@ void sssp_into(const CsrDigraph& csr, NodeId source, SearchScratch& scratch,
     row[v] = scratch.dist(NodeId{v});
 }
 
-/// Shared farthest-point selection; `fill_fwd`/`fill_rev` produce the
-/// per-landmark d(ℓ,·) / d(·,ℓ) rows (flat Dijkstra or hierarchy sweep —
-/// bit-identical either way, so the selection is too).
-template <class FillFwd, class FillRev>
-LandmarkTables select_impl(const Digraph& g, std::uint32_t count,
-                           std::uint64_t seed, FillFwd&& fill_fwd,
-                           FillRev&& fill_rev) {
+}  // namespace
+
+LandmarkTables select_landmarks(const Digraph& g, std::uint32_t count,
+                                std::uint64_t seed) {
   LandmarkTables tables;
   tables.num_nodes = g.num_nodes();
   const std::uint32_t n = g.num_nodes();
   if (n == 0 || count == 0) return tables;
   count = std::min(count, n);
 
+  const CsrDigraph forward(g);
+  const CsrDigraph reverse = CsrDigraph::reversed(g);
+  SearchScratch scratch;
   tables.from_landmark.resize(static_cast<std::size_t>(count) * n);
   tables.to_landmark.resize(static_cast<std::size_t>(count) * n);
 
@@ -47,8 +45,8 @@ LandmarkTables select_impl(const Digraph& g, std::uint32_t count,
     double* fwd = tables.from_landmark.data() +
                   static_cast<std::size_t>(l) * n;
     double* rev = tables.to_landmark.data() + static_cast<std::size_t>(l) * n;
-    fill_fwd(next, fwd);
-    fill_rev(next, rev);
+    sssp_into(forward, next, scratch, fwd);
+    sssp_into(reverse, next, scratch, rev);
     tables.num_landmarks = l + 1;
     if (l + 1 == count) break;
 
@@ -67,36 +65,6 @@ LandmarkTables select_impl(const Digraph& g, std::uint32_t count,
     next = farthest;
   }
   return tables;
-}
-
-}  // namespace
-
-LandmarkTables select_landmarks(const Digraph& g, std::uint32_t count,
-                                std::uint64_t seed) {
-  const CsrDigraph forward(g);
-  const CsrDigraph reverse = CsrDigraph::reversed(g);
-  SearchScratch scratch;
-  return select_impl(
-      g, count, seed,
-      [&](NodeId l, double* row) { sssp_into(forward, l, scratch, row); },
-      [&](NodeId l, double* row) { sssp_into(reverse, l, scratch, row); });
-}
-
-LandmarkTables select_landmarks(const Digraph& g, std::uint32_t count,
-                                std::uint64_t seed,
-                                const ContractionHierarchy& forward,
-                                const ContractionHierarchy& reverse) {
-  SearchScratch scratch;
-  return select_impl(
-      g, count, seed,
-      [&](NodeId l, double* row) {
-        const NodeId seeds[1] = {l};
-        forward.one_to_all(seeds, scratch, row);
-      },
-      [&](NodeId l, double* row) {
-        const NodeId seeds[1] = {l};
-        reverse.one_to_all(seeds, scratch, row);
-      });
 }
 
 }  // namespace lumen

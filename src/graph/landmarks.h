@@ -82,16 +82,4 @@ struct LandmarkTables {
                                               std::uint32_t count,
                                               std::uint64_t seed);
 
-class ContractionHierarchy;
-
-/// Sweep-warmed variant: the per-landmark rows come from PHAST one-to-all
-/// sweeps over prebuilt hierarchies of g (`forward`) and of g reversed
-/// (`reverse`) instead of 2·count flat Dijkstras.  Sweep distances are
-/// bit-identical to the flat search, so the farthest-point selection —
-/// and therefore the tables — match the flat overload exactly; only the
-/// build cost changes.  Both hierarchies must be fresh (!stale()).
-[[nodiscard]] LandmarkTables select_landmarks(
-    const Digraph& g, std::uint32_t count, std::uint64_t seed,
-    const ContractionHierarchy& forward, const ContractionHierarchy& reverse);
-
 }  // namespace lumen

@@ -46,20 +46,18 @@ BatchResult provision_batch(
     case DemandOrder::kCheapestFirst:
     case DemandOrder::kCostliestFirst: {
       // Rank by optimal semilightpath cost on the pre-batch residual
-      // state.  One hierarchy-backed engine pre-costs the whole demand
-      // set from lane-packed one-to-all sweeps — one sweep lane per
-      // *distinct source*, each row answering every demand out of that
-      // source at once, instead of one point query per demand.  Sweep
-      // costs match the point queries bit-for-bit, so the ordering is
-      // the one route_many would have produced.  Unroutable demands
-      // (cost +inf) sort last either way, so feasible work is never
-      // starved by hopeless demands.
-      RouteEngine::Options engine_options;
-      engine_options.num_landmarks = 0;  // bulk sweeps: no goal direction
-      engine_options.build_hierarchy = true;
-      RouteEngine engine(manager.residual(), engine_options);
-      const std::vector<double> cost = engine.pair_costs(
-          ordered, route_threads, {.use_hierarchy = true});
+      // state: one default engine pre-costs every demand with its
+      // goal-directed point query (ALT + per-target potential), which
+      // returns the exact optimum — +inf when unroutable, 0 when s == t.
+      // Unroutable demands sort last either way, so feasible work is
+      // never starved by hopeless demands.
+      const RouteEngine engine(manager.residual());
+      const std::vector<RouteResult> priced =
+          engine.route_many(ordered, route_threads,
+                            RouteEngine::QueryKind::kSemilightpath,
+                            {.goal_directed = true});
+      std::vector<double> cost(ordered.size());
+      for (std::size_t i = 0; i < cost.size(); ++i) cost[i] = priced[i].cost;
       std::vector<std::size_t> index(ordered.size());
       for (std::size_t i = 0; i < index.size(); ++i) index[i] = i;
       std::stable_sort(index.begin(), index.end(),

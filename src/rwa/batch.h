@@ -41,12 +41,10 @@ struct BatchResult {
 /// only for kRandom (must be non-null then).
 ///
 /// The cost-based orderings rank demands by their optimal semilightpath
-/// cost on the manager's pre-batch residual state — one build-once,
-/// hierarchy-backed RouteEngine bulk pre-costs them with lane-packed
-/// one-to-all sweeps, one lane per distinct source (`route_threads`
-/// workers; 0 = one per hardware thread).  Sweep costs are bit-identical
-/// to the per-demand point queries, so the ordering is unchanged.
-/// Demands with no route at all sort last under both.  `route_threads`
+/// cost on the manager's pre-batch residual state — one build-once
+/// RouteEngine pre-costs them with goal-directed point queries
+/// (`route_threads` workers; 0 = one per hardware thread).  Demands with
+/// no route at all sort last under both.  `route_threads`
 /// is ignored by the other orders.
 [[nodiscard]] BatchResult provision_batch(
     SessionManager& manager,

@@ -23,27 +23,26 @@ DefragReport defragment(SessionManager& manager, DefragOrder order,
       break;
     case DefragOrder::kMatrixGain: {
       // Price every session's best route on the current residual state
-      // with one bulk sweep batch (one lane per distinct source), then
-      // sort by estimated saving.  The estimate is conservative (it does
-      // not credit the session's own released resources), so the actual
-      // re-route can only do better.
-      RouteEngine::Options engine_options;
-      engine_options.num_landmarks = 0;  // bulk sweeps: no goal direction
-      engine_options.build_hierarchy = true;
-      RouteEngine engine(manager.residual(), engine_options);
+      // with one goal-directed point query each, then sort by estimated
+      // saving.  The estimate is conservative (it does not credit the
+      // session's own released resources), so the actual re-route can
+      // only do better.
+      const RouteEngine engine(manager.residual());
       std::vector<std::pair<NodeId, NodeId>> demands;
       demands.reserve(ids.size());
       for (const SessionId id : ids) {
         const SessionRecord* session = manager.find(id);
         demands.emplace_back(session->source, session->target);
       }
-      const std::vector<double> priced = engine.pair_costs(
-          demands, route_threads, {.use_hierarchy = true});
+      const std::vector<RouteResult> priced =
+          engine.route_many(demands, route_threads,
+                            RouteEngine::QueryKind::kSemilightpath,
+                            {.goal_directed = true});
       std::vector<double> gain(ids.size());
       for (std::size_t i = 0; i < ids.size(); ++i) {
-        gain[i] = priced[i] == kInfiniteCost
+        gain[i] = priced[i].cost == kInfiniteCost
                       ? -kInfiniteCost
-                      : manager.find(ids[i])->cost - priced[i];
+                      : manager.find(ids[i])->cost - priced[i].cost;
       }
       std::vector<std::size_t> index(ids.size());
       for (std::size_t i = 0; i < index.size(); ++i) index[i] = i;

@@ -28,14 +28,13 @@ enum class DefragOrder : std::uint8_t {
   /// Most-expensive-first (the default): the sessions with the most to
   /// gain move first, freeing contiguous resources for the rest.
   kCostliestFirst,
-  /// Estimated-gain-first: a hierarchy-backed bulk cost matrix over the
-  /// *current* residual state (lane-packed one-to-all sweeps, one lane
-  /// per distinct session source) prices every session's best route if
-  /// re-provisioned as-is; sessions sort by (current cost - matrix
-  /// cost), largest estimated saving first.  The estimate ignores the
-  /// resources the session itself would release, so it is conservative —
-  /// but it puts provably-improvable sessions ahead of merely expensive
-  /// ones.  Sessions the matrix prices at +inf sort last.
+  /// Estimated-gain-first: one goal-directed engine point query per
+  /// session over the *current* residual state prices its best route if
+  /// re-provisioned as-is; sessions sort by (current cost - priced cost),
+  /// largest estimated saving first.  The estimate ignores the resources
+  /// the session itself would release, so it is conservative — but it
+  /// puts provably-improvable sessions ahead of merely expensive ones.
+  /// Sessions priced at +inf sort last.
   kMatrixGain,
 };
 

@@ -107,7 +107,7 @@ RouteResult SessionManager::route_request(NodeId source, NodeId target) const {
     case RoutingPolicy::kLightpathEngine:
       return engine_->route_lightpath(source, target);
   }
-  LUMEN_ASSERT(false);
+  LUMEN_UNREACHABLE();
 }
 
 std::optional<SessionId> SessionManager::open(NodeId source, NodeId target) {

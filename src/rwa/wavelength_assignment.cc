@@ -115,7 +115,7 @@ AssignmentResult assign_wavelengths(const std::vector<RoutedPath>& paths,
     case AssignmentHeuristic::kDsatur:
       return dsatur(conflicts);
   }
-  LUMEN_ASSERT(false);
+  LUMEN_UNREACHABLE();
 }
 
 bool assignment_is_valid(const std::vector<RoutedPath>& paths,

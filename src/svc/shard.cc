@@ -10,10 +10,11 @@
 namespace lumen::svc {
 namespace {
 
-// Every replica is RouteEngine(net): 8 ALT landmarks, no hierarchy, and
-// every admission is one goal-directed query with the exact per-target
-// potential.  Chosen by measurement (5 s perfbench runs, seeds 301-303,
-// 4-CPU host; ops_per_s median of 3, setup_s and peak_rss_mib ranges):
+// Every replica is RouteEngine(net): 8 ALT landmarks, and every admission
+// is one goal-directed query with the exact per-target potential.  Chosen
+// by measurement against the since-deleted contraction-hierarchy modes
+// (5 s perfbench runs, seeds 301-303, 4-CPU host; ops_per_s median of 3,
+// setup_s and peak_rss_mib ranges):
 //
 //   workload       metric        ALT + target   CH+ALT        CH
 //   svc-sparse-mt  ops_per_s     23.7k          6.96k         4.09k

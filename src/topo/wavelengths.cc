@@ -20,7 +20,7 @@ double cost_for(const CostSpec& spec, const Topology& topo, std::size_t link,
     case CostSpec::Kind::kDistance:
       return spec.scale * topo.link_distance(link);
   }
-  LUMEN_ASSERT(false);
+  LUMEN_UNREACHABLE();
 }
 
 void append_sorted(std::vector<LinkWavelength>& list, Wavelength lambda,

@@ -62,4 +62,11 @@ namespace detail {
                             std::string{});                               \
   } while (0)
 
+/// Marks a point control never reaches (e.g. after a switch that returns
+/// on every enumerator).  A direct [[noreturn]] call, so the compiler
+/// sees the path end even without optimization.
+#define LUMEN_UNREACHABLE()                                               \
+  ::lumen::detail::fail("invariant", "unreachable", __FILE__, __LINE__,  \
+                        std::string{})
+
 }  // namespace lumen

@@ -1,11 +1,10 @@
-// Engine-level coverage for the batched sweep surface: bulk_costs rows
-// must match the engine's own point queries exactly (the sweeps
-// re-accumulate distances in the flat search's addition order), the
-// stale-hierarchy path must fall back per source — counted on
-// lumen.core.sweep.fallbacks — and never answer wrong, and the consumers
-// rewired onto the sweeps (landmark selection, defragment's kMatrixGain
-// ordering) must keep their contracts.  The svc cases check a demand
-// list opened one by one: accounting, double-booking, quota order.
+// Engine-level coverage for the one-to-all cost rows: bulk_costs rows
+// must match the engine's own point queries exactly (both run the same
+// flat relaxations with the same additions), and the goal-directed point
+// queries that price batch and defrag orderings must match the rows
+// bit-for-bit — +inf into a cut node, 0 on the diagonal.  Defragment's
+// kMatrixGain ordering must keep its contract.  The svc cases check a
+// demand list opened one by one: accounting, double-booking, quota order.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -14,9 +13,6 @@
 #include <vector>
 
 #include "core/route_engine.h"
-#include "graph/hierarchy.h"
-#include "graph/landmarks.h"
-#include "obs/registry.h"
 #include "rwa/defragment.h"
 #include "rwa/dynamic_workload.h"
 #include "svc/service.h"
@@ -29,9 +25,6 @@ namespace {
 
 using testing::ConvKind;
 using testing::random_network;
-
-constexpr RouteEngine::Options kSweepEngine{.num_landmarks = 0,
-                                            .build_hierarchy = true};
 
 /// Every bulk row must equal the engine's own (flat, exact) point
 /// queries as doubles — diagonal 0, +inf where no route exists.
@@ -74,37 +67,41 @@ TEST(BulkCostsTest, SweepRowsMatchPointQueriesBitwise) {
     Rng rng(seed);
     const WdmNetwork net =
         random_network(12, 14, 4, 2, ConvKind::kUniform, rng);
-    RouteEngine engine(net, kSweepEngine);
-    ASSERT_TRUE(engine.has_hierarchy());
-    const auto rows = engine.bulk_costs(all_nodes(net.num_nodes()));
-    expect_rows_match_point_queries(engine, rows, "sweep");
+    RouteEngine engine(net);
+    const auto sources = all_nodes(net.num_nodes());
+    expect_rows_match_point_queries(engine, engine.bulk_costs(sources),
+                                    "pristine");
 
-    // pair_costs answers one cost per demand: every source repeats, the
-    // diagonal (s == t) demands cost 0, and cutting every link into node
-    // 0 makes the demands to it unroutable (+inf).
+    // Cutting every link into node 0 makes the demands to it unroutable
+    // (+inf); the rows and the point queries must both see the cut.
     for (std::uint32_t ei = 0; ei < net.num_links(); ++ei) {
       const LinkId e{ei};
       if (net.head(e) != NodeId{0}) continue;
       for (const auto& lw : net.available(e))
         engine.set_weight(e, lw.lambda, kInfiniteCost);
     }
+    const auto rows = engine.bulk_costs(sources, 2);
+    expect_rows_match_point_queries(engine, rows, "cut");
+
+    // The goal-directed point queries batch and defrag price with must
+    // equal the flat rows as doubles: every source repeats, the diagonal
+    // (s == t) demands cost 0, and the demands into node 0 cost +inf.
     std::vector<std::pair<NodeId, NodeId>> demands;
     for (std::uint32_t t = 0; t < net.num_nodes(); ++t)
       for (std::uint32_t s = 0; s < net.num_nodes(); ++s)
         demands.emplace_back(NodeId{s}, NodeId{t});
-    const std::vector<double> costs =
-        engine.pair_costs(demands, 2, {.use_hierarchy = true});
-    ASSERT_EQ(costs.size(), demands.size());
-    SearchScratch scratch;
+    const std::vector<RouteResult> priced =
+        engine.route_many(demands, 2, RouteEngine::QueryKind::kSemilightpath,
+                          {.goal_directed = true});
+    ASSERT_EQ(priced.size(), demands.size());
     for (std::size_t i = 0; i < demands.size(); ++i) {
       const auto [s, t] = demands[i];
-      const RouteResult point = engine.route_semilightpath(s, t, scratch);
-      EXPECT_EQ(costs[i], point.found ? point.cost : kInfiniteCost)
+      EXPECT_EQ(priced[i].cost, rows[s.value()][t.value()])
           << s.value() << "->" << t.value();
       if (s == t) {
-        EXPECT_EQ(costs[i], 0.0);
+        EXPECT_EQ(priced[i].cost, 0.0);
       } else if (t == NodeId{0}) {
-        EXPECT_EQ(costs[i], kInfiniteCost);
+        EXPECT_EQ(priced[i].cost, kInfiniteCost);
         ++unroutable;
       }
     }
@@ -112,28 +109,10 @@ TEST(BulkCostsTest, SweepRowsMatchPointQueriesBitwise) {
   EXPECT_GT(unroutable, 0u);
 }
 
-TEST(BulkCostsTest, SweepAndFlatFallbackAgreeBitwise) {
-  Rng rng(0xb01cULL);
-  const WdmNetwork net = random_network(14, 16, 3, 2, ConvKind::kSparse, rng);
-  RouteEngine engine(net, kSweepEngine);
-  const auto sources = all_nodes(net.num_nodes());
-  const RouteEngine& frozen = engine;
-  RouteEngine::QueryOptions sweep_query{.use_hierarchy = true};
-  RouteEngine::QueryOptions flat_query{.use_hierarchy = false};
-  const auto swept = frozen.bulk_costs(sources, 1, sweep_query);
-  const auto flat = frozen.bulk_costs(sources, 1, flat_query);
-  ASSERT_EQ(swept.size(), flat.size());
-  for (std::size_t s = 0; s < swept.size(); ++s) {
-    for (std::size_t t = 0; t < swept[s].size(); ++t) {
-      EXPECT_EQ(swept[s][t], flat[s][t]) << s << "->" << t;
-    }
-  }
-}
-
 TEST(BulkCostsTest, ThreadedMatchesSerial) {
   Rng rng(0xb01dULL);
   const WdmNetwork net = random_network(16, 18, 3, 2, ConvKind::kRange, rng);
-  RouteEngine engine(net, kSweepEngine);
+  const RouteEngine engine(net, RouteEngine::Options{.num_landmarks = 0});
   const auto sources = all_nodes(net.num_nodes());
   const auto serial = engine.bulk_costs(sources, 1);
   const auto threaded = engine.bulk_costs(sources, 4);
@@ -142,79 +121,6 @@ TEST(BulkCostsTest, ThreadedMatchesSerial) {
     for (std::size_t t = 0; t < serial[s].size(); ++t) {
       EXPECT_EQ(serial[s][t], threaded[s][t]) << s << "->" << t;
     }
-  }
-}
-
-TEST(BulkCostsTest, StaleHierarchyFallsBackPerSourceAndStaysExact) {
-  Rng rng(0x57a1e2ULL);
-  const WdmNetwork net = random_network(12, 14, 4, 2, ConvKind::kUniform, rng);
-  RouteEngine::Options options = kSweepEngine;
-  options.hierarchy_auto_customize = false;
-  RouteEngine engine(net, options);
-  ASSERT_TRUE(engine.has_hierarchy());
-
-  const LinkId e{0};
-  const Wavelength lambda = net.available(e)[0].lambda;
-  const auto handle = engine.reserve(e, lambda);
-  ASSERT_TRUE(engine.hierarchy_stale());
-
-  obs::Counter& fallbacks =
-      obs::Registry::global().counter("lumen.core.sweep.fallbacks");
-  obs::Counter& runs =
-      obs::Registry::global().counter("lumen.core.sweep.runs");
-  [[maybe_unused]] const std::uint64_t fallbacks_before = fallbacks.value();
-  [[maybe_unused]] const std::uint64_t runs_before = runs.value();
-
-  // Const call on a stale hierarchy: every source must be served by the
-  // flat fallback (never a wrong sweep), and each one is counted.
-  const auto sources = all_nodes(net.num_nodes());
-  const RouteEngine& frozen = engine;
-  RouteEngine::QueryOptions query{.use_hierarchy = true};
-  const auto rows = frozen.bulk_costs(sources, 1, query);
-  expect_rows_match_point_queries(engine, rows, "stale-fallback");
-#if LUMEN_OBS_ENABLED
-  EXPECT_EQ(runs.value(), runs_before);  // no sweep ran
-  const std::uint64_t fell_back = fallbacks.value() - fallbacks_before;
-  EXPECT_GE(fell_back, 1u);
-  EXPECT_LE(fell_back, sources.size());
-#endif
-
-  // Customize and the same call sweeps again, still exact.
-  EXPECT_GT(engine.customize_hierarchy(), 0u);
-  const auto fresh = frozen.bulk_costs(sources, 1, query);
-  expect_rows_match_point_queries(engine, fresh, "recustomized");
-#if LUMEN_OBS_ENABLED
-  EXPECT_GT(runs.value(), runs_before);
-#endif
-  engine.release(handle);
-}
-
-TEST(BulkCostsTest, LandmarkSelectionSweepParity) {
-  Rng rng(0x1a27ULL);
-  Digraph g(60);
-  for (std::uint32_t i = 0; i < 240; ++i) {
-    const auto u = static_cast<std::uint32_t>(rng.next_below(60));
-    const auto v = static_cast<std::uint32_t>(rng.next_below(60));
-    if (u == v) continue;
-    g.add_link(NodeId{u}, NodeId{v}, rng.next_double_in(0.1, 4.0));
-  }
-  const CsrDigraph fwd_csr(g);
-  const CsrDigraph rev_csr = CsrDigraph::reversed(g);
-  const ContractionHierarchy fwd_ch(fwd_csr, {});
-  const ContractionHierarchy rev_ch(rev_csr, {});
-
-  const LandmarkTables flat = select_landmarks(g, 4, 0xabcdULL);
-  const LandmarkTables swept =
-      select_landmarks(g, 4, 0xabcdULL, fwd_ch, rev_ch);
-  ASSERT_EQ(flat.num_landmarks, swept.num_landmarks);
-  ASSERT_EQ(flat.landmarks.size(), swept.landmarks.size());
-  for (std::size_t l = 0; l < flat.landmarks.size(); ++l) {
-    EXPECT_EQ(flat.landmarks[l], swept.landmarks[l]) << "landmark " << l;
-  }
-  ASSERT_EQ(flat.from_landmark.size(), swept.from_landmark.size());
-  for (std::size_t i = 0; i < flat.from_landmark.size(); ++i) {
-    ASSERT_EQ(flat.from_landmark[i], swept.from_landmark[i]) << "fwd " << i;
-    ASSERT_EQ(flat.to_landmark[i], swept.to_landmark[i]) << "rev " << i;
   }
 }
 

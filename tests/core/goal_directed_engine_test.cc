@@ -16,6 +16,7 @@
 
 #include "core/liang_shen.h"
 #include "core/route_engine.h"
+#include "obs/registry.h"
 #include "tests/session_checks.h"
 #include "tests/test_util.h"
 #include "util/error.h"
@@ -142,10 +143,13 @@ TEST(GoalDirectedEngineTest, ChurnKeepsBaseBoundsAdmissible) {
   // goal-directed search must still match the uninformed engine exactly
   // and the per-request router on the oracle.  This is the invariant the
   // whole design rests on: the potentials are never recomputed, yet stay
-  // admissible because weights only ever rise above base.
+  // admissible because weights only ever rise above base.  Inputs: 12
+  // structured networks, then 20 degenerate fuzz_network ones (possibly
+  // linkless, wavelength-free or with zero-cost links).
   Rng rng(0x6d1'c4a2'2026ULL);
-  for (int iteration = 0; iteration < 12; ++iteration) {
-    WdmNetwork oracle = random_engine_network(rng);
+  for (int iteration = 0; iteration < 32; ++iteration) {
+    WdmNetwork oracle =
+        iteration < 12 ? random_engine_network(rng) : fuzz_network(rng);
     RouteEngine engine(oracle);
     RouteEngine target_only(oracle, kNoLandmarks);
 
@@ -163,9 +167,10 @@ TEST(GoalDirectedEngineTest, ChurnKeepsBaseBoundsAdmissible) {
       const int action = static_cast<int>(rng.next_below(4));
       if (action == 0 || claims.empty()) {
         // Reserve or fail a random still-available (link, λ).
+        if (oracle.num_links() == 0) continue;
         const LinkId e{
             static_cast<std::uint32_t>(rng.next_below(oracle.num_links()))};
-        if (oracle.num_links() == 0 || oracle.num_available(e) == 0) continue;
+        if (oracle.num_available(e) == 0) continue;
         const LinkWavelength lw =
             oracle.available(e)[rng.next_below(oracle.num_available(e))];
         Claim claim{e, lw.lambda, lw.cost, rng.next_bool(0.4), {}, {}};
@@ -232,12 +237,18 @@ TEST(GoalDirectedEngineTest, RouteManyGoalDirectedMatchesSequential) {
 }
 
 TEST(GoalDirectedEngineTest, SessionManagerPolicyParity) {
-  // Flat, goal-directed and hierarchy answers must agree with every
-  // accept/block decision and cost of the engine policy across a full
-  // workload with departures and a span failure/repair cycle.
-  Rng rng(0x90a1'd1ecULL);
-  const WdmNetwork net = random_network(24, 36, 4, 2, ConvKind::kUniform, rng);
-  testing::run_policy_parity_tape(net, 0x77'2026ULL);
+  // The live engine's flat and goal-directed answers, and a fresh
+  // rebuild's goal-directed answer, must agree with every accept/block
+  // decision and cost of the engine policy across a full workload with
+  // departures and a span failure/repair cycle.  Two (net, tape) inputs.
+  for (const auto& [net_seed, tape_seed] :
+       {std::pair{0x90a1'd1ecULL, 0x77'2026ULL},
+        std::pair{0x91a2'77feULL, 0x88'2026ULL}}) {
+    Rng rng(net_seed);
+    const WdmNetwork net =
+        random_network(24, 36, 4, 2, ConvKind::kUniform, rng);
+    testing::run_policy_parity_tape(net, tape_seed);
+  }
 }
 
 TEST(GoalDirectedEngineTest, ZeroLandmarksAndDisabledTermsStillExact) {
@@ -346,6 +357,23 @@ TEST(GoalDirectedEngineTest, PrunedAndSettledStatsAreConsistent) {
   EXPECT_LT(goal.stats.search_pops, plain.stats.search_pops);
   EXPECT_GT(goal.stats.search_pruned, 0u);
   EXPECT_EQ(plain.stats.search_pruned, 0u);
+
+  // Every engine search surfaces its CsrRunStats on the
+  // lumen.core.search.* counters: the exported deltas of one A* query
+  // equal the result's own stats, prunes included.
+  obs::Counter& pruned =
+      obs::Registry::global().counter("lumen.core.search.pruned");
+  obs::Counter& pops = obs::Registry::global().counter("lumen.core.search.pops");
+  [[maybe_unused]] const std::uint64_t pruned_before = pruned.value();
+  [[maybe_unused]] const std::uint64_t pops_before = pops.value();
+  const RouteResult again =
+      engine.route_semilightpath(NodeId{0}, NodeId{2}, kCombined);
+  ASSERT_TRUE(again.found);
+  EXPECT_EQ(again.cost, goal.cost);
+#if LUMEN_OBS_ENABLED
+  EXPECT_EQ(pruned.value() - pruned_before, again.stats.search_pruned);
+  EXPECT_EQ(pops.value() - pops_before, again.stats.search_pops);
+#endif
 }
 
 }  // namespace

@@ -110,8 +110,8 @@ TEST(RouteEngineParallelTest, ParallelCostMatrixMatchesSerial) {
 
   AllPairsRouter parallel(net);
   const auto got = parallel.cost_matrix(4);
-  // The parallel overload is served by hierarchy sweeps, not per-source
-  // trees: the tree cache stays untouched.
+  // The parallel overload is served by the engine's flat one-to-all
+  // searches, not per-source trees: the tree cache stays untouched.
   EXPECT_EQ(parallel.trees_computed(), 0u);
 
   ASSERT_EQ(got.size(), expected.size());
@@ -132,7 +132,7 @@ TEST(RouteEngineParallelTest, ParallelCostMatrixLeavesTreeCacheAlone) {
   AllPairsRouter router(net);
   (void)router.cost(NodeId{0}, NodeId{1});  // warm one tree serially
   EXPECT_EQ(router.trees_computed(), 1u);
-  // The sweep-served matrix neither consumes nor extends the tree cache;
+  // The engine-served matrix neither consumes nor extends the tree cache;
   // its rows still agree with the tree-backed point queries.
   const auto matrix = router.cost_matrix(3);
   EXPECT_EQ(router.trees_computed(), 1u);

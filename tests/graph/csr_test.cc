@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "graph/bellman_ford.h"
-#include "graph/simd_min.h"
 #include "util/rng.h"
 
 namespace lumen {
@@ -87,38 +86,6 @@ TEST(CsrTest, InfiniteWeightsSkipped) {
   const CsrDigraph csr(g);
   const auto tree = dijkstra_csr(csr, NodeId{0});
   EXPECT_DOUBLE_EQ(tree.dist[1], 2.0);
-}
-
-// The heap's vectorized child scan must match the scalar left-to-right
-// scan exactly, including first-index-wins tie-breaking and +inf keys —
-// otherwise heap shape (and search determinism) silently drifts between
-// SIMD and portable builds.
-TEST(SimdMinTest, Argmin4MatchesScalarScan) {
-  const auto scalar = [](const double k[4]) {
-    unsigned best = 0;
-    for (unsigned i = 1; i < 4; ++i) {
-      if (k[i] < k[best]) best = i;
-    }
-    return best;
-  };
-  const double pool[] = {0.0, 1.0, 1.5, 2.0, 7.25, kInfiniteCost};
-  double k[4];
-  for (const double a : pool) {
-    for (const double b : pool) {
-      for (const double c : pool) {
-        for (const double d : pool) {
-          k[0] = a, k[1] = b, k[2] = c, k[3] = d;
-          EXPECT_EQ(argmin4(k), scalar(k))
-              << a << " " << b << " " << c << " " << d;
-        }
-      }
-    }
-  }
-  Rng rng(99);
-  for (int trial = 0; trial < 1000; ++trial) {
-    for (double& key : k) key = rng.next_double_in(0.0, 10.0);
-    EXPECT_EQ(argmin4(k), scalar(k));
-  }
 }
 
 TEST(CsrTest, Preconditions) {

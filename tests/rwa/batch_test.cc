@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "core/liang_shen.h"
 #include "tests/test_util.h"
@@ -96,6 +98,44 @@ TEST(BatchTest, CostOrderingsOfferCheapestOrCostliestFirst) {
   for (std::size_t i = 1; i < costly_result.sessions.size(); ++i) {
     EXPECT_GE(costly.find(costly_result.sessions[i - 1])->cost,
               costly.find(costly_result.sessions[i])->cost - 1e-9);
+  }
+}
+
+TEST(BatchTest, CostOrderingsFollowThePaperRouterCosts) {
+  // The pre-costing must rank demands exactly as the paper's per-request
+  // router prices them on the pre-batch network: sessions open in the
+  // stable cheapest-first (or costliest-first) order of those costs, with
+  // unroutable (+inf) demands last and therefore blocked.
+  Rng demand_rng(43);
+  const auto demands = random_demands(14, 30, demand_rng);
+  for (const auto order :
+       {DemandOrder::kCheapestFirst, DemandOrder::kCostliestFirst}) {
+    auto manager = nsfnet_manager(8, RoutingPolicy::kSemilightpathEngine);
+    std::vector<double> cost(demands.size());
+    for (std::size_t i = 0; i < demands.size(); ++i) {
+      cost[i] = route_semilightpath(manager.residual(), demands[i].first,
+                                    demands[i].second)
+                    .cost;
+    }
+    std::vector<std::size_t> expected;
+    for (std::size_t i = 0; i < demands.size(); ++i)
+      if (cost[i] != kInfiniteCost) expected.push_back(i);
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return order == DemandOrder::kCheapestFirst
+                                  ? cost[a] < cost[b]
+                                  : cost[a] > cost[b];
+                     });
+
+    const auto result = provision_batch(manager, demands, order,
+                                         /*rng=*/nullptr, /*route_threads=*/2);
+    EXPECT_EQ(result.blocked, demands.size() - expected.size());
+    ASSERT_EQ(result.sessions.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const SessionRecord* session = manager.find(result.sessions[i]);
+      EXPECT_EQ(session->source, demands[expected[i]].first) << i;
+      EXPECT_EQ(session->target, demands[expected[i]].second) << i;
+    }
   }
 }
 

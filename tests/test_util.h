@@ -88,7 +88,7 @@ enum class ConvKind {
       return matrix;
     }
   }
-  LUMEN_ASSERT(false);
+  LUMEN_UNREACHABLE();
 }
 
 /// A random strongly connected WDM network: random sparse topology,
