@@ -259,18 +259,16 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
   // The per-target table must be resolved before scratch.begin() below:
   // filling it on a miss runs its own search in the same scratch.
   const bool goal = query.goal_directed;
-  const double* to_target = goal && query.use_target_potential
-                                ? target_potential(t, scratch)
-                                : nullptr;
+  const double* to_target = goal ? target_potential(t, scratch) : nullptr;
 
-  // π_t over core nodes = max of the active base-weight bounds for the
-  // node's physical site.  Both bounds are 0 at t itself, so every sink
-  // has potential 0 and the first settled sink is still the cheapest.
-  const bool use_alt = goal && !landmarks_.empty();
+  // π_t over core nodes = max of the base-weight bounds for the node's
+  // physical site.  Both bounds are 0 at t itself, so every sink has
+  // potential 0 and the first settled sink is still the cheapest.
+  const bool use_alt = !landmarks_.empty();
   const std::uint32_t tv = t.value();
   const auto potential = [&](std::uint32_t aux_node) {
     const std::uint32_t p = core_phys_[aux_node];
-    double h = to_target != nullptr ? to_target[p] : 0.0;
+    double h = to_target[p];
     if (use_alt && h < kInfiniteCost) {
       const double alt = landmarks_.potential(p, tv);
       if (alt > h) h = alt;
@@ -453,33 +451,25 @@ std::vector<std::vector<double>> RouteEngine::bulk_costs(
   return rows;
 }
 
-std::pair<std::uint32_t, std::uint32_t> RouteEngine::locate(
+std::pair<std::uint32_t, std::uint32_t> RouteEngine::find_slot(
     LinkId e, Wavelength lambda) const {
   LUMEN_REQUIRE(e.value() < trans_slots_.size());
   const auto& table = trans_slots_[e.value()];
   const auto it = std::lower_bound(
       table.begin(), table.end(), lambda,
       [](const TransSlot& entry, Wavelength l) { return entry.lambda < l; });
-  LUMEN_REQUIRE_MSG(it != table.end() && it->lambda == lambda,
-                    "wavelength not in the base availability of this link; "
-                    "structural changes require a new RouteEngine");
+  if (it == table.end() || it->lambda != lambda)
+    return {CsrDigraph::kInvalidSlot, 0};
   return {it->core_slot, it->phys_weight_index};
 }
 
-RouteEngine::ReserveHandle RouteEngine::reserve(LinkId e, Wavelength lambda) {
-  const auto [core_slot, weight_index] = locate(e, lambda);
-  ReserveHandle handle{core_slot, weight_index, core_->link(core_slot).weight};
-  core_->set_weight(core_slot, kInfiniteCost);
-  lightpath_weights_[weight_index] = kInfiniteCost;
-  EngineInstruments::get().weight_patches.add();
-  return handle;
-}
-
-void RouteEngine::release(const ReserveHandle& handle) {
-  LUMEN_REQUIRE(handle.core_slot != CsrDigraph::kInvalidSlot);
-  core_->set_weight(handle.core_slot, handle.cost);
-  lightpath_weights_[handle.phys_weight_index] = handle.cost;
-  EngineInstruments::get().weight_patches.add();
+std::pair<std::uint32_t, std::uint32_t> RouteEngine::locate(
+    LinkId e, Wavelength lambda) const {
+  const auto slot = find_slot(e, lambda);
+  LUMEN_REQUIRE_MSG(slot.first != CsrDigraph::kInvalidSlot,
+                    "wavelength not in the base availability of this link; "
+                    "structural changes require a new RouteEngine");
+  return slot;
 }
 
 void RouteEngine::set_weight(LinkId e, Wavelength lambda, double weight) {
@@ -493,13 +483,10 @@ void RouteEngine::set_weight(LinkId e, Wavelength lambda, double weight) {
 }
 
 double RouteEngine::weight(LinkId e, Wavelength lambda) const {
-  LUMEN_REQUIRE(e.value() < trans_slots_.size());
-  const auto& table = trans_slots_[e.value()];
-  const auto it = std::lower_bound(
-      table.begin(), table.end(), lambda,
-      [](const TransSlot& entry, Wavelength l) { return entry.lambda < l; });
-  if (it == table.end() || it->lambda != lambda) return kInfiniteCost;
-  return core_->link(it->core_slot).weight;
+  const std::uint32_t core_slot = find_slot(e, lambda).first;
+  return core_slot == CsrDigraph::kInvalidSlot
+             ? kInfiniteCost
+             : core_->link(core_slot).weight;
 }
 
 }  // namespace lumen

@@ -15,10 +15,10 @@
 //     query therefore mutates nothing and — after warm-up — allocates
 //     only its result; the search state lives in a reusable
 //     generation-stamped SearchScratch.
-//   * Residual updates are in-place weight patches: reserving a
-//     (link, λ) flips one transmission slot (and one per-wavelength
-//     subnetwork slot) to +inf in O(log k0); releasing restores it in
-//     O(1) via the ReserveHandle.  The structure never changes, so the
+//   * Residual updates are in-place weight patches: set_weight(e, λ, w)
+//     rewrites one transmission slot (and one per-wavelength subnetwork
+//     slot) in O(log k0); reserving is setting +inf, releasing is
+//     setting the base cost back.  The structure never changes, so the
 //     core stays valid for the network's whole lifetime.
 //   * route_lightpath gets the same treatment: one CSR snapshot of the
 //     physical topology shared by all wavelengths, with one weight row
@@ -40,7 +40,7 @@
 //
 // Invalidation rules: weight-only residual changes (reserve/release of a
 // wavelength that exists in the base network, span failure/repair) are
-// O(1) patches.  Structural changes — adding links or nodes, making a
+// O(log k0) patches.  Structural changes — adding links or nodes, making a
 // wavelength available that was NOT in the base Λ(e), or swapping the
 // conversion model — require constructing a new engine.
 #pragma once
@@ -79,9 +79,6 @@ class RouteEngine {
     /// Run the semilightpath query as goal-directed A* (same optimum,
     /// fewer heap pops — see stats search_pops/settled/pruned).
     bool goal_directed = false;
-    /// Include the exact per-target reverse-Dijkstra term (lazily
-    /// computed once per target, cached in the scratch).
-    bool use_target_potential = true;
   };
 
   /// Builds the flattened core from the network's current availability
@@ -146,29 +143,20 @@ class RouteEngine {
 
   // --- in-place residual updates ------------------------------------------
 
-  /// Receipt of a reserve(): releases in O(1), carrying the pre-reserve
-  /// cost.  Valid until released (not idempotent).
-  struct ReserveHandle {
-    std::uint32_t core_slot = CsrDigraph::kInvalidSlot;
-    std::uint32_t phys_weight_index = 0;  ///< into the per-λ weight table
-    double cost = 0.0;                    ///< weight to restore on release
-  };
-
-  /// Claims (e, λ): flips its transmission weight to +inf in both the
-  /// semilightpath core and the per-wavelength subnetwork cache.
-  /// O(log k0) slot lookup.  Requires λ ∈ base Λ(e).
-  ReserveHandle reserve(LinkId e, Wavelength lambda);
-
-  /// Restores the weight recorded in the handle.  O(1).
-  void release(const ReserveHandle& handle);
-
-  /// Sets w(e, λ) to `weight` (may be +inf: link down / λ unavailable).
-  /// Span failure/repair path.  Requires λ ∈ base Λ(e), and `weight` must
-  /// not drop below the base w(e, λ) — the goal-direction invariant (base
-  /// distances stay admissible lower bounds) depends on weights only ever
-  /// rising above their build-time snapshot.  Discounting a link below
-  /// base is a structural change: build a new engine.
+  /// Sets w(e, λ) to `weight` in both the semilightpath core and the
+  /// per-wavelength subnetwork cache: +inf reserves or fails the slot, the
+  /// base cost releases or repairs it.  O(log k0) slot lookup.  Requires
+  /// λ ∈ base Λ(e), and `weight` must not drop below the base w(e, λ) —
+  /// the goal-direction invariant (base distances stay admissible lower
+  /// bounds) depends on weights only ever rising above their build-time
+  /// snapshot.  Discounting a link below base is a structural change:
+  /// build a new engine.
   void set_weight(LinkId e, Wavelength lambda, double weight);
+
+  /// Claims (e, λ): set_weight(e, λ, +inf).
+  void reserve(LinkId e, Wavelength lambda) {
+    set_weight(e, lambda, kInfiniteCost);
+  }
 
   /// Current (patched) w(e, λ); +inf when λ ∉ base Λ(e) or patched out.
   [[nodiscard]] double weight(LinkId e, Wavelength lambda) const;
@@ -199,8 +187,12 @@ class RouteEngine {
   };
 
   [[nodiscard]] RouteResult trivial_self_route() const;
-  /// Binary-searches the per-link transmission table.  Fails (REQUIRE)
-  /// when λ was not in the base Λ(e) — a structural change needs a rebuild.
+  /// Binary-searches the per-link transmission table for λ's (core slot,
+  /// phys weight index); the core slot is kInvalidSlot when λ ∉ base Λ(e).
+  [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> find_slot(
+      LinkId e, Wavelength lambda) const;
+  /// find_slot() that fails (REQUIRE) on a miss — a structural change
+  /// needs a rebuild.
   [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> locate(
       LinkId e, Wavelength lambda) const;
   /// Returns the per-physical-node base distance-to-t table, filling the

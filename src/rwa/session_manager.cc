@@ -25,20 +25,16 @@ const char* policy_name(RoutingPolicy policy) {
 }  // namespace
 
 SessionManager::SessionManager(WdmNetwork network, RoutingPolicy policy)
-    : net_(std::move(network)),
+    : base_(std::move(network)),
+      net_(base_),
       policy_(policy),
       // The flatten cost is paid once here; afterwards every net_
-      // availability change below is mirrored into the engine as an O(1)
-      // weight patch, so the two views of the residual state stay equal.
+      // availability change below is mirrored into the engine as an
+      // in-place weight patch, so the two views of the residual state stay
+      // equal.
       engine_(std::make_unique<RouteEngine>(net_)),
       base_pairs_(net_.total_link_wavelengths()),
-      link_failed_(net_.num_links(), 0) {
-  base_availability_.reserve(net_.num_links());
-  for (std::uint32_t e = 0; e < net_.num_links(); ++e) {
-    const auto list = net_.available(LinkId{e});
-    base_availability_.emplace_back(list.begin(), list.end());
-  }
-}
+      link_failed_(net_.num_links(), 0) {}
 
 RouteResult SessionManager::first_fit_route(NodeId source,
                                             NodeId target) const {
@@ -152,7 +148,7 @@ std::optional<SessionId> SessionManager::open(NodeId source, NodeId target) {
   record.source = source;
   record.target = target;
   record.active = true;
-  reserve(record, route);
+  reserve(record, route.path, route.cost);
 
   ++stats_.carried;
   stats_.carried_cost_sum += route.cost;
@@ -216,7 +212,7 @@ void SessionManager::update_utilization_gauges() const {
   for (std::uint32_t ei = 0; ei < net_.num_links(); ++ei) {
     const LinkId e{ei};
     if (link_failed_[ei]) continue;  // a cut span is down, not busy
-    const auto base = static_cast<std::uint32_t>(base_availability_[ei].size());
+    const std::uint32_t base = base_.num_available(e);
     if (base == 0) continue;
     const std::uint32_t free = net_.num_available(e);
     const std::uint32_t busy = base > free ? base - free : 0;
@@ -262,39 +258,29 @@ void SessionManager::maybe_snapshot_metrics() {
   metrics_series_.push_back(snapshot);
 }
 
-void SessionManager::reserve(SessionRecord& record,
-                             const RouteResult& route) {
-  record.path = route.path;
-  record.cost = route.cost;
-  record.reserved_costs.clear();
-  record.reserved_costs.reserve(route.path.hops().size());
-  record.engine_handles.clear();
-  for (const Hop& hop : route.path.hops()) {
-    const double cost = net_.link_cost(hop.link, hop.wavelength);
-    LUMEN_ASSERT(cost < kInfiniteCost);
-    record.reserved_costs.push_back(LinkWavelength{hop.wavelength, cost});
+void SessionManager::reserve(SessionRecord& record, const Semilightpath& path,
+                             double cost) {
+  record.path = path;
+  record.cost = cost;
+  for (const Hop& hop : path.hops()) {
     const bool removed = net_.clear_wavelength(hop.link, hop.wavelength);
     LUMEN_ASSERT(removed);
-    record.engine_handles.push_back(
-        engine_->reserve(hop.link, hop.wavelength));
+    engine_->reserve(hop.link, hop.wavelength);
     ++reserved_pairs_;
   }
 }
 
-void SessionManager::release_resources(SessionRecord& record) {
-  const auto& hops = record.path.hops();
-  for (std::size_t i = 0; i < hops.size(); ++i) {
+void SessionManager::release_resources(const SessionRecord& record) {
+  for (const Hop& hop : record.path.hops()) {
     // A failed link's capacity stays down until the span is repaired
     // (mirrored in the engine: its weight stays +inf).
-    if (!link_failed_[hops[i].link.value()]) {
-      net_.set_wavelength(hops[i].link, record.reserved_costs[i].lambda,
-                          record.reserved_costs[i].cost);
-      engine_->release(record.engine_handles[i]);
+    if (!link_failed_[hop.link.value()]) {
+      const double cost = base_.link_cost(hop.link, hop.wavelength);
+      net_.set_wavelength(hop.link, hop.wavelength, cost);
+      engine_->set_weight(hop.link, hop.wavelength, cost);
     }
     --reserved_pairs_;
   }
-  record.reserved_costs.clear();
-  record.engine_handles.clear();
 }
 
 bool SessionManager::close(SessionId id) {
@@ -339,7 +325,7 @@ SessionManager::FailureReport SessionManager::fail_span(NodeId a, NodeId b) {
     // Strip any still-free wavelengths from the residual network.  The
     // engine mirrors the whole base set to +inf (idempotent for slots
     // already reserved, which are +inf already).
-    for (const LinkWavelength& lw : base_availability_[ei]) {
+    for (const LinkWavelength& lw : base_.available(e)) {
       (void)net_.clear_wavelength(e, lw.lambda);
       engine_->set_weight(e, lw.lambda, kInfiniteCost);
     }
@@ -368,7 +354,7 @@ SessionManager::FailureReport SessionManager::fail_span(NodeId a, NodeId b) {
     reroute_span.set_attributes(id.value(), 0);
     const RouteResult reroute = route_request(record.source, record.target);
     if (reroute.found) {
-      reserve(record, reroute);
+      reserve(record, reroute.path, reroute.cost);
       ++report.rerouted;
       ++stats_.rerouted;
       record_event(record.source, record.target, reroute, "rerouted");
@@ -387,8 +373,7 @@ std::uint32_t SessionManager::repair_span(NodeId a, NodeId b) {
   LUMEN_REQUIRE(a.value() < net_.num_nodes());
   LUMEN_REQUIRE(b.value() < net_.num_nodes());
 
-  // Early-out before any per-session work: a healthy span (or a
-  // nonexistent one) must cost neither the session scan below nor a
+  // Early-out: a healthy span (or a nonexistent one) must cost not a
   // single engine weight patch — span timelines replayed through
   // apply_span_state are full of such no-op transitions.
   std::vector<std::uint32_t> repairing;
@@ -400,28 +385,14 @@ std::uint32_t SessionManager::repair_span(NodeId a, NodeId b) {
   }
   if (repairing.empty()) return 0;
 
-  // Wavelengths still reserved by active sessions must stay unavailable.
-  FlatMap<std::uint32_t, WavelengthSet> reserved;
-  reserved.reserve(repairing.size());
-  for (const std::uint32_t ei : repairing)
-    reserved.emplace(ei, WavelengthSet(net_.num_wavelengths()));
-  for (const auto& [id, record] : sessions_) {
-    if (!record.active) continue;
-    for (const Hop& hop : record.path.hops()) {
-      const auto it = reserved.find(hop.link.value());
-      if (it != reserved.end()) it->second.insert(hop.wavelength);
-    }
-  }
-
+  // No active session crosses a failed link (fail_span moved or dropped
+  // them all), so every base wavelength comes back.
   for (const std::uint32_t ei : repairing) {
     const LinkId e{ei};
     link_failed_[ei] = 0;
-    const WavelengthSet& keep_out = reserved.find(ei)->second;
-    for (const LinkWavelength& lw : base_availability_[ei]) {
-      if (!keep_out.contains(lw.lambda)) {
-        net_.set_wavelength(e, lw.lambda, lw.cost);
-        engine_->set_weight(e, lw.lambda, lw.cost);
-      }
+    for (const LinkWavelength& lw : base_.available(e)) {
+      net_.set_wavelength(e, lw.lambda, lw.cost);
+      engine_->set_weight(e, lw.lambda, lw.cost);
     }
   }
   return static_cast<std::uint32_t>(repairing.size());
@@ -452,32 +423,18 @@ bool SessionManager::reoptimize(SessionId id) {
   // Free this session's resources so the search can reuse them...
   const Semilightpath old_path = record.path;
   const double old_cost = record.cost;
-  const std::vector<LinkWavelength> old_costs = record.reserved_costs;
   release_resources(record);
 
   const RouteResult better = route_request(record.source, record.target);
   if (better.found && better.cost < old_cost - 1e-12) {
-    reserve(record, better);
+    reserve(record, better.path, better.cost);
     return true;
   }
 
   // ...otherwise put the old route back exactly (always possible: we just
-  // released it and nothing else ran in between).
-  record.path = old_path;
-  record.cost = old_cost;
-  record.reserved_costs = old_costs;
-  for (std::size_t i = 0; i < old_path.hops().size(); ++i) {
-    // Re-set availability then immediately re-claim it, restoring the
-    // reservation bookkeeping.
-    const Hop& hop = old_path.hops()[i];
-    const bool removed = net_.clear_wavelength(hop.link, hop.wavelength);
-    // clear fails only if release above didn't restore it (failed link —
-    // impossible for an active session's healthy route).
-    LUMEN_ASSERT(removed);
-    record.engine_handles.push_back(
-        engine_->reserve(hop.link, hop.wavelength));
-    ++reserved_pairs_;
-  }
+  // released it, an active route crosses no failed link, and nothing else
+  // ran in between).
+  reserve(record, old_path, old_cost);
   return false;
 }
 

@@ -9,7 +9,7 @@
 // router.
 //
 // Every manager builds one RouteEngine at construction and keeps it in
-// sync with the residual availability by O(1) weight patches on every
+// sync with the residual availability by in-place weight patches on every
 // reserve/release/failure/repair, so each request costs only a search.
 //
 // Policies, weakest to strongest:
@@ -61,10 +61,6 @@ struct SessionRecord {
   Semilightpath path;
   double cost = 0.0;
   bool active = false;
-  /// Reserved resources with their original costs (for release).
-  std::vector<LinkWavelength> reserved_costs;  // parallel to path.hops()
-  /// Engine patch receipts (parallel to path.hops()).
-  std::vector<RouteEngine::ReserveHandle> engine_handles;
 };
 
 /// Aggregate acceptance accounting.
@@ -130,11 +126,11 @@ class SessionManager {
   /// dropped.  Idempotent for an already-failed span.
   FailureReport fail_span(NodeId a, NodeId b);
 
-  /// Repairs the span: its links regain every base wavelength not
-  /// currently reserved by an active session.  Sessions dropped earlier
-  /// are NOT resurrected.  No-op for a healthy span (detected before any
-  /// per-session work or engine weight traffic).  Returns the number of
-  /// directed links brought back up (0 for the no-op).
+  /// Repairs the span: its links regain every base wavelength at its base
+  /// cost (fail_span moved or dropped every session that crossed them).
+  /// Sessions dropped earlier are NOT resurrected.  No-op for a healthy
+  /// span (detected before any engine weight traffic).  Returns the number
+  /// of directed links brought back up (0 for the no-op).
   std::uint32_t repair_span(NodeId a, NodeId b);
 
   /// Applies one span-state transition: down → fail_span (restoring or
@@ -170,6 +166,9 @@ class SessionManager {
   }
   /// The network as currently seen by new requests.
   [[nodiscard]] const WdmNetwork& residual() const noexcept { return net_; }
+  /// The pristine network the manager was built from: every base (link, λ)
+  /// at its base cost, whatever is reserved or failed.
+  [[nodiscard]] const WdmNetwork& base() const noexcept { return base_; }
   [[nodiscard]] RoutingPolicy policy() const noexcept { return policy_; }
 
   /// The session record, or nullptr when unknown.
@@ -215,10 +214,12 @@ class SessionManager {
   [[nodiscard]] RouteResult route_request(NodeId source, NodeId target) const;
   [[nodiscard]] RouteResult first_fit_route(NodeId source,
                                             NodeId target) const;
-  /// Reserves the hops of `route` for `record` (updates path bookkeeping).
-  void reserve(SessionRecord& record, const RouteResult& route);
-  /// Returns a session's resources to the pool, skipping failed links.
-  void release_resources(SessionRecord& record);
+  /// Makes `path` (of total `cost`) the route of `record` and claims its
+  /// hops in net_ and the engine.
+  void reserve(SessionRecord& record, const Semilightpath& path, double cost);
+  /// Returns a session's hops to the pool at their base costs, skipping
+  /// failed links.
+  void release_resources(const SessionRecord& record);
 
   /// Appends one RouteEvent for a routing decision (no-op when no log is
   /// attached).
@@ -227,7 +228,8 @@ class SessionManager {
   /// Samples the residual-state metrics when the period is due.
   void maybe_snapshot_metrics();
 
-  WdmNetwork net_;  // residual availability (mutated)
+  const WdmNetwork base_;  // pristine availability (release/repair source)
+  WdmNetwork net_;         // residual availability (mutated)
   RoutingPolicy policy_;
   /// Build-once flattened router, kept weight-synchronized with net_.
   /// unique_ptr keeps queries usable from const methods — route_request is
@@ -244,8 +246,6 @@ class SessionManager {
   std::uint64_t active_ = 0;
   std::uint64_t base_pairs_;  // Σ|Λ(e)| of the pristine network
   std::uint64_t reserved_pairs_ = 0;
-  /// Pristine Λ(e) with costs, captured at construction (repair source).
-  std::vector<std::vector<LinkWavelength>> base_availability_;
   std::vector<char> link_failed_;
   /// Telemetry (inert until set_telemetry is called).
   obs::RouteEventLog* event_log_ = nullptr;

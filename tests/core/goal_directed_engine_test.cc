@@ -42,8 +42,6 @@ WdmNetwork random_engine_network(Rng& rng) {
 }
 
 constexpr RouteEngine::QueryOptions kCombined{.goal_directed = true};
-constexpr RouteEngine::QueryOptions kLandmarksOnly{
-    .goal_directed = true, .use_target_potential = false};
 /// The target-only ablation: kCombined on an engine without landmarks.
 constexpr RouteEngine::Options kNoLandmarks{.num_landmarks = 0};
 
@@ -56,8 +54,7 @@ void expect_modes_identical(const WdmNetwork& net, RouteEngine& engine,
   const RouteResult plain = engine.route_semilightpath(s, t);
   for (const RouteResult& goal :
        {engine.route_semilightpath(s, t, kCombined),
-        target_only.route_semilightpath(s, t, kCombined),
-        engine.route_semilightpath(s, t, kLandmarksOnly)}) {
+        target_only.route_semilightpath(s, t, kCombined)}) {
     ASSERT_EQ(plain.found, goal.found)
         << "s=" << s.value() << " t=" << t.value();
     // Bit-identical, not NEAR: both searches sum the same weights in the
@@ -158,8 +155,6 @@ TEST(GoalDirectedEngineTest, ChurnKeepsBaseBoundsAdmissible) {
       Wavelength lambda;
       double cost = 0.0;
       bool failed = false;  // true: set_weight(inf) fail, not a reserve
-      RouteEngine::ReserveHandle handle;
-      RouteEngine::ReserveHandle target_only_handle;
     };
     std::vector<Claim> claims;
 
@@ -173,14 +168,14 @@ TEST(GoalDirectedEngineTest, ChurnKeepsBaseBoundsAdmissible) {
         if (oracle.num_available(e) == 0) continue;
         const LinkWavelength lw =
             oracle.available(e)[rng.next_below(oracle.num_available(e))];
-        Claim claim{e, lw.lambda, lw.cost, rng.next_bool(0.4), {}, {}};
+        Claim claim{e, lw.lambda, lw.cost, rng.next_bool(0.4)};
         ASSERT_TRUE(oracle.clear_wavelength(e, claim.lambda));
         if (claim.failed) {
           engine.set_weight(e, claim.lambda, kInfiniteCost);
           target_only.set_weight(e, claim.lambda, kInfiniteCost);
         } else {
-          claim.handle = engine.reserve(e, claim.lambda);
-          claim.target_only_handle = target_only.reserve(e, claim.lambda);
+          engine.reserve(e, claim.lambda);
+          target_only.reserve(e, claim.lambda);
         }
         claims.push_back(claim);
       } else {
@@ -188,14 +183,10 @@ TEST(GoalDirectedEngineTest, ChurnKeepsBaseBoundsAdmissible) {
         const std::size_t i = rng.next_below(claims.size());
         const Claim claim = claims[i];
         claims.erase(claims.begin() + static_cast<std::ptrdiff_t>(i));
+        // Release and repair are the same write: the base cost back.
         oracle.set_wavelength(claim.link, claim.lambda, claim.cost);
-        if (claim.failed) {
-          engine.set_weight(claim.link, claim.lambda, claim.cost);
-          target_only.set_weight(claim.link, claim.lambda, claim.cost);
-        } else {
-          engine.release(claim.handle);
-          target_only.release(claim.target_only_handle);
-        }
+        engine.set_weight(claim.link, claim.lambda, claim.cost);
+        target_only.set_weight(claim.link, claim.lambda, claim.cost);
       }
 
       const NodeId s{
@@ -260,13 +251,11 @@ TEST(GoalDirectedEngineTest, ZeroLandmarksAndDisabledTermsStillExact) {
     const NodeId s{static_cast<std::uint32_t>(rng.next_below(30))};
     const NodeId t{static_cast<std::uint32_t>(rng.next_below(30))};
     const RouteResult plain = engine.route_semilightpath(s, t);
-    // kLandmarksOnly on a 0-landmark engine degenerates to plain Dijkstra
-    // through the A* code path (potential ≡ 0) — still exact.
-    for (const auto& query_opts : {kCombined, kLandmarksOnly}) {
-      const RouteResult goal = engine.route_semilightpath(s, t, query_opts);
-      ASSERT_EQ(plain.found, goal.found);
-      EXPECT_EQ(plain.cost, goal.cost);
-    }
+    // A 0-landmark engine runs A* on the per-target term alone — still
+    // exact.
+    const RouteResult goal = engine.route_semilightpath(s, t, kCombined);
+    ASSERT_EQ(plain.found, goal.found);
+    EXPECT_EQ(plain.cost, goal.cost);
   }
 }
 

@@ -116,7 +116,6 @@ TEST(RouteEngineTest, ReserveReleaseTracksRebuiltOracle) {
       LinkId link;
       Wavelength lambda;
       double cost;
-      RouteEngine::ReserveHandle handle;
     };
     std::vector<Claim> claims;
 
@@ -126,7 +125,7 @@ TEST(RouteEngineTest, ReserveReleaseTracksRebuiltOracle) {
         const std::size_t i = rng.next_below(claims.size());
         oracle.set_wavelength(claims[i].link, claims[i].lambda,
                               claims[i].cost);
-        engine.release(claims[i].handle);
+        engine.set_weight(claims[i].link, claims[i].lambda, claims[i].cost);
         claims[i] = claims.back();
         claims.pop_back();
       } else {
@@ -138,9 +137,9 @@ TEST(RouteEngineTest, ReserveReleaseTracksRebuiltOracle) {
             oracle.available(e)[rng.next_below(oracle.num_available(e))];
         // Copy before clear_wavelength: `lw` references the availability
         // vector that the clear mutates.
-        Claim claim{e, lw.lambda, lw.cost, {}};
+        Claim claim{e, lw.lambda, lw.cost};
         ASSERT_TRUE(oracle.clear_wavelength(e, claim.lambda));
-        claim.handle = engine.reserve(e, claim.lambda);
+        engine.reserve(e, claim.lambda);
         claims.push_back(claim);
       }
 
@@ -166,7 +165,7 @@ TEST(RouteEngineTest, ReserveReleaseTracksRebuiltOracle) {
     // Releasing everything must restore the pristine answers.
     for (const Claim& claim : claims) {
       oracle.set_wavelength(claim.link, claim.lambda, claim.cost);
-      engine.release(claim.handle);
+      engine.set_weight(claim.link, claim.lambda, claim.cost);
     }
     for (int query = 0; query < 4; ++query) {
       const NodeId s{static_cast<std::uint32_t>(
@@ -187,9 +186,9 @@ TEST(RouteEngineTest, ReserveFlipsWeightAndReleaseRestoresIt) {
   const double original = engine.weight(e, lambda);
   EXPECT_DOUBLE_EQ(original, net.available(e).front().cost);
 
-  const auto handle = engine.reserve(e, lambda);
+  engine.reserve(e, lambda);
   EXPECT_EQ(engine.weight(e, lambda), kInfiniteCost);
-  engine.release(handle);
+  engine.set_weight(e, lambda, original);
   EXPECT_DOUBLE_EQ(engine.weight(e, lambda), original);
 }
 
@@ -227,7 +226,7 @@ TEST(RouteEngineTest, TrivialSelfRouteAndPreconditions) {
     }
   }
   ASSERT_TRUE(missing.valid());
-  EXPECT_THROW((void)engine.reserve(e, missing), Error);
+  EXPECT_THROW(engine.reserve(e, missing), Error);
   EXPECT_EQ(engine.weight(e, missing), kInfiniteCost);
 }
 

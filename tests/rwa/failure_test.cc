@@ -5,6 +5,8 @@
 // that drives the same path from simulator-level fault windows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -164,6 +166,89 @@ TEST(FailureTest, MultiFailureCascade) {
   (void)manager.fail_span(NodeId{4}, NodeId{5});   // kills counterclockwise
   EXPECT_FALSE(manager.find(*id)->active);
   EXPECT_EQ(manager.stats().dropped, 1u);
+}
+
+TEST(FailureTest, RepairFindsNoActiveSessionOnFailedLinks) {
+  // repair_span hands every base wavelength of a repaired link back
+  // without consulting the sessions.  That is sound only because no active
+  // session ever holds a failed link: fail_span reroutes or drops every
+  // session crossing a newly failed link, and no later route uses a +inf
+  // slot.  A seeded open/close/reoptimize/fail/repair tape checks both
+  // halves on random networks, under both engine policies.
+  for (const RoutingPolicy policy : {RoutingPolicy::kSemilightpathEngine,
+                                     RoutingPolicy::kLightpathEngine}) {
+    for (const std::uint64_t seed :
+         {0xfa11'0001ULL, 0xfa11'0002ULL, 0xfa11'0003ULL}) {
+      Rng rng(seed);
+      SessionManager manager(testing::random_network(
+                                 16, 12, 4, 3, testing::ConvKind::kUniform,
+                                 rng),
+                             policy);
+      const WdmNetwork& net = manager.residual();
+      const auto pick_active = [&] {
+        const std::vector<SessionId> ids = manager.active_session_ids();
+        return ids[rng.next_below(ids.size())];
+      };
+      std::uint32_t affected = 0;
+      std::uint32_t repaired = 0;
+      for (int step = 0; step < 300; ++step) {
+        const auto action = rng.next_below(10);
+        if (action < 5 || manager.active_sessions() == 0) {
+          const auto s =
+              static_cast<std::uint32_t>(rng.next_below(net.num_nodes()));
+          const auto t = (s + 1 + static_cast<std::uint32_t>(rng.next_below(
+                                      net.num_nodes() - 1))) %
+                         net.num_nodes();
+          (void)testing::open_checked(manager, NodeId{s}, NodeId{t});
+        } else if (action < 7) {
+          EXPECT_TRUE(manager.close(pick_active()));
+        } else if (action == 7) {
+          (void)testing::reoptimize_checked(manager, pick_active());
+        } else if (action == 8) {
+          const LinkId e{
+              static_cast<std::uint32_t>(rng.next_below(net.num_links()))};
+          affected +=
+              testing::fail_span_checked(manager, net.tail(e), net.head(e))
+                  .affected;
+          for (const SessionId id : manager.active_session_ids()) {
+            for (const Hop& hop : manager.find(id)->path.hops()) {
+              EXPECT_FALSE(manager.is_failed(hop.link))
+                  << "session " << id.value() << " step " << step;
+            }
+          }
+        } else {
+          std::vector<LinkId> failed;
+          for (std::uint32_t ei = 0; ei < net.num_links(); ++ei) {
+            if (manager.is_failed(LinkId{ei})) failed.push_back(LinkId{ei});
+          }
+          if (failed.empty()) continue;
+          const LinkId cut = failed[rng.next_below(failed.size())];
+          const NodeId a = net.tail(cut);
+          const NodeId b = net.head(cut);
+          std::vector<LinkId> span;
+          for (const LinkId e : failed) {
+            if ((net.tail(e) == a && net.head(e) == b) ||
+                (net.tail(e) == b && net.head(e) == a)) {
+              span.push_back(e);
+            }
+          }
+          ASSERT_EQ(manager.repair_span(a, b), span.size());
+          for (const LinkId e : span) {
+            const auto now = net.available(e);
+            const auto base = manager.base().available(e);
+            EXPECT_TRUE(std::equal(now.begin(), now.end(), base.begin(),
+                                   base.end()))
+                << "link " << e.value() << " step " << step;
+          }
+          testing::expect_engine_matches_rebuilt(manager, "after repair");
+          repaired += static_cast<std::uint32_t>(span.size());
+        }
+      }
+      // The tape must actually exercise the premise.
+      EXPECT_GT(affected, 0u);
+      EXPECT_GT(repaired, 0u);
+    }
+  }
 }
 
 // --- engine-backed policies through fail/reroute/repair cycles ----------

@@ -63,16 +63,14 @@ inline std::optional<SessionId> open_checked(SessionManager& manager,
 
 /// Reoptimizes active session `id` on an engine-policy `manager`, first
 /// asking the reference router on a copy of residual() with the session's
-/// own hops put back at their reserved costs: the session must move
-/// exactly when the reference beats its cost, and then to the reference's
-/// cost.
+/// own hops put back at their base costs: the session must move exactly
+/// when the reference beats its cost, and then to the reference's cost.
 inline bool reoptimize_checked(SessionManager& manager, SessionId id) {
   const SessionRecord& record = *manager.find(id);
   WdmNetwork freed = manager.residual();
-  for (std::size_t i = 0; i < record.path.hops().size(); ++i) {
-    freed.set_wavelength(record.path.hops()[i].link,
-                         record.reserved_costs[i].lambda,
-                         record.reserved_costs[i].cost);
+  for (const Hop& hop : record.path.hops()) {
+    freed.set_wavelength(hop.link, hop.wavelength,
+                         manager.base().link_cost(hop.link, hop.wavelength));
   }
   const RouteResult reference =
       reference_route(manager, freed, record.source, record.target);
@@ -89,10 +87,11 @@ inline bool reoptimize_checked(SessionManager& manager, SessionId id) {
 /// restoration against the reference router.  The replay takes residual()
 /// just before the call and downs the span's healthy links.  Then, in
 /// ascending id order like fail_span, each session that crossed the span
-/// frees its healthy hops, the reference routes it, and the replay claims
-/// the route the manager chose.  A session must survive exactly when the
-/// reference finds a route, at the reference's cost; the report must
-/// count the same sessions, and the replay must end at residual().
+/// frees its healthy hops at their base() costs, the reference routes it,
+/// and the replay claims the route the manager chose.  A session must
+/// survive exactly when the reference finds a route, at the reference's
+/// cost; the report must count the same sessions, and the replay must end
+/// at residual().
 inline SessionManager::FailureReport fail_span_checked(SessionManager& manager,
                                                        NodeId a, NodeId b) {
   WdmNetwork replay = manager.residual();
@@ -110,14 +109,13 @@ inline SessionManager::FailureReport fail_span_checked(SessionManager& manager,
   struct Hit {
     SessionId id;
     std::vector<Hop> hops;
-    std::vector<LinkWavelength> costs;
   };
   std::vector<Hit> hits;
   for (const SessionId id : manager.active_session_ids()) {
     const SessionRecord& record = *manager.find(id);
     for (const Hop& hop : record.path.hops()) {
       if (down[hop.link.value()] == 0) continue;
-      hits.push_back({id, record.path.hops(), record.reserved_costs});
+      hits.push_back({id, record.path.hops()});
       break;
     }
   }
@@ -126,10 +124,10 @@ inline SessionManager::FailureReport fail_span_checked(SessionManager& manager,
   EXPECT_EQ(report.affected, hits.size());
   std::uint32_t rerouted = 0;
   for (const Hit& hit : hits) {
-    for (std::size_t i = 0; i < hit.hops.size(); ++i) {
-      if (down[hit.hops[i].link.value()] != 0) continue;
-      replay.set_wavelength(hit.hops[i].link, hit.costs[i].lambda,
-                            hit.costs[i].cost);
+    for (const Hop& hop : hit.hops) {
+      if (down[hop.link.value()] != 0) continue;
+      replay.set_wavelength(hop.link, hop.wavelength,
+                            manager.base().link_cost(hop.link, hop.wavelength));
     }
     const SessionRecord& record = *manager.find(hit.id);
     const RouteResult reference =
