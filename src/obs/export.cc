@@ -212,39 +212,9 @@ void append_native_histogram(std::string& out, const std::string& metric,
   out += metric + "_count" + suffix + " " + std::to_string(cumulative) + "\n";
 }
 
-void append_summary_gauges(std::string& out, const std::string& metric,
-                           const std::string& labels,
-                           const LatencyHistogram& histogram) {
-  const std::string name = metric + "_summary";
-  std::string q_prefix = "{";
-  if (!labels.empty()) {
-    q_prefix += labels;
-    q_prefix += ',';
-  }
-  q_prefix += "quantile=\"";
-  std::string suffix;
-  if (!labels.empty()) {
-    suffix += '{';
-    suffix += labels;
-    suffix += '}';
-  }
-  const HistogramSummary summary = histogram.summary();
-  out += name + q_prefix + "0.5\"} " + detail::fmt_double_exact(summary.p50) +
-         "\n";
-  out += name + q_prefix + "0.9\"} " + detail::fmt_double_exact(summary.p90) +
-         "\n";
-  out += name + q_prefix + "0.99\"} " +
-         detail::fmt_double_exact(summary.p99) + "\n";
-  out += name + "_sum" + suffix + " " + std::to_string(histogram.sum()) +
-         "\n";
-  out += name + "_count" + suffix + " " + std::to_string(summary.count) +
-         "\n";
-}
-
 }  // namespace
 
-std::string prometheus_text(const Registry& registry,
-                            const PrometheusOptions& options) {
+std::string prometheus_text(const Registry& registry) {
   std::string out;
 
   // Plain sample first, then that name's labeled children under the same
@@ -307,23 +277,12 @@ std::string prometheus_text(const Registry& registry,
                                    const LatencyHistogram* plain,
                                    const LabeledFamily<LatencyHistogram>*
                                        family) {
-    if (options.native_histograms) {
-      out += "# TYPE " + metric + " histogram\n";
-      if (plain != nullptr)
-        append_native_histogram(out, metric, "", *plain);
-      if (family != nullptr)
-        for (const auto& [labels, child] : family->entries())
-          append_native_histogram(out, metric, prometheus_labels_inner(labels),
-                                  *child);
-    }
-    if (options.summary_gauges) {
-      out += "# TYPE " + metric + "_summary summary\n";
-      if (plain != nullptr) append_summary_gauges(out, metric, "", *plain);
-      if (family != nullptr)
-        for (const auto& [labels, child] : family->entries())
-          append_summary_gauges(out, metric, prometheus_labels_inner(labels),
+    out += "# TYPE " + metric + " histogram\n";
+    if (plain != nullptr) append_native_histogram(out, metric, "", *plain);
+    if (family != nullptr)
+      for (const auto& [labels, child] : family->entries())
+        append_native_histogram(out, metric, prometheus_labels_inner(labels),
                                 *child);
-    }
   };
   for (const auto& [name, histogram] : registry.histogram_entries()) {
     const std::string metric = prometheus_name(name);

@@ -63,31 +63,17 @@ void write_route_events_csv(std::ostream& out,
 /// the #if so obs-off collectors can re-render decoded wire labels.
 [[nodiscard]] std::string prometheus_labels(const std::string& canonical);
 
-/// Prometheus rendering switches.
-struct PrometheusOptions {
-  /// Emit native histogram lines: cumulative `*_bucket{le="…"}` rows over
-  /// the 65 log-2 buckets plus `_sum` and `_count` (the default since v2).
-  bool native_histograms = true;
-  /// Additionally emit the legacy summary-gauge rendering per histogram,
-  /// as a `summary`-typed metric named `<metric>_summary` with
-  /// quantile="0.5"/"0.9"/"0.99" rows (interpolated percentiles), `_sum`,
-  /// and `_count`.  Off by default; the suffix keeps the two renderings
-  /// from claiming the same metric name.
-  bool summary_gauges = false;
-};
-
 #if LUMEN_OBS_ENABLED
 
 /// Renders every instrument of `registry` in Prometheus text exposition
 /// format (version 0.0.4).
 [[nodiscard]] std::string prometheus_text(
-    const Registry& registry = Registry::global(),
-    const PrometheusOptions& options = {});
+    const Registry& registry = Registry::global());
 
 #else
 
 [[nodiscard]] inline std::string prometheus_text(
-    const Registry& = Registry::global(), const PrometheusOptions& = {}) {
+    const Registry& = Registry::global()) {
   return {};
 }
 

@@ -10,14 +10,12 @@
 #include <cerrno>
 #include <cstring>
 #include <string>
-#include <utility>
 
 namespace lumen::obs {
 inline namespace enabled {
 
-MetricsServer::MetricsServer(std::uint16_t port, const Registry& registry,
-                             PrometheusOptions options)
-    : registry_(registry), options_(options) {
+MetricsServer::MetricsServer(std::uint16_t port, const Registry& registry)
+    : registry_(registry) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return;
   const int one = 1;
@@ -83,7 +81,7 @@ void MetricsServer::accept_loop() {
       if (std::memchr(buf, '\n', got) != nullptr) break;  // line complete
     }
 
-    const std::string body = prometheus_text(registry_, options_);
+    const std::string body = prometheus_text(registry_);
     std::string response =
         "HTTP/1.0 200 OK\r\n"
         "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
@@ -105,10 +103,8 @@ void MetricsServer::accept_loop() {
 }
 
 std::unique_ptr<MetricsServer> serve_metrics(std::uint16_t port,
-                                             const Registry& registry,
-                                             PrometheusOptions options) {
-  auto server =
-      std::make_unique<MetricsServer>(port, registry, std::move(options));
+                                             const Registry& registry) {
+  auto server = std::make_unique<MetricsServer>(port, registry);
   if (!server->ok()) return nullptr;
   return server;
 }

@@ -33,8 +33,7 @@ class MetricsServer {
   /// starts the accept thread.  Check ok() — a failed bind leaves the
   /// server inert rather than throwing.
   explicit MetricsServer(std::uint16_t port = 0,
-                         const Registry& registry = Registry::global(),
-                         PrometheusOptions options = {});
+                         const Registry& registry = Registry::global());
   MetricsServer(const MetricsServer&) = delete;
   MetricsServer& operator=(const MetricsServer&) = delete;
   ~MetricsServer();
@@ -52,7 +51,6 @@ class MetricsServer {
   void accept_loop();
 
   const Registry& registry_;
-  PrometheusOptions options_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
@@ -62,8 +60,7 @@ class MetricsServer {
 /// Starts a metrics server; nullptr when the bind failed (port in use,
 /// sockets unavailable).
 [[nodiscard]] std::unique_ptr<MetricsServer> serve_metrics(
-    std::uint16_t port = 0, const Registry& registry = Registry::global(),
-    PrometheusOptions options = {});
+    std::uint16_t port = 0, const Registry& registry = Registry::global());
 
 }  // inline namespace enabled
 }  // namespace lumen::obs
@@ -77,8 +74,7 @@ inline namespace disabled {
 class MetricsServer {
  public:
   explicit MetricsServer(std::uint16_t = 0,
-                         const Registry& = Registry::global(),
-                         PrometheusOptions = {}) {}
+                         const Registry& = Registry::global()) {}
   MetricsServer(const MetricsServer&) = delete;
   MetricsServer& operator=(const MetricsServer&) = delete;
   [[nodiscard]] bool ok() const noexcept { return false; }
@@ -87,8 +83,7 @@ class MetricsServer {
 };
 
 [[nodiscard]] inline std::unique_ptr<MetricsServer> serve_metrics(
-    std::uint16_t = 0, const Registry& = Registry::global(),
-    PrometheusOptions = {}) {
+    std::uint16_t = 0, const Registry& = Registry::global()) {
   return nullptr;
 }
 

@@ -73,6 +73,16 @@ HistogramSummary LatencyHistogram::summary() const noexcept {
   return s;
 }
 
+void LatencyHistogram::merge(const LatencyHistogram& other) noexcept {
+  for (int b = 0; b < kBuckets; ++b)
+    buckets_[b].fetch_add(other.bucket_count(b), std::memory_order_relaxed);
+  sum_.fetch_add(other.sum(), std::memory_order_relaxed);
+  // An empty `other` holds the identity extremes, which change nothing.
+  update_extreme(min_, other.min_.load(std::memory_order_relaxed),
+                 /*want_less=*/true);
+  update_extreme(max_, other.max(), /*want_less=*/false);
+}
+
 void LatencyHistogram::reset() noexcept {
   for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);

@@ -140,6 +140,10 @@ class LatencyHistogram {
   /// count/mean/min/max like RunningStats, plus p50/p90/p99 (ticks).
   [[nodiscard]] HistogramSummary summary() const noexcept;
 
+  /// Adds `other`'s observations: buckets, sum and extremes, not its
+  /// exemplars.
+  void merge(const LatencyHistogram& other) noexcept;
+
   void reset() noexcept;
 
   /// Observations in bucket b (for exporters).
@@ -357,7 +361,8 @@ class Registry {
   /// The labeled family registered under `name`, creating it on first
   /// use.  A family may share its name with a plain instrument; the
   /// exporters then render the labeled children as extra series of that
-  /// metric (e.g. lumen.svc.admitted plus lumen.svc.admitted{tenant=3}).
+  /// metric, and SLO rules read the plain one.  Without a plain namesake
+  /// (every lumen.svc.* family), SLO rules read the children's total.
   LabeledFamily<Counter>& labeled_counter(std::string_view name);
   LabeledFamily<Gauge>& labeled_gauge(std::string_view name);
   LabeledFamily<LatencyHistogram>& labeled_histogram(std::string_view name);
@@ -438,6 +443,7 @@ class LatencyHistogram {
     return 0.0;
   }
   [[nodiscard]] HistogramSummary summary() const noexcept { return {}; }
+  void merge(const LatencyHistogram&) noexcept {}
   void reset() noexcept {}
   [[nodiscard]] std::uint64_t bucket_count(int) const noexcept { return 0; }
   [[nodiscard]] std::uint64_t exemplar(int) const noexcept { return 0; }

@@ -81,21 +81,45 @@ inline namespace enabled {
 
 namespace {
 
-const Counter* find_counter(
-    const std::vector<std::pair<std::string, const Counter*>>& entries,
+template <class T>
+const T* find_entry(
+    const std::vector<std::pair<std::string, const T*>>& entries,
     const std::string& name) {
-  for (const auto& [n, c] : entries)
-    if (n == name) return c;
+  for (const auto& [n, e] : entries)
+    if (n == name) return e;
   return nullptr;
 }
 
-const LatencyHistogram* find_histogram(
-    const std::vector<std::pair<std::string, const LatencyHistogram*>>&
-        entries,
-    const std::string& name) {
-  for (const auto& [n, h] : entries)
-    if (n == name) return h;
-  return nullptr;
+/// A rule's counter: the plain counter `name`, else the sum of the
+/// labeled family's children (overflow included), else 0.
+std::uint64_t counter_total(const Registry& registry,
+                            const std::string& name) {
+  if (const Counter* c = find_entry(registry.counter_entries(), name))
+    return c->value();
+  const LabeledFamily<Counter>* family =
+      find_entry(registry.labeled_counter_entries(), name);
+  if (family == nullptr) return 0;
+  std::uint64_t total = family->overflow().value();
+  for (const auto& [labels, child] : family->entries())
+    total += child->value();
+  return total;
+}
+
+/// A rule's histogram: the plain histogram `name`, else the labeled
+/// family's children merged into `scratch` (overflow included), else
+/// nullptr.
+const LatencyHistogram* histogram_total(const Registry& registry,
+                                        const std::string& name,
+                                        LatencyHistogram& scratch) {
+  if (const LatencyHistogram* h =
+          find_entry(registry.histogram_entries(), name))
+    return h;
+  const LabeledFamily<LatencyHistogram>* family =
+      find_entry(registry.labeled_histogram_entries(), name);
+  if (family == nullptr) return nullptr;
+  scratch.merge(family->overflow());
+  for (const auto& [labels, child] : family->entries()) scratch.merge(*child);
+  return &scratch;
 }
 
 /// Extra JSONL lines attached to a fresh breach dump: one "breach" line
@@ -121,7 +145,7 @@ std::vector<std::string> breach_context_lines(Registry& registry,
     }
   }
   if (offender == nullptr)
-    offender = find_histogram(registry.histogram_entries(), alert.metric);
+    offender = find_entry(registry.histogram_entries(), alert.metric);
 
   // Exemplars from the buckets at/above the offender's p99 (the traces
   // that lived through the breach), falling back to its worst retained
@@ -171,9 +195,6 @@ std::size_t SloWatchdog::num_rules() const {
 }
 
 std::vector<AlertEvent> SloWatchdog::evaluate(const Registry& registry) {
-  const auto counters = registry.counter_entries();
-  const auto histograms = registry.histogram_entries();
-
   const std::scoped_lock lock(mutex_);
   std::vector<AlertEvent> alerts;
   for (RuleState& state : rules_) {
@@ -183,8 +204,7 @@ std::vector<AlertEvent> SloWatchdog::evaluate(const Registry& registry) {
 
     switch (rule.kind) {
       case SloRule::Kind::kCounterValue: {
-        const Counter* c = find_counter(counters, rule.metric);
-        const std::uint64_t now = c != nullptr ? c->value() : 0;
+        const std::uint64_t now = counter_total(registry, rule.metric);
         if (rule.windowed) {
           const std::uint64_t delta =
               now >= state.prev_metric ? now - state.prev_metric : 0;
@@ -201,10 +221,8 @@ std::vector<AlertEvent> SloWatchdog::evaluate(const Registry& registry) {
         break;
       }
       case SloRule::Kind::kCounterRatio: {
-        const Counter* num = find_counter(counters, rule.metric);
-        const Counter* den = find_counter(counters, rule.denominator);
-        const std::uint64_t num_now = num != nullptr ? num->value() : 0;
-        const std::uint64_t den_now = den != nullptr ? den->value() : 0;
+        const std::uint64_t num_now = counter_total(registry, rule.metric);
+        const std::uint64_t den_now = counter_total(registry, rule.denominator);
         std::uint64_t dn = num_now, dd = den_now;
         if (rule.windowed) {
           dn = num_now >= state.prev_metric ? num_now - state.prev_metric : 0;
@@ -225,7 +243,9 @@ std::vector<AlertEvent> SloWatchdog::evaluate(const Registry& registry) {
         break;
       }
       case SloRule::Kind::kHistogramPercentile: {
-        const LatencyHistogram* h = find_histogram(histograms, rule.metric);
+        LatencyHistogram merged;
+        const LatencyHistogram* h =
+            histogram_total(registry, rule.metric, merged);
         if (h == nullptr || h->count() == 0) have_value = false;
         value = h != nullptr ? h->percentile(rule.quantile) : 0.0;
         break;

@@ -51,7 +51,10 @@ struct SloRule {
 
   std::string name;          ///< rule id, used in alerts and dump tags
   Kind kind = Kind::kCounterValue;
-  std::string metric;        ///< instrument name in the registry
+  /// Instrument name in the registry.  A counter or histogram name with
+  /// no plain instrument reads its labeled family: the children's summed
+  /// values, or the percentile of their summed buckets.
+  std::string metric;
   std::string denominator;   ///< kCounterRatio only
   double quantile = 0.99;    ///< kHistogramPercentile only (0..1)
   Cmp cmp = Cmp::kGreater;

@@ -10,41 +10,29 @@
 namespace lumen::svc {
 namespace {
 
-/// Call-site instrument cache (one registry lookup per process).  The
-/// labeled families carry the per-tenant admission split (dimensional
-/// children of the same-named plain instruments) and the per-shard
-/// contention split; children are created lazily on first touch.
+/// Call-site instrument cache (one registry lookup per process).  Each
+/// metric has exactly one instrument: admission outcomes and admit
+/// latency are {tenant}-labeled, contention is {shard}-labeled, and the
+/// rest are plain, so no Prometheus name carries a plain total beside
+/// its children (a family's total is their sum; the SLO watchdog reads
+/// it that way).  Children are created lazily on first touch.
 struct Instruments {
   obs::Counter& offered;
-  obs::Counter& admitted;
-  obs::Counter& blocked;
-  obs::Counter& quota_denied;
   obs::Counter& aborted;
   obs::Counter& released;
-  obs::Counter& conflicts;
-  obs::Counter& resync_patches;
-  obs::Gauge& active;
-  obs::LatencyHistogram& admit_latency;
   obs::LatencyHistogram& close_latency;
-  obs::LabeledFamily<obs::Counter>& admitted_by_tenant;
-  obs::LabeledFamily<obs::Counter>& blocked_by_tenant;
-  obs::LabeledFamily<obs::Counter>& quota_denied_by_tenant;
-  obs::LabeledFamily<obs::LatencyHistogram>& admit_latency_by_tenant;
-  obs::LabeledFamily<obs::Counter>& conflicts_by_shard;
-  obs::LabeledFamily<obs::Counter>& patches_by_shard;
+  obs::LabeledFamily<obs::Counter>& admitted;
+  obs::LabeledFamily<obs::Counter>& blocked;
+  obs::LabeledFamily<obs::Counter>& quota_denied;
+  obs::LabeledFamily<obs::LatencyHistogram>& admit_latency;
+  obs::LabeledFamily<obs::Counter>& conflicts;
+  obs::LabeledFamily<obs::Counter>& resync_patches;
 
   static Instruments& get() {
     static Instruments instance{
         obs::Registry::global().counter("lumen.svc.offered"),
-        obs::Registry::global().counter("lumen.svc.admitted"),
-        obs::Registry::global().counter("lumen.svc.blocked"),
-        obs::Registry::global().counter("lumen.svc.quota_denied"),
         obs::Registry::global().counter("lumen.svc.aborted"),
         obs::Registry::global().counter("lumen.svc.released"),
-        obs::Registry::global().counter("lumen.svc.commit_conflicts"),
-        obs::Registry::global().counter("lumen.svc.resync_patches"),
-        obs::Registry::global().gauge("lumen.svc.active_sessions"),
-        obs::Registry::global().histogram("lumen.svc.admit_latency_ns"),
         obs::Registry::global().histogram("lumen.svc.close_latency_ns"),
         obs::Registry::global().labeled_counter("lumen.svc.admitted"),
         obs::Registry::global().labeled_counter("lumen.svc.blocked"),
@@ -69,7 +57,7 @@ struct Instruments {
 
 RoutingService::RoutingService(const WdmNetwork& net,
                                const ServiceOptions& options)
-    : options_(options), table_(net) {
+    : options_(options), num_nodes_(net.num_nodes()), table_(net) {
   LUMEN_REQUIRE(options_.num_shards >= 1 && options_.num_shards <= 0xffff);
   LUMEN_REQUIRE(options_.num_tenants >= 1);
   shards_.reserve(options_.num_shards);
@@ -88,15 +76,16 @@ void RoutingService::broadcast(std::uint32_t from,
   }
   const std::uint64_t notes =
       slots.size() * (shards_.size() - 1);
-  stats_patches_.fetch_add(notes, std::memory_order_relaxed);
-  Instruments& ins = Instruments::get();
-  ins.resync_patches.add(notes);
-  ins.patches_by_shard.at(obs::TagSet{}.shard(from)).add(notes);
+  shards_[from]->count_resync_sent(notes);
+  Instruments::get().resync_patches.at(obs::TagSet{}.shard(from)).add(notes);
 }
 
 AdmitTicket RoutingService::open(TenantId tenant, NodeId source,
                                  NodeId target) {
   LUMEN_REQUIRE(tenant.value() < options_.num_tenants);
+  LUMEN_REQUIRE(source.value() < num_nodes_);
+  LUMEN_REQUIRE(target.value() < num_nodes_);
+  LUMEN_REQUIRE_MSG(source != target, "a session needs distinct endpoints");
   Instruments& ins = Instruments::get();
   // The ambient admit span: every sub-span (svc.route, svc.commit) and
   // the latency exemplar recorded below share its trace id, so a breach
@@ -104,89 +93,69 @@ AdmitTicket RoutingService::open(TenantId tenant, NodeId source,
   obs::CausalSpan span("svc.admit");
   const obs::TagSet tenant_tags = obs::TagSet{}.tenant(tenant.value());
   const auto start = std::chrono::steady_clock::now();
-  stats_offered_.fetch_add(1, std::memory_order_relaxed);
+  TenantState& state = tenants_[tenant.value()];
+  state.offered.fetch_add(1, std::memory_order_relaxed);
   ins.offered.add();
 
-  TenantState& state = tenants_[tenant.value()];
   // Optimistic quota claim: in-flight admissions count, so the quota is
   // never exceeded even transiently (a failed admission refunds below).
+  AdmitTicket ticket;
+  ticket.status = AdmitStatus::kQuotaDenied;
   const std::uint64_t prior =
       state.active.fetch_add(1, std::memory_order_acq_rel);
-  if (prior >= state.quota.load(std::memory_order_acquire)) {
-    state.active.fetch_sub(1, std::memory_order_acq_rel);
-    state.quota_denied.fetch_add(1, std::memory_order_relaxed);
-    stats_quota_denied_.fetch_add(1, std::memory_order_relaxed);
-    ins.quota_denied.add();
-    ins.quota_denied_by_tenant.at(tenant_tags).add();
-    const double secs = seconds_since(start);
-    ins.admit_latency.record_seconds(secs, span.trace_id());
-    ins.admit_latency_by_tenant.at(tenant_tags)
-        .record_seconds(secs, span.trace_id());
-    AdmitTicket ticket;
-    ticket.status = AdmitStatus::kQuotaDenied;
-    return ticket;
-  }
-
-  const std::uint32_t shard_index =
-      round_robin_.fetch_add(1, std::memory_order_relaxed) % num_shards();
-  Shard::AdmitOutcome outcome =
-      shards_[shard_index]->admit(tenant, source, target);
-
-  if (outcome.ticket.conflicts > 0) {
-    stats_conflicts_.fetch_add(outcome.ticket.conflicts,
-                               std::memory_order_relaxed);
-    ins.conflicts.add(outcome.ticket.conflicts);
-    ins.conflicts_by_shard.at(obs::TagSet{}.shard(shard_index))
-        .add(outcome.ticket.conflicts);
-  }
-
-  // Every owner-word change the admission made, rolled-back claims too.
-  broadcast(shard_index, outcome.slots);
-  if (outcome.ticket.status == AdmitStatus::kAdmitted) {
-    state.admitted.fetch_add(1, std::memory_order_relaxed);
-    stats_admitted_.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t active =
-        stats_active_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    ins.admitted.add();
-    ins.admitted_by_tenant.at(tenant_tags).add();
-    ins.active.set(static_cast<double>(active));
-  } else {
-    state.active.fetch_sub(1, std::memory_order_acq_rel);
-    if (outcome.ticket.status == AdmitStatus::kBlocked) {
-      state.blocked.fetch_add(1, std::memory_order_relaxed);
-      stats_blocked_.fetch_add(1, std::memory_order_relaxed);
-      ins.blocked.add();
-      ins.blocked_by_tenant.at(tenant_tags).add();
-    } else {
-      stats_aborted_.fetch_add(1, std::memory_order_relaxed);
-      ins.aborted.add();
+  if (prior < state.quota.load(std::memory_order_acquire)) {
+    const std::uint32_t shard_index =
+        round_robin_.fetch_add(1, std::memory_order_relaxed) % num_shards();
+    Shard::AdmitOutcome outcome =
+        shards_[shard_index]->admit(tenant, source, target);
+    if (outcome.ticket.conflicts > 0) {
+      ins.conflicts.at(obs::TagSet{}.shard(shard_index))
+          .add(outcome.ticket.conflicts);
     }
+    // Every owner-word change the admission made, rolled-back claims too.
+    broadcast(shard_index, outcome.slots);
+    ticket = outcome.ticket;
   }
-  const double secs = seconds_since(start);
-  ins.admit_latency.record_seconds(secs, span.trace_id());
-  ins.admit_latency_by_tenant.at(tenant_tags)
-      .record_seconds(secs, span.trace_id());
-  return outcome.ticket;
+
+  switch (ticket.status) {
+    case AdmitStatus::kAdmitted:
+      state.admitted.fetch_add(1, std::memory_order_relaxed);
+      ins.admitted.at(tenant_tags).add();
+      break;
+    case AdmitStatus::kBlocked:
+      state.blocked.fetch_add(1, std::memory_order_relaxed);
+      ins.blocked.at(tenant_tags).add();
+      break;
+    case AdmitStatus::kQuotaDenied:
+      state.quota_denied.fetch_add(1, std::memory_order_relaxed);
+      ins.quota_denied.at(tenant_tags).add();
+      break;
+    case AdmitStatus::kAborted:
+      state.aborted.fetch_add(1, std::memory_order_relaxed);
+      ins.aborted.add();
+      break;
+  }
+  if (ticket.status != AdmitStatus::kAdmitted) {
+    state.active.fetch_sub(1, std::memory_order_acq_rel);
+  }
+  ins.admit_latency.at(tenant_tags)
+      .record_seconds(seconds_since(start), span.trace_id());
+  return ticket;
 }
 
 bool RoutingService::close(SvcSessionId id) {
   if (!id.valid() || id.shard() >= num_shards()) return false;
-  Instruments& ins = Instruments::get();
   const auto start = std::chrono::steady_clock::now();
 
   Shard::CloseOutcome outcome = shards_[id.shard()]->close(id.seq());
   if (!outcome.ok) return false;
 
   broadcast(id.shard(), outcome.slots);
-  tenants_[outcome.tenant.value()].active.fetch_sub(
-      1, std::memory_order_acq_rel);
-  tenants_[outcome.tenant.value()].released.fetch_add(
-      1, std::memory_order_relaxed);
-  stats_released_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t active =
-      stats_active_.fetch_sub(1, std::memory_order_acq_rel) - 1;
+  TenantState& state = tenants_[outcome.tenant.value()];
+  state.active.fetch_sub(1, std::memory_order_acq_rel);
+  state.released.fetch_add(1, std::memory_order_relaxed);
+  Instruments& ins = Instruments::get();
   ins.released.add();
-  ins.active.set(static_cast<double>(active));
   ins.close_latency.record_seconds(seconds_since(start));
   return true;
 }
@@ -199,15 +168,20 @@ void RoutingService::set_quota(TenantId tenant, std::uint64_t max_active) {
 
 ServiceStats RoutingService::stats() const {
   ServiceStats out;
-  out.offered = stats_offered_.load(std::memory_order_relaxed);
-  out.admitted = stats_admitted_.load(std::memory_order_relaxed);
-  out.blocked = stats_blocked_.load(std::memory_order_relaxed);
-  out.quota_denied = stats_quota_denied_.load(std::memory_order_relaxed);
-  out.aborted = stats_aborted_.load(std::memory_order_relaxed);
-  out.released = stats_released_.load(std::memory_order_relaxed);
-  out.commit_conflicts = stats_conflicts_.load(std::memory_order_relaxed);
-  out.cross_shard_patches = stats_patches_.load(std::memory_order_relaxed);
-  out.active = stats_active_.load(std::memory_order_relaxed);
+  for (std::uint32_t t = 0; t < options_.num_tenants; ++t) {
+    const TenantStats cells = tenant_stats(TenantId{t});
+    out.offered += cells.offered;
+    out.admitted += cells.admitted;
+    out.blocked += cells.blocked;
+    out.quota_denied += cells.quota_denied;
+    out.aborted += cells.aborted;
+    out.released += cells.released;
+    out.active += cells.active;
+  }
+  for (const auto& shard : shards_) {
+    out.commit_conflicts += shard->commit_conflicts();
+    out.cross_shard_patches += shard->resync_sent();
+  }
   return out;
 }
 
@@ -221,6 +195,8 @@ TenantStats RoutingService::tenant_stats(TenantId tenant) const {
   out.blocked = state.blocked.load(std::memory_order_relaxed);
   out.quota_denied = state.quota_denied.load(std::memory_order_relaxed);
   out.released = state.released.load(std::memory_order_relaxed);
+  out.offered = state.offered.load(std::memory_order_relaxed);
+  out.aborted = state.aborted.load(std::memory_order_relaxed);
   return out;
 }
 

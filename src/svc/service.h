@@ -10,11 +10,13 @@
 // fetch_add (in-flight admissions count against the quota, so a tenant
 // can never exceed it even transiently), plus fairness counters.
 //
-// Observability: `lumen.svc.*` counters for every admission outcome,
-// an active-session gauge, and admit/close latency histograms, with
-// default_slo_rules() providing the p99-admit-latency and abort-rate
-// watchdog thresholds.  All accounting is mirrored in plain atomics so
-// stats() stays exact under LUMEN_OBS_DISABLED.
+// Accounting: each event is counted once in an exact cell (per tenant
+// for admission outcomes and closes, per shard for commit conflicts and
+// sent re-sync notes), and stats() sums the cells, so it stays exact
+// under LUMEN_OBS_DISABLED.  Observability: each `lumen.svc.*` metric
+// has one instrument, plain or labeled, never both (see
+// docs/SERVICE.md); default_slo_rules() watches p99 admit latency and
+// the abort and quota-denial rates.
 #pragma once
 
 #include <atomic>
@@ -47,7 +49,9 @@ class RoutingService {
   /// cost) and the slot table.  The network itself is not retained.
   RoutingService(const WdmNetwork& net, const ServiceOptions& options);
 
-  /// Routes and commits one session for `tenant`.  Thread-safe.
+  /// Routes and commits one session for `tenant`.  Throws lumen::Error,
+  /// touching no accounting, unless source and target are distinct nodes
+  /// of the network.  Thread-safe.
   [[nodiscard]] AdmitTicket open(TenantId tenant, NodeId source,
                                  NodeId target);
 
@@ -59,10 +63,13 @@ class RoutingService {
   /// admissions; sessions already active are never evicted).
   void set_quota(TenantId tenant, std::uint64_t max_active);
 
+  /// Sums of the tenant and shard cells.  Each cell is exact; a read
+  /// during traffic is not one snapshot, and `active` includes in-flight
+  /// quota claims.  Quiesce for the accounting identities.
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] TenantStats tenant_stats(TenantId tenant) const;
   [[nodiscard]] std::uint64_t active_sessions() const {
-    return stats_active_.load(std::memory_order_relaxed);
+    return stats().active;
   }
 
   [[nodiscard]] std::uint32_t num_shards() const noexcept {
@@ -90,12 +97,18 @@ class RoutingService {
       double p99_admit_ns = 5e6);
 
  private:
-  struct TenantState {
+  /// The exact per-tenant cells.  `offered` and `active` are counted on
+  /// their own, not derived, so offered == Σ outcomes and active ==
+  /// admitted − released check the outcome and quota-refund paths.  One
+  /// cache line per tenant, so tenants' client threads never share one.
+  struct alignas(64) TenantState {
     std::atomic<std::uint64_t> quota{UINT64_MAX};
     std::atomic<std::uint64_t> active{0};
+    std::atomic<std::uint64_t> offered{0};
     std::atomic<std::uint64_t> admitted{0};
     std::atomic<std::uint64_t> blocked{0};
     std::atomic<std::uint64_t> quota_denied{0};
+    std::atomic<std::uint64_t> aborted{0};
     std::atomic<std::uint64_t> released{0};
   };
 
@@ -104,22 +117,12 @@ class RoutingService {
                  std::span<const std::uint32_t> slots);
 
   ServiceOptions options_;
+  std::uint32_t num_nodes_;
   SlotTable table_;
   CommitLog log_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<TenantState[]> tenants_;
   std::atomic<std::uint32_t> round_robin_{0};
-
-  // Exact accounting (obs counters mirror these when compiled in).
-  std::atomic<std::uint64_t> stats_offered_{0};
-  std::atomic<std::uint64_t> stats_admitted_{0};
-  std::atomic<std::uint64_t> stats_blocked_{0};
-  std::atomic<std::uint64_t> stats_quota_denied_{0};
-  std::atomic<std::uint64_t> stats_aborted_{0};
-  std::atomic<std::uint64_t> stats_released_{0};
-  std::atomic<std::uint64_t> stats_conflicts_{0};
-  std::atomic<std::uint64_t> stats_patches_{0};
-  std::atomic<std::uint64_t> stats_active_{0};
 };
 
 }  // namespace lumen::svc

@@ -103,6 +103,7 @@ Shard::AdmitOutcome Shard::admit(TenantId tenant, NodeId source,
       // if its holder rolls back as well, the holder's broadcast restores
       // it here.
       ++out.ticket.conflicts;
+      conflicts_.fetch_add(1, std::memory_order_relaxed);
       out.slots.insert(out.slots.end(), slots.begin(),
                        slots.begin() + conflict_pos);
       resync_slot_locked(slots[conflict_pos]);

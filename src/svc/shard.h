@@ -78,6 +78,19 @@ class Shard {
 
   [[nodiscard]] std::uint32_t index() const noexcept { return index_; }
 
+  /// Commit attempts that lost a slot race, over every admission here.
+  [[nodiscard]] std::uint64_t commit_conflicts() const noexcept {
+    return conflicts_.load(std::memory_order_relaxed);
+  }
+  /// Re-sync notes sent to peers for this shard's owner-word changes.
+  [[nodiscard]] std::uint64_t resync_sent() const noexcept {
+    return resync_sent_.load(std::memory_order_relaxed);
+  }
+  /// Counts `notes` sent to peers (the service broadcasts on its behalf).
+  void count_resync_sent(std::uint64_t notes) noexcept {
+    resync_sent_.fetch_add(notes, std::memory_order_relaxed);
+  }
+
   /// (owner bits, claimed slots) of every live session — the fuzz
   /// harness's double-booking audit.  Quiesce for exact answers.
   [[nodiscard]] std::vector<std::pair<std::uint64_t,
@@ -103,6 +116,8 @@ class Shard {
   RouteEngine engine_;
   FlatMap<std::uint64_t, Session> sessions_;  // keyed by local seq
   std::uint64_t next_seq_ = 1;                // ids start at 1 (0 = free)
+  std::atomic<std::uint64_t> conflicts_{0};   // written under mutex_
+  std::atomic<std::uint64_t> resync_sent_{0};
 
   std::mutex inbox_mutex_;
   std::vector<std::uint32_t> inbox_;

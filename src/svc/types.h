@@ -86,8 +86,9 @@ struct AdmitTicket {
   std::uint32_t conflicts = 0;
 };
 
-/// Aggregate service accounting (see RoutingService::stats()).  Counted
-/// with plain atomics so it is exact even under LUMEN_OBS_DISABLED.
+/// Aggregate service accounting (see RoutingService::stats()): sums of
+/// the per-tenant and per-shard cells, which are plain atomics, so it is
+/// exact even under LUMEN_OBS_DISABLED.
 struct ServiceStats {
   std::uint64_t offered = 0;
   std::uint64_t admitted = 0;
@@ -96,11 +97,13 @@ struct ServiceStats {
   std::uint64_t aborted = 0;
   std::uint64_t released = 0;
   std::uint64_t commit_conflicts = 0;
+  /// Re-sync notes sent to peer shards (one per slot per peer).
   std::uint64_t cross_shard_patches = 0;
   std::uint64_t active = 0;
 };
 
-/// Per-tenant accounting (see RoutingService::tenant_stats()).
+/// Per-tenant accounting (see RoutingService::tenant_stats()): the
+/// tenant's cells, which ServiceStats sums.
 struct TenantStats {
   std::uint64_t quota = 0;
   std::uint64_t active = 0;
@@ -108,6 +111,8 @@ struct TenantStats {
   std::uint64_t blocked = 0;
   std::uint64_t quota_denied = 0;
   std::uint64_t released = 0;
+  std::uint64_t offered = 0;
+  std::uint64_t aborted = 0;
 };
 
 }  // namespace lumen::svc

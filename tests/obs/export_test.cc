@@ -116,6 +116,8 @@ TEST(ExportTest, PrometheusCountersAndHistograms) {
             std::string::npos);
   EXPECT_NE(text.find("lumen_test_latency_ns_sum 7"), std::string::npos);
   EXPECT_NE(text.find("lumen_test_latency_ns_count 3"), std::string::npos);
+  // Native buckets are the only histogram rendering: no summary form.
+  EXPECT_EQ(text.find("summary"), std::string::npos);
 }
 
 TEST(ExportTest, PrometheusEmptyRegistryIsEmpty) {
@@ -137,38 +139,6 @@ TEST(ExportTest, TraceIdRidesAtTheEndOfBothSchemas) {
   ASSERT_TRUE(std::getline(csv, row));
   EXPECT_EQ(header.substr(header.size() - 9), ",trace_id");
   EXPECT_EQ(row.substr(row.size() - 11), ",2882400001");
-}
-
-TEST(ExportTest, PrometheusSummaryGaugesBehindFlag) {
-  Registry registry;
-  LatencyHistogram& h = registry.histogram("lumen.test.latency_ns");
-  for (int i = 0; i < 100; ++i) h.record(64);
-
-  // Default: native histogram only, no summary rendering.
-  const std::string native = prometheus_text(registry);
-  EXPECT_NE(native.find("# TYPE lumen_test_latency_ns histogram"),
-            std::string::npos);
-  EXPECT_EQ(native.find("summary"), std::string::npos);
-
-  PrometheusOptions options;
-  options.summary_gauges = true;
-  const std::string both = prometheus_text(registry, options);
-  // The legacy rendering appears under a suffixed name so the two typed
-  // metrics never collide.
-  EXPECT_NE(both.find("# TYPE lumen_test_latency_ns_summary summary"),
-            std::string::npos);
-  EXPECT_NE(both.find("lumen_test_latency_ns_summary{quantile=\"0.99\"} "),
-            std::string::npos);
-  EXPECT_NE(both.find("lumen_test_latency_ns_summary_count 100"),
-            std::string::npos);
-  EXPECT_NE(both.find("lumen_test_latency_ns_bucket{le=\"+Inf\"} 100"),
-            std::string::npos);
-
-  options.native_histograms = false;
-  const std::string summary_only = prometheus_text(registry, options);
-  EXPECT_EQ(summary_only.find("_bucket{"), std::string::npos);
-  EXPECT_NE(summary_only.find("_summary{quantile=\"0.5\"} "),
-            std::string::npos);
 }
 
 TEST(ExportTest, PrometheusRendersFaultInstruments) {

@@ -103,6 +103,42 @@ TEST(SloWatchdogTest, PercentileRuleReadsHistogram) {
 #endif
 }
 
+#if LUMEN_OBS_ENABLED
+TEST(SloWatchdogTest, LabeledOnlyNamesReadTheFamilyTotal) {
+  Registry registry;
+  auto& offered = registry.counter("offered");
+  auto& denied = registry.labeled_counter("denied");
+  auto& latency = registry.labeled_histogram("lat");
+  SloWatchdog dog;
+  dog.add_rule(SloRule::ratio("deny-rate", "denied", "offered", 0.5));
+  dog.add_rule(SloRule::percentile("lat-p50", "lat", 0.50, 1000.0));
+  dog.add_rule(SloRule::percentile("lat-p99", "lat", 0.99, 1000.0));
+
+  offered.add(10);
+  EXPECT_TRUE(dog.evaluate(registry).empty());  // priming window
+  // 3 + 3 of 10 breach the 0.5 ratio; either child alone would not.
+  denied.at(obs::TagSet{}.tenant(1)).add(3);
+  denied.at(obs::TagSet{}.tenant(2)).add(3);
+  offered.add(10);
+  // Disjoint children: 60 fast samples in bucket [8, 16) for tenant 1,
+  // 40 slow ones in [2^20, 2^21) for tenant 2.  The merged p50 is fast
+  // and the merged p99 is slow; the worst child would breach p50, and the
+  // first child would not breach p99.
+  for (int i = 0; i < 60; ++i) latency.at(obs::TagSet{}.tenant(1)).record(10);
+  for (int i = 0; i < 40; ++i)
+    latency.at(obs::TagSet{}.tenant(2)).record(std::uint64_t{1} << 20);
+
+  const auto alerts = dog.evaluate(registry);
+  ASSERT_EQ(alerts.size(), 2u);
+  EXPECT_EQ(alerts[0].rule, "deny-rate");
+  EXPECT_DOUBLE_EQ(alerts[0].value, 0.6);
+  EXPECT_EQ(alerts[1].rule, "lat-p99");
+  EXPECT_GE(alerts[1].value, static_cast<double>(1 << 20));
+  EXPECT_LT(alerts[1].value, static_cast<double>(1 << 21));
+  EXPECT_FALSE(dog.breaching("lat-p50"));
+}
+#endif
+
 TEST(MetricsPumpTest, TickSnapshotsCountersAndDeltas) {
   Registry registry;
   auto& c = registry.counter("pump.c");

@@ -1,18 +1,24 @@
 // Unit coverage for the svc building blocks: session-id packing, the
 // atomic SlotTable (two-phase claim/rollback), the commit log, one
-// Shard's re-sync rule, and the RoutingService front-end (admission outcomes, quotas, tenant/service
-// accounting, SLO rule wiring) on the paper's example network.
+// Shard's re-sync rule, and the RoutingService front-end (admission
+// outcomes, endpoint checks, quotas, tenant/service accounting under
+// concurrent churn, one instrument per metric, SLO rule wiring).
 #include "svc/service.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "obs/registry.h"
 #include "svc/shard.h"
 #include "svc/slot_table.h"
 #include "svc/types.h"
 #include "tests/test_util.h"
+#include "util/error.h"
+#include "util/rng.h"
 
 namespace lumen::svc {
 namespace {
@@ -252,6 +258,161 @@ TEST(RoutingServiceTest, QuotaDeniesAndRefunds) {
   ASSERT_TRUE(service.close(first.id));
   const AdmitTicket again = service.open(TenantId{1}, NodeId{0}, NodeId{6});
   EXPECT_EQ(again.status, AdmitStatus::kAdmitted);
+}
+
+TEST(RoutingServiceTest, InvalidEndpointsAreRejectedBeforeTheQuotaClaim) {
+  // With quota 1, a rejected open that had already claimed the slot
+  // would leave the tenant "active" and deny the next valid open.
+  WdmNetwork net(2, 1, std::make_shared<NoConversion>());
+  const LinkId e = net.add_link(NodeId{0}, NodeId{1});
+  net.set_wavelength(e, Wavelength{0}, 1.0);
+  RoutingService service(net, ServiceOptions{.num_shards = 1});
+  service.set_quota(TenantId{0}, 1);
+
+  EXPECT_THROW((void)service.open(TenantId{0}, NodeId{0}, NodeId{7}), Error);
+  EXPECT_THROW((void)service.open(TenantId{0}, NodeId{7}, NodeId{0}), Error);
+  EXPECT_THROW((void)service.open(TenantId{0}, NodeId{1}, NodeId{1}), Error);
+  EXPECT_EQ(service.stats().offered, 0u);
+  EXPECT_EQ(service.active_sessions(), 0u);
+  EXPECT_EQ(service.slot_table().occupied(), 0u);
+
+  const AdmitTicket ticket = service.open(TenantId{0}, NodeId{0}, NodeId{1});
+  EXPECT_EQ(ticket.status, AdmitStatus::kAdmitted);
+}
+
+/// One labeled counter child of the global registry.
+std::uint64_t child_value(const char* family, obs::TagSet tags) {
+  return obs::Registry::global().labeled_counter(family).at(tags).value();
+}
+
+TEST(RoutingServiceTest, ChurnAccountingSumsTheTenantAndShardCells) {
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint32_t kTenants = 3;
+  constexpr std::uint32_t kShards = 2;
+  constexpr std::uint32_t kOpsPerThread = 200;
+  Rng net_rng(0x5eed'0019ULL);
+  const WdmNetwork net = lumen::testing::random_network(
+      /*n=*/14, /*extra_links=*/16, /*k=*/4, /*k0_max=*/4,
+      lumen::testing::ConvKind::kUniform, net_rng);
+  RoutingService service(
+      net, ServiceOptions{.num_shards = kShards, .num_tenants = kTenants});
+  service.set_quota(TenantId{2}, 2);
+
+  // The registry is process-wide: compare deltas over this run.
+  struct TenantFamily {
+    const char* name;
+    std::uint64_t TenantStats::*cell;
+  };
+  const TenantFamily kTenantFamilies[] = {
+      {"lumen.svc.admitted", &TenantStats::admitted},
+      {"lumen.svc.blocked", &TenantStats::blocked},
+      {"lumen.svc.quota_denied", &TenantStats::quota_denied}};
+  const char* const kShardFamilies[] = {"lumen.svc.commit_conflicts",
+                                        "lumen.svc.resync_patches"};
+  std::vector<std::uint64_t> tenant_before, shard_before;
+  for (const TenantFamily& family : kTenantFamilies)
+    for (std::uint32_t t = 0; t < kTenants; ++t)
+      tenant_before.push_back(
+          child_value(family.name, obs::TagSet{}.tenant(t)));
+  for (const char* family : kShardFamilies)
+    for (std::uint32_t s = 0; s < kShards; ++s)
+      shard_before.push_back(child_value(family, obs::TagSet{}.shard(s)));
+
+  std::vector<std::thread> workers;
+  for (std::uint32_t w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      Rng rng(0x19'0000ULL + w);
+      const TenantId tenant{w % kTenants};
+      std::vector<SvcSessionId> mine;
+      for (std::uint32_t op = 0; op < kOpsPerThread; ++op) {
+        if (!mine.empty() && rng.next_bool(0.45)) {
+          const std::size_t pick = rng.next_below(mine.size());
+          (void)service.close(mine[pick]);
+          mine[pick] = mine.back();
+          mine.pop_back();
+          continue;
+        }
+        const auto s = NodeId{
+            static_cast<std::uint32_t>(rng.next_below(net.num_nodes()))};
+        auto t = NodeId{
+            static_cast<std::uint32_t>(rng.next_below(net.num_nodes()))};
+        if (s == t) t = NodeId{(t.value() + 1) % net.num_nodes()};
+        const AdmitTicket ticket = service.open(tenant, s, t);
+        if (ticket.status == AdmitStatus::kAdmitted) mine.push_back(ticket.id);
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+
+  ServiceStats summed;
+  for (std::uint32_t t = 0; t < kTenants; ++t) {
+    const TenantStats cells = service.tenant_stats(TenantId{t});
+    const std::string context = "tenant " + std::to_string(t);
+    EXPECT_EQ(cells.offered, cells.admitted + cells.blocked +
+                                 cells.quota_denied + cells.aborted)
+        << context;
+    EXPECT_EQ(cells.active, cells.admitted - cells.released) << context;
+    summed.offered += cells.offered;
+    summed.admitted += cells.admitted;
+    summed.blocked += cells.blocked;
+    summed.quota_denied += cells.quota_denied;
+    summed.aborted += cells.aborted;
+    summed.released += cells.released;
+    summed.active += cells.active;
+  }
+  EXPECT_LE(service.tenant_stats(TenantId{2}).active, 2u);
+  EXPECT_GT(service.tenant_stats(TenantId{2}).quota_denied, 0u);
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.offered, summed.offered);
+  EXPECT_EQ(stats.offered, std::uint64_t{kThreads} * kOpsPerThread -
+                               summed.released);
+  EXPECT_EQ(stats.admitted, summed.admitted);
+  EXPECT_EQ(stats.blocked, summed.blocked);
+  EXPECT_EQ(stats.quota_denied, summed.quota_denied);
+  EXPECT_EQ(stats.aborted, summed.aborted);
+  EXPECT_EQ(stats.released, summed.released);
+  EXPECT_EQ(stats.active, summed.active);
+  EXPECT_GT(stats.active, 0u);
+  EXPECT_EQ(service.active_reservations().size(), stats.active);
+  EXPECT_GT(stats.cross_shard_patches, 0u);
+
+#if LUMEN_OBS_ENABLED
+  // Each labeled child moved exactly as far as its cell.
+  std::size_t i = 0;
+  for (const TenantFamily& family : kTenantFamilies) {
+    for (std::uint32_t t = 0; t < kTenants; ++t, ++i) {
+      EXPECT_EQ(child_value(family.name, obs::TagSet{}.tenant(t)) -
+                    tenant_before[i],
+                service.tenant_stats(TenantId{t}).*family.cell)
+          << family.name << "{tenant=" << t << "}";
+    }
+  }
+  // Shard cells surface only as ServiceStats sums: compare the families.
+  std::uint64_t conflicts = 0, patches = 0;
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    conflicts += child_value(kShardFamilies[0], obs::TagSet{}.shard(s)) -
+                 shard_before[s];
+    patches += child_value(kShardFamilies[1], obs::TagSet{}.shard(s)) -
+               shard_before[kShards + s];
+  }
+  EXPECT_EQ(conflicts, stats.commit_conflicts);
+  EXPECT_EQ(patches, stats.cross_shard_patches);
+
+  // One instrument per metric: no lumen.svc.* name is both plain and
+  // labeled, and the active-session gauge is gone.
+  const obs::Registry& registry = obs::Registry::global();
+  for (const auto& [name, family] : registry.labeled_counter_entries()) {
+    for (const auto& [plain, counter] : registry.counter_entries())
+      EXPECT_FALSE(name.starts_with("lumen.svc.") && name == plain) << name;
+  }
+  for (const auto& [name, family] : registry.labeled_histogram_entries()) {
+    for (const auto& [plain, histogram] : registry.histogram_entries())
+      EXPECT_FALSE(name.starts_with("lumen.svc.") && name == plain) << name;
+  }
+  for (const auto& [name, gauge] : registry.gauge_entries())
+    EXPECT_FALSE(name.starts_with("lumen.svc.")) << name;
+#endif
 }
 
 TEST(RoutingServiceTest, CrossShardResyncPropagates) {
