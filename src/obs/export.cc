@@ -218,55 +218,66 @@ std::string prometheus_text(const Registry& registry) {
   std::string out;
 
   // Plain sample first, then that name's labeled children under the same
-  // TYPE block; families with no plain namesake get their own block.
+  // TYPE block; families with no plain namesake get their own block.  A
+  // family's overflow child is its unlabeled series (entries() lists it
+  // under the empty label set), so beside a plain namesake the two add
+  // up to the name's one unlabeled sample.
   std::map<std::string, const LabeledFamily<Counter>*> labeled_counters;
   for (const auto& [name, family] : registry.labeled_counter_entries())
     labeled_counters.emplace(name, family);
-  const auto counter_children =
-      [&out](const std::string& metric, const LabeledFamily<Counter>& family) {
-        for (const auto& [labels, child] : family.entries())
-          out += metric + prometheus_labels(labels) + " " +
-                 std::to_string(child->value()) + "\n";
-      };
+  const auto counter_children = [&out](const std::string& metric,
+                                       const LabeledFamily<Counter>& family,
+                                       bool with_unlabeled) {
+    for (const auto& [labels, child] : family.entries())
+      if (with_unlabeled || !labels.empty())
+        out += metric + prometheus_labels(labels) + " " +
+               std::to_string(child->value()) + "\n";
+  };
   for (const auto& [name, counter] : registry.counter_entries()) {
     const std::string metric = prometheus_name(name);
-    out += "# TYPE " + metric + " counter\n";
-    out += metric + " " + std::to_string(counter->value()) + "\n";
     const auto it = labeled_counters.find(name);
+    std::uint64_t value = counter->value();
+    if (it != labeled_counters.end()) value += it->second->overflow().value();
+    out += "# TYPE " + metric + " counter\n";
+    out += metric + " " + std::to_string(value) + "\n";
     if (it != labeled_counters.end()) {
-      counter_children(metric, *it->second);
+      counter_children(metric, *it->second, false);
       labeled_counters.erase(it);
     }
   }
   for (const auto& [name, family] : labeled_counters) {
     const std::string metric = prometheus_name(name);
     out += "# TYPE " + metric + " counter\n";
-    counter_children(metric, *family);
+    counter_children(metric, *family, true);
   }
 
   std::map<std::string, const LabeledFamily<Gauge>*> labeled_gauges;
   for (const auto& [name, family] : registry.labeled_gauge_entries())
     labeled_gauges.emplace(name, family);
-  const auto gauge_children =
-      [&out](const std::string& metric, const LabeledFamily<Gauge>& family) {
-        for (const auto& [labels, child] : family.entries())
-          out += metric + prometheus_labels(labels) + " " +
-                 detail::fmt_double_exact(child->value()) + "\n";
-      };
+  const auto gauge_children = [&out](const std::string& metric,
+                                     const LabeledFamily<Gauge>& family,
+                                     bool with_unlabeled) {
+    for (const auto& [labels, child] : family.entries())
+      if (with_unlabeled || !labels.empty())
+        out += metric + prometheus_labels(labels) + " " +
+               detail::fmt_double_exact(child->value()) + "\n";
+  };
   for (const auto& [name, gauge] : registry.gauge_entries()) {
     const std::string metric = prometheus_name(name);
-    out += "# TYPE " + metric + " gauge\n";
-    out += metric + " " + detail::fmt_double_exact(gauge->value()) + "\n";
     const auto it = labeled_gauges.find(name);
+    double value = gauge->value();
+    if (it != labeled_gauges.end()) value += it->second->overflow().value();
+    out += "# TYPE " + metric + " gauge\n";
+    out += metric + " " + detail::fmt_double_exact(value) + "\n";
     if (it != labeled_gauges.end()) {
-      gauge_children(metric, *it->second);
+      gauge_children(metric, *it->second, false);
       labeled_gauges.erase(it);
     }
   }
   for (const auto& [name, family] : labeled_gauges) {
     const std::string metric = prometheus_name(name);
     out += "# TYPE " + metric + " gauge\n";
-    gauge_children(metric, *family);
+    gauge_children(metric, *family, true);
   }
 
   std::map<std::string, const LabeledFamily<LatencyHistogram>*>
@@ -278,11 +289,17 @@ std::string prometheus_text(const Registry& registry) {
                                    const LabeledFamily<LatencyHistogram>*
                                        family) {
     out += "# TYPE " + metric + " histogram\n";
-    if (plain != nullptr) append_native_histogram(out, metric, "", *plain);
+    if (plain != nullptr) {
+      LatencyHistogram unlabeled;
+      unlabeled.merge(*plain);
+      if (family != nullptr) unlabeled.merge(family->overflow());
+      append_native_histogram(out, metric, "", unlabeled);
+    }
     if (family != nullptr)
       for (const auto& [labels, child] : family->entries())
-        append_native_histogram(out, metric, prometheus_labels_inner(labels),
-                                *child);
+        if (plain == nullptr || !labels.empty())
+          append_native_histogram(out, metric,
+                                  prometheus_labels_inner(labels), *child);
   };
   for (const auto& [name, histogram] : registry.histogram_entries()) {
     const std::string metric = prometheus_name(name);

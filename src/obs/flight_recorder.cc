@@ -12,49 +12,12 @@ namespace lumen::obs {
 inline namespace enabled {
 
 FlightRecorder::FlightRecorder(std::size_t event_capacity, SpanBuffer* spans)
-    : capacity_(event_capacity == 0 ? kDefaultEventCapacity : event_capacity),
-      spans_(spans) {
-  ring_.reserve(capacity_);
-}
+    : spans_(spans),
+      events_(event_capacity == 0 ? kDefaultEventCapacity : event_capacity) {}
 
 FlightRecorder& FlightRecorder::global() {
   static FlightRecorder instance;
   return instance;
-}
-
-void FlightRecorder::record_event(const RouteEvent& event) {
-  bool overwrote = false;
-  {
-    const std::scoped_lock lock(mutex_);
-    ++emitted_;
-    if (ring_.size() < capacity_) {
-      ring_.push_back(event);
-    } else {
-      ring_[next_] = event;
-      next_ = (next_ + 1) % capacity_;
-      overwrote = true;
-    }
-  }
-  if (overwrote) {
-    static Counter& events_dropped_counter =
-        Registry::global().counter("lumen.obs.events_dropped");
-    events_dropped_counter.add();
-  }
-}
-
-std::vector<RouteEvent> FlightRecorder::events() const {
-  const std::scoped_lock lock(mutex_);
-  std::vector<RouteEvent> out;
-  out.reserve(ring_.size());
-  // Oldest first: [next_, end) then [0, next_).
-  for (std::size_t i = next_; i < ring_.size(); ++i) out.push_back(ring_[i]);
-  for (std::size_t i = 0; i < next_; ++i) out.push_back(ring_[i]);
-  return out;
-}
-
-std::uint64_t FlightRecorder::events_dropped() const {
-  const std::scoped_lock lock(mutex_);
-  return emitted_ > ring_.size() ? emitted_ - ring_.size() : 0;
 }
 
 std::string FlightRecorder::dump_string() const {
@@ -111,13 +74,6 @@ std::string FlightRecorder::trigger_dump(
       Registry::global().counter("lumen.obs.flight_dumps");
   dumps_counter.add();
   return path;
-}
-
-void FlightRecorder::clear() {
-  const std::scoped_lock lock(mutex_);
-  ring_.clear();
-  next_ = 0;
-  emitted_ = 0;
 }
 
 }  // inline namespace enabled

@@ -10,10 +10,11 @@
 //   obs::FlightRecorder::global().dump("flight.jsonl");
 //
 // writes one flat JSON object per line: {"type":"span",…} lines for the
-// span buffer followed by {"type":"route_event",…} lines for the event
-// ring.  SessionManager mirrors every RouteEvent it produces into the
-// global recorder; MetricsPump calls trigger_dump() on SLO breaches.
-// With LUMEN_OBS_DISABLED recording and dumping are no-ops.
+// span buffer followed by {"type":"route_event",…} lines for the events,
+// which live in a bounded RouteEventLog.  SessionManager mirrors every
+// RouteEvent it produces into the global recorder; MetricsPump calls
+// trigger_dump() on SLO breaches.  With LUMEN_OBS_DISABLED recording and
+// dumping are no-ops.
 #pragma once
 
 #include <cstddef>
@@ -26,8 +27,6 @@
 #include "obs/span_buffer.h"
 
 #if LUMEN_OBS_ENABLED
-
-#include <mutex>
 
 namespace lumen::obs {
 inline namespace enabled {
@@ -48,15 +47,19 @@ class FlightRecorder {
 
   /// Appends one event (thread-safe; overwrites the oldest once full,
   /// counted in events_dropped() and `lumen.obs.events_dropped`).
-  void record_event(const RouteEvent& event);
+  void record_event(const RouteEvent& event) { events_.append(event); }
 
   /// The retained events, oldest first.
-  [[nodiscard]] std::vector<RouteEvent> events() const;
+  [[nodiscard]] std::vector<RouteEvent> events() const {
+    return events_.snapshot();
+  }
   [[nodiscard]] std::size_t event_capacity() const noexcept {
-    return capacity_;
+    return events_.capacity();
   }
   /// Events lost to ring wraparound.
-  [[nodiscard]] std::uint64_t events_dropped() const;
+  [[nodiscard]] std::uint64_t events_dropped() const {
+    return events_.dropped();
+  }
 
   /// The span ring this recorder dumps alongside its events.
   [[nodiscard]] SpanBuffer& spans() noexcept { return *spans_; }
@@ -78,15 +81,11 @@ class FlightRecorder {
       const;
 
   /// Drops retained events (the span buffer is left alone).  For tests.
-  void clear();
+  void clear() { events_.clear(); }
 
  private:
-  const std::size_t capacity_;
   SpanBuffer* spans_;
-  mutable std::mutex mutex_;
-  std::vector<RouteEvent> ring_;
-  std::size_t next_ = 0;       // ring write cursor once full
-  std::uint64_t emitted_ = 0;  // lifetime total
+  RouteEventLog events_;
 };
 
 }  // inline namespace enabled

@@ -44,21 +44,6 @@ inline namespace enabled {
 
 namespace {
 
-// Same tsan accommodation as span_buffer.cc: ThreadSanitizer does not
-// model std::atomic_thread_fence, so under tsan the seqlock's
-// fence+relaxed word accesses become ordered per-word accesses.
-#if defined(__SANITIZE_THREAD__)
-constexpr std::memory_order kWordStore = std::memory_order_release;
-constexpr std::memory_order kWordLoad = std::memory_order_acquire;
-void release_fence() {}
-void acquire_fence() {}
-#else
-constexpr std::memory_order kWordStore = std::memory_order_relaxed;
-constexpr std::memory_order kWordLoad = std::memory_order_relaxed;
-void release_fence() { std::atomic_thread_fence(std::memory_order_release); }
-void acquire_fence() { std::atomic_thread_fence(std::memory_order_acquire); }
-#endif
-
 /// Per-thread ambient stage stack, shared by all Profiler instances
 /// (there is one truth about what this thread is doing).  Depth counts
 /// every open span; names beyond kStackSlots are folded into their
@@ -77,10 +62,8 @@ thread_local ThreadStack t_stack;
 
 }  // namespace
 
-Profiler::Profiler(std::size_t capacity, std::uint32_t sample_period) {
-  capacity_ = std::bit_ceil(std::max<std::size_t>(capacity, 2));
-  mask_ = capacity_ - 1;
-  slots_ = std::make_unique<Slot[]>(capacity_);
+Profiler::Profiler(std::size_t capacity, std::uint32_t sample_period)
+    : ring_(capacity) {
   set_sample_period(sample_period);
 }
 
@@ -112,21 +95,13 @@ void Profiler::record(std::span<const char* const> stack,
   if (stack.empty()) return;
   const std::size_t frames = std::min(stack.size(), kMaxDepth);
 
-  const std::uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[ticket & mask_];
-
-  slot.seq.store(2 * ticket + 1, std::memory_order_relaxed);
-  release_fence();
-  slot.words[0].store(static_cast<std::uint64_t>(frames) | (weight << 8),
-                      kWordStore);
-  slot.words[1].store(duration_ns, kWordStore);
+  std::uint64_t words[kWords] = {};
+  words[0] = static_cast<std::uint64_t>(frames) | (weight << 8);
+  words[1] = duration_ns;
   for (std::size_t i = 0; i < frames; ++i)
-    slot.words[2 + i].store(
-        static_cast<std::uint64_t>(std::bit_cast<std::uintptr_t>(stack[i])),
-        kWordStore);
-  slot.seq.store(2 * ticket + 2, std::memory_order_release);
-
-  if (ticket >= capacity_) {
+    words[2 + i] =
+        static_cast<std::uint64_t>(std::bit_cast<std::uintptr_t>(stack[i]));
+  if (ring_.publish(std::span<const std::uint64_t>(words, 2 + frames))) {
     static Counter& samples_dropped =
         Registry::global().counter("lumen.obs.profile_samples_dropped");
     samples_dropped.add();
@@ -134,9 +109,6 @@ void Profiler::record(std::span<const char* const> stack,
 }
 
 ProfileSnapshot Profiler::snapshot() const {
-  const std::uint64_t end = next_.load(std::memory_order_acquire);
-  const std::uint64_t begin = end > capacity_ ? end - capacity_ : 0;
-
   struct Accum {
     std::uint64_t samples = 0;
     std::uint64_t total_ns = 0;
@@ -144,37 +116,22 @@ ProfileSnapshot Profiler::snapshot() const {
   std::map<std::string, Accum> stacks;
 
   ProfileSnapshot out;
-  out.dropped = end > capacity_ ? end - capacity_ : 0;
-
-  for (std::uint64_t ticket = begin; ticket < end; ++ticket) {
-    const Slot& slot = slots_[ticket & mask_];
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      const std::uint64_t seq1 = slot.seq.load(std::memory_order_acquire);
-      if (seq1 == 0) break;    // never written
-      if (seq1 & 1) continue;  // write in progress — retry
-      std::uint64_t words[kWords];
-      for (std::size_t i = 0; i < kWords; ++i)
-        words[i] = slot.words[i].load(kWordLoad);
-      acquire_fence();
-      const std::uint64_t seq2 = slot.seq.load(std::memory_order_relaxed);
-      if (seq1 != seq2) continue;  // torn read — retry
-
-      const std::size_t frames =
-          std::min<std::size_t>(words[0] & 0xFF, kMaxDepth);
-      const std::uint64_t weight = words[0] >> 8;
-      const std::uint64_t duration_ns = words[1];
-      std::string stack;
-      for (std::size_t i = 0; i < frames; ++i) {
-        if (i != 0) stack.push_back(';');
-        stack += std::bit_cast<const char*>(
-            static_cast<std::uintptr_t>(words[2 + i]));
-      }
-      Accum& accum = stacks[std::move(stack)];
-      accum.samples += weight;
-      accum.total_ns += weight * duration_ns;
-      ++out.samples;
-      break;
+  out.dropped = dropped();
+  for (const auto& words : ring_.snapshot()) {
+    const std::size_t frames =
+        std::min<std::size_t>(words[0] & 0xFF, kMaxDepth);
+    const std::uint64_t weight = words[0] >> 8;
+    const std::uint64_t duration_ns = words[1];
+    std::string stack;
+    for (std::size_t i = 0; i < frames; ++i) {
+      if (i != 0) stack.push_back(';');
+      stack += std::bit_cast<const char*>(
+          static_cast<std::uintptr_t>(words[2 + i]));
     }
+    Accum& accum = stacks[std::move(stack)];
+    accum.samples += weight;
+    accum.total_ns += weight * duration_ns;
+    ++out.samples;
   }
 
   out.entries.reserve(stacks.size());
@@ -203,21 +160,6 @@ ProfileSnapshot Profiler::snapshot() const {
         children_ns >= entry.total_ns ? 0 : entry.total_ns - children_ns;
   }
   return out;
-}
-
-std::uint64_t Profiler::total_samples() const noexcept {
-  return next_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t Profiler::dropped() const noexcept {
-  const std::uint64_t emitted = next_.load(std::memory_order_relaxed);
-  return emitted > capacity_ ? emitted - capacity_ : 0;
-}
-
-void Profiler::clear() {
-  next_.store(0, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < capacity_; ++i)
-    slots_[i].seq.store(0, std::memory_order_relaxed);
 }
 
 }  // inline namespace enabled

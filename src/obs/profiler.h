@@ -4,11 +4,11 @@
 // queries, svc admission, protocol rounds) doubles as a profiler frame:
 // span open pushes its name onto a per-thread stage stack, span close
 // pops it and, one close in every `sample_period`, publishes a weighted
-// sample {stage stack, duration, weight = period} into a lock-free
-// seqlock ring (the SpanBuffer idiom).  No signals, no timer thread, no
-// unwinding: the instrumentation the code already carries *is* the
-// profile, and the steady-state cost on unsampled closes is a TLS
-// decrement.
+// sample {stage stack, duration, weight = period} into the lock-free
+// SeqlockRing that SpanBuffer also packs its records into
+// (seqlock_ring.h).  No signals, no timer thread, no unwinding: the
+// instrumentation the code already carries *is* the profile, and the
+// steady-state cost on unsampled closes is a TLS decrement.
 //
 // snapshot() folds the ring into per-stack entries with weighted
 // total time and self time (total minus direct children, clamped at
@@ -71,8 +71,9 @@ struct ProfileSnapshot {
 #if LUMEN_OBS_ENABLED
 
 #include <atomic>
-#include <memory>
 #include <span>
+
+#include "obs/seqlock_ring.h"
 
 namespace lumen::obs {
 inline namespace enabled {
@@ -115,30 +116,28 @@ class Profiler {
     return period_.load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return ring_.capacity();
+  }
   /// Samples published over the profiler's lifetime.
-  [[nodiscard]] std::uint64_t total_samples() const noexcept;
-  /// Samples lost to ring wraparound.
-  [[nodiscard]] std::uint64_t dropped() const noexcept;
+  [[nodiscard]] std::uint64_t total_samples() const noexcept {
+    return ring_.total();
+  }
+  /// Samples lost to ring wraparound or to lapped writers.
+  [[nodiscard]] std::uint64_t dropped() const noexcept {
+    return ring_.dropped();
+  }
 
   /// Resets the ring to empty.  NOT safe concurrently with record();
   /// intended for test isolation only.
-  void clear();
+  void clear() { ring_.clear(); }
 
  private:
   /// Packed sample: word0 = depth | weight<<8, word1 = duration_ns,
   /// words 2.. = frame name pointers (root first).
   static constexpr std::size_t kWords = 2 + kMaxDepth;
 
-  struct Slot {
-    std::atomic<std::uint64_t> seq{0};
-    std::atomic<std::uint64_t> words[kWords] = {};
-  };
-
-  std::size_t capacity_;  // power of two
-  std::size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> next_{0};  // ticket counter = lifetime total
+  SeqlockRing<kWords> ring_;
   std::atomic<std::uint32_t> period_{kDefaultSamplePeriod};
 };
 

@@ -50,6 +50,7 @@ struct HistogramSummary {
 #include <map>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 
 namespace lumen::obs {
 inline namespace enabled {
@@ -277,15 +278,23 @@ class LabeledFamily {
   }
 
   /// (canonical labels, child) pairs sorted by labels, for exporters.
+  /// overflow() is listed first, under the empty label set, whenever it
+  /// is nonzero: it is the family's unlabeled series.
   [[nodiscard]] std::vector<std::pair<std::string, const T*>> entries() const {
     std::vector<std::pair<std::string, const T*>> out;
     {
       const std::scoped_lock lock(mutex_);
-      out.reserve(children_.size());
+      out.reserve(children_.size() + 1);
       for (const auto& child : children_)
         out.emplace_back(child->tags.canonical(), &child->instrument);
     }
     std::sort(out.begin(), out.end());
+    bool overflowed = false;
+    if constexpr (std::is_same_v<T, LatencyHistogram>)
+      overflowed = overflow_.count() != 0;
+    else
+      overflowed = overflow_.value() != 0;
+    if (overflowed) out.emplace(out.begin(), std::string{}, &overflow_);
     return out;
   }
 

@@ -63,9 +63,10 @@ struct RouteEvent {
   friend bool operator==(const RouteEvent&, const RouteEvent&) = default;
 };
 
-/// Append-only, thread-safe event sink.  A capacity of 0 means unbounded;
-/// otherwise the oldest events are discarded once the cap is reached
-/// (bounded memory for long-running processes).
+/// Append-only, thread-safe event sink, and the one bounded RouteEvent
+/// store (FlightRecorder keeps its events in one).  A capacity of 0 means
+/// unbounded; otherwise the log is a ring that overwrites its oldest
+/// event once the cap is reached (bounded memory, O(1) per append).
 class RouteEventLog {
  public:
   explicit RouteEventLog(std::size_t capacity = 0) : capacity_(capacity) {}
@@ -73,25 +74,26 @@ class RouteEventLog {
   RouteEventLog& operator=(const RouteEventLog&) = delete;
 
   void append(RouteEvent event) {
-    std::size_t erased = 0;
     {
       const std::scoped_lock lock(mutex_);
-      events_.push_back(std::move(event));
-      if (capacity_ != 0 && events_.size() > capacity_) {
-        erased = events_.size() - capacity_;
-        events_.erase(events_.begin(),
-                      events_.begin() + static_cast<std::ptrdiff_t>(erased));
-        // Erase in bulk (appends outpace the cap by at most 1, but bulk
-        // keeps the invariant obvious).
-        dropped_ += erased;
+      if (capacity_ == 0 || events_.size() < capacity_) {
+        events_.push_back(std::move(event));
+        return;
       }
+      events_[oldest_] = std::move(event);
+      oldest_ = (oldest_ + 1) % capacity_;
+      ++dropped_;
     }
-    if (erased != 0) note_route_events_dropped(erased);
+    note_route_events_dropped(1);
   }
 
+  /// The retained events, oldest first.
   [[nodiscard]] std::vector<RouteEvent> snapshot() const {
     const std::scoped_lock lock(mutex_);
-    return events_;
+    const auto oldest = events_.begin() + static_cast<std::ptrdiff_t>(oldest_);
+    std::vector<RouteEvent> out(oldest, events_.end());
+    out.insert(out.end(), events_.begin(), oldest);
+    return out;
   }
 
   [[nodiscard]] std::size_t size() const {
@@ -99,9 +101,12 @@ class RouteEventLog {
     return events_.size();
   }
 
-  /// Events discarded by the capacity bound over the log's lifetime (also
-  /// counted in the `lumen.obs.events_dropped` registry counter, so silent
-  /// truncation is visible in exports).
+  /// The cap on retained events; 0 = unbounded.
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+
+  /// Events overwritten by the capacity bound since construction or the
+  /// last clear() (also counted in the `lumen.obs.events_dropped` registry
+  /// counter, so silent truncation is visible in exports).
   [[nodiscard]] std::uint64_t dropped() const {
     const std::scoped_lock lock(mutex_);
     return dropped_;
@@ -110,12 +115,15 @@ class RouteEventLog {
   void clear() {
     const std::scoped_lock lock(mutex_);
     events_.clear();
+    oldest_ = 0;
+    dropped_ = 0;
   }
 
  private:
   const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::vector<RouteEvent> events_;
+  std::size_t oldest_ = 0;  // ring start once full
   std::uint64_t dropped_ = 0;
 };
 

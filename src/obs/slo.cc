@@ -91,7 +91,7 @@ const T* find_entry(
 }
 
 /// A rule's counter: the plain counter `name`, else the sum of the
-/// labeled family's children (overflow included), else 0.
+/// labeled family's entries (overflow is one of them), else 0.
 std::uint64_t counter_total(const Registry& registry,
                             const std::string& name) {
   if (const Counter* c = find_entry(registry.counter_entries(), name))
@@ -99,15 +99,15 @@ std::uint64_t counter_total(const Registry& registry,
   const LabeledFamily<Counter>* family =
       find_entry(registry.labeled_counter_entries(), name);
   if (family == nullptr) return 0;
-  std::uint64_t total = family->overflow().value();
+  std::uint64_t total = 0;
   for (const auto& [labels, child] : family->entries())
     total += child->value();
   return total;
 }
 
 /// A rule's histogram: the plain histogram `name`, else the labeled
-/// family's children merged into `scratch` (overflow included), else
-/// nullptr.
+/// family's entries merged into `scratch` (overflow is one of them),
+/// else nullptr.
 const LatencyHistogram* histogram_total(const Registry& registry,
                                         const std::string& name,
                                         LatencyHistogram& scratch) {
@@ -117,7 +117,6 @@ const LatencyHistogram* histogram_total(const Registry& registry,
   const LabeledFamily<LatencyHistogram>* family =
       find_entry(registry.labeled_histogram_entries(), name);
   if (family == nullptr) return nullptr;
-  scratch.merge(family->overflow());
   for (const auto& [labels, child] : family->entries()) scratch.merge(*child);
   return &scratch;
 }

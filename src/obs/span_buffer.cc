@@ -2,44 +2,14 @@
 
 #if LUMEN_OBS_ENABLED
 
-#include <algorithm>
 #include <bit>
-#include <utility>
 
 #include "obs/registry.h"
 
 namespace lumen::obs {
 inline namespace enabled {
 
-namespace {
-
-std::uint64_t d2u(double v) { return std::bit_cast<std::uint64_t>(v); }
-double u2d(std::uint64_t v) { return std::bit_cast<double>(v); }
-
-// ThreadSanitizer does not model std::atomic_thread_fence (GCC rejects it
-// outright under -Werror=tsan), so under tsan the seqlock's fence+relaxed
-// word accesses become ordered per-word accesses: release stores keep the
-// odd marker ahead of the payload, acquire loads keep the payload ahead of
-// the seq re-check.  Plain builds keep the cheaper fence form.
-#if defined(__SANITIZE_THREAD__)
-constexpr std::memory_order kWordStore = std::memory_order_release;
-constexpr std::memory_order kWordLoad = std::memory_order_acquire;
-void release_fence() {}
-void acquire_fence() {}
-#else
-constexpr std::memory_order kWordStore = std::memory_order_relaxed;
-constexpr std::memory_order kWordLoad = std::memory_order_relaxed;
-void release_fence() { std::atomic_thread_fence(std::memory_order_release); }
-void acquire_fence() { std::atomic_thread_fence(std::memory_order_acquire); }
-#endif
-
-}  // namespace
-
-SpanBuffer::SpanBuffer(std::size_t capacity) {
-  capacity_ = std::bit_ceil(std::max<std::size_t>(capacity, 2));
-  mask_ = capacity_ - 1;
-  slots_ = std::make_unique<Slot[]>(capacity_);
-}
+SpanBuffer::SpanBuffer(std::size_t capacity) : ring_(capacity) {}
 
 SpanBuffer& SpanBuffer::global() {
   static SpanBuffer instance;
@@ -47,14 +17,6 @@ SpanBuffer& SpanBuffer::global() {
 }
 
 void SpanBuffer::emit(const CausalSpanRecord& r) {
-  const std::uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[ticket & mask_];
-
-  // Seqlock write: odd marker, release fence, payload words (relaxed —
-  // racing readers discard inconsistent copies by the seq check), even
-  // marker with release so a reader seeing it also sees the words.
-  slot.seq.store(2 * ticket + 1, std::memory_order_relaxed);
-  release_fence();
   const std::uint64_t words[kWords] = {
       r.trace_id,
       r.span_id,
@@ -63,16 +25,12 @@ void SpanBuffer::emit(const CausalSpanRecord& r) {
       static_cast<std::uint64_t>(r.node),
       r.start_ns,
       r.duration_ns,
-      d2u(r.vt_begin),
-      d2u(r.vt_end),
+      std::bit_cast<std::uint64_t>(r.vt_begin),
+      std::bit_cast<std::uint64_t>(r.vt_end),
       r.attr0,
       r.attr1,
   };
-  for (std::size_t i = 0; i < kWords; ++i)
-    slot.words[i].store(words[i], kWordStore);
-  slot.seq.store(2 * ticket + 2, std::memory_order_release);
-
-  if (ticket >= capacity_) {
+  if (ring_.publish(words)) {
     static Counter& spans_dropped =
         Registry::global().counter("lumen.obs.spans_dropped");
     spans_dropped.add();
@@ -80,76 +38,25 @@ void SpanBuffer::emit(const CausalSpanRecord& r) {
 }
 
 std::vector<CausalSpanRecord> SpanBuffer::snapshot() const {
-  const std::uint64_t end = next_.load(std::memory_order_acquire);
-  const std::uint64_t begin = end > capacity_ ? end - capacity_ : 0;
-
-  std::vector<std::pair<std::uint64_t, CausalSpanRecord>> got;
-  got.reserve(static_cast<std::size_t>(end - begin));
-  for (std::uint64_t ticket = begin; ticket < end; ++ticket) {
-    const Slot& slot = slots_[ticket & mask_];
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      const std::uint64_t seq1 = slot.seq.load(std::memory_order_acquire);
-      if (seq1 == 0) break;       // never written
-      if (seq1 & 1) continue;     // write in progress — retry
-      std::uint64_t words[kWords];
-      for (std::size_t i = 0; i < kWords; ++i)
-        words[i] = slot.words[i].load(kWordLoad);
-      acquire_fence();
-      const std::uint64_t seq2 = slot.seq.load(std::memory_order_relaxed);
-      if (seq1 != seq2) continue;  // torn read — retry
-      CausalSpanRecord r;
-      r.trace_id = words[0];
-      r.span_id = words[1];
-      r.parent_span_id = words[2];
-      r.name = std::bit_cast<const char*>(
-          static_cast<std::uintptr_t>(words[3]));
-      r.node = static_cast<std::uint32_t>(words[4]);
-      r.start_ns = words[5];
-      r.duration_ns = words[6];
-      r.vt_begin = u2d(words[7]);
-      r.vt_end = u2d(words[8]);
-      r.attr0 = words[9];
-      r.attr1 = words[10];
-      // The slot may hold a newer ticket than the one we came for; keep
-      // whichever consistent record we found, keyed by its own ticket.
-      got.emplace_back((seq2 - 2) / 2, std::move(r));
-      break;
-    }
-  }
-
-  std::sort(got.begin(), got.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  got.erase(std::unique(got.begin(), got.end(),
-                        [](const auto& a, const auto& b) {
-                          return a.first == b.first;
-                        }),
-            got.end());
-
+  const auto records = ring_.snapshot();
   std::vector<CausalSpanRecord> out;
-  out.reserve(got.size());
-  for (auto& [ticket, record] : got) out.push_back(std::move(record));
+  out.reserve(records.size());
+  for (const auto& words : records) {
+    CausalSpanRecord& r = out.emplace_back();
+    r.trace_id = words[0];
+    r.span_id = words[1];
+    r.parent_span_id = words[2];
+    r.name =
+        std::bit_cast<const char*>(static_cast<std::uintptr_t>(words[3]));
+    r.node = static_cast<std::uint32_t>(words[4]);
+    r.start_ns = words[5];
+    r.duration_ns = words[6];
+    r.vt_begin = std::bit_cast<double>(words[7]);
+    r.vt_end = std::bit_cast<double>(words[8]);
+    r.attr0 = words[9];
+    r.attr1 = words[10];
+  }
   return out;
-}
-
-std::size_t SpanBuffer::size() const noexcept {
-  const std::uint64_t emitted = next_.load(std::memory_order_relaxed);
-  return static_cast<std::size_t>(
-      std::min<std::uint64_t>(emitted, capacity_));
-}
-
-std::uint64_t SpanBuffer::total_emitted() const noexcept {
-  return next_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t SpanBuffer::dropped() const noexcept {
-  const std::uint64_t emitted = next_.load(std::memory_order_relaxed);
-  return emitted > capacity_ ? emitted - capacity_ : 0;
-}
-
-void SpanBuffer::clear() {
-  next_.store(0, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < capacity_; ++i)
-    slots_[i].seq.store(0, std::memory_order_relaxed);
 }
 
 }  // inline namespace enabled

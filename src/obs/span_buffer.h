@@ -6,12 +6,13 @@
 // tree of a distributed run, plus a node id, a virtual-time interval
 // (protocol rounds / async virtual time), and two free attribute words.
 //
-// SpanBuffer is the flight-recorder ring those records land in.  It is
-// lock-free on the emit path (a seqlock per slot: writers never block,
-// readers retry or skip slots that are mid-write), so span emission is
-// safe from the parallel batch-routing threads and cheap enough for
-// protocol inner loops.  Overwritten records are counted in dropped() and
-// in the `lumen.obs.spans_dropped` counter.  With LUMEN_OBS_DISABLED
+// SpanBuffer is the flight-recorder ring those records land in: an
+// 11-word packing over the shared lock-free SeqlockRing (seqlock_ring.h:
+// writers never block, readers retry or skip slots that are mid-write),
+// so span emission is safe from the parallel batch-routing threads and
+// cheap enough for protocol inner loops.  Lost records (overwritten, or
+// dropped by a writer lapped by a whole ring) are counted in dropped()
+// and in the `lumen.obs.spans_dropped` counter.  With LUMEN_OBS_DISABLED
 // everything here is a no-op (see obs.h).
 #pragma once
 
@@ -56,22 +57,14 @@ struct CausalSpanRecord {
 
 #if LUMEN_OBS_ENABLED
 
-#include <array>
-#include <atomic>
-#include <memory>
+#include "obs/seqlock_ring.h"
 
 namespace lumen::obs {
 inline namespace enabled {
 
-/// Fixed-capacity lock-free ring of CausalSpanRecords.
-///
-/// Each slot is guarded by a seqlock: emit() takes a ticket from a global
-/// counter, marks the slot odd, publishes the record words, then marks it
-/// even again.  snapshot() copies slots optimistically and keeps only
-/// internally-consistent reads, returning records ordered by emission.
-/// All record words are stored as relaxed atomics between two fences, so
-/// concurrent emit/snapshot is data-race-free (the tsan preset runs the
-/// obs suite against this).
+/// Fixed-capacity lock-free ring of CausalSpanRecords (one SeqlockRing
+/// slot per record; concurrent emit/snapshot is data-race-free, and the
+/// tsan preset runs the obs suite against it).
 class SpanBuffer {
  public:
   static constexpr std::size_t kDefaultCapacity = 8192;
@@ -84,41 +77,37 @@ class SpanBuffer {
   /// The process-wide buffer every CausalSpan lands in by default.
   static SpanBuffer& global();
 
-  /// Publishes one record.  Lock-free; wait-free except for the ticket
-  /// fetch_add.  Overwrites the oldest slot once full.
+  /// Publishes one record.  Lock-free; never waits on another writer.
+  /// Overwrites the oldest slot once full.
   void emit(const CausalSpanRecord& record);
 
   /// The retained records, oldest first.  Skips slots that are being
   /// overwritten concurrently.
   [[nodiscard]] std::vector<CausalSpanRecord> snapshot() const;
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return ring_.capacity();
+  }
   /// Records currently retained (<= capacity()).
-  [[nodiscard]] std::size_t size() const noexcept;
+  [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
   /// Records emitted over the buffer's lifetime.
-  [[nodiscard]] std::uint64_t total_emitted() const noexcept;
-  /// Records lost to ring wraparound.
-  [[nodiscard]] std::uint64_t dropped() const noexcept;
+  [[nodiscard]] std::uint64_t total_emitted() const noexcept {
+    return ring_.total();
+  }
+  /// Records lost to ring wraparound or to lapped writers.
+  [[nodiscard]] std::uint64_t dropped() const noexcept {
+    return ring_.dropped();
+  }
 
   /// Resets the buffer to empty.  NOT safe concurrently with emit();
   /// intended for test isolation only.
-  void clear();
+  void clear() { ring_.clear(); }
 
  private:
-  /// Packed word count of one record (see pack()/unpack() in the .cc).
+  /// Packed word count of one record (see emit()/snapshot() in the .cc).
   static constexpr std::size_t kWords = 11;
 
-  struct Slot {
-    /// Seqlock word: 0 = never written; odd = write in progress;
-    /// 2*ticket + 2 = record of `ticket` fully published.
-    std::atomic<std::uint64_t> seq{0};
-    std::array<std::atomic<std::uint64_t>, kWords> words{};
-  };
-
-  std::size_t capacity_;  // power of two
-  std::size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> next_{0};  // ticket counter = lifetime total
+  SeqlockRing<kWords> ring_;
 };
 
 }  // inline namespace enabled

@@ -1,5 +1,6 @@
 #include "wdm/io.h"
 
+#include <charconv>
 #include <cmath>
 #include <istream>
 #include <memory>
@@ -48,6 +49,23 @@ void write_conversion(const WdmNetwork& net, std::ostream& os) {
       }
     }
   }
+}
+
+/// A count or index field.  `istream >> std::uint32_t` wraps a leading
+/// '-' ("-1" reads as 4294967295), so the field is read as one token and
+/// parsed by from_chars, which refuses any sign; a bad field sets
+/// failbit like any other failed extraction.
+struct Unsigned {
+  std::uint32_t& value;
+};
+
+std::istream& operator>>(std::istream& is, Unsigned field) {
+  std::string token;
+  if (!(is >> token)) return is;
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, field.value);
+  if (error != std::errc{} || stop != end) is.setstate(std::ios::failbit);
+  return is;
 }
 
 [[noreturn]] void parse_fail(std::size_t line_number, const std::string& why) {
@@ -113,14 +131,14 @@ WdmNetwork read_network(std::istream& is) {
   {
     std::istringstream ss(next_line());
     std::string keyword;
-    ss >> keyword >> n;
+    ss >> keyword >> Unsigned{n};
     if (keyword != "nodes" || ss.fail())
       parse_fail(line_number, "expected 'nodes <n>'");
   }
   {
     std::istringstream ss(next_line());
     std::string keyword;
-    ss >> keyword >> k;
+    ss >> keyword >> Unsigned{k};
     if (keyword != "wavelengths" || ss.fail() || k == 0)
       parse_fail(line_number, "expected 'wavelengths <k>' with k >= 1");
   }
@@ -145,7 +163,7 @@ WdmNetwork read_network(std::istream& is) {
     } else if (kind == "range") {
       std::uint32_t radius = 0;
       double base = 0, per_step = 0;
-      ss >> radius >> base >> per_step;
+      ss >> Unsigned{radius} >> base >> per_step;
       if (ss.fail() || base < 0 || per_step < 0)
         parse_fail(line_number,
                    "expected 'conversion range <radius> <base> <per_step>'");
@@ -172,7 +190,7 @@ WdmNetwork read_network(std::istream& is) {
         parse_fail(line_number, "'conv' line outside matrix conversion");
       std::uint32_t v = 0, p = 0, q = 0;
       double c = 0;
-      ss >> v >> p >> q >> c;
+      ss >> Unsigned{v} >> Unsigned{p} >> Unsigned{q} >> c;
       if (ss.fail() || v >= n || p >= k || q >= k || p == q || c < 0)
         parse_fail(line_number, "malformed 'conv v from to cost' line");
       matrix->set(NodeId{v}, Wavelength{p}, Wavelength{q}, c);
@@ -180,14 +198,14 @@ WdmNetwork read_network(std::istream& is) {
     }
     if (keyword == "link") {
       std::uint32_t u = 0, v = 0, count = 0;
-      ss >> u >> v >> count;
+      ss >> Unsigned{u} >> Unsigned{v} >> Unsigned{count};
       if (ss.fail() || u >= n || v >= n)
         parse_fail(line_number, "malformed 'link tail head count' line");
       const LinkId e = net.add_link(NodeId{u}, NodeId{v});
       for (std::uint32_t i = 0; i < count; ++i) {
         std::uint32_t lambda = 0;
         double cost = 0;
-        ss >> lambda >> cost;
+        ss >> Unsigned{lambda} >> cost;
         if (ss.fail() || lambda >= k || cost < 0 || !std::isfinite(cost))
           parse_fail(line_number, "malformed (λ, cost) pair on link line");
         net.set_wavelength(e, Wavelength{lambda}, cost);

@@ -63,6 +63,49 @@ TEST(LabeledExportTest, LabeledOnlyFamilyGetsItsOwnTypeBlock) {
             std::string::npos);
 }
 
+TEST(LabeledExportTest, OverflowChildIsTheUnlabeledSeries) {
+  // Increments under an empty TagSet (or past the cardinality cap) land
+  // in the family's overflow child; exporters must carry them, or the
+  // exported series sum to less than the family's total.
+  Registry registry;
+  auto& family = registry.labeled_counter("lumen.test.leaky");
+  family.at(TagSet{}).add(5);
+  family.at(TagSet{}.tenant(1)).add(2);
+  registry.labeled_histogram("lumen.test.leaky_ns").at(TagSet{}).record(4);
+
+  const std::string text = prometheus_text(registry);
+  EXPECT_NE(text.find("# TYPE lumen_test_leaky counter\n"
+                      "lumen_test_leaky 5\n"
+                      "lumen_test_leaky{tenant=\"1\"} 2\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("lumen_test_leaky_ns_count 1\n"), std::string::npos);
+
+  MetricsPump pump(registry);
+  const PumpSnapshot snapshot = pump.tick();
+  ASSERT_EQ(snapshot.labeled_counters.size(), 2u);
+  EXPECT_EQ(snapshot.labeled_counters[0].labels, "");
+  EXPECT_EQ(snapshot.labeled_counters[0].value, 5u);
+  EXPECT_EQ(snapshot.labeled_counters[1].labels, "tenant=1");
+  EXPECT_EQ(snapshot.labeled_counters[1].value, 2u);
+  ASSERT_EQ(snapshot.labeled_histograms.size(), 1u);
+  EXPECT_EQ(snapshot.labeled_histograms[0].summary.count, 1u);
+}
+
+TEST(LabeledExportTest, OverflowBesideAPlainNamesakeIsOneUnlabeledSample) {
+  Registry registry;
+  registry.counter("lumen.test.both").add(10);
+  auto& family = registry.labeled_counter("lumen.test.both");
+  family.at(TagSet{}).add(5);
+  family.at(TagSet{}.tenant(3)).add(7);
+
+  const std::string text = prometheus_text(registry);
+  EXPECT_NE(text.find("# TYPE lumen_test_both counter\n"
+                      "lumen_test_both 15\n"
+                      "lumen_test_both{tenant=\"3\"} 7\n"),
+            std::string::npos);
+  EXPECT_EQ(text.find("lumen_test_both 5\n"), std::string::npos);
+}
+
 TEST(LabeledExportTest, LabeledHistogramBucketsMergeLeWithLabels) {
   Registry registry;
   auto& family = registry.labeled_histogram("lumen.test.latency_ns");

@@ -7,13 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "dist/async_router.h"
 #include "dist/dist_router.h"
 #include "dist/distributed_sssp.h"
 #include "dist/fault_plan.h"
+#include "obs/registry.h"
 #include "obs/span_buffer.h"
 #include "obs/trace_assembler.h"
 #include "tests/test_util.h"
@@ -180,6 +183,71 @@ TEST(SpanBufferTest, RingKeepsNewestAndCountsDrops) {
   EXPECT_EQ(buffer.dropped(), 0u);
   EXPECT_TRUE(buffer.snapshot().empty());
 }
+
+#if LUMEN_OBS_ENABLED
+
+/// A span whose every word is derived from `v`, so a record mixing two
+/// emits shows as words that disagree.
+CausalSpanRecord stress_record(std::uint64_t v) {
+  static const char* const kNames[4] = {"w0", "w1", "w2", "w3"};
+  CausalSpanRecord r;
+  r.trace_id = v;
+  r.span_id = v;
+  r.parent_span_id = v;
+  r.name = kNames[v % 4];
+  r.node = static_cast<std::uint32_t>(v);
+  r.start_ns = v;
+  r.duration_ns = v;
+  r.vt_begin = static_cast<double>(v);
+  r.vt_end = static_cast<double>(v);
+  r.attr0 = v;
+  r.attr1 = v;
+  return r;
+}
+
+TEST(SpanBufferTest, LappedWritersNeverTearRecords) {
+  // On a 2-slot ring, tickets t and t + 2 share a slot.  Three writers
+  // keep lapping each other; a reader checks every record it copies out.
+  constexpr std::uint64_t kWriters = 3;
+  constexpr std::uint64_t kEmitsPerWriter = 100000;
+  auto& spans_dropped =
+      obs::Registry::global().counter("lumen.obs.spans_dropped");
+  const std::uint64_t dropped_before = spans_dropped.value();
+  SpanBuffer buffer(2);
+  std::atomic<std::uint64_t> writers_left{kWriters};
+  std::uint64_t checked = 0;
+  std::uint64_t torn = 0;
+  std::thread reader([&] {
+    while (writers_left.load(std::memory_order_acquire) != 0) {
+      for (const CausalSpanRecord& r : buffer.snapshot()) {
+        ++checked;
+        if (r != stress_record(r.trace_id)) ++torn;
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (std::uint64_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&buffer, &writers_left, w] {
+      for (std::uint64_t i = 1; i <= kEmitsPerWriter; ++i)
+        buffer.emit(stress_record((w << 32) | i));
+      writers_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  reader.join();
+
+  EXPECT_EQ(torn, 0u) << "of " << checked << " records read";
+  const std::vector<CausalSpanRecord> kept = buffer.snapshot();
+  ASSERT_EQ(kept.size(), 2u);
+  for (const CausalSpanRecord& r : kept)
+    EXPECT_EQ(r, stress_record(r.trace_id));
+  // Lapped writers drop their own record, and that drop is counted.
+  EXPECT_EQ(buffer.total_emitted(), kWriters * kEmitsPerWriter);
+  EXPECT_EQ(buffer.size() + buffer.dropped(), buffer.total_emitted());
+  EXPECT_EQ(spans_dropped.value() - dropped_before, buffer.dropped());
+}
+
+#endif  // LUMEN_OBS_ENABLED
 
 TEST(DistTraceTest, FaultFreeLineIsOneRelaxationChain) {
   SpanBuffer::global().clear();

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "core/liang_shen.h"
 #include "tests/test_util.h"
@@ -140,6 +142,38 @@ TEST(IoTest, ErrorsCarryLineNumbers) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("line 5"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(IoTest, NegativeCountsAndIndicesRejectedWithLineNumbers) {
+  // `istream >> uint32_t` would read "-1" as 4294967295: every count and
+  // index field must refuse a sign, with the offending line named.
+  const std::string head = "lumen-wdm 1\nnodes 2\nwavelengths 2\n";
+  const std::string none = head + "conversion none\n";
+  const std::string matrix = head + "conversion matrix\n";
+  const std::pair<std::string, int> cases[] = {
+      {"lumen-wdm 1\nnodes -1\nwavelengths 2\nconversion none\nend\n", 2},
+      {"lumen-wdm 1\nnodes 2\nwavelengths -1\nconversion none\nend\n", 3},
+      {head + "conversion range -1 0.5 0.1\nend\n", 4},
+      {none + "link -1 1 0\nend\n", 5},
+      {none + "link 0 -1 0\nend\n", 5},
+      {none + "link 0 1 -1\nend\n", 5},
+      {none + "link 0 1 1  -1 1.0\nend\n", 5},
+      {matrix + "conv -1 0 1 0.5\nend\n", 5},
+      {matrix + "conv 0 -1 1 0.5\nend\n", 5},
+      {matrix + "conv 0 0 -1 0.5\nend\n", 5},
+  };
+  for (const auto& [text, line] : cases) {
+    try {
+      (void)network_from_string(text);
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("line " + std::to_string(line)),
+                std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not a lumen::Error (" << e.what() << "):\n" << text;
+    }
   }
 }
 
