@@ -207,8 +207,9 @@ BENCHMARK(BM_PumpTick);
 
 // --- wire telemetry codec (obs/wire) -----------------------------------
 // Encode/decode throughput of the binary export path; unlike the rows
-// above these run identical code in both build modes (the codec has no
-// disabled stub), so obs-off numbers should match the default build.
+// above these run identical code in both build modes (the codec never
+// branches on kObsEnabled), so obs-off numbers should match the default
+// build.
 
 obs::PumpSnapshot wire_bench_snapshot() {
   obs::PumpSnapshot snapshot;

@@ -10,11 +10,12 @@
 // The scriptable face of the library: networks come from wdm/io's text
 // format (see src/wdm/io.h for the grammar), answers go to stdout as a
 // human-readable route plus the switch settings an operator would program.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 
 #include "core/all_pairs.h"
 #include "core/liang_shen.h"
@@ -86,6 +87,16 @@ void dump_metrics(const char* metrics_path, std::uint32_t s, std::uint32_t t,
   obs::write_route_events_jsonl(out, events);
 }
 
+/// A node id argument: a whole decimal token with no sign and nothing
+/// after the digits, within 32 bits.
+std::optional<std::uint32_t> parse_node_id(const char* text) {
+  const char* end = text + std::strlen(text);
+  std::uint32_t id = 0;
+  const auto [stop, error] = std::from_chars(text, end, id);
+  if (error != std::errc{} || stop != end) return std::nullopt;
+  return id;
+}
+
 int run_query(const WdmNetwork& net, std::uint32_t s, std::uint32_t t,
               const char* metrics_path) {
   if (s >= net.num_nodes() || t >= net.num_nodes()) {
@@ -113,8 +124,12 @@ int main(int argc, char** argv) {
 
   // Peel off `--metrics <file>` wherever it appears.
   const char* metrics_path = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
+  for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--metrics") == 0) {
+      if (i + 1 == argc) {
+        std::fprintf(stderr, "error: --metrics needs a file argument\n");
+        return 2;
+      }
       metrics_path = argv[i + 1];
       for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
       argc -= 2;
@@ -131,6 +146,19 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  std::optional<std::uint32_t> src, dst;
+  if (argc == 4) {
+    src = parse_node_id(argv[2]);
+    dst = parse_node_id(argv[3]);
+    if (!src || !dst) {
+      std::fprintf(stderr,
+                   "error: <src> and <dst> must be unsigned node ids, got "
+                   "'%s' '%s'\n",
+                   argv[2], argv[3]);
+      return 2;
+    }
+  }
+
   std::ifstream file(argv[1]);
   if (!file) {
     std::fprintf(stderr, "error: cannot open '%s'\n", argv[1]);
@@ -145,9 +173,7 @@ int main(int argc, char** argv) {
       }
       return run_all_pairs(net);
     }
-    return run_query(net, static_cast<std::uint32_t>(std::atoi(argv[2])),
-                     static_cast<std::uint32_t>(std::atoi(argv[3])),
-                     metrics_path);
+    return run_query(net, *src, *dst, metrics_path);
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

@@ -173,8 +173,6 @@ std::string prometheus_labels(const std::string& canonical) {
   return out;
 }
 
-#if LUMEN_OBS_ENABLED
-
 namespace {
 
 // `labels` is the inner label list ("tenant=\"3\"", or "" for the plain
@@ -314,7 +312,5 @@ std::string prometheus_text(const Registry& registry) {
 
   return out;
 }
-
-#endif  // LUMEN_OBS_ENABLED
 
 }  // namespace lumen::obs

@@ -49,7 +49,7 @@ void write_route_events_csv(std::ostream& out,
 /// A registry instrument name as a Prometheus metric name: every
 /// character outside [a-zA-Z0-9_:] becomes '_'.  Shared by the registry
 /// renderer below and by consumers re-exporting decoded wire telemetry
-/// (tools/lumen_collect), so it lives outside the #if.
+/// (tools/lumen_collect).
 [[nodiscard]] std::string prometheus_name(const std::string& name);
 
 /// A label value with Prometheus text-exposition escaping: backslash,
@@ -59,24 +59,12 @@ void write_route_events_csv(std::ostream& out,
 /// A canonical TagSet labels string ("tenant=3,shard=1") rendered as a
 /// Prometheus label set: `{tenant="3",shard="1"}`.  Keys are mangled
 /// through prometheus_name, values escaped through
-/// prometheus_label_value.  Empty input renders as "".  Lives outside
-/// the #if so obs-off collectors can re-render decoded wire labels.
+/// prometheus_label_value.  Empty input renders as "".
 [[nodiscard]] std::string prometheus_labels(const std::string& canonical);
 
-#if LUMEN_OBS_ENABLED
-
 /// Renders every instrument of `registry` in Prometheus text exposition
-/// format (version 0.0.4).
+/// format (version 0.0.4); "" for an obs-off registry, which lists none.
 [[nodiscard]] std::string prometheus_text(
     const Registry& registry = Registry::global());
-
-#else
-
-[[nodiscard]] inline std::string prometheus_text(
-    const Registry& = Registry::global()) {
-  return {};
-}
-
-#endif  // LUMEN_OBS_ENABLED
 
 }  // namespace lumen::obs

@@ -1,7 +1,5 @@
 #include "obs/flight_recorder.h"
 
-#if LUMEN_OBS_ENABLED
-
 #include <fstream>
 
 #include "obs/export.h"
@@ -9,11 +7,15 @@
 #include "obs/trace_assembler.h"
 
 namespace lumen::obs {
-inline namespace enabled {
+inline namespace LUMEN_OBS_MODE_NAMESPACE {
 
+// With telemetry compiled out the event log keeps its unbounded default
+// (capacity 0) and stays empty: record_event() appends nothing.
 FlightRecorder::FlightRecorder(std::size_t event_capacity, SpanBuffer* spans)
     : spans_(spans),
-      events_(event_capacity == 0 ? kDefaultEventCapacity : event_capacity) {}
+      events_(!kObsEnabled          ? 0
+              : event_capacity == 0 ? kDefaultEventCapacity
+                                    : event_capacity) {}
 
 FlightRecorder& FlightRecorder::global() {
   static FlightRecorder instance;
@@ -36,6 +38,7 @@ std::string FlightRecorder::dump_string() const {
 }
 
 bool FlightRecorder::dump(const std::string& path) const {
+  if constexpr (!kObsEnabled) return false;
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
   out << dump_string();
@@ -46,6 +49,7 @@ bool FlightRecorder::dump(const std::string& path) const {
 std::string FlightRecorder::trigger_dump(
     const std::string& dir, const std::string& tag,
     const std::vector<std::string>& extra_lines) const {
+  if constexpr (!kObsEnabled) return {};
   std::string safe;
   safe.reserve(tag.size());
   for (const char c : tag) {
@@ -76,7 +80,5 @@ std::string FlightRecorder::trigger_dump(
   return path;
 }
 
-}  // inline namespace enabled
+}  // inline namespace LUMEN_OBS_MODE_NAMESPACE
 }  // namespace lumen::obs
-
-#endif  // LUMEN_OBS_ENABLED

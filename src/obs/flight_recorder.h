@@ -14,7 +14,7 @@
 // which live in a bounded RouteEventLog.  SessionManager mirrors every
 // RouteEvent it produces into the global recorder; MetricsPump calls
 // trigger_dump() on SLO breaches.  With LUMEN_OBS_DISABLED recording and
-// dumping are no-ops.
+// dumping are no-ops: the recorder retains nothing and writes no file.
 #pragma once
 
 #include <cstddef>
@@ -26,10 +26,8 @@
 #include "obs/route_event.h"
 #include "obs/span_buffer.h"
 
-#if LUMEN_OBS_ENABLED
-
 namespace lumen::obs {
-inline namespace enabled {
+inline namespace LUMEN_OBS_MODE_NAMESPACE {
 
 class FlightRecorder {
  public:
@@ -47,7 +45,9 @@ class FlightRecorder {
 
   /// Appends one event (thread-safe; overwrites the oldest once full,
   /// counted in events_dropped() and `lumen.obs.events_dropped`).
-  void record_event(const RouteEvent& event) { events_.append(event); }
+  void record_event(const RouteEvent& event) {
+    if constexpr (kObsEnabled) events_.append(event);
+  }
 
   /// The retained events, oldest first.
   [[nodiscard]] std::vector<RouteEvent> events() const {
@@ -69,13 +69,15 @@ class FlightRecorder {
   /// then one {"type":"route_event",…} line per retained event.
   [[nodiscard]] std::string dump_string() const;
 
-  /// Writes dump_string() to `path`.  False on I/O failure.
+  /// Writes dump_string() to `path`.  False on I/O failure, and always
+  /// with telemetry compiled out.
   bool dump(const std::string& path) const;
 
   /// Dumps to `<dir>/<tag>.jsonl` (tag sanitized to [A-Za-z0-9._-]).
   /// `extra_lines` are prepended to the dump verbatim, one line each —
   /// the pump passes breach/profile context lines here so a dump opens
-  /// with *why* it was taken.  Returns the path written, "" on failure.
+  /// with *why* it was taken.  Returns the path written, "" on failure
+  /// (and with telemetry compiled out).
   std::string trigger_dump(const std::string& dir, const std::string& tag,
                            const std::vector<std::string>& extra_lines = {})
       const;
@@ -88,44 +90,5 @@ class FlightRecorder {
   RouteEventLog events_;
 };
 
-}  // inline namespace enabled
+}  // inline namespace LUMEN_OBS_MODE_NAMESPACE
 }  // namespace lumen::obs
-
-#else  // LUMEN_OBS_ENABLED
-
-namespace lumen::obs {
-inline namespace disabled {
-
-/// No-op stand-in: records nothing, dumps nothing.
-class FlightRecorder {
- public:
-  static constexpr std::size_t kDefaultEventCapacity = 1024;
-  explicit FlightRecorder(std::size_t = kDefaultEventCapacity,
-                          SpanBuffer* = &SpanBuffer::global()) {}
-  FlightRecorder(const FlightRecorder&) = delete;
-  FlightRecorder& operator=(const FlightRecorder&) = delete;
-  static FlightRecorder& global() {
-    static FlightRecorder instance;
-    return instance;
-  }
-  void record_event(const RouteEvent&) {}
-  [[nodiscard]] std::vector<RouteEvent> events() const { return {}; }
-  [[nodiscard]] std::size_t event_capacity() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t events_dropped() const { return 0; }
-  [[nodiscard]] SpanBuffer& spans() noexcept { return SpanBuffer::global(); }
-  [[nodiscard]] const SpanBuffer& spans() const noexcept {
-    return SpanBuffer::global();
-  }
-  [[nodiscard]] std::string dump_string() const { return {}; }
-  bool dump(const std::string&) const { return false; }
-  std::string trigger_dump(const std::string&, const std::string&,
-                           const std::vector<std::string>& = {}) const {
-    return {};
-  }
-  void clear() {}
-};
-
-}  // inline namespace disabled
-}  // namespace lumen::obs
-
-#endif  // LUMEN_OBS_ENABLED

@@ -1,7 +1,5 @@
 #include "obs/metrics_server.h"
 
-#if LUMEN_OBS_ENABLED
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -12,10 +10,11 @@
 #include <string>
 
 namespace lumen::obs {
-inline namespace enabled {
+inline namespace LUMEN_OBS_MODE_NAMESPACE {
 
 MetricsServer::MetricsServer(std::uint16_t port, const Registry& registry)
     : registry_(registry) {
+  if constexpr (!kObsEnabled) return;
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return;
   const int one = 1;
@@ -109,7 +108,5 @@ std::unique_ptr<MetricsServer> serve_metrics(std::uint16_t port,
   return server;
 }
 
-}  // inline namespace enabled
+}  // inline namespace LUMEN_OBS_MODE_NAMESPACE
 }  // namespace lumen::obs
-
-#endif  // LUMEN_OBS_ENABLED

@@ -12,26 +12,24 @@
 // (serve_metrics returns nullptr) and nothing listens.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <thread>
 
 #include "obs/export.h"
 #include "obs/obs.h"
 #include "obs/registry.h"
 
-#if LUMEN_OBS_ENABLED
-
-#include <atomic>
-#include <thread>
-
 namespace lumen::obs {
-inline namespace enabled {
+inline namespace LUMEN_OBS_MODE_NAMESPACE {
 
 class MetricsServer {
  public:
   /// Binds 127.0.0.1:`port` (0 = kernel-assigned ephemeral port) and
-  /// starts the accept thread.  Check ok() — a failed bind leaves the
-  /// server inert rather than throwing.
+  /// starts the accept thread.  Check ok() — a failed bind (or a build
+  /// with telemetry compiled out) leaves the server inert rather than
+  /// throwing.
   explicit MetricsServer(std::uint16_t port = 0,
                          const Registry& registry = Registry::global());
   MetricsServer(const MetricsServer&) = delete;
@@ -62,32 +60,5 @@ class MetricsServer {
 [[nodiscard]] std::unique_ptr<MetricsServer> serve_metrics(
     std::uint16_t port = 0, const Registry& registry = Registry::global());
 
-}  // inline namespace enabled
+}  // inline namespace LUMEN_OBS_MODE_NAMESPACE
 }  // namespace lumen::obs
-
-#else  // LUMEN_OBS_ENABLED
-
-namespace lumen::obs {
-inline namespace disabled {
-
-/// No-op stand-in: never binds, never serves.
-class MetricsServer {
- public:
-  explicit MetricsServer(std::uint16_t = 0,
-                         const Registry& = Registry::global()) {}
-  MetricsServer(const MetricsServer&) = delete;
-  MetricsServer& operator=(const MetricsServer&) = delete;
-  [[nodiscard]] bool ok() const noexcept { return false; }
-  [[nodiscard]] std::uint16_t port() const noexcept { return 0; }
-  void stop() {}
-};
-
-[[nodiscard]] inline std::unique_ptr<MetricsServer> serve_metrics(
-    std::uint16_t = 0, const Registry& = Registry::global()) {
-  return nullptr;
-}
-
-}  // inline namespace disabled
-}  // namespace lumen::obs
-
-#endif  // LUMEN_OBS_ENABLED

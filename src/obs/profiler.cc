@@ -1,6 +1,12 @@
 #include "obs/profiler.h"
 
+#include <algorithm>
+#include <bit>
+#include <map>
+#include <utility>
+
 #include "obs/flat_json.h"
+#include "obs/registry.h"
 
 namespace lumen::obs {
 
@@ -28,19 +34,7 @@ std::string profile_entry_to_json(const ProfileEntry& entry) {
   return out;
 }
 
-}  // namespace lumen::obs
-
-#if LUMEN_OBS_ENABLED
-
-#include <algorithm>
-#include <bit>
-#include <map>
-#include <utility>
-
-#include "obs/registry.h"
-
-namespace lumen::obs {
-inline namespace enabled {
+inline namespace LUMEN_OBS_MODE_NAMESPACE {
 
 namespace {
 
@@ -72,12 +66,12 @@ Profiler& Profiler::global() {
   return instance;
 }
 
-void Profiler::on_span_open(const char* name) noexcept {
+void Profiler::push_frame(const char* name) noexcept {
   if (t_stack.depth < kStackSlots) t_stack.names[t_stack.depth] = name;
   ++t_stack.depth;
 }
 
-void Profiler::on_span_close(std::uint64_t duration_ns) {
+void Profiler::pop_frame(std::uint64_t duration_ns) {
   ThreadStack& ts = t_stack;
   if (ts.depth == 0) return;  // unbalanced close; drop silently
   if (--ts.countdown == 0) {
@@ -162,7 +156,5 @@ ProfileSnapshot Profiler::snapshot() const {
   return out;
 }
 
-}  // inline namespace enabled
+}  // inline namespace LUMEN_OBS_MODE_NAMESPACE
 }  // namespace lumen::obs
-
-#endif  // LUMEN_OBS_ENABLED

@@ -18,21 +18,25 @@
 // flamegraph tooling; profile_entry_to_json() renders the JSONL form
 // used by breach dumps and the wire exporter (template 264).
 //
-// With LUMEN_OBS_DISABLED the profiler compiles to no-ops; the passive
-// snapshot types stay available to collectors.
+// With LUMEN_OBS_DISABLED the span hooks compile to nothing and the ring
+// holds no slots; the passive snapshot types stay available to
+// collectors.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "obs/obs.h"
+#include "obs/seqlock_ring.h"
 
 namespace lumen::obs {
 
-/// One aggregated stage stack.  Passive data, shared by both build
-/// modes (rides PumpSnapshot and the wire protocol).
+/// One aggregated stage stack.  Passive data (rides PumpSnapshot and
+/// the wire protocol).
 struct ProfileEntry {
   /// ';'-joined span names, root first ("svc.admit;svc.route").
   std::string stack;
@@ -66,17 +70,7 @@ struct ProfileSnapshot {
 /// {"type":"profile","stack":"...","samples":N,"self_ns":N,"total_ns":N}
 [[nodiscard]] std::string profile_entry_to_json(const ProfileEntry& entry);
 
-}  // namespace lumen::obs
-
-#if LUMEN_OBS_ENABLED
-
-#include <atomic>
-#include <span>
-
-#include "obs/seqlock_ring.h"
-
-namespace lumen::obs {
-inline namespace enabled {
+inline namespace LUMEN_OBS_MODE_NAMESPACE {
 
 class Profiler {
  public:
@@ -86,7 +80,8 @@ class Profiler {
   /// ancestor (the ambient nesting in this codebase is 3-4 deep).
   static constexpr std::size_t kMaxDepth = 8;
 
-  /// Capacity is rounded up to a power of two (minimum 2).
+  /// Capacity is rounded up to a power of two (minimum 2; 0 with
+  /// telemetry compiled out).
   explicit Profiler(std::size_t capacity = kDefaultCapacity,
                     std::uint32_t sample_period = kDefaultSamplePeriod);
   Profiler(const Profiler&) = delete;
@@ -97,8 +92,12 @@ class Profiler {
 
   /// CausalSpan hooks (ambient spans only; see trace_context.cc).
   /// `name` must outlive the profiler — string literals in practice.
-  void on_span_open(const char* name) noexcept;
-  void on_span_close(std::uint64_t duration_ns);
+  void on_span_open(const char* name) noexcept {
+    if constexpr (kObsEnabled) push_frame(name);
+  }
+  void on_span_close(std::uint64_t duration_ns) {
+    if constexpr (kObsEnabled) pop_frame(duration_ns);
+  }
 
   /// Publishes one weighted sample directly (tests, bench, and replay
   /// tooling; the hook path derives stack/weight itself).
@@ -137,47 +136,12 @@ class Profiler {
   /// words 2.. = frame name pointers (root first).
   static constexpr std::size_t kWords = 2 + kMaxDepth;
 
+  void push_frame(const char* name) noexcept;
+  void pop_frame(std::uint64_t duration_ns);
+
   SeqlockRing<kWords> ring_;
   std::atomic<std::uint32_t> period_{kDefaultSamplePeriod};
 };
 
-}  // inline namespace enabled
+}  // inline namespace LUMEN_OBS_MODE_NAMESPACE
 }  // namespace lumen::obs
-
-#else  // LUMEN_OBS_ENABLED
-
-#include <span>
-
-namespace lumen::obs {
-inline namespace disabled {
-
-/// No-op stand-in: see the enabled definition for semantics.
-class Profiler {
- public:
-  static constexpr std::size_t kDefaultCapacity = 4096;
-  static constexpr std::uint32_t kDefaultSamplePeriod = 8;
-  static constexpr std::size_t kMaxDepth = 8;
-  explicit Profiler(std::size_t = kDefaultCapacity,
-                    std::uint32_t = kDefaultSamplePeriod) {}
-  Profiler(const Profiler&) = delete;
-  Profiler& operator=(const Profiler&) = delete;
-  static Profiler& global() {
-    static Profiler instance;
-    return instance;
-  }
-  void on_span_open(const char*) noexcept {}
-  void on_span_close(std::uint64_t) {}
-  void record(std::span<const char* const>, std::uint64_t, std::uint64_t) {}
-  [[nodiscard]] ProfileSnapshot snapshot() const { return {}; }
-  void set_sample_period(std::uint32_t) noexcept {}
-  [[nodiscard]] std::uint32_t sample_period() const noexcept { return 1; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t total_samples() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return 0; }
-  void clear() {}
-};
-
-}  // inline namespace disabled
-}  // namespace lumen::obs
-
-#endif  // LUMEN_OBS_ENABLED

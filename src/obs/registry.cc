@@ -1,12 +1,10 @@
 #include "obs/registry.h"
 
-#if LUMEN_OBS_ENABLED
-
 #include <algorithm>
 #include <cmath>
 
 namespace lumen::obs {
-inline namespace enabled {
+inline namespace LUMEN_OBS_MODE_NAMESPACE {
 
 std::uint64_t LatencyHistogram::count() const noexcept {
   std::uint64_t total = 0;
@@ -95,113 +93,99 @@ Registry& Registry::global() {
   return instance;
 }
 
-Counter& Registry::counter(std::string_view name) {
-  const std::scoped_lock lock(mutex_);
-  const auto it = counters_.find(name);
-  if (it != counters_.end()) return *it->second;
-  return *counters_.emplace(std::string(name), std::make_unique<Counter>())
-              .first->second;
-}
-
-Gauge& Registry::gauge(std::string_view name) {
-  const std::scoped_lock lock(mutex_);
-  const auto it = gauges_.find(name);
-  if (it != gauges_.end()) return *it->second;
-  return *gauges_.emplace(std::string(name), std::make_unique<Gauge>())
-              .first->second;
-}
-
-LatencyHistogram& Registry::histogram(std::string_view name) {
-  const std::scoped_lock lock(mutex_);
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return *it->second;
-  return *histograms_
-              .emplace(std::string(name), std::make_unique<LatencyHistogram>())
-              .first->second;
-}
-
-std::vector<std::pair<std::string, const Counter*>> Registry::counter_entries()
-    const {
-  const std::scoped_lock lock(mutex_);
-  std::vector<std::pair<std::string, const Counter*>> entries;
-  entries.reserve(counters_.size());
-  for (const auto& [name, counter] : counters_)
-    entries.emplace_back(name, counter.get());
-  return entries;
-}
-
-std::vector<std::pair<std::string, const Gauge*>> Registry::gauge_entries()
-    const {
-  const std::scoped_lock lock(mutex_);
-  std::vector<std::pair<std::string, const Gauge*>> entries;
-  entries.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_)
-    entries.emplace_back(name, gauge.get());
-  return entries;
-}
-
-std::vector<std::pair<std::string, const LatencyHistogram*>>
-Registry::histogram_entries() const {
-  const std::scoped_lock lock(mutex_);
-  std::vector<std::pair<std::string, const LatencyHistogram*>> entries;
-  entries.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_)
-    entries.emplace_back(name, histogram.get());
-  return entries;
-}
-
 namespace {
 
-template <class T, class Map>
-T& family_at(std::mutex& mutex, Map& families, std::string_view name) {
+/// The instrument registered in `instruments` under `name`, created on
+/// first use.  With telemetry compiled out nothing is registered: every
+/// name of a kind shares one dummy, so the exporters see an empty
+/// registry.
+template <class Map>
+auto& find_or_add(std::mutex& mutex, Map& instruments, std::string_view name) {
+  using T = typename Map::mapped_type::element_type;
+  const auto make = [name] {
+    if constexpr (std::is_default_constructible_v<T>)
+      return std::make_unique<T>();
+    else
+      return std::make_unique<T>(std::string(name));
+  };
+  if constexpr (!kObsEnabled) {
+    static const std::unique_ptr<T> dummy = make();
+    return *dummy;
+  }
   const std::scoped_lock lock(mutex);
-  const auto it = families.find(name);
-  if (it != families.end()) return *it->second;
-  return *families
-              .emplace(std::string(name), std::make_unique<T>(std::string(name)))
-              .first->second;
+  const auto it = instruments.find(name);
+  if (it != instruments.end()) return *it->second;
+  return *instruments.emplace(std::string(name), make()).first->second;
 }
 
+/// Sorted (name, instrument) views of `instruments`.
 template <class Map>
-auto family_entries(std::mutex& mutex, const Map& families) {
+auto entries_of(std::mutex& mutex, const Map& instruments) {
   const std::scoped_lock lock(mutex);
-  std::vector<std::pair<std::string, const typename Map::mapped_type::element_type*>>
+  std::vector<
+      std::pair<std::string, const typename Map::mapped_type::element_type*>>
       entries;
-  entries.reserve(families.size());
-  for (const auto& [name, family] : families)
-    entries.emplace_back(name, family.get());
+  entries.reserve(instruments.size());
+  for (const auto& [name, instrument] : instruments)
+    entries.emplace_back(name, instrument.get());
   return entries;
 }
 
 }  // namespace
 
+Counter& Registry::counter(std::string_view name) {
+  return find_or_add(mutex_, counters_, name);
+}
+
+Gauge& Registry::gauge(std::string_view name) {
+  return find_or_add(mutex_, gauges_, name);
+}
+
+LatencyHistogram& Registry::histogram(std::string_view name) {
+  return find_or_add(mutex_, histograms_, name);
+}
+
 LabeledFamily<Counter>& Registry::labeled_counter(std::string_view name) {
-  return family_at<LabeledFamily<Counter>>(mutex_, labeled_counters_, name);
+  return find_or_add(mutex_, labeled_counters_, name);
 }
 
 LabeledFamily<Gauge>& Registry::labeled_gauge(std::string_view name) {
-  return family_at<LabeledFamily<Gauge>>(mutex_, labeled_gauges_, name);
+  return find_or_add(mutex_, labeled_gauges_, name);
 }
 
 LabeledFamily<LatencyHistogram>& Registry::labeled_histogram(
     std::string_view name) {
-  return family_at<LabeledFamily<LatencyHistogram>>(mutex_,
-                                                    labeled_histograms_, name);
+  return find_or_add(mutex_, labeled_histograms_, name);
+}
+
+std::vector<std::pair<std::string, const Counter*>> Registry::counter_entries()
+    const {
+  return entries_of(mutex_, counters_);
+}
+
+std::vector<std::pair<std::string, const Gauge*>> Registry::gauge_entries()
+    const {
+  return entries_of(mutex_, gauges_);
+}
+
+std::vector<std::pair<std::string, const LatencyHistogram*>>
+Registry::histogram_entries() const {
+  return entries_of(mutex_, histograms_);
 }
 
 std::vector<std::pair<std::string, const LabeledFamily<Counter>*>>
 Registry::labeled_counter_entries() const {
-  return family_entries(mutex_, labeled_counters_);
+  return entries_of(mutex_, labeled_counters_);
 }
 
 std::vector<std::pair<std::string, const LabeledFamily<Gauge>*>>
 Registry::labeled_gauge_entries() const {
-  return family_entries(mutex_, labeled_gauges_);
+  return entries_of(mutex_, labeled_gauges_);
 }
 
 std::vector<std::pair<std::string, const LabeledFamily<LatencyHistogram>*>>
 Registry::labeled_histogram_entries() const {
-  return family_entries(mutex_, labeled_histograms_);
+  return entries_of(mutex_, labeled_histograms_);
 }
 
 void Registry::reset() {
@@ -214,7 +198,7 @@ void Registry::reset() {
   for (auto& [name, family] : labeled_histograms_) family->reset();
 }
 
-}  // inline namespace enabled
+}  // inline namespace LUMEN_OBS_MODE_NAMESPACE
 
 namespace detail {
 
@@ -225,10 +209,4 @@ void note_labels_dropped() {
 }
 
 }  // namespace detail
-
-inline namespace enabled {
-
-}  // inline namespace enabled
 }  // namespace lumen::obs
-
-#endif  // LUMEN_OBS_ENABLED

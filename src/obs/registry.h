@@ -9,13 +9,21 @@
 //   c.add();
 //
 // which costs one relaxed fetch_add per event.  With LUMEN_OBS_DISABLED
-// the same code compiles to a no-op (see obs.h).
+// the write methods compile to nothing and the registry hands out one
+// unlisted dummy per instrument kind (see obs.h).
 #pragma once
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -25,8 +33,8 @@
 namespace lumen::obs {
 
 /// RunningStats-compatible condensation of a histogram.  Passive data,
-/// shared by both build modes (the wire codec and exporters move these
-/// across the enabled/disabled boundary).
+/// the same in both build modes (the wire codec moves these between
+/// processes built either way).
 struct HistogramSummary {
   std::uint64_t count = 0;
   double mean = 0.0;
@@ -40,26 +48,14 @@ struct HistogramSummary {
                          const HistogramSummary&) = default;
 };
 
-}  // namespace lumen::obs
-
-#if LUMEN_OBS_ENABLED
-
-#include <algorithm>
-#include <atomic>
-#include <bit>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <type_traits>
-
-namespace lumen::obs {
-inline namespace enabled {
+inline namespace LUMEN_OBS_MODE_NAMESPACE {
 
 /// Monotonic event counter; increments are lock-free and thread-safe.
 class Counter {
  public:
   void add(std::uint64_t delta = 1) noexcept {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    if constexpr (kObsEnabled)
+      value_.fetch_add(delta, std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
@@ -77,7 +73,8 @@ class Counter {
 class Gauge {
  public:
   void set(double v) noexcept {
-    bits_.store(std::bit_cast<std::uint64_t>(v), std::memory_order_relaxed);
+    if constexpr (kObsEnabled)
+      bits_.store(std::bit_cast<std::uint64_t>(v), std::memory_order_relaxed);
   }
   [[nodiscard]] double value() const noexcept {
     return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
@@ -102,6 +99,7 @@ class LatencyHistogram {
   static constexpr int kBuckets = 65;
 
   void record(std::uint64_t ticks) noexcept {
+    if constexpr (!kObsEnabled) return;
     buckets_[bucket_of(ticks)].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(ticks, std::memory_order_relaxed);
     update_extreme(min_, ticks, /*want_less=*/true);
@@ -110,6 +108,7 @@ class LatencyHistogram {
   /// Same, also retaining `trace_id` as the covering bucket's exemplar
   /// (last writer wins; 0 means "no trace" and leaves the slot alone).
   void record(std::uint64_t ticks, std::uint64_t trace_id) noexcept {
+    if constexpr (!kObsEnabled) return;
     record(ticks);
     if (trace_id != 0)
       exemplars_[bucket_of(ticks)].store(trace_id, std::memory_order_relaxed);
@@ -195,7 +194,7 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> max_{0};
 };
 
-}  // inline namespace enabled
+}  // inline namespace LUMEN_OBS_MODE_NAMESPACE
 
 namespace detail {
 
@@ -213,7 +212,7 @@ void note_labels_dropped();
 
 }  // namespace detail
 
-inline namespace enabled {
+inline namespace LUMEN_OBS_MODE_NAMESPACE {
 
 /// One instrument per TagSet under a shared name ("lumen.svc.admitted"
 /// keyed by {tenant=N}).  The hot path is a lock-free open-addressed
@@ -241,8 +240,10 @@ class LabeledFamily {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   /// The child instrument for `tags`, created on first sight.  An empty
-  /// set, or any new set past the cardinality cap, lands in overflow().
+  /// set, any new set past the cardinality cap, or any set at all with
+  /// telemetry compiled out lands in overflow().
   T& at(TagSet tags) {
+    if constexpr (!kObsEnabled) return overflow_;
     const std::uint64_t key = tags.key();
     if (key == 0) return overflow_;
     std::size_t i = detail::mix64(key) & mask_;
@@ -410,148 +411,5 @@ class Registry {
       labeled_histograms_;
 };
 
-}  // inline namespace enabled
+}  // inline namespace LUMEN_OBS_MODE_NAMESPACE
 }  // namespace lumen::obs
-
-#else  // LUMEN_OBS_ENABLED
-
-namespace lumen::obs {
-inline namespace disabled {
-
-/// No-op stand-in: see the enabled definition for semantics.
-class Counter {
- public:
-  void add(std::uint64_t = 1) noexcept {}
-  [[nodiscard]] std::uint64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-/// No-op stand-in: see the enabled definition for semantics.
-class Gauge {
- public:
-  void set(double) noexcept {}
-  [[nodiscard]] double value() const noexcept { return 0.0; }
-  void reset() noexcept {}
-};
-
-/// No-op stand-in: see the enabled definition for semantics.
-class LatencyHistogram {
- public:
-  static constexpr int kBuckets = 65;
-  void record(std::uint64_t) noexcept {}
-  void record(std::uint64_t, std::uint64_t) noexcept {}
-  void record_seconds(double) noexcept {}
-  void record_seconds(double, std::uint64_t) noexcept {}
-  [[nodiscard]] std::uint64_t count() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t sum() const noexcept { return 0; }
-  [[nodiscard]] double mean() const noexcept { return 0.0; }
-  [[nodiscard]] std::uint64_t min() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t max() const noexcept { return 0; }
-  [[nodiscard]] double percentile(double) const noexcept { return 0.0; }
-  [[nodiscard]] double percentile_seconds(double) const noexcept {
-    return 0.0;
-  }
-  [[nodiscard]] HistogramSummary summary() const noexcept { return {}; }
-  void merge(const LatencyHistogram&) noexcept {}
-  void reset() noexcept {}
-  [[nodiscard]] std::uint64_t bucket_count(int) const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t exemplar(int) const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t worst_exemplar() const noexcept { return 0; }
-  [[nodiscard]] static std::uint64_t bucket_upper_bound(int) noexcept {
-    return 0;
-  }
-  [[nodiscard]] static int bucket_of(std::uint64_t) noexcept { return 0; }
-};
-
-/// No-op stand-in: every TagSet lands on one shared dummy child.
-template <class T>
-class LabeledFamily {
- public:
-  static constexpr std::size_t kDefaultMaxChildren = 256;
-  T& at(TagSet) noexcept { return dummy_; }
-  [[nodiscard]] T& overflow() noexcept { return dummy_; }
-  [[nodiscard]] const T& overflow() const noexcept { return dummy_; }
-  [[nodiscard]] const std::string& name() const noexcept {
-    static const std::string empty;
-    return empty;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return 0; }
-  [[nodiscard]] std::size_t max_children() const noexcept { return 0; }
-  [[nodiscard]] std::vector<std::pair<std::string, const T*>> entries() const {
-    return {};
-  }
-  void reset() noexcept {}
-
- private:
-  T dummy_;
-};
-
-/// No-op stand-in: hands out shared dummy instruments.
-class Registry {
- public:
-  Registry() = default;
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-
-  static Registry& global() {
-    static Registry instance;
-    return instance;
-  }
-  Counter& counter(std::string_view) {
-    static Counter dummy;
-    return dummy;
-  }
-  Gauge& gauge(std::string_view) {
-    static Gauge dummy;
-    return dummy;
-  }
-  LatencyHistogram& histogram(std::string_view) {
-    static LatencyHistogram dummy;
-    return dummy;
-  }
-  LabeledFamily<Counter>& labeled_counter(std::string_view) {
-    static LabeledFamily<Counter> dummy;
-    return dummy;
-  }
-  LabeledFamily<Gauge>& labeled_gauge(std::string_view) {
-    static LabeledFamily<Gauge> dummy;
-    return dummy;
-  }
-  LabeledFamily<LatencyHistogram>& labeled_histogram(std::string_view) {
-    static LabeledFamily<LatencyHistogram> dummy;
-    return dummy;
-  }
-  [[nodiscard]] std::vector<std::pair<std::string, const Counter*>>
-  counter_entries() const {
-    return {};
-  }
-  [[nodiscard]] std::vector<std::pair<std::string, const Gauge*>>
-  gauge_entries() const {
-    return {};
-  }
-  [[nodiscard]] std::vector<std::pair<std::string, const LatencyHistogram*>>
-  histogram_entries() const {
-    return {};
-  }
-  [[nodiscard]] std::vector<
-      std::pair<std::string, const LabeledFamily<Counter>*>>
-  labeled_counter_entries() const {
-    return {};
-  }
-  [[nodiscard]] std::vector<std::pair<std::string, const LabeledFamily<Gauge>*>>
-  labeled_gauge_entries() const {
-    return {};
-  }
-  [[nodiscard]] std::vector<
-      std::pair<std::string, const LabeledFamily<LatencyHistogram>*>>
-  labeled_histogram_entries() const {
-    return {};
-  }
-  void reset() {}
-};
-
-}  // inline namespace disabled
-}  // namespace lumen::obs
-
-#endif  // LUMEN_OBS_ENABLED

@@ -16,6 +16,9 @@
 // Once writers are quiescent, size() + dropped() == total(), and the
 // losses publish() reports sum to dropped(), so the owners' registry
 // drop counters stay exact.
+//
+// With LUMEN_OBS_DISABLED the ring allocates no slots, reports
+// capacity() 0 and publish() keeps nothing.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +31,8 @@
 #include <span>
 #include <utility>
 #include <vector>
+
+#include "obs/obs.h"
 
 namespace lumen::obs {
 
@@ -65,10 +70,13 @@ class SeqlockRing {
  public:
   using Record = std::array<std::uint64_t, kWords>;
 
-  /// Capacity is rounded up to a power of two (minimum 2).
+  /// Capacity is rounded up to a power of two (minimum 2; 0 with
+  /// telemetry compiled out).
   explicit SeqlockRing(std::size_t capacity)
-      : capacity_(std::bit_ceil(std::max<std::size_t>(capacity, 2))),
-        slots_(std::make_unique<Slot[]>(capacity_)) {}
+      : capacity_(kObsEnabled
+                      ? std::bit_ceil(std::max<std::size_t>(capacity, 2))
+                      : 0),
+        slots_(kObsEnabled ? std::make_unique<Slot[]>(capacity_) : nullptr) {}
   SeqlockRing(const SeqlockRing&) = delete;
   SeqlockRing& operator=(const SeqlockRing&) = delete;
 
@@ -78,6 +86,7 @@ class SeqlockRing {
   /// true when this call cost a record: its own, because a writer a lap
   /// ahead or behind holds the slot, or the older record it overwrote.
   bool publish(std::span<const std::uint64_t> words) {
+    if constexpr (!kObsEnabled) return false;
     const std::uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
     Slot& slot = slots_[ticket & (capacity_ - 1)];
     const std::uint64_t writing = 2 * ticket + 1;
@@ -155,7 +164,7 @@ class SeqlockRing {
     std::array<std::atomic<std::uint64_t>, kWords> words{};
   };
 
-  std::size_t capacity_;  // power of two
+  std::size_t capacity_;  // power of two, or 0 with telemetry compiled out
   std::unique_ptr<Slot[]> slots_;
   std::atomic<std::uint64_t> next_{0};  // ticket counter
 };

@@ -1,12 +1,12 @@
 #include "obs/slo.h"
 
+#include <algorithm>
+#include <fstream>
+
 #include "obs/wire/wire_encoder.h"
 
 namespace lumen::obs {
 
-// Compiled in both build modes: the snapshot struct is passive data, and
-// obs-off binaries (lumen_top, lumen_collect) still serialize decoded
-// snapshots received over the wire.
 std::string pump_snapshot_to_json(const PumpSnapshot& snapshot) {
   std::string out = "{\"tick\":" + std::to_string(snapshot.tick);
   out += ",\"uptime_seconds\":" +
@@ -69,15 +69,7 @@ std::string pump_snapshot_to_json(const PumpSnapshot& snapshot) {
   return out;
 }
 
-}  // namespace lumen::obs
-
-#if LUMEN_OBS_ENABLED
-
-#include <algorithm>
-#include <fstream>
-
-namespace lumen::obs {
-inline namespace enabled {
+inline namespace LUMEN_OBS_MODE_NAMESPACE {
 
 namespace {
 
@@ -386,6 +378,7 @@ PumpSnapshot MetricsPump::tick() {
 }
 
 void MetricsPump::start() {
+  if constexpr (!kObsEnabled) return;
   const std::scoped_lock lock(state_mutex_);
   if (thread_.joinable()) return;
   stop_requested_ = false;
@@ -426,7 +419,5 @@ void MetricsPump::thread_main() {
   }
 }
 
-}  // inline namespace enabled
+}  // inline namespace LUMEN_OBS_MODE_NAMESPACE
 }  // namespace lumen::obs
-
-#endif  // LUMEN_OBS_ENABLED

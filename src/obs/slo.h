@@ -23,12 +23,19 @@
 //   obs::MetricsPump pump(obs::Registry::global(), options);
 //   pump.start();   // or pump.tick() under test control
 //
-// With LUMEN_OBS_DISABLED the watchdog and pump are inert no-ops (the
-// registry has no instruments to evaluate).
+// With LUMEN_OBS_DISABLED the registry holds no instruments, so the
+// watchdog never breaches and every snapshot is empty; start() starts no
+// thread.
 #pragma once
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -136,7 +143,7 @@ struct AlertEvent {
 
 /// One labeled counter child at sample time.  `labels` uses the
 /// canonical TagSet rendering ("tenant=3,shard=1" — see obs/tagset.h).
-/// Passive data, shared by both build modes.
+/// Passive data.
 struct LabeledCounterSample {
   std::string name;
   std::string labels;
@@ -208,23 +215,11 @@ struct PumpSnapshot {
 
 namespace wire {
 /// Binary wire egress for snapshots (obs/wire/wire_encoder.h); referenced
-/// by PumpOptions in both build modes.
+/// by PumpOptions.
 class WireExporter;
 }  // namespace wire
 
-}  // namespace lumen::obs
-
-#if LUMEN_OBS_ENABLED
-
-#include <chrono>
-#include <condition_variable>
-#include <functional>
-#include <map>
-#include <mutex>
-#include <thread>
-
-namespace lumen::obs {
-inline namespace enabled {
+inline namespace LUMEN_OBS_MODE_NAMESPACE {
 
 /// Evaluates SLO rules against a registry; breach state is kept per rule
 /// so alerts fire only on transitions.  Thread-safe.
@@ -302,7 +297,8 @@ class MetricsPump {
   /// callback.  Thread-safe (serialized against the background thread).
   PumpSnapshot tick();
 
-  /// Starts the background thread (idempotent).
+  /// Starts the background thread (idempotent; a no-op with telemetry
+  /// compiled out).
   void start();
   /// Stops and joins it (idempotent; also called by the destructor).
   void stop();
@@ -330,65 +326,5 @@ class MetricsPump {
   std::thread thread_;
 };
 
-}  // inline namespace enabled
+}  // inline namespace LUMEN_OBS_MODE_NAMESPACE
 }  // namespace lumen::obs
-
-#else  // LUMEN_OBS_ENABLED
-
-namespace lumen::obs {
-inline namespace disabled {
-
-/// No-op stand-in: never breaches (a disabled registry has no values).
-class SloWatchdog {
- public:
-  SloWatchdog() = default;
-  SloWatchdog(const SloWatchdog&) = delete;
-  SloWatchdog& operator=(const SloWatchdog&) = delete;
-  void add_rule(SloRule rule) { rules_.push_back(std::move(rule)); }
-  [[nodiscard]] std::size_t num_rules() const { return rules_.size(); }
-  [[nodiscard]] std::vector<AlertEvent> evaluate(
-      const Registry& = Registry::global()) {
-    return {};
-  }
-  [[nodiscard]] bool breaching(const std::string&) const { return false; }
-
- private:
-  std::vector<SloRule> rules_;
-};
-
-struct PumpOptions {
-  double interval_seconds = 1.0;
-  std::string snapshot_path;
-  SloWatchdog* watchdog = nullptr;
-  FlightRecorder* recorder = nullptr;
-  std::string dump_dir = ".";
-  wire::WireExporter* wire = nullptr;
-  Profiler* profiler = nullptr;
-  /// No std::function here: the disabled pump never ticks a snapshot.
-  void* on_snapshot = nullptr;
-};
-
-/// No-op stand-in: no thread, no sink, empty snapshots.
-class MetricsPump {
- public:
-  explicit MetricsPump(Registry& = Registry::global(), PumpOptions = {}) {}
-  MetricsPump(const MetricsPump&) = delete;
-  MetricsPump& operator=(const MetricsPump&) = delete;
-  PumpSnapshot tick() {
-    PumpSnapshot snapshot;
-    snapshot.tick = ++tick_count_;
-    return snapshot;
-  }
-  void start() {}
-  void stop() {}
-  [[nodiscard]] bool running() const { return false; }
-  [[nodiscard]] std::uint64_t ticks() const { return tick_count_; }
-
- private:
-  std::uint64_t tick_count_ = 0;
-};
-
-}  // inline namespace disabled
-}  // namespace lumen::obs
-
-#endif  // LUMEN_OBS_ENABLED

@@ -1,13 +1,11 @@
 #include "obs/span_buffer.h"
 
-#if LUMEN_OBS_ENABLED
-
 #include <bit>
 
 #include "obs/registry.h"
 
 namespace lumen::obs {
-inline namespace enabled {
+inline namespace LUMEN_OBS_MODE_NAMESPACE {
 
 SpanBuffer::SpanBuffer(std::size_t capacity) : ring_(capacity) {}
 
@@ -16,7 +14,7 @@ SpanBuffer& SpanBuffer::global() {
   return instance;
 }
 
-void SpanBuffer::emit(const CausalSpanRecord& r) {
+void SpanBuffer::publish(const CausalSpanRecord& r) {
   const std::uint64_t words[kWords] = {
       r.trace_id,
       r.span_id,
@@ -59,7 +57,5 @@ std::vector<CausalSpanRecord> SpanBuffer::snapshot() const {
   return out;
 }
 
-}  // inline namespace enabled
+}  // inline namespace LUMEN_OBS_MODE_NAMESPACE
 }  // namespace lumen::obs
-
-#endif  // LUMEN_OBS_ENABLED

@@ -13,7 +13,7 @@
 // cheap enough for protocol inner loops.  Lost records (overwritten, or
 // dropped by a writer lapped by a whole ring) are counted in dropped()
 // and in the `lumen.obs.spans_dropped` counter.  With LUMEN_OBS_DISABLED
-// everything here is a no-op (see obs.h).
+// emit() compiles to nothing and the ring holds no slots (see obs.h).
 #pragma once
 
 #include <cstddef>
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "obs/seqlock_ring.h"
 
 namespace lumen::obs {
 
@@ -53,14 +54,7 @@ struct CausalSpanRecord {
                          const CausalSpanRecord&) = default;
 };
 
-}  // namespace lumen::obs
-
-#if LUMEN_OBS_ENABLED
-
-#include "obs/seqlock_ring.h"
-
-namespace lumen::obs {
-inline namespace enabled {
+inline namespace LUMEN_OBS_MODE_NAMESPACE {
 
 /// Fixed-capacity lock-free ring of CausalSpanRecords (one SeqlockRing
 /// slot per record; concurrent emit/snapshot is data-race-free, and the
@@ -69,7 +63,8 @@ class SpanBuffer {
  public:
   static constexpr std::size_t kDefaultCapacity = 8192;
 
-  /// Capacity is rounded up to a power of two (minimum 2).
+  /// Capacity is rounded up to a power of two (minimum 2; 0 with
+  /// telemetry compiled out).
   explicit SpanBuffer(std::size_t capacity = kDefaultCapacity);
   SpanBuffer(const SpanBuffer&) = delete;
   SpanBuffer& operator=(const SpanBuffer&) = delete;
@@ -79,7 +74,9 @@ class SpanBuffer {
 
   /// Publishes one record.  Lock-free; never waits on another writer.
   /// Overwrites the oldest slot once full.
-  void emit(const CausalSpanRecord& record);
+  void emit(const CausalSpanRecord& record) {
+    if constexpr (kObsEnabled) publish(record);
+  }
 
   /// The retained records, oldest first.  Skips slots that are being
   /// overwritten concurrently.
@@ -107,38 +104,10 @@ class SpanBuffer {
   /// Packed word count of one record (see emit()/snapshot() in the .cc).
   static constexpr std::size_t kWords = 11;
 
+  void publish(const CausalSpanRecord& record);
+
   SeqlockRing<kWords> ring_;
 };
 
-}  // inline namespace enabled
+}  // inline namespace LUMEN_OBS_MODE_NAMESPACE
 }  // namespace lumen::obs
-
-#else  // LUMEN_OBS_ENABLED
-
-namespace lumen::obs {
-inline namespace disabled {
-
-/// No-op stand-in: see the enabled definition for semantics.
-class SpanBuffer {
- public:
-  static constexpr std::size_t kDefaultCapacity = 8192;
-  explicit SpanBuffer(std::size_t = kDefaultCapacity) {}
-  SpanBuffer(const SpanBuffer&) = delete;
-  SpanBuffer& operator=(const SpanBuffer&) = delete;
-  static SpanBuffer& global() {
-    static SpanBuffer instance;
-    return instance;
-  }
-  void emit(const CausalSpanRecord&) {}
-  [[nodiscard]] std::vector<CausalSpanRecord> snapshot() const { return {}; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t total_emitted() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return 0; }
-  void clear() {}
-};
-
-}  // inline namespace disabled
-}  // namespace lumen::obs
-
-#endif  // LUMEN_OBS_ENABLED

@@ -1,6 +1,6 @@
 #include "obs/tagset.h"
 
-#include <array>
+#include <mutex>
 
 namespace lumen::obs {
 
@@ -76,25 +76,6 @@ std::vector<std::pair<std::string, std::string>> TagSet::entries() const {
 std::string TagSet::canonical() const { return labels_canonical(entries()); }
 
 namespace detail {
-
-// Defined below, per build mode.
-std::string interned_tag_text(std::uint16_t vid);
-
-std::string tag_value_text(std::uint16_t vid) {
-  if (vid < kNumericVidLimit) return std::to_string(vid);
-  if (vid == kOverflowVid) return "!overflow";
-  return interned_tag_text(vid);
-}
-
-}  // namespace detail
-}  // namespace lumen::obs
-
-#if LUMEN_OBS_ENABLED
-
-#include <mutex>
-
-namespace lumen::obs {
-namespace detail {
 namespace {
 
 /// Process-wide value interner.  Insertion takes a mutex; ids are dense
@@ -143,7 +124,9 @@ std::uint16_t intern_tag_value(std::string_view value) {
   return static_cast<std::uint16_t>(kNumericVidLimit + next);
 }
 
-std::string interned_tag_text(std::uint16_t vid) {
+std::string tag_value_text(std::uint16_t vid) {
+  if (vid < kNumericVidLimit) return std::to_string(vid);
+  if (vid == kOverflowVid) return "!overflow";
   auto& interner = TagInterner::instance();
   const std::scoped_lock lock(interner.mutex);
   const std::size_t index = static_cast<std::size_t>(vid) - kNumericVidLimit;
@@ -153,16 +136,3 @@ std::string interned_tag_text(std::uint16_t vid) {
 
 }  // namespace detail
 }  // namespace lumen::obs
-
-#else  // LUMEN_OBS_ENABLED
-
-namespace lumen::obs {
-namespace detail {
-
-std::uint16_t intern_tag_value(std::string_view) { return kOverflowVid; }
-std::string interned_tag_text(std::uint16_t) { return "!overflow"; }
-
-}  // namespace detail
-}  // namespace lumen::obs
-
-#endif  // LUMEN_OBS_ENABLED

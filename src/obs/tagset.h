@@ -12,8 +12,8 @@
 // stays lock-free end to end.  Small numeric values (0..2047) encode
 // directly in the value id; everything else goes through a process-wide
 // string interner (mutex on first sight of a value, lock-free after).
-// With LUMEN_OBS_DISABLED the interner is compiled out and TagSet
-// degenerates to pure integer arithmetic feeding no-op instruments.
+// The interner works the same with LUMEN_OBS_DISABLED; the labeled
+// instruments it feeds are the ones that compile to nothing.
 //
 // The canonical text rendering ("shard=1,tenant=3", keys in fixed
 // dimension order, values backslash-escaped) is the labels format used
@@ -53,7 +53,7 @@ inline constexpr std::uint16_t kOverflowVid = 4095;
 
 /// Interns `value`, returning its id (kOverflowVid once the 2047-entry
 /// string table is full).  Numeric strings below the limit come back as
-/// their numeric id.  No-op (returns kOverflowVid) when obs is disabled.
+/// their numeric id.
 [[nodiscard]] std::uint16_t intern_tag_value(std::string_view value);
 
 /// Renders a value id back to text.

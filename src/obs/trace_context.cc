@@ -1,13 +1,11 @@
 #include "obs/trace_context.h"
 
-#if LUMEN_OBS_ENABLED
-
 #include <atomic>
 
 #include "obs/profiler.h"
 
 namespace lumen::obs {
-inline namespace enabled {
+inline namespace LUMEN_OBS_MODE_NAMESPACE {
 
 namespace {
 
@@ -29,9 +27,9 @@ std::uint64_t new_span_id() {
 
 TraceContext current_trace_context() noexcept { return t_ambient; }
 
-CausalSpan::CausalSpan(const char* name, TraceContext parent,
-                       SpanBuffer* buffer)
-    : name_(name), buffer_(buffer), start_(clock::now()) {
+void CausalSpan::open(TraceContext parent) {
+  if (buffer_ == nullptr) buffer_ = &SpanBuffer::global();
+  start_ = clock::now();
   if (parent.valid()) {
     trace_id_ = parent.trace_id;
     parent_span_id_ = parent.parent_span_id;
@@ -42,20 +40,17 @@ CausalSpan::CausalSpan(const char* name, TraceContext parent,
   span_id_ = new_span_id();
 }
 
-CausalSpan::CausalSpan(const char* name, SpanBuffer* buffer)
-    : CausalSpan(name, t_ambient, buffer) {
+void CausalSpan::open_ambient() {
+  open(t_ambient);
   ambient_ = true;
   previous_ = t_ambient;
   t_ambient = context();
   // Ambient spans double as profiler frames (see obs/profiler.h); the
-  // matching close hook fires in close().
-  Profiler::global().on_span_open(name);
+  // matching close hook fires in finish().
+  Profiler::global().on_span_open(name_);
 }
 
-CausalSpan::~CausalSpan() { close(); }
-
-void CausalSpan::close() {
-  if (!open_) return;
+void CausalSpan::finish() {
   open_ = false;
   if (ambient_) t_ambient = previous_;
   CausalSpanRecord record;
@@ -80,14 +75,11 @@ void CausalSpan::close() {
   if (ambient_) Profiler::global().on_span_close(record.duration_ns);
 }
 
-ScopedTraceContext::ScopedTraceContext(TraceContext ctx) noexcept
-    : previous_(t_ambient) {
+TraceContext ScopedTraceContext::exchange(TraceContext ctx) noexcept {
+  const TraceContext previous = t_ambient;
   t_ambient = ctx;
+  return previous;
 }
 
-ScopedTraceContext::~ScopedTraceContext() { t_ambient = previous_; }
-
-}  // inline namespace enabled
+}  // inline namespace LUMEN_OBS_MODE_NAMESPACE
 }  // namespace lumen::obs
-
-#endif  // LUMEN_OBS_ENABLED

@@ -25,9 +25,11 @@
 // On close() (or destruction) one CausalSpanRecord lands in the target
 // SpanBuffer.  Ambient spans must close in LIFO order per thread (the
 // usual scoped usage).  With LUMEN_OBS_DISABLED both modes compile to
-// no-ops and context() returns the zero context.
+// no-ops (the header never calls out of line) and context() returns the
+// zero context.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 
 #include "obs/obs.h"
@@ -37,7 +39,7 @@ namespace lumen::obs {
 
 /// Causal coordinates carried on messages: which trace an event belongs
 /// to and which span caused it.  trace_id 0 = "no trace" (the zero
-/// context propagated by disabled builds).
+/// context propagated by obs-off builds).
 struct TraceContext {
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span_id = 0;
@@ -47,42 +49,44 @@ struct TraceContext {
   friend bool operator==(const TraceContext&, const TraceContext&) = default;
 };
 
-}  // namespace lumen::obs
-
-#if LUMEN_OBS_ENABLED
-
-#include <chrono>
-
-namespace lumen::obs {
-inline namespace enabled {
+inline namespace LUMEN_OBS_MODE_NAMESPACE {
 
 /// The calling thread's current ambient trace context ({0,0} when no
 /// ambient CausalSpan is open on this thread).
 [[nodiscard]] TraceContext current_trace_context() noexcept;
 
 /// RAII causal span: opens on construction, emits one CausalSpanRecord
-/// into `buffer` on close() or destruction.
+/// into `buffer` (nullptr = SpanBuffer::global()) on close() or
+/// destruction.
 class CausalSpan {
  public:
   /// Ambient mode: parents under current_trace_context() — starting a
   /// fresh trace when there is none — and installs this span's context as
   /// the thread's ambient context until close().
-  explicit CausalSpan(const char* name,
-                      SpanBuffer* buffer = &SpanBuffer::global());
+  explicit CausalSpan(const char* name, SpanBuffer* buffer = nullptr)
+      : name_(name), buffer_(buffer) {
+    if constexpr (kObsEnabled) open_ambient();
+  }
 
   /// Explicit-parent mode: links under `parent` (a fresh trace when
   /// `parent` is invalid).  Leaves the thread-local context alone, so it
   /// is safe for event-loop code emitting many sibling spans.
   CausalSpan(const char* name, TraceContext parent,
-             SpanBuffer* buffer = &SpanBuffer::global());
+             SpanBuffer* buffer = nullptr)
+      : name_(name), buffer_(buffer) {
+    if constexpr (kObsEnabled) open(parent);
+  }
 
   CausalSpan(const CausalSpan&) = delete;
   CausalSpan& operator=(const CausalSpan&) = delete;
-  ~CausalSpan();
+  ~CausalSpan() { close(); }
 
   /// Emits the record now (and, for ambient spans, restores the previous
   /// ambient context); later close()/destruction is a no-op.
-  void close();
+  void close() {
+    if constexpr (kObsEnabled)
+      if (open_) finish();
+  }
 
   /// This span's identity as a context for children/messages.
   [[nodiscard]] TraceContext context() const noexcept {
@@ -105,9 +109,13 @@ class CausalSpan {
  private:
   using clock = std::chrono::steady_clock;
 
+  void open(TraceContext parent);
+  void open_ambient();
+  void finish();
+
   const char* name_;
   SpanBuffer* buffer_;
-  clock::time_point start_;
+  clock::time_point start_{};
   std::uint64_t trace_id_ = 0;
   std::uint64_t span_id_ = 0;
   std::uint64_t parent_span_id_ = 0;
@@ -126,52 +134,21 @@ class CausalSpan {
 /// adopt a request's context before running ambient-instrumented code.
 class ScopedTraceContext {
  public:
-  explicit ScopedTraceContext(TraceContext ctx) noexcept;
+  explicit ScopedTraceContext(TraceContext ctx) noexcept {
+    if constexpr (kObsEnabled) previous_ = exchange(ctx);
+  }
   ScopedTraceContext(const ScopedTraceContext&) = delete;
   ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;
-  ~ScopedTraceContext();
+  ~ScopedTraceContext() {
+    if constexpr (kObsEnabled) exchange(previous_);
+  }
 
  private:
-  TraceContext previous_;
+  /// Installs `ctx` as the thread's ambient context; returns the old one.
+  static TraceContext exchange(TraceContext ctx) noexcept;
+
+  TraceContext previous_{};
 };
 
-}  // inline namespace enabled
+}  // inline namespace LUMEN_OBS_MODE_NAMESPACE
 }  // namespace lumen::obs
-
-#else  // LUMEN_OBS_ENABLED
-
-namespace lumen::obs {
-inline namespace disabled {
-
-[[nodiscard]] inline TraceContext current_trace_context() noexcept {
-  return {};
-}
-
-/// No-op stand-in: see the enabled definition for semantics.
-class CausalSpan {
- public:
-  explicit CausalSpan(const char*, SpanBuffer* = &SpanBuffer::global()) {}
-  CausalSpan(const char*, TraceContext, SpanBuffer* = &SpanBuffer::global()) {}
-  CausalSpan(const CausalSpan&) = delete;
-  CausalSpan& operator=(const CausalSpan&) = delete;
-  void close() {}
-  [[nodiscard]] TraceContext context() const noexcept { return {}; }
-  [[nodiscard]] std::uint64_t trace_id() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t span_id() const noexcept { return 0; }
-  void set_node(std::uint32_t) noexcept {}
-  void set_virtual_interval(double, double) noexcept {}
-  void set_attributes(std::uint64_t, std::uint64_t) noexcept {}
-};
-
-/// No-op stand-in: see the enabled definition for semantics.
-class ScopedTraceContext {
- public:
-  explicit ScopedTraceContext(TraceContext) noexcept {}
-  ScopedTraceContext(const ScopedTraceContext&) = delete;
-  ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;
-};
-
-}  // inline namespace disabled
-}  // namespace lumen::obs
-
-#endif  // LUMEN_OBS_ENABLED

@@ -189,14 +189,15 @@ void SessionManager::record_event(NodeId source, NodeId target,
   event.search_seconds = route.stats.search_seconds;
   event.trace_id = current_trace_id_;
   // Every event is mirrored into the global flight recorder (a bounded
-  // ring, a no-op ring under LUMEN_OBS_DISABLED) so a triggered dump
+  // ring; record_event is a no-op under LUMEN_OBS_DISABLED) so a triggered dump
   // always holds the recent history even without an attached log.
   obs::FlightRecorder::global().record_event(event);
   if (event_log_ != nullptr) event_log_->append(std::move(event));
 }
 
 void SessionManager::update_utilization_gauges() const {
-#if LUMEN_OBS_ENABLED
+  // Obs-off gauges record nothing: skip the walk over the links.
+  if constexpr (!obs::kObsEnabled) return;
   static obs::Gauge& spans_busy_gauge =
       obs::Registry::global().gauge("lumen.rwa.util.spans_busy");
   static obs::Gauge& busy_ratio_gauge =
@@ -244,7 +245,6 @@ void SessionManager::update_utilization_gauges() const {
       ratio_links == 0 ? 0.0 : ratio_sum / static_cast<double>(ratio_links));
   fragmentation_gauge.set(
       frag_links == 0 ? 0.0 : frag_sum / static_cast<double>(frag_links));
-#endif  // LUMEN_OBS_ENABLED
 }
 
 void SessionManager::maybe_snapshot_metrics() {

@@ -14,6 +14,19 @@ namespace lumen {
 
 namespace {
 
+// Declared sizes are checked against these caps before anything is
+// allocated from them, so a corrupt or hostile header ("nodes
+// 4000000000") is a parse error, not std::bad_alloc.  Each cap sits far
+// above the largest network the repo builds: 4096 nodes (the n sweeps in
+// bench/), 1024 wavelengths (bench_restricted, adversarial_test), and
+// about 10.5M matrix entries (adversarial_test's n = 10, k = 1024
+// network written as `conversion matrix`).
+constexpr std::uint32_t kMaxNodes = 1u << 20;
+constexpr std::uint32_t kMaxWavelengths = 1u << 16;
+/// n·k² cap for `conversion matrix`, which stores one double per entry
+/// (512 MiB at the cap).
+constexpr std::uint64_t kMaxMatrixEntries = std::uint64_t{1} << 26;
+
 void write_conversion(const WdmNetwork& net, std::ostream& os) {
   const ConversionModel& model = net.conversion();
   const std::uint32_t n = net.num_nodes();
@@ -71,6 +84,15 @@ std::istream& operator>>(std::istream& is, Unsigned field) {
 [[noreturn]] void parse_fail(std::size_t line_number, const std::string& why) {
   throw Error("parse error at line " + std::to_string(line_number) + ": " +
               why);
+}
+
+/// Rejects a declared size above its cap before anything is allocated.
+void check_size(std::size_t line_number, const std::string& what,
+                std::uint64_t value, std::uint64_t limit) {
+  if (value > limit)
+    parse_fail(line_number, what + " " + std::to_string(value) +
+                                " exceeds the limit of " +
+                                std::to_string(limit));
 }
 
 }  // namespace
@@ -134,6 +156,7 @@ WdmNetwork read_network(std::istream& is) {
     ss >> keyword >> Unsigned{n};
     if (keyword != "nodes" || ss.fail())
       parse_fail(line_number, "expected 'nodes <n>'");
+    check_size(line_number, "nodes", n, kMaxNodes);
   }
   {
     std::istringstream ss(next_line());
@@ -141,6 +164,7 @@ WdmNetwork read_network(std::istream& is) {
     ss >> keyword >> Unsigned{k};
     if (keyword != "wavelengths" || ss.fail() || k == 0)
       parse_fail(line_number, "expected 'wavelengths <k>' with k >= 1");
+    check_size(line_number, "wavelengths", k, kMaxWavelengths);
   }
 
   // Conversion model.
@@ -170,6 +194,8 @@ WdmNetwork read_network(std::istream& is) {
       conversion =
           std::make_shared<RangeLimitedConversion>(radius, base, per_step);
     } else if (kind == "matrix") {
+      check_size(line_number, "conversion matrix entries (nodes * k^2)",
+                 std::uint64_t{n} * k * k, kMaxMatrixEntries);
       matrix = std::make_shared<MatrixConversion>(n, k);
       conversion = matrix;
     } else {

@@ -353,16 +353,16 @@ TEST(GoalDirectedEngineTest, PrunedAndSettledStatsAreConsistent) {
   obs::Counter& pruned =
       obs::Registry::global().counter("lumen.core.search.pruned");
   obs::Counter& pops = obs::Registry::global().counter("lumen.core.search.pops");
-  [[maybe_unused]] const std::uint64_t pruned_before = pruned.value();
-  [[maybe_unused]] const std::uint64_t pops_before = pops.value();
+  const std::uint64_t pruned_before = pruned.value();
+  const std::uint64_t pops_before = pops.value();
   const RouteResult again =
       engine.route_semilightpath(NodeId{0}, NodeId{2}, kCombined);
   ASSERT_TRUE(again.found);
   EXPECT_EQ(again.cost, goal.cost);
-#if LUMEN_OBS_ENABLED
-  EXPECT_EQ(pruned.value() - pruned_before, again.stats.search_pruned);
-  EXPECT_EQ(pops.value() - pops_before, again.stats.search_pops);
-#endif
+  if constexpr (obs::kObsEnabled) {
+    EXPECT_EQ(pruned.value() - pruned_before, again.stats.search_pruned);
+    EXPECT_EQ(pops.value() - pops_before, again.stats.search_pops);
+  }
 }
 
 }  // namespace

@@ -18,12 +18,11 @@
 #include "obs/slo.h"
 #include "obs/span_buffer.h"
 #include "svc/service.h"
+#include "tests/obs_test_util.h"
 #include "tests/test_util.h"
 
 namespace lumen {
 namespace {
-
-#if LUMEN_OBS_ENABLED
 
 /// Minimal field scrape from one flat-JSON dump line.
 std::string field_text(const std::string& line, const std::string& key) {
@@ -35,6 +34,7 @@ std::string field_text(const std::string& line, const std::string& key) {
 }
 
 TEST(BreachLinkageTest, AdmitP99BreachDumpNamesTenantTraceAndStages) {
+  LUMEN_REQUIRE_OBS();
   obs::FlightRecorder::global().clear();
   obs::SpanBuffer::global().clear();
   obs::Profiler::global().clear();
@@ -153,8 +153,6 @@ TEST(BreachLinkageTest, AdmitP99BreachDumpNamesTenantTraceAndStages) {
       obs::Profiler::kDefaultSamplePeriod);
   std::remove(alert->dump_path.c_str());
 }
-
-#endif  // LUMEN_OBS_ENABLED
 
 }  // namespace
 }  // namespace lumen

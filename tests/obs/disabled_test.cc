@@ -1,11 +1,6 @@
-// Compiles the obs headers with LUMEN_OBS_DISABLED and checks the whole
-// instrumentation surface degrades to inert no-ops.  The inline disabled
-// stubs live in their own inline namespace, so this TU links cleanly into
-// a binary whose other TUs use the enabled implementation.
-#ifndef LUMEN_OBS_DISABLED
-#define LUMEN_OBS_DISABLED
-#endif
-
+// Checks that with LUMEN_OBS_DISABLED the whole instrumentation surface
+// degrades to inert no-ops.  Built as its own suite against lumen_obs_off
+// (tests/CMakeLists.txt), so it runs in every tree, obs-on or obs-off.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -145,10 +140,9 @@ TEST(DisabledObsTest, LabeledFamiliesHandOutOneInertDummy) {
   EXPECT_TRUE(registry.labeled_counter_entries().empty());
   EXPECT_TRUE(registry.labeled_gauge_entries().empty());
   EXPECT_TRUE(registry.labeled_histogram_entries().empty());
-  // TagSet arithmetic itself still works: numeric ids never touch the
-  // interner, so labels stay meaningful for the passive codecs.  (The
-  // interned dimensions are exercised by tagset_test in both builds —
-  // the interner is out-of-line, so this TU's stubs don't replace it.)
+  // TagSet arithmetic itself still works, so labels stay meaningful for
+  // the passive codecs.  (The interned dimensions are exercised by
+  // tagset_test in both builds.)
   EXPECT_EQ(TagSet{}.tenant(3).shard(1).canonical(), "tenant=3,shard=1");
 }
 

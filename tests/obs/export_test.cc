@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "tests/obs_test_util.h"
 #include "util/error.h"
 
 namespace lumen::obs {
@@ -94,6 +95,7 @@ TEST(ExportTest, CsvQuotesEmbeddedQuotes) {
 }
 
 TEST(ExportTest, PrometheusCountersAndHistograms) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   registry.counter("lumen.test.requests").add(42);
   LatencyHistogram& h = registry.histogram("lumen.test.latency_ns");
@@ -142,6 +144,7 @@ TEST(ExportTest, TraceIdRidesAtTheEndOfBothSchemas) {
 }
 
 TEST(ExportTest, PrometheusRendersFaultInstruments) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   registry.counter("lumen.dist.faults.retransmit_sweeps").add(7);
   registry.counter("lumen.dist.faults.stale_offers").add(19);

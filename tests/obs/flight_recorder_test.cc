@@ -15,6 +15,7 @@
 #include "obs/trace_assembler.h"
 #include "obs/trace_context.h"
 #include "rwa/session_manager.h"
+#include "tests/obs_test_util.h"
 #include "tests/test_util.h"
 
 namespace lumen {
@@ -33,6 +34,7 @@ RouteEvent event_with_sequence(std::uint64_t sequence) {
 }
 
 TEST(FlightRecorderTest, RingKeepsNewestOldestFirstAndCountsDrops) {
+  LUMEN_REQUIRE_OBS();
   SpanBuffer spans(8);
   FlightRecorder recorder(4, &spans);
   EXPECT_EQ(recorder.event_capacity(), 4u);
@@ -46,6 +48,7 @@ TEST(FlightRecorderTest, RingKeepsNewestOldestFirstAndCountsDrops) {
 }
 
 TEST(FlightRecorderTest, WraparoundBumpsRegistryDropCounter) {
+  LUMEN_REQUIRE_OBS();
   auto& counter = obs::Registry::global().counter("lumen.obs.events_dropped");
   const std::uint64_t before = counter.value();
   SpanBuffer spans(8);
@@ -56,6 +59,7 @@ TEST(FlightRecorderTest, WraparoundBumpsRegistryDropCounter) {
 }
 
 TEST(FlightRecorderTest, RouteEventLogOverflowCountsDrops) {
+  LUMEN_REQUIRE_OBS();
   auto& counter = obs::Registry::global().counter("lumen.obs.events_dropped");
   const std::uint64_t before = counter.value();
   obs::RouteEventLog log(3);
@@ -69,6 +73,7 @@ TEST(FlightRecorderTest, RouteEventLogOverflowCountsDrops) {
 }
 
 TEST(FlightRecorderTest, DumpStringHoldsSpansThenEvents) {
+  LUMEN_REQUIRE_OBS();
   SpanBuffer spans(8);
   FlightRecorder recorder(8, &spans);
   {
@@ -89,6 +94,7 @@ TEST(FlightRecorderTest, DumpStringHoldsSpansThenEvents) {
 }
 
 TEST(FlightRecorderTest, TriggerDumpSanitizesTagAndWritesFile) {
+  LUMEN_REQUIRE_OBS();
   SpanBuffer spans(8);
   FlightRecorder recorder(8, &spans);
   recorder.record_event(event_with_sequence(7));
@@ -116,22 +122,22 @@ TEST(FlightRecorderTest, SessionManagerMirrorsEventsWithMatchingTraces) {
   const auto id = manager.open(NodeId{0}, NodeId{6});
   ASSERT_TRUE(id.has_value());
 
-#if LUMEN_OBS_ENABLED
-  const auto events = FlightRecorder::global().events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].outcome, "carried");
-  ASSERT_NE(events[0].trace_id, 0u);
+  if constexpr (obs::kObsEnabled) {
+    const auto events = FlightRecorder::global().events();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].outcome, "carried");
+    ASSERT_NE(events[0].trace_id, 0u);
 
-  // The event's trace resolves to a span tree rooted at rwa.open with the
-  // routing work nested under it — the end-to-end linkage.
-  const auto spans = SpanBuffer::global().snapshot();
-  const obs::TraceTree tree =
-      obs::assemble_trace(spans, events[0].trace_id);
-  ASSERT_EQ(tree.roots.size(), 1u);
-  EXPECT_STREQ(tree.roots[0].span.name, "rwa.open");
-  EXPECT_EQ(tree.roots[0].span.node, 0u);
-  EXPECT_NE(obs::find_span(tree, "engine.semilightpath"), nullptr);
-#endif
+    // The event's trace resolves to a span tree rooted at rwa.open with the
+    // routing work nested under it — the end-to-end linkage.
+    const auto spans = SpanBuffer::global().snapshot();
+    const obs::TraceTree tree =
+        obs::assemble_trace(spans, events[0].trace_id);
+    ASSERT_EQ(tree.roots.size(), 1u);
+    EXPECT_STREQ(tree.roots[0].span.name, "rwa.open");
+    EXPECT_EQ(tree.roots[0].span.node, 0u);
+    EXPECT_NE(obs::find_span(tree, "engine.semilightpath"), nullptr);
+  }
 }
 
 TEST(FlightRecorderTest, FailSpanStormSharesOneTrace) {
@@ -151,19 +157,19 @@ TEST(FlightRecorderTest, FailSpanStormSharesOneTrace) {
   // Fail the span carrying the session's first hop; the reroute (or drop)
   // event must carry the fail_span trace, with rwa.reroute under its root.
   manager.fail_span(net.tail(first_link), net.head(first_link));
-#if LUMEN_OBS_ENABLED
-  const auto events = FlightRecorder::global().events();
-  ASSERT_GE(events.size(), 1u);
-  const std::uint64_t trace = events.back().trace_id;
-  ASSERT_NE(trace, 0u);
-  for (const RouteEvent& e : events) EXPECT_EQ(e.trace_id, trace);
+  if constexpr (obs::kObsEnabled) {
+    const auto events = FlightRecorder::global().events();
+    ASSERT_GE(events.size(), 1u);
+    const std::uint64_t trace = events.back().trace_id;
+    ASSERT_NE(trace, 0u);
+    for (const RouteEvent& e : events) EXPECT_EQ(e.trace_id, trace);
 
-  const obs::TraceTree tree =
-      obs::assemble_trace(SpanBuffer::global().snapshot(), trace);
-  ASSERT_EQ(tree.roots.size(), 1u);
-  EXPECT_STREQ(tree.roots[0].span.name, "rwa.fail_span");
-  EXPECT_NE(obs::find_span(tree, "rwa.reroute"), nullptr);
-#endif
+    const obs::TraceTree tree =
+        obs::assemble_trace(SpanBuffer::global().snapshot(), trace);
+    ASSERT_EQ(tree.roots.size(), 1u);
+    EXPECT_STREQ(tree.roots[0].span.name, "rwa.fail_span");
+    EXPECT_NE(obs::find_span(tree, "rwa.reroute"), nullptr);
+  }
 }
 
 }  // namespace

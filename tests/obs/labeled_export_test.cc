@@ -10,6 +10,7 @@
 #include "obs/registry.h"
 #include "obs/slo.h"
 #include "obs/tagset.h"
+#include "tests/obs_test_util.h"
 
 namespace lumen::obs {
 namespace {
@@ -33,9 +34,8 @@ TEST(LabeledExportTest, PrometheusLabelsRendersCanonicalText) {
   EXPECT_EQ(prometheus_labels(""), "");
 }
 
-#if LUMEN_OBS_ENABLED
-
 TEST(LabeledExportTest, LabeledChildrenShareThePlainTypeBlock) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   registry.counter("lumen.test.admitted").add(10);
   auto& family = registry.labeled_counter("lumen.test.admitted");
@@ -55,6 +55,7 @@ TEST(LabeledExportTest, LabeledChildrenShareThePlainTypeBlock) {
 }
 
 TEST(LabeledExportTest, LabeledOnlyFamilyGetsItsOwnTypeBlock) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   registry.labeled_gauge("lumen.test.share").at(TagSet{}.tenant(1)).set(0.25);
   const std::string text = prometheus_text(registry);
@@ -64,6 +65,7 @@ TEST(LabeledExportTest, LabeledOnlyFamilyGetsItsOwnTypeBlock) {
 }
 
 TEST(LabeledExportTest, OverflowChildIsTheUnlabeledSeries) {
+  LUMEN_REQUIRE_OBS();
   // Increments under an empty TagSet (or past the cardinality cap) land
   // in the family's overflow child; exporters must carry them, or the
   // exported series sum to less than the family's total.
@@ -92,6 +94,7 @@ TEST(LabeledExportTest, OverflowChildIsTheUnlabeledSeries) {
 }
 
 TEST(LabeledExportTest, OverflowBesideAPlainNamesakeIsOneUnlabeledSample) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   registry.counter("lumen.test.both").add(10);
   auto& family = registry.labeled_counter("lumen.test.both");
@@ -107,6 +110,7 @@ TEST(LabeledExportTest, OverflowBesideAPlainNamesakeIsOneUnlabeledSample) {
 }
 
 TEST(LabeledExportTest, LabeledHistogramBucketsMergeLeWithLabels) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   auto& family = registry.labeled_histogram("lumen.test.latency_ns");
   LatencyHistogram& child = family.at(TagSet{}.tenant(3));
@@ -158,8 +162,6 @@ TEST(LabeledExportTest, PumpSnapshotJsonUsesBraceKeys) {
   EXPECT_NE(json.find("\"p:svc.admit;svc.route:total\":12000"),
             std::string::npos);
 }
-
-#endif  // LUMEN_OBS_ENABLED
 
 }  // namespace
 }  // namespace lumen::obs

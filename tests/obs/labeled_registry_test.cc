@@ -10,16 +10,17 @@
 
 #include "obs/registry.h"
 #include "obs/tagset.h"
+#include "tests/obs_test_util.h"
 
 namespace lumen::obs {
 namespace {
 
-// Everything here asserts enabled-mode semantics (real children, cap
-// accounting, exemplars); the disabled stubs are covered by
-// disabled_test.cc.
-#if LUMEN_OBS_ENABLED
+// Everything here asserts obs-on semantics (real children, cap
+// accounting, exemplars), so each test skips in an obs-off build; the
+// obs-off surface is covered by disabled_test.cc.
 
 TEST(LabeledFamilyTest, SameTagsSameChildDistinctTagsDistinct) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   auto& family = registry.labeled_counter("lumen.test.admitted");
   EXPECT_EQ(&family, &registry.labeled_counter("lumen.test.admitted"));
@@ -34,6 +35,7 @@ TEST(LabeledFamilyTest, SameTagsSameChildDistinctTagsDistinct) {
 }
 
 TEST(LabeledFamilyTest, EmptyTagSetLandsInOverflow) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   auto& family = registry.labeled_counter("lumen.test.untagged");
   family.at(TagSet{}).add(5);
@@ -42,6 +44,7 @@ TEST(LabeledFamilyTest, EmptyTagSetLandsInOverflow) {
 }
 
 TEST(LabeledFamilyTest, EntriesAreSortedByCanonicalLabels) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   auto& family = registry.labeled_counter("lumen.test.sorted");
   family.at(TagSet{}.tenant(2)).add(2);
@@ -54,6 +57,7 @@ TEST(LabeledFamilyTest, EntriesAreSortedByCanonicalLabels) {
 }
 
 TEST(LabeledFamilyTest, CardinalityCapCollapsesIntoOverflowAndCounts) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   const std::uint64_t dropped_before =
       Registry::global().counter("lumen.obs.labels_dropped").value();
@@ -73,6 +77,7 @@ TEST(LabeledFamilyTest, CardinalityCapCollapsesIntoOverflowAndCounts) {
 }
 
 TEST(LabeledFamilyTest, ResetZeroesChildrenButKeepsRegistrations) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   auto& family = registry.labeled_counter("lumen.test.reset");
   family.at(TagSet{}.tenant(1)).add(9);
@@ -86,6 +91,7 @@ TEST(LabeledFamilyTest, ResetZeroesChildrenButKeepsRegistrations) {
 }
 
 TEST(LabeledFamilyTest, LabeledEntriesListFamiliesByName) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   registry.labeled_counter("b.family").at(TagSet{}.tenant(1)).add();
   registry.labeled_counter("a.family").at(TagSet{}.tenant(1)).add();
@@ -100,6 +106,7 @@ TEST(LabeledFamilyTest, LabeledEntriesListFamiliesByName) {
 }
 
 TEST(LabeledFamilyTest, HistogramExemplarTracksLastTracePerBucket) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   auto& family = registry.labeled_histogram("lumen.test.latency");
   LatencyHistogram& child = family.at(TagSet{}.tenant(3));
@@ -115,6 +122,7 @@ TEST(LabeledFamilyTest, HistogramExemplarTracksLastTracePerBucket) {
 }
 
 TEST(LabeledFamilyTest, ConcurrentLabeledIncrementsAreLossless) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   auto& family = registry.labeled_counter("lumen.test.concurrent");
   constexpr int kThreads = 4;
@@ -135,8 +143,6 @@ TEST(LabeledFamilyTest, ConcurrentLabeledIncrementsAreLossless) {
   EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(family.dropped(), 0u);
 }
-
-#endif  // LUMEN_OBS_ENABLED
 
 }  // namespace
 }  // namespace lumen::obs

@@ -4,10 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics_server.h"
-#include "obs/obs.h"
 #include "obs/registry.h"
-
-#if LUMEN_OBS_ENABLED
+#include "tests/obs_test_util.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -60,6 +58,7 @@ std::string recv_all(int fd) {
 }
 
 TEST(MetricsServerTest, ServesPrometheusTextToAWholeRequest) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   registry.counter("lumen.rwa.offered").add(5);
   const auto server = serve_metrics(0, registry);
@@ -77,6 +76,7 @@ TEST(MetricsServerTest, ServesPrometheusTextToAWholeRequest) {
 }
 
 TEST(MetricsServerTest, SlowClientDribblingTheRequestLineStillGets200) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   registry.counter("lumen.rwa.blocked").add(2);
   const auto server = serve_metrics(0, registry);
@@ -99,6 +99,7 @@ TEST(MetricsServerTest, SlowClientDribblingTheRequestLineStillGets200) {
 }
 
 TEST(MetricsServerTest, ClientThatClosesWithoutARequestDoesNotWedge) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   registry.counter("lumen.rwa.offered").add(1);
   const auto server = serve_metrics(0, registry);
@@ -120,6 +121,7 @@ TEST(MetricsServerTest, ClientThatClosesWithoutARequestDoesNotWedge) {
 }
 
 TEST(MetricsServerTest, StopIsIdempotentAndPortStaysBound) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   const auto server = serve_metrics(0, registry);
   ASSERT_NE(server, nullptr);
@@ -131,18 +133,3 @@ TEST(MetricsServerTest, StopIsIdempotentAndPortStaysBound) {
 
 }  // namespace
 }  // namespace lumen::obs
-
-#else  // LUMEN_OBS_ENABLED
-
-namespace lumen::obs {
-namespace {
-
-TEST(MetricsServerTest, DisabledModeNeverBindsAndServesNothing) {
-  const auto server = serve_metrics(0);
-  EXPECT_EQ(server, nullptr);
-}
-
-}  // namespace
-}  // namespace lumen::obs
-
-#endif  // LUMEN_OBS_ENABLED

@@ -10,10 +10,10 @@
 #include <cstdint>
 #include <string>
 
+#include "tests/obs_test_util.h"
+
 namespace lumen::obs {
 namespace {
-
-#if LUMEN_OBS_ENABLED
 
 /// The per-thread sample countdown is shared by every Profiler instance
 /// and survives across tests.  Driving closes on a period-1 profiler
@@ -28,12 +28,14 @@ void sync_thread_countdown() {
 }
 
 TEST(ProfilerTest, CapacityRoundsUpToPowerOfTwo) {
+  LUMEN_REQUIRE_OBS();
   EXPECT_EQ(Profiler(5, 1).capacity(), 8u);
   EXPECT_EQ(Profiler(8, 1).capacity(), 8u);
   EXPECT_EQ(Profiler(0, 1).capacity(), 2u);
 }
 
 TEST(ProfilerTest, SelfTimeSubtractsDirectChildrenOnly) {
+  LUMEN_REQUIRE_OBS();
   Profiler profiler(64, 1);
   const std::array<const char*, 3> abc = {"a", "b", "c"};
   profiler.record({abc.data(), 1}, /*duration_ns=*/1000, /*weight=*/1);
@@ -57,6 +59,7 @@ TEST(ProfilerTest, SelfTimeSubtractsDirectChildrenOnly) {
 }
 
 TEST(ProfilerTest, ChildExceedingParentClampsSelfAtZero) {
+  LUMEN_REQUIRE_OBS();
   // Sampling noise can weight a child above its parent; self time must
   // clamp at zero instead of wrapping.
   Profiler profiler(64, 1);
@@ -70,6 +73,7 @@ TEST(ProfilerTest, ChildExceedingParentClampsSelfAtZero) {
 }
 
 TEST(ProfilerTest, WeightMultipliesSamplesAndTime) {
+  LUMEN_REQUIRE_OBS();
   Profiler profiler(64, 1);
   const std::array<const char*, 1> a = {"a"};
   profiler.record({a.data(), 1}, 250, /*weight=*/8);
@@ -80,6 +84,7 @@ TEST(ProfilerTest, WeightMultipliesSamplesAndTime) {
 }
 
 TEST(ProfilerTest, RingWrapKeepsNewestAndCountsDrops) {
+  LUMEN_REQUIRE_OBS();
   Profiler profiler(/*capacity=*/4, /*sample_period=*/1);
   static const char* const kNames[10] = {"s0", "s1", "s2", "s3", "s4",
                                          "s5", "s6", "s7", "s8", "s9"};
@@ -100,6 +105,7 @@ TEST(ProfilerTest, RingWrapKeepsNewestAndCountsDrops) {
 }
 
 TEST(ProfilerTest, DeepStacksFoldIntoEighthAncestor) {
+  LUMEN_REQUIRE_OBS();
   Profiler profiler(64, 1);
   static const char* const kDeep[10] = {"f0", "f1", "f2", "f3", "f4",
                                         "f5", "f6", "f7", "f8", "f9"};
@@ -110,6 +116,7 @@ TEST(ProfilerTest, DeepStacksFoldIntoEighthAncestor) {
 }
 
 TEST(ProfilerTest, SpanHooksSampleEveryCloseAtPeriodOne) {
+  LUMEN_REQUIRE_OBS();
   sync_thread_countdown();
   Profiler profiler(64, /*sample_period=*/1);
   profiler.on_span_open("outer");
@@ -126,6 +133,7 @@ TEST(ProfilerTest, SpanHooksSampleEveryCloseAtPeriodOne) {
 }
 
 TEST(ProfilerTest, PeriodNWeighsOneSampleForNCloses) {
+  LUMEN_REQUIRE_OBS();
   sync_thread_countdown();
   Profiler profiler(64, /*sample_period=*/4);
   for (int i = 0; i < 8; ++i) {
@@ -145,6 +153,7 @@ TEST(ProfilerTest, PeriodNWeighsOneSampleForNCloses) {
 }
 
 TEST(ProfilerTest, UnbalancedCloseIsDroppedSilently) {
+  LUMEN_REQUIRE_OBS();
   sync_thread_countdown();
   Profiler profiler(64, 1);
   profiler.on_span_close(100);  // no matching open
@@ -154,8 +163,6 @@ TEST(ProfilerTest, UnbalancedCloseIsDroppedSilently) {
 TEST(ProfilerTest, GlobalIsASingleton) {
   EXPECT_EQ(&Profiler::global(), &Profiler::global());
 }
-
-#endif  // LUMEN_OBS_ENABLED
 
 TEST(ProfileSnapshotTest, FoldedRendersSelfTimeLines) {
   ProfileSnapshot snap;

@@ -9,6 +9,7 @@
 #include "obs/export.h"
 #include "obs/registry.h"
 #include "obs/slo.h"
+#include "tests/obs_test_util.h"
 
 namespace lumen::obs {
 namespace {
@@ -81,14 +82,13 @@ TEST(PrometheusNameTest, MapsEveryForbiddenCharacter) {
   EXPECT_EQ(prometheus_name("spaces and/slashes"), "spaces_and_slashes");
 }
 
-#if LUMEN_OBS_ENABLED
-
 TEST(PrometheusEdgeTest, EmptyRegistryRendersNothing) {
   Registry registry;
   EXPECT_EQ(prometheus_text(registry), "");
 }
 
 TEST(PrometheusEdgeTest, GaugeRendersTypeLineAndValue) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   registry.gauge("lumen.rwa.util.fragmentation").set(0.375);
   const std::string text = prometheus_text(registry);
@@ -99,14 +99,13 @@ TEST(PrometheusEdgeTest, GaugeRendersTypeLineAndValue) {
 }
 
 TEST(PrometheusEdgeTest, UntouchedHistogramStillRendersCountZero) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   (void)registry.histogram("lumen.rwa.open_latency_ns");
   const std::string text = prometheus_text(registry);
   EXPECT_NE(text.find("lumen_rwa_open_latency_ns_count 0"),
             std::string::npos);
 }
-
-#endif  // LUMEN_OBS_ENABLED
 
 }  // namespace
 }  // namespace lumen::obs

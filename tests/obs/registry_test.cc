@@ -6,10 +6,13 @@
 #include <thread>
 #include <vector>
 
+#include "tests/obs_test_util.h"
+
 namespace lumen::obs {
 namespace {
 
 TEST(CounterTest, StartsAtZeroAndAccumulates) {
+  LUMEN_REQUIRE_OBS();
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.add();
@@ -20,6 +23,7 @@ TEST(CounterTest, StartsAtZeroAndAccumulates) {
 }
 
 TEST(CounterTest, ConcurrentIncrementsAreLossless) {
+  LUMEN_REQUIRE_OBS();
   Counter c;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 10000;
@@ -52,6 +56,7 @@ TEST(HistogramTest, BucketBoundaries) {
 }
 
 TEST(HistogramTest, CountSumMinMax) {
+  LUMEN_REQUIRE_OBS();
   LatencyHistogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.min(), 0u);
@@ -70,6 +75,7 @@ TEST(HistogramTest, CountSumMinMax) {
 }
 
 TEST(HistogramTest, PercentileOfSingletonIsItsBucketFloor) {
+  LUMEN_REQUIRE_OBS();
   LatencyHistogram h;
   h.record(8);  // exactly a bucket lower bound
   EXPECT_DOUBLE_EQ(h.percentile(0.5), 8.0);
@@ -77,6 +83,7 @@ TEST(HistogramTest, PercentileOfSingletonIsItsBucketFloor) {
 }
 
 TEST(HistogramTest, PercentilesOrderAndBucketError) {
+  LUMEN_REQUIRE_OBS();
   // 1000 observations 1..1000: log-bucket percentiles are inexact but
   // must be monotone and within one bucket (2x) of the true value.
   LatencyHistogram h;
@@ -99,6 +106,7 @@ TEST(HistogramTest, PercentilesOrderAndBucketError) {
 }
 
 TEST(HistogramTest, RecordSecondsUsesNanosecondTicks) {
+  LUMEN_REQUIRE_OBS();
   LatencyHistogram h;
   h.record_seconds(1e-6);  // 1000 ns
   EXPECT_EQ(h.count(), 1u);
@@ -109,6 +117,7 @@ TEST(HistogramTest, RecordSecondsUsesNanosecondTicks) {
 }
 
 TEST(RegistryTest, SameNameSameInstrument) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   Counter& a = registry.counter("lumen.test.a");
   Counter& b = registry.counter("lumen.test.a");
@@ -120,6 +129,7 @@ TEST(RegistryTest, SameNameSameInstrument) {
 }
 
 TEST(RegistryTest, EntriesAreSortedByName) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   registry.counter("b.counter").add(2);
   registry.counter("a.counter").add(1);
@@ -131,6 +141,7 @@ TEST(RegistryTest, EntriesAreSortedByName) {
 }
 
 TEST(RegistryTest, ResetZeroesButKeepsRegistrations) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   registry.counter("x").add(5);
   registry.histogram("y").record(5);

@@ -149,11 +149,11 @@ TEST(SessionTelemetryTest, UtilizationGaugesTrackOccupancyAndFragmentation) {
   };
 
   manager.update_utilization_gauges();
-#if LUMEN_OBS_ENABLED
-  EXPECT_EQ(gauge("lumen.rwa.util.spans_busy"), 0.0);
-  EXPECT_EQ(gauge("lumen.rwa.util.busy_ratio"), 0.0);
-  EXPECT_EQ(gauge("lumen.rwa.util.fragmentation"), 0.0);
-#endif
+  if constexpr (obs::kObsEnabled) {
+    EXPECT_EQ(gauge("lumen.rwa.util.spans_busy"), 0.0);
+    EXPECT_EQ(gauge("lumen.rwa.util.busy_ratio"), 0.0);
+    EXPECT_EQ(gauge("lumen.rwa.util.fragmentation"), 0.0);
+  }
 
   // Fill the link: three sessions claim all three wavelengths, one
   // each.  The assignment order is a routing-policy detail, so map each
@@ -175,12 +175,12 @@ TEST(SessionTelemetryTest, UtilizationGaugesTrackOccupancyAndFragmentation) {
     opened.emplace_back(*id, claimed);
   }
   manager.update_utilization_gauges();
-#if LUMEN_OBS_ENABLED
-  EXPECT_EQ(gauge("lumen.rwa.util.spans_busy"), 1.0);
-  EXPECT_NEAR(gauge("lumen.rwa.util.busy_ratio"), 1.0, 1e-12);
-  // No free spectrum at all: fragmentation is defined as 0.
-  EXPECT_EQ(gauge("lumen.rwa.util.fragmentation"), 0.0);
-#endif
+  if constexpr (obs::kObsEnabled) {
+    EXPECT_EQ(gauge("lumen.rwa.util.spans_busy"), 1.0);
+    EXPECT_NEAR(gauge("lumen.rwa.util.busy_ratio"), 1.0, 1e-12);
+    // No free spectrum at all: fragmentation is defined as 0.
+    EXPECT_EQ(gauge("lumen.rwa.util.fragmentation"), 0.0);
+  }
 
   // Close the sessions on the outer wavelengths, keeping wavelength 1
   // busy: free wavelengths {0, 2} are two runs of length one out of two
@@ -190,14 +190,14 @@ TEST(SessionTelemetryTest, UtilizationGaugesTrackOccupancyAndFragmentation) {
       ASSERT_TRUE(manager.close(id));
     }
   manager.update_utilization_gauges();
-#if LUMEN_OBS_ENABLED
-  EXPECT_EQ(gauge("lumen.rwa.util.spans_busy"), 1.0);
-  EXPECT_NEAR(gauge("lumen.rwa.util.busy_ratio"), 1.0 / 3.0, 1e-12);
-  EXPECT_NEAR(gauge("lumen.rwa.util.fragmentation"), 0.5, 1e-12);
-#else
-  // Disabled build: the gauges are inert stubs pinned at zero.
-  EXPECT_EQ(gauge("lumen.rwa.util.fragmentation"), 0.0);
-#endif
+  if constexpr (obs::kObsEnabled) {
+    EXPECT_EQ(gauge("lumen.rwa.util.spans_busy"), 1.0);
+    EXPECT_NEAR(gauge("lumen.rwa.util.busy_ratio"), 1.0 / 3.0, 1e-12);
+    EXPECT_NEAR(gauge("lumen.rwa.util.fragmentation"), 0.5, 1e-12);
+  } else {
+    // Obs-off build: the gauges record nothing and read zero.
+    EXPECT_EQ(gauge("lumen.rwa.util.fragmentation"), 0.0);
+  }
 }
 
 TEST(SessionTelemetryTest, RouteResultCarriesStageTelemetry) {
@@ -207,32 +207,32 @@ TEST(SessionTelemetryTest, RouteResultCarriesStageTelemetry) {
   buffer.clear();
   const WdmNetwork net = chain_net();
   ASSERT_TRUE(route_semilightpath(net, NodeId{0}, NodeId{2}).found);
-#if LUMEN_OBS_ENABLED
-  const std::vector<obs::CausalSpanRecord> spans = buffer.snapshot();
-  const auto route = std::find_if(
-      spans.begin(), spans.end(), [](const obs::CausalSpanRecord& span) {
-        return std::string_view(span.name) == "route.semilightpath";
-      });
-  ASSERT_NE(route, spans.end());
-  const obs::TraceTree tree = obs::assemble_trace(spans, route->trace_id);
-  ASSERT_EQ(tree.roots.size(), 1u);
-  const obs::TraceNode& root = tree.roots[0];
-  EXPECT_STREQ(root.span.name, "route.semilightpath");
-  const char* const stages[] = {"route.aux_build", "route.dijkstra",
-                                "route.path_extract"};
-  ASSERT_EQ(root.children.size(), std::size(stages));
-  std::uint64_t stage_ns = 0;
-  for (std::size_t i = 0; i < std::size(stages); ++i) {
-    EXPECT_STREQ(root.children[i].span.name, stages[i]);
-    EXPECT_EQ(root.children[i].span.parent_span_id, root.span.span_id);
-    EXPECT_TRUE(root.children[i].children.empty());
-    stage_ns += root.children[i].span.duration_ns;
+  if constexpr (obs::kObsEnabled) {
+    const std::vector<obs::CausalSpanRecord> spans = buffer.snapshot();
+    const auto route = std::find_if(
+        spans.begin(), spans.end(), [](const obs::CausalSpanRecord& span) {
+          return std::string_view(span.name) == "route.semilightpath";
+        });
+    ASSERT_NE(route, spans.end());
+    const obs::TraceTree tree = obs::assemble_trace(spans, route->trace_id);
+    ASSERT_EQ(tree.roots.size(), 1u);
+    const obs::TraceNode& root = tree.roots[0];
+    EXPECT_STREQ(root.span.name, "route.semilightpath");
+    const char* const stages[] = {"route.aux_build", "route.dijkstra",
+                                  "route.path_extract"};
+    ASSERT_EQ(root.children.size(), std::size(stages));
+    std::uint64_t stage_ns = 0;
+    for (std::size_t i = 0; i < std::size(stages); ++i) {
+      EXPECT_STREQ(root.children[i].span.name, stages[i]);
+      EXPECT_EQ(root.children[i].span.parent_span_id, root.span.span_id);
+      EXPECT_TRUE(root.children[i].children.empty());
+      stage_ns += root.children[i].span.duration_ns;
+    }
+    EXPECT_LE(stage_ns, root.span.duration_ns);
+  } else {
+    // Obs-off build: the router still routes but records no spans.
+    EXPECT_TRUE(buffer.snapshot().empty());
   }
-  EXPECT_LE(stage_ns, root.span.duration_ns);
-#else
-  // Disabled build: the router still routes but records no spans.
-  EXPECT_TRUE(buffer.snapshot().empty());
-#endif
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "obs/registry.h"
 #include "obs/span_buffer.h"
 #include "rwa/session_manager.h"
+#include "tests/obs_test_util.h"
 #include "tests/test_util.h"
 
 namespace lumen {
@@ -36,6 +37,7 @@ using obs::SloRule;
 using obs::SloWatchdog;
 
 TEST(SloWatchdogTest, WindowedCounterRuleIsEdgeTriggered) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   auto& errors = registry.counter("errors");
   SloWatchdog dog;
@@ -63,6 +65,7 @@ TEST(SloWatchdogTest, WindowedCounterRuleIsEdgeTriggered) {
 }
 
 TEST(SloWatchdogTest, RatioRuleUsesWindowDeltas) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   auto& blocked = registry.counter("blocked");
   auto& offered = registry.counter("offered");
@@ -95,16 +98,16 @@ TEST(SloWatchdogTest, PercentileRuleReadsHistogram) {
   for (int i = 0; i < 100; ++i) latency.record(10);
   EXPECT_TRUE(dog.evaluate(registry).empty());  // p99 ~10: fine
   for (int i = 0; i < 100; ++i) latency.record(1 << 20);
-#if LUMEN_OBS_ENABLED
-  const auto alerts = dog.evaluate(registry);
-  ASSERT_EQ(alerts.size(), 1u);
-  EXPECT_GT(alerts[0].value, 1000.0);
-  EXPECT_EQ(alerts[0].metric, "lat");
-#endif
+  if constexpr (obs::kObsEnabled) {
+    const auto alerts = dog.evaluate(registry);
+    ASSERT_EQ(alerts.size(), 1u);
+    EXPECT_GT(alerts[0].value, 1000.0);
+    EXPECT_EQ(alerts[0].metric, "lat");
+  }
 }
 
-#if LUMEN_OBS_ENABLED
 TEST(SloWatchdogTest, LabeledOnlyNamesReadTheFamilyTotal) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   auto& offered = registry.counter("offered");
   auto& denied = registry.labeled_counter("denied");
@@ -137,7 +140,6 @@ TEST(SloWatchdogTest, LabeledOnlyNamesReadTheFamilyTotal) {
   EXPECT_LT(alerts[1].value, static_cast<double>(1 << 21));
   EXPECT_FALSE(dog.breaching("lat-p50"));
 }
-#endif
 
 TEST(MetricsPumpTest, TickSnapshotsCountersAndDeltas) {
   Registry registry;
@@ -146,24 +148,25 @@ TEST(MetricsPumpTest, TickSnapshotsCountersAndDeltas) {
   MetricsPump pump(registry);
   auto snap = pump.tick();
   EXPECT_EQ(snap.tick, 1u);
-#if LUMEN_OBS_ENABLED
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].first, "pump.c");
-  EXPECT_EQ(snap.counters[0].second, 3u);
-  EXPECT_EQ(snap.counter_deltas[0].second, 3u);  // first tick: delta = value
-#endif
+  if constexpr (obs::kObsEnabled) {
+    ASSERT_EQ(snap.counters.size(), 1u);
+    EXPECT_EQ(snap.counters[0].first, "pump.c");
+    EXPECT_EQ(snap.counters[0].second, 3u);
+    EXPECT_EQ(snap.counter_deltas[0].second, 3u);  // first tick: delta = value
+  }
   c.add(2);
   snap = pump.tick();
   EXPECT_EQ(snap.tick, 2u);
-#if LUMEN_OBS_ENABLED
-  EXPECT_EQ(snap.counters[0].second, 5u);
-  EXPECT_EQ(snap.counter_deltas[0].second, 2u);
-#endif
+  if constexpr (obs::kObsEnabled) {
+    EXPECT_EQ(snap.counters[0].second, 5u);
+    EXPECT_EQ(snap.counter_deltas[0].second, 2u);
+  }
   EXPECT_GE(snap.uptime_seconds, 0.0);
   EXPECT_EQ(pump.ticks(), 2u);
 }
 
 TEST(MetricsPumpTest, SinkAppendsSnapshotLines) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   registry.counter("sink.c").add(7);
   const std::string path = ::testing::TempDir() + "pump_sink_test.jsonl";
@@ -187,6 +190,7 @@ TEST(MetricsPumpTest, SinkAppendsSnapshotLines) {
 }
 
 TEST(MetricsPumpTest, BackgroundThreadTicksAndStops) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   PumpOptions options;
   options.interval_seconds = 0.005;
@@ -224,46 +228,47 @@ TEST(MetricsPumpTest, BreachTriggersDumpWithBreachingEventChain) {
 
   // Paper node 7 (index 6) has no out-links: this request always blocks.
   EXPECT_FALSE(manager.open(NodeId{6}, NodeId{0}).has_value());
-#if LUMEN_OBS_ENABLED
-  const auto events = FlightRecorder::global().events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].outcome, "blocked");
-  const std::uint64_t trace = events[0].trace_id;
-  ASSERT_NE(trace, 0u);
+  if constexpr (obs::kObsEnabled) {
+    const auto events = FlightRecorder::global().events();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].outcome, "blocked");
+    const std::uint64_t trace = events[0].trace_id;
+    ASSERT_NE(trace, 0u);
 
-  const auto snap = pump.tick();  // window: 1 blocked / 1 offered = 1.0
-  ASSERT_EQ(snap.alerts.size(), 1u);
-  const AlertEvent& alert = snap.alerts[0];
-  EXPECT_EQ(alert.rule, "blocking");
-  EXPECT_FALSE(alert.resolved);
-  EXPECT_EQ(alert.tick, snap.tick);
-  ASSERT_FALSE(alert.dump_path.empty());
+    const auto snap = pump.tick();  // window: 1 blocked / 1 offered = 1.0
+    ASSERT_EQ(snap.alerts.size(), 1u);
+    const AlertEvent& alert = snap.alerts[0];
+    EXPECT_EQ(alert.rule, "blocking");
+    EXPECT_FALSE(alert.resolved);
+    EXPECT_EQ(alert.tick, snap.tick);
+    ASSERT_FALSE(alert.dump_path.empty());
 
-  // The dump holds the breaching request end-to-end: its blocked event
-  // and its rwa.open span, tied by one trace id.
-  std::ifstream in(alert.dump_path);
-  ASSERT_TRUE(in.good());
-  std::stringstream dump;
-  dump << in.rdbuf();
-  in.close();
-  const std::string text = dump.str();
-  const std::string trace_key = "\"trace_id\":" + std::to_string(trace);
-  EXPECT_NE(text.find("\"outcome\":\"blocked\""), std::string::npos);
-  EXPECT_NE(text.find(trace_key), std::string::npos);
-  std::istringstream lines(text);
-  bool open_span_in_trace = false;
-  for (std::string line; std::getline(lines, line);) {
-    if (line.find("\"type\":\"span\"") != std::string::npos &&
-        line.find("\"rwa.open\"") != std::string::npos &&
-        line.find(trace_key) != std::string::npos)
-      open_span_in_trace = true;
+    // The dump holds the breaching request end-to-end: its blocked event
+    // and its rwa.open span, tied by one trace id.
+    std::ifstream in(alert.dump_path);
+    ASSERT_TRUE(in.good());
+    std::stringstream dump;
+    dump << in.rdbuf();
+    in.close();
+    const std::string text = dump.str();
+    const std::string trace_key = "\"trace_id\":" + std::to_string(trace);
+    EXPECT_NE(text.find("\"outcome\":\"blocked\""), std::string::npos);
+    EXPECT_NE(text.find(trace_key), std::string::npos);
+    std::istringstream lines(text);
+    bool open_span_in_trace = false;
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find("\"type\":\"span\"") != std::string::npos &&
+          line.find("\"rwa.open\"") != std::string::npos &&
+          line.find(trace_key) != std::string::npos)
+        open_span_in_trace = true;
+    }
+    EXPECT_TRUE(open_span_in_trace);
+    std::remove(alert.dump_path.c_str());
   }
-  EXPECT_TRUE(open_span_in_trace);
-  std::remove(alert.dump_path.c_str());
-#endif
 }
 
 TEST(MetricsServerTest, ServesPrometheusTextOverHttp) {
+  LUMEN_REQUIRE_OBS();
   Registry registry;
   registry.counter("lumen.demo.requests").add(12);
   registry.histogram("lumen.demo.latency").record(100);

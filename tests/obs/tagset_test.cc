@@ -44,14 +44,11 @@ TEST(TagSetTest, CanonicalRendersInDimensionOrder) {
   // policy, stage), not build order.
   const TagSet numeric = TagSet{}.shard(1).tenant(3);
   EXPECT_EQ(numeric.canonical(), "tenant=3,shard=1");
-#if LUMEN_OBS_ENABLED
   const TagSet tags = TagSet{}.stage("route").shard(1).tenant(3);
   EXPECT_EQ(tags.canonical(), "tenant=3,shard=1,stage=route");
-#endif
 }
 
 TEST(TagSetTest, NumericFastPathMatchesInternedText) {
-#if LUMEN_OBS_ENABLED
   // Small ids encode directly; the same value arriving as interned text
   // (policy path is string-typed) must still render identically.
   const TagSet numeric = TagSet{}.tenant(42);
@@ -61,11 +58,9 @@ TEST(TagSetTest, NumericFastPathMatchesInternedText) {
   // Large ids fall back to the interner but still render exactly.
   const TagSet large = TagSet{}.tenant(123456789);
   EXPECT_EQ(large.canonical(), "tenant=123456789");
-#endif
 }
 
 TEST(TagSetTest, InternedStringsAreStableAcrossLookups) {
-#if LUMEN_OBS_ENABLED
   const std::uint16_t first = detail::intern_tag_value("gold-policy");
   const std::uint16_t again = detail::intern_tag_value("gold-policy");
   EXPECT_EQ(first, again);
@@ -73,11 +68,9 @@ TEST(TagSetTest, InternedStringsAreStableAcrossLookups) {
   EXPECT_EQ(detail::tag_value_text(first), "gold-policy");
   const TagSet tags = TagSet{}.policy("gold-policy");
   EXPECT_EQ(tags.canonical(), "policy=gold-policy");
-#endif
 }
 
 TEST(TagSetTest, CanonicalEscapesSeparators) {
-#if LUMEN_OBS_ENABLED
   const TagSet tags = TagSet{}.policy("a,b=c\\d");
   EXPECT_EQ(tags.canonical(), "policy=a\\,b\\=c\\\\d");
   // And the shared codec parses it back.
@@ -85,7 +78,6 @@ TEST(TagSetTest, CanonicalEscapesSeparators) {
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].first, "policy");
   EXPECT_EQ(parsed[0].second, "a,b=c\\d");
-#endif
 }
 
 TEST(LabelsCodecTest, CanonicalParseRoundTrip) {

@@ -19,6 +19,7 @@
 #include "obs/registry.h"
 #include "obs/span_buffer.h"
 #include "obs/trace_assembler.h"
+#include "tests/obs_test_util.h"
 #include "tests/test_util.h"
 #include "wdm/conversion.h"
 #include "wdm/network.h"
@@ -45,6 +46,7 @@ WdmNetwork line4() {
 }
 
 TEST(CausalSpanTest, AmbientSpansNestViaThreadLocalContext) {
+  LUMEN_REQUIRE_OBS();
   SpanBuffer buffer(64);
   std::uint64_t outer_id = 0;
   std::uint64_t trace = 0;
@@ -77,7 +79,7 @@ TEST(CausalSpanTest, AmbientSpansNestViaThreadLocalContext) {
 TEST(TraceSpanTest, NestedSpansCarryDepth) {
   // A span's depth is its distance from the root in the assembled tree.
   SpanBuffer buffer(16);
-  [[maybe_unused]] std::uint64_t trace = 0;
+  std::uint64_t trace = 0;
   {
     CausalSpan outer("route.semilightpath", &buffer);
     trace = outer.trace_id();
@@ -87,32 +89,33 @@ TEST(TraceSpanTest, NestedSpansCarryDepth) {
     }
     CausalSpan extract("route.path_extract", &buffer);
   }
-#if LUMEN_OBS_ENABLED
-  // Records land innermost-first (close order).
-  const auto records = buffer.snapshot();
-  ASSERT_EQ(records.size(), 4u);
-  EXPECT_STREQ(records[0].name, "route.dijkstra");
-  EXPECT_STREQ(records[3].name, "route.semilightpath");
-  // The outer span encloses the inner in time.
-  EXPECT_LE(records[3].start_ns, records[0].start_ns);
-  EXPECT_GE(records[3].start_ns + records[3].duration_ns,
-            records[0].start_ns + records[0].duration_ns);
+  if constexpr (obs::kObsEnabled) {
+    // Records land innermost-first (close order).
+    const auto records = buffer.snapshot();
+    ASSERT_EQ(records.size(), 4u);
+    EXPECT_STREQ(records[0].name, "route.dijkstra");
+    EXPECT_STREQ(records[3].name, "route.semilightpath");
+    // The outer span encloses the inner in time.
+    EXPECT_LE(records[3].start_ns, records[0].start_ns);
+    EXPECT_GE(records[3].start_ns + records[3].duration_ns,
+              records[0].start_ns + records[0].duration_ns);
 
-  const TraceTree tree = obs::assemble_trace(records, trace);
-  ASSERT_EQ(tree.roots.size(), 1u);
-  const TraceNode& root = tree.roots[0];  // depth 0
-  EXPECT_STREQ(root.span.name, "route.semilightpath");
-  ASSERT_EQ(root.children.size(), 2u);    // depth 1
-  EXPECT_STREQ(root.children[0].span.name, "route.aux_build");
-  EXPECT_STREQ(root.children[1].span.name, "route.path_extract");
-  EXPECT_TRUE(root.children[1].children.empty());
-  ASSERT_EQ(root.children[0].children.size(), 1u);  // depth 2
-  EXPECT_STREQ(root.children[0].children[0].span.name, "route.dijkstra");
-  EXPECT_TRUE(root.children[0].children[0].children.empty());
-#endif
+    const TraceTree tree = obs::assemble_trace(records, trace);
+    ASSERT_EQ(tree.roots.size(), 1u);
+    const TraceNode& root = tree.roots[0];  // depth 0
+    EXPECT_STREQ(root.span.name, "route.semilightpath");
+    ASSERT_EQ(root.children.size(), 2u);    // depth 1
+    EXPECT_STREQ(root.children[0].span.name, "route.aux_build");
+    EXPECT_STREQ(root.children[1].span.name, "route.path_extract");
+    EXPECT_TRUE(root.children[1].children.empty());
+    ASSERT_EQ(root.children[0].children.size(), 1u);  // depth 2
+    EXPECT_STREQ(root.children[0].children[0].span.name, "route.dijkstra");
+    EXPECT_TRUE(root.children[0].children[0].children.empty());
+  }
 }
 
 TEST(CausalSpanTest, ExplicitParentDoesNotTouchAmbientContext) {
+  LUMEN_REQUIRE_OBS();
   SpanBuffer buffer(64);
   CausalSpan root("root", &buffer);
   {
@@ -150,18 +153,19 @@ TEST(CausalSpanTest, RecordCarriesOptionalFields) {
     span.set_virtual_interval(2.0, 7.5);
     span.set_attributes(11, 13);
   }
-#if LUMEN_OBS_ENABLED
-  const auto spans = buffer.snapshot();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].node, 5u);
-  EXPECT_DOUBLE_EQ(spans[0].vt_begin, 2.0);
-  EXPECT_DOUBLE_EQ(spans[0].vt_end, 7.5);
-  EXPECT_EQ(spans[0].attr0, 11u);
-  EXPECT_EQ(spans[0].attr1, 13u);
-#endif
+  if constexpr (obs::kObsEnabled) {
+    const auto spans = buffer.snapshot();
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0].node, 5u);
+    EXPECT_DOUBLE_EQ(spans[0].vt_begin, 2.0);
+    EXPECT_DOUBLE_EQ(spans[0].vt_end, 7.5);
+    EXPECT_EQ(spans[0].attr0, 11u);
+    EXPECT_EQ(spans[0].attr1, 13u);
+  }
 }
 
 TEST(SpanBufferTest, RingKeepsNewestAndCountsDrops) {
+  LUMEN_REQUIRE_OBS();
   SpanBuffer buffer(4);
   for (std::uint64_t id = 1; id <= 10; ++id) {
     CausalSpanRecord record;
@@ -184,8 +188,6 @@ TEST(SpanBufferTest, RingKeepsNewestAndCountsDrops) {
   EXPECT_TRUE(buffer.snapshot().empty());
 }
 
-#if LUMEN_OBS_ENABLED
-
 /// A span whose every word is derived from `v`, so a record mixing two
 /// emits shows as words that disagree.
 CausalSpanRecord stress_record(std::uint64_t v) {
@@ -206,6 +208,7 @@ CausalSpanRecord stress_record(std::uint64_t v) {
 }
 
 TEST(SpanBufferTest, LappedWritersNeverTearRecords) {
+  LUMEN_REQUIRE_OBS();
   // On a 2-slot ring, tickets t and t + 2 share a slot.  Three writers
   // keep lapping each other; a reader checks every record it copies out.
   constexpr std::uint64_t kWriters = 3;
@@ -247,9 +250,8 @@ TEST(SpanBufferTest, LappedWritersNeverTearRecords) {
   EXPECT_EQ(spans_dropped.value() - dropped_before, buffer.dropped());
 }
 
-#endif  // LUMEN_OBS_ENABLED
-
 TEST(DistTraceTest, FaultFreeLineIsOneRelaxationChain) {
+  LUMEN_REQUIRE_OBS();
   SpanBuffer::global().clear();
   const WdmNetwork net = line4();
   const DistRouteResult result =
@@ -296,6 +298,7 @@ TEST(DistTraceTest, FaultFreeLineIsOneRelaxationChain) {
 }
 
 TEST(DistTraceTest, HealedFaultRunIsOneTreeWithSweepAndRecoveryChildren) {
+  LUMEN_REQUIRE_OBS();
   Rng rng(20260806);
   const WdmNetwork net =
       testing::random_network(24, 40, 4, 4, testing::ConvKind::kUniform, rng);
@@ -358,6 +361,7 @@ TEST(DistTraceTest, HealedFaultRunIsOneTreeWithSweepAndRecoveryChildren) {
 }
 
 TEST(DistTraceTest, AsyncHealedRunIsOneTree) {
+  LUMEN_REQUIRE_OBS();
   Rng rng(7);
   const WdmNetwork net =
       testing::random_network(20, 32, 3, 3, testing::ConvKind::kUniform, rng);
@@ -383,6 +387,7 @@ TEST(DistTraceTest, AsyncHealedRunIsOneTree) {
 }
 
 TEST(DistTraceTest, SsspChainParentsFollowRelaxations) {
+  LUMEN_REQUIRE_OBS();
   SpanBuffer::global().clear();
   Digraph g(3);
   g.add_link(NodeId{0}, NodeId{1}, 1.0);
@@ -402,6 +407,7 @@ TEST(DistTraceTest, SsspChainParentsFollowRelaxations) {
 }
 
 TEST(TraceAssemblerTest, RendersJsonAndText) {
+  LUMEN_REQUIRE_OBS();
   SpanBuffer buffer(16);
   std::uint64_t trace = 0;
   {

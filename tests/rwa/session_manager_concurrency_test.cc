@@ -64,11 +64,9 @@ TEST(SessionManagerConcurrencyTest, SpanStateReplayNoopIsCountedEarlyOut) {
   manager.apply_span_state(NodeId{0}, NodeId{1}, false);
   manager.apply_span_state(NodeId{0}, NodeId{1}, false);
 
-#if LUMEN_OBS_ENABLED
-  EXPECT_EQ(noops.value(), before + 2);
-#else
-  (void)before;
-#endif
+  if constexpr (obs::kObsEnabled) {
+    EXPECT_EQ(noops.value(), before + 2);
+  }
   expect_engine_matches_residual(manager, base);
 }
 
@@ -134,20 +132,20 @@ TEST(SessionManagerConcurrencyTest, UtilizationGaugesTotalExactly) {
   ASSERT_TRUE(id.has_value());
   manager.update_utilization_gauges();
 
-#if LUMEN_OBS_ENABLED
-  // Hand count: links carrying at least one reservation.
-  std::uint64_t busy_links = 0;
-  for (std::uint32_t e = 0; e < base.num_links(); ++e) {
-    if (manager.residual().num_available(LinkId{e}) <
-        base.num_available(LinkId{e})) {
-      ++busy_links;
+  if constexpr (obs::kObsEnabled) {
+    // Hand count: links carrying at least one reservation.
+    std::uint64_t busy_links = 0;
+    for (std::uint32_t e = 0; e < base.num_links(); ++e) {
+      if (manager.residual().num_available(LinkId{e}) <
+          base.num_available(LinkId{e})) {
+        ++busy_links;
+      }
     }
+    EXPECT_EQ(busy_links, manager.find(*id)->path.length());
+    const double spans_busy =
+        obs::Registry::global().gauge("lumen.rwa.util.spans_busy").value();
+    EXPECT_DOUBLE_EQ(spans_busy, static_cast<double>(busy_links));
   }
-  EXPECT_EQ(busy_links, manager.find(*id)->path.length());
-  const double spans_busy =
-      obs::Registry::global().gauge("lumen.rwa.util.spans_busy").value();
-  EXPECT_DOUBLE_EQ(spans_busy, static_cast<double>(busy_links));
-#endif
 
   // The scalar utilization agrees with the reserved-pair count.
   const std::uint64_t reserved = manager.find(*id)->path.length();

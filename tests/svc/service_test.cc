@@ -377,42 +377,42 @@ TEST(RoutingServiceTest, ChurnAccountingSumsTheTenantAndShardCells) {
   EXPECT_EQ(service.active_reservations().size(), stats.active);
   EXPECT_GT(stats.cross_shard_patches, 0u);
 
-#if LUMEN_OBS_ENABLED
-  // Each labeled child moved exactly as far as its cell.
-  std::size_t i = 0;
-  for (const TenantFamily& family : kTenantFamilies) {
-    for (std::uint32_t t = 0; t < kTenants; ++t, ++i) {
-      EXPECT_EQ(child_value(family.name, obs::TagSet{}.tenant(t)) -
-                    tenant_before[i],
-                service.tenant_stats(TenantId{t}).*family.cell)
-          << family.name << "{tenant=" << t << "}";
+  if constexpr (obs::kObsEnabled) {
+    // Each labeled child moved exactly as far as its cell.
+    std::size_t i = 0;
+    for (const TenantFamily& family : kTenantFamilies) {
+      for (std::uint32_t t = 0; t < kTenants; ++t, ++i) {
+        EXPECT_EQ(child_value(family.name, obs::TagSet{}.tenant(t)) -
+                      tenant_before[i],
+                  service.tenant_stats(TenantId{t}).*family.cell)
+            << family.name << "{tenant=" << t << "}";
+      }
     }
-  }
-  // Shard cells surface only as ServiceStats sums: compare the families.
-  std::uint64_t conflicts = 0, patches = 0;
-  for (std::uint32_t s = 0; s < kShards; ++s) {
-    conflicts += child_value(kShardFamilies[0], obs::TagSet{}.shard(s)) -
-                 shard_before[s];
-    patches += child_value(kShardFamilies[1], obs::TagSet{}.shard(s)) -
-               shard_before[kShards + s];
-  }
-  EXPECT_EQ(conflicts, stats.commit_conflicts);
-  EXPECT_EQ(patches, stats.cross_shard_patches);
+    // Shard cells surface only as ServiceStats sums: compare the families.
+    std::uint64_t conflicts = 0, patches = 0;
+    for (std::uint32_t s = 0; s < kShards; ++s) {
+      conflicts += child_value(kShardFamilies[0], obs::TagSet{}.shard(s)) -
+                   shard_before[s];
+      patches += child_value(kShardFamilies[1], obs::TagSet{}.shard(s)) -
+                 shard_before[kShards + s];
+    }
+    EXPECT_EQ(conflicts, stats.commit_conflicts);
+    EXPECT_EQ(patches, stats.cross_shard_patches);
 
-  // One instrument per metric: no lumen.svc.* name is both plain and
-  // labeled, and the active-session gauge is gone.
-  const obs::Registry& registry = obs::Registry::global();
-  for (const auto& [name, family] : registry.labeled_counter_entries()) {
-    for (const auto& [plain, counter] : registry.counter_entries())
-      EXPECT_FALSE(name.starts_with("lumen.svc.") && name == plain) << name;
+    // One instrument per metric: no lumen.svc.* name is both plain and
+    // labeled, and the active-session gauge is gone.
+    const obs::Registry& registry = obs::Registry::global();
+    for (const auto& [name, family] : registry.labeled_counter_entries()) {
+      for (const auto& [plain, counter] : registry.counter_entries())
+        EXPECT_FALSE(name.starts_with("lumen.svc.") && name == plain) << name;
+    }
+    for (const auto& [name, family] : registry.labeled_histogram_entries()) {
+      for (const auto& [plain, histogram] : registry.histogram_entries())
+        EXPECT_FALSE(name.starts_with("lumen.svc.") && name == plain) << name;
+    }
+    for (const auto& [name, gauge] : registry.gauge_entries())
+      EXPECT_FALSE(name.starts_with("lumen.svc.")) << name;
   }
-  for (const auto& [name, family] : registry.labeled_histogram_entries()) {
-    for (const auto& [plain, histogram] : registry.histogram_entries())
-      EXPECT_FALSE(name.starts_with("lumen.svc.") && name == plain) << name;
-  }
-  for (const auto& [name, gauge] : registry.gauge_entries())
-    EXPECT_FALSE(name.starts_with("lumen.svc.")) << name;
-#endif
 }
 
 TEST(RoutingServiceTest, CrossShardResyncPropagates) {

@@ -177,5 +177,38 @@ TEST(IoTest, NegativeCountsAndIndicesRejectedWithLineNumbers) {
   }
 }
 
+/// Parses `text` expecting a lumen::Error that names `line` and `what`.
+void expect_size_rejected(const std::string& text, std::size_t line,
+                          const std::string& what) {
+  try {
+    (void)network_from_string(text);
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const Error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("line " + std::to_string(line)), std::string::npos)
+        << message;
+    EXPECT_NE(message.find(what), std::string::npos) << message;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "not a lumen::Error (" << e.what() << "):\n" << text;
+  }
+}
+
+TEST(IoTest, HugeDeclaredNodeCountRejectedBeforeAllocating) {
+  // Fits the 32-bit field, but allocating the nodes would end in
+  // std::bad_alloc instead of a parse error.
+  expect_size_rejected(
+      "lumen-wdm 1\nnodes 4000000000\nwavelengths 2\nconversion none\n"
+      "end\n",
+      2, "nodes 4000000000");
+}
+
+TEST(IoTest, HugeConversionMatrixRejectedBeforeAllocating) {
+  // Each size is fine on its own; the n*k^2 matrix (1e11 doubles) is not.
+  expect_size_rejected(
+      "lumen-wdm 1\nnodes 100000\nwavelengths 1000\nconversion matrix\n"
+      "end\n",
+      4, "conversion matrix");
+}
+
 }  // namespace
 }  // namespace lumen
