@@ -215,25 +215,24 @@ obs::PumpSnapshot wire_bench_snapshot() {
   obs::PumpSnapshot snapshot;
   snapshot.tick = 100;
   snapshot.uptime_seconds = 100.0;
-  for (int i = 0; i < 32; ++i) {
-    const std::string name = "lumen.bench.counter_" + std::to_string(i);
-    snapshot.counters.emplace_back(name, static_cast<std::uint64_t>(i) * 997);
-    snapshot.counter_deltas.emplace_back(name, static_cast<std::uint64_t>(i));
-  }
+  for (int i = 0; i < 32; ++i)
+    snapshot.counters.push_back({"lumen.bench.counter_" + std::to_string(i),
+                                 "", static_cast<std::uint64_t>(i) * 997,
+                                 static_cast<std::uint64_t>(i)});
   for (int i = 0; i < 8; ++i)
-    snapshot.gauges.emplace_back("lumen.bench.gauge_" + std::to_string(i),
-                                 0.125 * i);
-  obs::HistogramSummary summary;
-  summary.count = 4096;
-  summary.mean = 2.5e-6;
-  summary.min = 1e-7;
-  summary.max = 9e-6;
-  summary.p50 = 2e-6;
-  summary.p90 = 7e-6;
-  summary.p99 = 8.5e-6;
+    snapshot.gauges.push_back(
+        {"lumen.bench.gauge_" + std::to_string(i), "", 0.125 * i});
+  // 4096 observations over five buckets, one exemplar in the tail.
+  obs::HistogramData data;
+  for (int b = 10; b < 15; ++b) data.buckets[b] = 4096 / 5;
+  data.buckets[10] += 4096 % 5;
+  data.exemplars[14] = 0xfeedbeef;
+  data.sum = 4096 * 2500;
+  data.min = 600;
+  data.max = 16000;
   for (int i = 0; i < 4; ++i)
-    snapshot.histograms.emplace_back("lumen.bench.hist_" + std::to_string(i),
-                                     summary);
+    snapshot.histograms.push_back(
+        {"lumen.bench.hist_" + std::to_string(i), "", data});
   return snapshot;
 }
 

@@ -5,12 +5,12 @@
 //   $ ./lumen_route --demo                               # emit a sample file
 //
 // With --metrics <file> a single-query run also appends one JSONL
-// RouteEvent record (schema: docs/OBSERVABILITY.md) describing the query.
+// RouteEvent record (schema: docs/OBSERVABILITY.md) describing the query;
+// --metrics with --all-pairs is a usage error.
 //
 // The scriptable face of the library: networks come from wdm/io's text
 // format (see src/wdm/io.h for the grammar), answers go to stdout as a
 // human-readable route plus the switch settings an operator would program.
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -20,6 +20,7 @@
 #include "core/all_pairs.h"
 #include "core/liang_shen.h"
 #include "obs/export.h"
+#include "util/parse.h"
 #include "wdm/io.h"
 
 using namespace lumen;
@@ -87,16 +88,6 @@ void dump_metrics(const char* metrics_path, std::uint32_t s, std::uint32_t t,
   obs::write_route_events_jsonl(out, events);
 }
 
-/// A node id argument: a whole decimal token with no sign and nothing
-/// after the digits, within 32 bits.
-std::optional<std::uint32_t> parse_node_id(const char* text) {
-  const char* end = text + std::strlen(text);
-  std::uint32_t id = 0;
-  const auto [stop, error] = std::from_chars(text, end, id);
-  if (error != std::errc{} || stop != end) return std::nullopt;
-  return id;
-}
-
 int run_query(const WdmNetwork& net, std::uint32_t s, std::uint32_t t,
               const char* metrics_path) {
   if (s >= net.num_nodes() || t >= net.num_nodes()) {
@@ -146,10 +137,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  if (argc == 3 && metrics_path != nullptr) {
+    std::fprintf(stderr, "error: --metrics needs a <src> <dst> query\n");
+    return 2;
+  }
+
   std::optional<std::uint32_t> src, dst;
   if (argc == 4) {
-    src = parse_node_id(argv[2]);
-    dst = parse_node_id(argv[3]);
+    src = parse_unsigned<std::uint32_t>(argv[2]);
+    dst = parse_unsigned<std::uint32_t>(argv[3]);
     if (!src || !dst) {
       std::fprintf(stderr,
                    "error: <src> and <dst> must be unsigned node ids, got "

@@ -4,8 +4,6 @@
 #include <istream>
 #include <ostream>
 
-#include <map>
-
 #include "obs/flat_json.h"
 #include "obs/tagset.h"
 
@@ -175,141 +173,72 @@ std::string prometheus_labels(const std::string& canonical) {
 
 namespace {
 
-// `labels` is the inner label list ("tenant=\"3\"", or "" for the plain
-// instrument); it merges with the `le`/`quantile` labels below.  TYPE
-// lines are the caller's job — labeled children share their metric's.
+// `labels` is the series' canonical label text ("" when unlabeled); its
+// Prometheus form merges with the `le` label of each bucket line.
 void append_native_histogram(std::string& out, const std::string& metric,
                              const std::string& labels,
-                             const LatencyHistogram& histogram) {
-  std::string le_prefix = "_bucket{";
-  if (!labels.empty()) {
-    le_prefix += labels;
-    le_prefix += ',';
-  }
-  le_prefix += "le=\"";
-  std::string suffix;
-  if (!labels.empty()) {
-    suffix += '{';
-    suffix += labels;
-    suffix += '}';
-  }
+                             const HistogramData& histogram) {
+  const std::string inner = prometheus_labels_inner(labels);
+  const std::string le_prefix =
+      "_bucket{" + (inner.empty() ? "" : inner + ',') + "le=\"";
+  const std::string suffix = prometheus_labels(labels);
   std::uint64_t cumulative = 0;
   int highest = -1;
-  for (int b = 0; b < LatencyHistogram::kBuckets; ++b) {
-    if (histogram.bucket_count(b) != 0) highest = b;
+  for (int b = 0; b < HistogramData::kBuckets; ++b) {
+    if (histogram.buckets[b] != 0) highest = b;
   }
   for (int b = 0; b <= highest; ++b) {
-    cumulative += histogram.bucket_count(b);
+    cumulative += histogram.buckets[b];
     out += metric + le_prefix +
-           std::to_string(LatencyHistogram::bucket_upper_bound(b)) + "\"} " +
+           std::to_string(HistogramData::bucket_upper_bound(b)) + "\"} " +
            std::to_string(cumulative) + "\n";
   }
   out += metric + le_prefix + "+Inf\"} " + std::to_string(cumulative) + "\n";
-  out += metric + "_sum" + suffix + " " + std::to_string(histogram.sum()) +
+  out += metric + "_sum" + suffix + " " + std::to_string(histogram.sum) +
          "\n";
   out += metric + "_count" + suffix + " " + std::to_string(cumulative) + "\n";
 }
 
 }  // namespace
 
-std::string prometheus_text(const Registry& registry) {
+std::string prometheus_text(const PumpSnapshot& snapshot) {
   std::string out;
-
-  // Plain sample first, then that name's labeled children under the same
-  // TYPE block; families with no plain namesake get their own block.  A
-  // family's overflow child is its unlabeled series (entries() lists it
-  // under the empty label set), so beside a plain namesake the two add
-  // up to the name's one unlabeled sample.
-  std::map<std::string, const LabeledFamily<Counter>*> labeled_counters;
-  for (const auto& [name, family] : registry.labeled_counter_entries())
-    labeled_counters.emplace(name, family);
-  const auto counter_children = [&out](const std::string& metric,
-                                       const LabeledFamily<Counter>& family,
-                                       bool with_unlabeled) {
-    for (const auto& [labels, child] : family.entries())
-      if (with_unlabeled || !labels.empty())
-        out += metric + prometheus_labels(labels) + " " +
-               std::to_string(child->value()) + "\n";
-  };
-  for (const auto& [name, counter] : registry.counter_entries()) {
-    const std::string metric = prometheus_name(name);
-    const auto it = labeled_counters.find(name);
-    std::uint64_t value = counter->value();
-    if (it != labeled_counters.end()) value += it->second->overflow().value();
-    out += "# TYPE " + metric + " counter\n";
-    out += metric + " " + std::to_string(value) + "\n";
-    if (it != labeled_counters.end()) {
-      counter_children(metric, *it->second, false);
-      labeled_counters.erase(it);
+  // Series arrive sorted by (name, labels): a name's TYPE line goes
+  // before its first (unlabeled, when present) series.
+  std::string typed;
+  const auto metric = [&](const std::string& name, const char* kind) {
+    std::string m = prometheus_name(name);
+    if (name != typed) {
+      out += "# TYPE " + m + " " + kind + "\n";
+      typed = name;
     }
-  }
-  for (const auto& [name, family] : labeled_counters) {
-    const std::string metric = prometheus_name(name);
-    out += "# TYPE " + metric + " counter\n";
-    counter_children(metric, *family, true);
-  }
-
-  std::map<std::string, const LabeledFamily<Gauge>*> labeled_gauges;
-  for (const auto& [name, family] : registry.labeled_gauge_entries())
-    labeled_gauges.emplace(name, family);
-  const auto gauge_children = [&out](const std::string& metric,
-                                     const LabeledFamily<Gauge>& family,
-                                     bool with_unlabeled) {
-    for (const auto& [labels, child] : family.entries())
-      if (with_unlabeled || !labels.empty())
-        out += metric + prometheus_labels(labels) + " " +
-               detail::fmt_double_exact(child->value()) + "\n";
+    return m;
   };
-  for (const auto& [name, gauge] : registry.gauge_entries()) {
-    const std::string metric = prometheus_name(name);
-    const auto it = labeled_gauges.find(name);
-    double value = gauge->value();
-    if (it != labeled_gauges.end()) value += it->second->overflow().value();
-    out += "# TYPE " + metric + " gauge\n";
-    out += metric + " " + detail::fmt_double_exact(value) + "\n";
-    if (it != labeled_gauges.end()) {
-      gauge_children(metric, *it->second, false);
-      labeled_gauges.erase(it);
-    }
-  }
-  for (const auto& [name, family] : labeled_gauges) {
-    const std::string metric = prometheus_name(name);
-    out += "# TYPE " + metric + " gauge\n";
-    gauge_children(metric, *family, true);
-  }
+  for (const CounterSeries& s : snapshot.counters)
+    out += metric(s.name, "counter") + prometheus_labels(s.labels) + " " +
+           std::to_string(s.value) + "\n";
+  typed.clear();
+  for (const GaugeSeries& s : snapshot.gauges)
+    out += metric(s.name, "gauge") + prometheus_labels(s.labels) + " " +
+           detail::fmt_double_exact(s.value) + "\n";
+  typed.clear();
+  for (const HistogramSeries& s : snapshot.histograms)
+    append_native_histogram(out, metric(s.name, "histogram"), s.labels,
+                            s.data);
 
-  std::map<std::string, const LabeledFamily<LatencyHistogram>*>
-      labeled_histograms;
-  for (const auto& [name, family] : registry.labeled_histogram_entries())
-    labeled_histograms.emplace(name, family);
-  const auto histogram_block = [&](const std::string& metric,
-                                   const LatencyHistogram* plain,
-                                   const LabeledFamily<LatencyHistogram>*
-                                       family) {
-    out += "# TYPE " + metric + " histogram\n";
-    if (plain != nullptr) {
-      LatencyHistogram unlabeled;
-      unlabeled.merge(*plain);
-      if (family != nullptr) unlabeled.merge(family->overflow());
-      append_native_histogram(out, metric, "", unlabeled);
-    }
-    if (family != nullptr)
-      for (const auto& [labels, child] : family->entries())
-        if (plain == nullptr || !labels.empty())
-          append_native_histogram(out, metric,
-                                  prometheus_labels_inner(labels), *child);
+  // Profile stacks: one labeled sample per stack under each of three
+  // metrics.
+  const auto profile = [&](const char* name, const char* kind,
+                           std::uint64_t ProfileEntry::*field) {
+    typed.clear();
+    for (const ProfileEntry& entry : snapshot.profile)
+      out += metric(name, kind) +
+             prometheus_labels(labels_canonical({{"stack", entry.stack}})) +
+             " " + std::to_string(entry.*field) + "\n";
   };
-  for (const auto& [name, histogram] : registry.histogram_entries()) {
-    const std::string metric = prometheus_name(name);
-    const auto it = labeled_histograms.find(name);
-    const LabeledFamily<LatencyHistogram>* family =
-        it != labeled_histograms.end() ? it->second : nullptr;
-    histogram_block(metric, histogram, family);
-    if (it != labeled_histograms.end()) labeled_histograms.erase(it);
-  }
-  for (const auto& [name, family] : labeled_histograms)
-    histogram_block(prometheus_name(name), nullptr, family);
-
+  profile("lumen.obs.profile.samples", "counter", &ProfileEntry::samples);
+  profile("lumen.obs.profile.self_ns", "gauge", &ProfileEntry::self_ns);
+  profile("lumen.obs.profile.total_ns", "gauge", &ProfileEntry::total_ns);
   return out;
 }
 

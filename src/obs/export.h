@@ -5,13 +5,16 @@
 //     read_route_events_jsonl() round-trips the writer's output exactly
 //     (doubles are printed with 17 significant digits).
 //   - CSV: the same fields with a header row, for spreadsheet intake.
-//   - Prometheus text exposition: every Registry counter becomes a
-//     `counter` metric, every LatencyHistogram a `histogram` metric with
-//     power-of-two `le` buckets, `_sum`, and `_count`.  Metric names are
-//     the registry names with [.-] mapped to '_'.  Labeled families
-//     render as extra series under the same metric name, one
-//     `name{tenant="3",...}` sample per child, with exposition-escaped
-//     label values.
+//   - Prometheus text exposition, rendered from a PumpSnapshot (the one
+//     renderer: `/metrics`, and `lumen_collect --prom` over a decoded
+//     snapshot): every counter series becomes a `counter` sample, every
+//     histogram series a native `histogram` with power-of-two `le`
+//     buckets, `_sum`, and `_count`.  Metric names are the registry
+//     names with [.-] mapped to '_'.  The series of one name share one
+//     TYPE block, the unlabeled one first, then one `name{tenant="3",...}`
+//     sample per labeled child, with exposition-escaped label values.
+//     Profile entries render as `lumen_obs_profile_{samples,self_ns,
+//     total_ns}{stack="..."}`.
 //
 // Field order of the JSONL/CSV schema is documented in
 // docs/OBSERVABILITY.md; tests/obs/export_test.cc pins it.
@@ -25,6 +28,7 @@
 #include "obs/obs.h"
 #include "obs/registry.h"
 #include "obs/route_event.h"
+#include "obs/slo.h"
 
 namespace lumen::obs {
 
@@ -47,9 +51,7 @@ void write_route_events_csv(std::ostream& out,
                             std::span<const RouteEvent> events);
 
 /// A registry instrument name as a Prometheus metric name: every
-/// character outside [a-zA-Z0-9_:] becomes '_'.  Shared by the registry
-/// renderer below and by consumers re-exporting decoded wire telemetry
-/// (tools/lumen_collect).
+/// character outside [a-zA-Z0-9_:] becomes '_'.
 [[nodiscard]] std::string prometheus_name(const std::string& name);
 
 /// A label value with Prometheus text-exposition escaping: backslash,
@@ -62,9 +64,15 @@ void write_route_events_csv(std::ostream& out,
 /// prometheus_label_value.  Empty input renders as "".
 [[nodiscard]] std::string prometheus_labels(const std::string& canonical);
 
-/// Renders every instrument of `registry` in Prometheus text exposition
-/// format (version 0.0.4); "" for an obs-off registry, which lists none.
-[[nodiscard]] std::string prometheus_text(
-    const Registry& registry = Registry::global());
+/// Renders every series of `snapshot` in Prometheus text exposition
+/// format (version 0.0.4); "" for an empty snapshot.
+[[nodiscard]] std::string prometheus_text(const PumpSnapshot& snapshot);
+
+/// The same for every instrument of `registry`; "" for an obs-off
+/// registry, which lists none.
+[[nodiscard]] inline std::string prometheus_text(
+    const Registry& registry = Registry::global()) {
+  return prometheus_text(snapshot(registry));
+}
 
 }  // namespace lumen::obs

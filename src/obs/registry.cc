@@ -4,38 +4,16 @@
 #include <cmath>
 
 namespace lumen::obs {
-inline namespace LUMEN_OBS_MODE_NAMESPACE {
 
-std::uint64_t LatencyHistogram::count() const noexcept {
+std::uint64_t HistogramData::count() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& bucket : buckets_)
-    total += bucket.load(std::memory_order_relaxed);
+  for (const std::uint64_t n : buckets) total += n;
   return total;
 }
 
-double LatencyHistogram::mean() const noexcept {
-  const std::uint64_t n = count();
-  return n == 0 ? 0.0
-                : static_cast<double>(sum()) / static_cast<double>(n);
-}
-
-std::uint64_t LatencyHistogram::min() const noexcept {
-  const std::uint64_t m = min_.load(std::memory_order_relaxed);
-  return m == ~std::uint64_t{0} ? 0 : m;
-}
-
-std::uint64_t LatencyHistogram::max() const noexcept {
-  return max_.load(std::memory_order_relaxed);
-}
-
-double LatencyHistogram::percentile(double q) const noexcept {
+double HistogramData::percentile(double q) const noexcept {
   q = std::clamp(q, 0.0, 1.0);
-  std::uint64_t counts[kBuckets];
-  std::uint64_t total = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    counts[b] = buckets_[b].load(std::memory_order_relaxed);
-    total += counts[b];
-  }
+  const std::uint64_t total = count();
   if (total == 0) return 0.0;
 
   // The rank-q observation (nearest-rank, 1-based), then interpolate by
@@ -44,41 +22,66 @@ double LatencyHistogram::percentile(double q) const noexcept {
       std::max(1.0, std::ceil(q * static_cast<double>(total))));
   std::uint64_t cumulative = 0;
   for (int b = 0; b < kBuckets; ++b) {
-    if (counts[b] == 0) continue;
-    if (cumulative + counts[b] < rank) {
-      cumulative += counts[b];
+    if (buckets[b] == 0) continue;
+    if (cumulative + buckets[b] < rank) {
+      cumulative += buckets[b];
       continue;
     }
     if (b == 0) return 0.0;
     const double lower = static_cast<double>(std::uint64_t{1} << (b - 1));
     const double upper = 2.0 * lower;
     const double within = static_cast<double>(rank - cumulative - 1) /
-                          static_cast<double>(counts[b]);
+                          static_cast<double>(buckets[b]);
     return lower + (upper - lower) * within;
   }
-  return static_cast<double>(max());
+  return static_cast<double>(max);
 }
 
-HistogramSummary LatencyHistogram::summary() const noexcept {
+HistogramSummary HistogramData::summary() const noexcept {
   HistogramSummary s;
   s.count = count();
-  s.mean = mean();
-  s.min = static_cast<double>(min());
-  s.max = static_cast<double>(max());
+  s.mean = s.count == 0 ? 0.0
+                        : static_cast<double>(sum) /
+                              static_cast<double>(s.count);
+  s.min = static_cast<double>(min);
+  s.max = static_cast<double>(max);
   s.p50 = percentile(0.50);
   s.p90 = percentile(0.90);
   s.p99 = percentile(0.99);
   return s;
 }
 
-void LatencyHistogram::merge(const LatencyHistogram& other) noexcept {
-  for (int b = 0; b < kBuckets; ++b)
-    buckets_[b].fetch_add(other.bucket_count(b), std::memory_order_relaxed);
-  sum_.fetch_add(other.sum(), std::memory_order_relaxed);
-  // An empty `other` holds the identity extremes, which change nothing.
-  update_extreme(min_, other.min_.load(std::memory_order_relaxed),
-                 /*want_less=*/true);
-  update_extreme(max_, other.max(), /*want_less=*/false);
+void HistogramData::merge(const HistogramData& other) noexcept {
+  const bool was_empty = count() == 0;
+  for (int b = 0; b < kBuckets; ++b) {
+    buckets[b] += other.buckets[b];
+    if (exemplars[b] == 0) exemplars[b] = other.exemplars[b];
+  }
+  sum += other.sum;
+  if (other.count() == 0) return;  // an empty `other` holds no extremes
+  min = was_empty ? other.min : std::min(min, other.min);
+  max = std::max(max, other.max);
+}
+
+std::uint64_t HistogramData::worst_exemplar() const noexcept {
+  for (int b = kBuckets - 1; b >= 0; --b)
+    if (exemplars[b] != 0) return exemplars[b];
+  return 0;
+}
+
+inline namespace LUMEN_OBS_MODE_NAMESPACE {
+
+HistogramData LatencyHistogram::data() const noexcept {
+  HistogramData d;
+  for (int b = 0; b < kBuckets; ++b) {
+    d.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
+    d.exemplars[b] = exemplars_[b].load(std::memory_order_relaxed);
+  }
+  d.sum = sum();
+  const std::uint64_t m = min_.load(std::memory_order_relaxed);
+  d.min = m == ~std::uint64_t{0} ? 0 : m;
+  d.max = max();
+  return d;
 }
 
 void LatencyHistogram::reset() noexcept {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstddef>
@@ -32,9 +33,8 @@
 
 namespace lumen::obs {
 
-/// RunningStats-compatible condensation of a histogram.  Passive data,
-/// the same in both build modes (the wire codec moves these between
-/// processes built either way).
+/// RunningStats-compatible condensation of a histogram (the return type
+/// of HistogramData::summary()).  Passive data.
 struct HistogramSummary {
   std::uint64_t count = 0;
   double mean = 0.0;
@@ -46,6 +46,51 @@ struct HistogramSummary {
 
   friend bool operator==(const HistogramSummary&,
                          const HistogramSummary&) = default;
+};
+
+/// A passive copy of one LatencyHistogram: per-bucket counts and
+/// exemplars, sum and extremes.  Every histogram read goes through it —
+/// the instrument's own accessors, snapshots, the wire codec, the
+/// Prometheus renderer and the SLO watchdog — so there is one percentile
+/// implementation.  The same in both build modes (the wire codec moves
+/// these between processes built either way).
+///
+/// Bucket 0 holds exact zeros; bucket b >= 1 holds [2^(b-1), 2^b).
+struct HistogramData {
+  /// 0, then 64 powers-of-two ranges: enough for any uint64 tick.
+  static constexpr int kBuckets = 65;
+
+  std::array<std::uint64_t, kBuckets> buckets{};
+  /// The last trace_id recorded into each bucket (0 = none).
+  std::array<std::uint64_t, kBuckets> exemplars{};
+  std::uint64_t sum = 0;
+  std::uint64_t min = 0;  ///< 0 when empty
+  std::uint64_t max = 0;
+
+  [[nodiscard]] std::uint64_t count() const noexcept;
+  /// The q-th percentile (0 <= q <= 1) in ticks, linearly interpolated
+  /// within the covering bucket.  0 when empty.
+  [[nodiscard]] double percentile(double q) const noexcept;
+  /// count/mean/min/max like RunningStats, plus p50/p90/p99 (ticks).
+  [[nodiscard]] HistogramSummary summary() const noexcept;
+  /// Adds `other`'s observations (buckets, sum, extremes); a bucket
+  /// without an exemplar takes `other`'s.
+  void merge(const HistogramData& other) noexcept;
+  /// The exemplar of the highest bucket holding one: the last trace that
+  /// went through the worst latency band this histogram has seen.
+  [[nodiscard]] std::uint64_t worst_exemplar() const noexcept;
+
+  /// Inclusive upper bound of bucket b: 0 for b == 0, else 2^b - 1.
+  [[nodiscard]] static std::uint64_t bucket_upper_bound(int b) noexcept {
+    if (b == 0) return 0;
+    if (b >= 64) return ~std::uint64_t{0};
+    return (std::uint64_t{1} << b) - 1;
+  }
+  [[nodiscard]] static int bucket_of(std::uint64_t ticks) noexcept {
+    return ticks == 0 ? 0 : std::bit_width(ticks);
+  }
+
+  friend bool operator==(const HistogramData&, const HistogramData&) = default;
 };
 
 inline namespace LUMEN_OBS_MODE_NAMESPACE {
@@ -87,16 +132,16 @@ class Gauge {
 
 /// Fixed-bucket base-2 log-scale histogram over unsigned ticks.
 ///
-/// Bucket 0 holds exact zeros; bucket b >= 1 holds [2^(b-1), 2^b).  For
-/// latencies the convention is ticks = nanoseconds (use record_seconds /
-/// percentile_seconds); unit-less quantities (queue depths, message
-/// counts) record raw ticks.  All mutation is lock-free; percentile reads
-/// interpolate linearly inside the covering bucket, so the relative error
-/// is bounded by the bucket width (a factor of 2).
+/// Buckets as in HistogramData.  For latencies the convention is ticks =
+/// nanoseconds (use record_seconds / percentile_seconds); unit-less
+/// quantities (queue depths, message counts) record raw ticks.  All
+/// mutation is lock-free; reads copy the instrument into a HistogramData
+/// (data()) and compute there, so percentiles interpolate linearly inside
+/// the covering bucket and the relative error is bounded by the bucket
+/// width (a factor of 2).
 class LatencyHistogram {
  public:
-  /// 0, then 64 powers-of-two ranges: enough for any uint64 tick.
-  static constexpr int kBuckets = 65;
+  static constexpr int kBuckets = HistogramData::kBuckets;
 
   void record(std::uint64_t ticks) noexcept {
     if constexpr (!kObsEnabled) return;
@@ -121,32 +166,32 @@ class LatencyHistogram {
     record(seconds_to_ticks(seconds), trace_id);
   }
 
-  [[nodiscard]] std::uint64_t count() const noexcept;
+  /// A copy of every bucket, exemplar, the sum and the extremes.
+  [[nodiscard]] HistogramData data() const noexcept;
+
+  [[nodiscard]] std::uint64_t count() const noexcept { return data().count(); }
   /// Sum of all recorded ticks.
   [[nodiscard]] std::uint64_t sum() const noexcept {
     return sum_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] double mean() const noexcept;
-  [[nodiscard]] std::uint64_t min() const noexcept;
-  [[nodiscard]] std::uint64_t max() const noexcept;
-
-  /// The q-th percentile (0 <= q <= 1) in ticks, linearly interpolated
-  /// within the covering bucket.  0 when empty.
-  [[nodiscard]] double percentile(double q) const noexcept;
+  [[nodiscard]] double mean() const noexcept { return summary().mean; }
+  [[nodiscard]] std::uint64_t min() const noexcept { return data().min; }
+  [[nodiscard]] std::uint64_t max() const noexcept {
+    return max_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] double percentile(double q) const noexcept {
+    return data().percentile(q);
+  }
   [[nodiscard]] double percentile_seconds(double q) const noexcept {
     return percentile(q) / 1e9;
   }
-
-  /// count/mean/min/max like RunningStats, plus p50/p90/p99 (ticks).
-  [[nodiscard]] HistogramSummary summary() const noexcept;
-
-  /// Adds `other`'s observations: buckets, sum and extremes, not its
-  /// exemplars.
-  void merge(const LatencyHistogram& other) noexcept;
+  [[nodiscard]] HistogramSummary summary() const noexcept {
+    return data().summary();
+  }
 
   void reset() noexcept;
 
-  /// Observations in bucket b (for exporters).
+  /// Observations in bucket b.
   [[nodiscard]] std::uint64_t bucket_count(int b) const noexcept {
     return buckets_[b].load(std::memory_order_relaxed);
   }
@@ -154,23 +199,14 @@ class LatencyHistogram {
   [[nodiscard]] std::uint64_t exemplar(int b) const noexcept {
     return exemplars_[b].load(std::memory_order_relaxed);
   }
-  /// The exemplar of the highest bucket holding one: the last trace that
-  /// went through the worst latency band this histogram has seen.
   [[nodiscard]] std::uint64_t worst_exemplar() const noexcept {
-    for (int b = kBuckets - 1; b >= 0; --b) {
-      const std::uint64_t id = exemplar(b);
-      if (id != 0) return id;
-    }
-    return 0;
+    return data().worst_exemplar();
   }
-  /// Inclusive upper bound of bucket b: 0 for b == 0, else 2^b - 1.
   [[nodiscard]] static std::uint64_t bucket_upper_bound(int b) noexcept {
-    if (b == 0) return 0;
-    if (b >= 64) return ~std::uint64_t{0};
-    return (std::uint64_t{1} << b) - 1;
+    return HistogramData::bucket_upper_bound(b);
   }
   [[nodiscard]] static int bucket_of(std::uint64_t ticks) noexcept {
-    return ticks == 0 ? 0 : std::bit_width(ticks);
+    return HistogramData::bucket_of(ticks);
   }
 
  private:
@@ -278,7 +314,7 @@ class LabeledFamily {
     return max_children_;
   }
 
-  /// (canonical labels, child) pairs sorted by labels, for exporters.
+  /// (canonical labels, child) pairs sorted by labels, for snapshot().
   /// overflow() is listed first, under the empty label set, whenever it
   /// is nonzero: it is the family's unlabeled series.
   [[nodiscard]] std::vector<std::pair<std::string, const T*>> entries() const {
@@ -369,15 +405,16 @@ class Registry {
   LatencyHistogram& histogram(std::string_view name);
 
   /// The labeled family registered under `name`, creating it on first
-  /// use.  A family may share its name with a plain instrument; the
-  /// exporters then render the labeled children as extra series of that
-  /// metric, and SLO rules read the plain one.  Without a plain namesake
-  /// (every lumen.svc.* family), SLO rules read the children's total.
+  /// use.  A family may share its name with a plain instrument: snapshot()
+  /// folds the family's overflow child into the plain instrument's
+  /// unlabeled series and lists the labeled children beside it.  An SLO
+  /// rule reads the total over every series of its name.
   LabeledFamily<Counter>& labeled_counter(std::string_view name);
   LabeledFamily<Gauge>& labeled_gauge(std::string_view name);
   LabeledFamily<LatencyHistogram>& labeled_histogram(std::string_view name);
 
-  /// Sorted (name, instrument) views for exporters.
+  /// Sorted (name, instrument) views.  obs::snapshot() (obs/slo.h) is
+  /// their one reader: exporters and the watchdog read its PumpSnapshot.
   [[nodiscard]] std::vector<std::pair<std::string, const Counter*>>
   counter_entries() const;
   [[nodiscard]] std::vector<std::pair<std::string, const Gauge*>>

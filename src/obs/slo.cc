@@ -2,61 +2,52 @@
 
 #include <algorithm>
 #include <fstream>
+#include <tuple>
 
 #include "obs/wire/wire_encoder.h"
 
 namespace lumen::obs {
 
+namespace {
+
+/// A series' JSON key: the name, plus "{labels}" when labeled.
+std::string series_key(const std::string& name, const std::string& labels) {
+  return detail::json_escape(labels.empty() ? name
+                                            : name + '{' + labels + '}');
+}
+
+}  // namespace
+
 std::string pump_snapshot_to_json(const PumpSnapshot& snapshot) {
   std::string out = "{\"tick\":" + std::to_string(snapshot.tick);
   out += ",\"uptime_seconds\":" +
          detail::fmt_double_exact(snapshot.uptime_seconds);
-  for (const auto& [name, value] : snapshot.counters) {
-    out += ",\"c:";
-    out += detail::json_escape(name);
-    out += "\":" + std::to_string(value);
+  for (const CounterSeries& s : snapshot.counters) {
+    const std::string key = series_key(s.name, s.labels);
+    out += ",\"c:" + key + "\":" + std::to_string(s.value);
+    out += ",\"d:" + key + "\":" + std::to_string(s.delta);
   }
-  for (const auto& [name, delta] : snapshot.counter_deltas) {
-    out += ",\"d:";
-    out += detail::json_escape(name);
-    out += "\":" + std::to_string(delta);
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    out += ",\"g:";
-    out += detail::json_escape(name);
-    out += "\":" + detail::fmt_double_exact(value);
-  }
-  for (const auto& [name, summary] : snapshot.histograms) {
-    const std::string key = detail::json_escape(name);
-    out += ",\"h:" + key + ":count\":" + std::to_string(summary.count);
-    out += ",\"h:" + key + ":mean\":" + detail::fmt_double_exact(summary.mean);
-    out += ",\"h:" + key + ":p50\":" + detail::fmt_double_exact(summary.p50);
-    out += ",\"h:" + key + ":p90\":" + detail::fmt_double_exact(summary.p90);
-    out += ",\"h:" + key + ":p99\":" + detail::fmt_double_exact(summary.p99);
-    out += ",\"h:" + key + ":max\":" + detail::fmt_double_exact(summary.max);
-  }
-  for (const auto& sample : snapshot.labeled_counters) {
-    const std::string key =
-        detail::json_escape(sample.name + '{' + sample.labels + '}');
-    out += ",\"c:" + key + "\":" + std::to_string(sample.value);
-    out += ",\"d:" + key + "\":" + std::to_string(sample.delta);
-  }
-  for (const auto& sample : snapshot.labeled_gauges) {
-    out += ",\"g:";
-    out += detail::json_escape(sample.name + '{' + sample.labels + '}');
-    out += "\":" + detail::fmt_double_exact(sample.value);
-  }
-  for (const auto& sample : snapshot.labeled_histograms) {
-    const std::string key =
-        detail::json_escape(sample.name + '{' + sample.labels + '}');
-    const HistogramSummary& summary = sample.summary;
-    out += ",\"h:" + key + ":count\":" + std::to_string(summary.count);
-    out += ",\"h:" + key + ":mean\":" + detail::fmt_double_exact(summary.mean);
-    out += ",\"h:" + key + ":p50\":" + detail::fmt_double_exact(summary.p50);
-    out += ",\"h:" + key + ":p90\":" + detail::fmt_double_exact(summary.p90);
-    out += ",\"h:" + key + ":p99\":" + detail::fmt_double_exact(summary.p99);
-    out += ",\"h:" + key + ":max\":" + detail::fmt_double_exact(summary.max);
-    out += ",\"h:" + key + ":exemplar\":" + std::to_string(sample.exemplar);
+  for (const GaugeSeries& s : snapshot.gauges)
+    out += ",\"g:" + series_key(s.name, s.labels) +
+           "\":" + detail::fmt_double_exact(s.value);
+  for (const HistogramSeries& s : snapshot.histograms) {
+    const std::string key = ",\"h:" + series_key(s.name, s.labels) + ':';
+    const HistogramSummary summary = s.data.summary();
+    out += key + "count\":" + std::to_string(summary.count);
+    out += key + "mean\":" + detail::fmt_double_exact(summary.mean);
+    out += key + "p50\":" + detail::fmt_double_exact(summary.p50);
+    out += key + "p90\":" + detail::fmt_double_exact(summary.p90);
+    out += key + "p99\":" + detail::fmt_double_exact(summary.p99);
+    out += key + "max\":" + detail::fmt_double_exact(summary.max);
+    out += key + "exemplar\":" + std::to_string(s.data.worst_exemplar());
+    out += key + "buckets\":\"" + std::to_string(s.data.sum) + ' ' +
+           std::to_string(s.data.min) + ' ' + std::to_string(s.data.max);
+    for (int b = 0; b < HistogramData::kBuckets; ++b)
+      if (s.data.buckets[b] != 0 || s.data.exemplars[b] != 0)
+        out += ' ' + std::to_string(b) + ':' +
+               std::to_string(s.data.buckets[b]) + ':' +
+               std::to_string(s.data.exemplars[b]);
+    out += '"';
   }
   for (const auto& entry : snapshot.profile) {
     const std::string key = detail::json_escape(entry.stack);
@@ -73,86 +64,75 @@ inline namespace LUMEN_OBS_MODE_NAMESPACE {
 
 namespace {
 
-template <class T>
-const T* find_entry(
-    const std::vector<std::pair<std::string, const T*>>& entries,
-    const std::string& name) {
-  for (const auto& [n, e] : entries)
-    if (n == name) return e;
-  return nullptr;
-}
-
-/// A rule's counter: the plain counter `name`, else the sum of the
-/// labeled family's entries (overflow is one of them), else 0.
-std::uint64_t counter_total(const Registry& registry,
-                            const std::string& name) {
-  if (const Counter* c = find_entry(registry.counter_entries(), name))
-    return c->value();
-  const LabeledFamily<Counter>* family =
-      find_entry(registry.labeled_counter_entries(), name);
-  if (family == nullptr) return 0;
-  std::uint64_t total = 0;
-  for (const auto& [labels, child] : family->entries())
-    total += child->value();
-  return total;
-}
-
-/// A rule's histogram: the plain histogram `name`, else the labeled
-/// family's entries merged into `scratch` (overflow is one of them),
-/// else nullptr.
-const LatencyHistogram* histogram_total(const Registry& registry,
-                                        const std::string& name,
-                                        LatencyHistogram& scratch) {
-  if (const LatencyHistogram* h =
-          find_entry(registry.histogram_entries(), name))
-    return h;
-  const LabeledFamily<LatencyHistogram>* family =
-      find_entry(registry.labeled_histogram_entries(), name);
-  if (family == nullptr) return nullptr;
-  for (const auto& [labels, child] : family->entries()) scratch.merge(*child);
-  return &scratch;
+/// Appends one series per plain instrument and per family child to `out`,
+/// sorted by (name, labels).  A family's overflow child (listed under the
+/// empty label set) folds into its plain namesake's series.
+template <class T, class Series, class Add>
+void collect(const std::vector<std::pair<std::string, const T*>>& plain,
+             const std::vector<std::pair<std::string, const LabeledFamily<T>*>>&
+                 families,
+             std::vector<Series>& out, Add add) {
+  for (const auto& [name, instrument] : plain) {
+    Series& series = out.emplace_back();
+    series.name = name;
+    add(series, *instrument);
+  }
+  const auto plain_count = static_cast<std::ptrdiff_t>(out.size());
+  for (const auto& [name, family] : families) {
+    for (const auto& [labels, child] : family->entries()) {
+      if (labels.empty()) {
+        const auto plain_end = out.begin() + plain_count;
+        const auto it = std::lower_bound(
+            out.begin(), plain_end, name,
+            [](const Series& s, const std::string& n) { return s.name < n; });
+        if (it != plain_end && it->name == name) {
+          add(*it, *child);
+          continue;
+        }
+      }
+      Series& series = out.emplace_back();
+      series.name = name;
+      series.labels = labels;
+      add(series, *child);
+    }
+  }
+  std::sort(out.begin(), out.end(), [](const Series& a, const Series& b) {
+    return std::tie(a.name, a.labels) < std::tie(b.name, b.labels);
+  });
 }
 
 /// Extra JSONL lines attached to a fresh breach dump: one "breach" line
-/// naming the worst labeled child of the breached metric (highest p99 —
-/// the offending tenant/shard) with the exemplar trace ids retained in
-/// its tail latency buckets, then one "profile" line per sampled stage
+/// naming the worst series of the breached metric (highest p99 — the
+/// offending tenant/shard) with the exemplar trace ids retained in its
+/// tail latency buckets, then one "profile" line per sampled stage
 /// stack, so the dump answers both "who" and "where the time went".
-std::vector<std::string> breach_context_lines(Registry& registry,
-                                              const PumpSnapshot& snapshot,
+std::vector<std::string> breach_context_lines(const PumpSnapshot& snapshot,
                                               const AlertEvent& alert) {
-  std::string labels;
-  const LatencyHistogram* offender = nullptr;
+  const HistogramSeries* offender = nullptr;
   double worst_p99 = -1.0;
-  for (const auto& [name, family] : registry.labeled_histogram_entries()) {
-    if (name != alert.metric) continue;
-    for (const auto& [child_labels, child] : family->entries()) {
-      const double p99 = child->percentile(0.99);
-      if (child->count() > 0 && p99 > worst_p99) {
-        worst_p99 = p99;
-        labels = child_labels;
-        offender = child;
-      }
+  for (const HistogramSeries& s : snapshot.histograms) {
+    if (s.name != alert.metric || s.data.count() == 0) continue;
+    const double p99 = s.data.percentile(0.99);
+    if (p99 > worst_p99) {
+      worst_p99 = p99;
+      offender = &s;
     }
   }
-  if (offender == nullptr)
-    offender = find_entry(registry.histogram_entries(), alert.metric);
 
   // Exemplars from the buckets at/above the offender's p99 (the traces
   // that lived through the breach), falling back to its worst retained
   // exemplar so a breach line is never trace-less when one exists.
   std::string exemplars;
   if (offender != nullptr) {
-    const int from = LatencyHistogram::bucket_of(
-        static_cast<std::uint64_t>(offender->percentile(0.99)));
-    for (int b = from; b < LatencyHistogram::kBuckets; ++b) {
-      const std::uint64_t id = offender->exemplar(b);
-      if (id == 0) continue;
+    const HistogramData& data = offender->data;
+    for (int b = HistogramData::bucket_of(static_cast<std::uint64_t>(worst_p99));
+         b < HistogramData::kBuckets; ++b) {
+      if (data.exemplars[b] == 0) continue;
       if (!exemplars.empty()) exemplars.push_back(',');
-      exemplars += std::to_string(id);
+      exemplars += std::to_string(data.exemplars[b]);
     }
-    if (exemplars.empty() && offender->worst_exemplar() != 0)
-      exemplars = std::to_string(offender->worst_exemplar());
+    if (exemplars.empty() && data.worst_exemplar() != 0)
+      exemplars = std::to_string(data.worst_exemplar());
   }
 
   std::vector<std::string> lines;
@@ -161,7 +141,7 @@ std::vector<std::string> breach_context_lines(Registry& registry,
   line += "\",\"metric\":\"";
   line += detail::json_escape(alert.metric);
   line += "\",\"labels\":\"";
-  line += detail::json_escape(labels);
+  line += detail::json_escape(offender != nullptr ? offender->labels : "");
   line += "\",\"value\":" + detail::fmt_double_exact(alert.value);
   line += ",\"threshold\":" + detail::fmt_double_exact(alert.threshold);
   line += ",\"exemplars\":\"" + exemplars + "\"}";
@@ -171,7 +151,32 @@ std::vector<std::string> breach_context_lines(Registry& registry,
   return lines;
 }
 
+/// A rule's counter: the summed values of every series named `name`.
+std::uint64_t counter_total(const PumpSnapshot& snapshot,
+                            const std::string& name) {
+  std::uint64_t total = 0;
+  for (const CounterSeries& s : snapshot.counters)
+    if (s.name == name) total += s.value;
+  return total;
+}
+
 }  // namespace
+
+PumpSnapshot snapshot(const Registry& registry) {
+  PumpSnapshot out;
+  collect(registry.counter_entries(), registry.labeled_counter_entries(),
+          out.counters, [](CounterSeries& s, const Counter& c) {
+            s.value += c.value();
+          });
+  collect(registry.gauge_entries(), registry.labeled_gauge_entries(),
+          out.gauges,
+          [](GaugeSeries& s, const Gauge& g) { s.value += g.value(); });
+  collect(registry.histogram_entries(), registry.labeled_histogram_entries(),
+          out.histograms, [](HistogramSeries& s, const LatencyHistogram& h) {
+            s.data.merge(h.data());
+          });
+  return out;
+}
 
 void SloWatchdog::add_rule(SloRule rule) {
   const std::scoped_lock lock(mutex_);
@@ -185,7 +190,7 @@ std::size_t SloWatchdog::num_rules() const {
   return rules_.size();
 }
 
-std::vector<AlertEvent> SloWatchdog::evaluate(const Registry& registry) {
+std::vector<AlertEvent> SloWatchdog::evaluate(const PumpSnapshot& snapshot) {
   const std::scoped_lock lock(mutex_);
   std::vector<AlertEvent> alerts;
   for (RuleState& state : rules_) {
@@ -195,7 +200,7 @@ std::vector<AlertEvent> SloWatchdog::evaluate(const Registry& registry) {
 
     switch (rule.kind) {
       case SloRule::Kind::kCounterValue: {
-        const std::uint64_t now = counter_total(registry, rule.metric);
+        const std::uint64_t now = counter_total(snapshot, rule.metric);
         if (rule.windowed) {
           const std::uint64_t delta =
               now >= state.prev_metric ? now - state.prev_metric : 0;
@@ -212,8 +217,8 @@ std::vector<AlertEvent> SloWatchdog::evaluate(const Registry& registry) {
         break;
       }
       case SloRule::Kind::kCounterRatio: {
-        const std::uint64_t num_now = counter_total(registry, rule.metric);
-        const std::uint64_t den_now = counter_total(registry, rule.denominator);
+        const std::uint64_t num_now = counter_total(snapshot, rule.metric);
+        const std::uint64_t den_now = counter_total(snapshot, rule.denominator);
         std::uint64_t dn = num_now, dd = den_now;
         if (rule.windowed) {
           dn = num_now >= state.prev_metric ? num_now - state.prev_metric : 0;
@@ -234,11 +239,11 @@ std::vector<AlertEvent> SloWatchdog::evaluate(const Registry& registry) {
         break;
       }
       case SloRule::Kind::kHistogramPercentile: {
-        LatencyHistogram merged;
-        const LatencyHistogram* h =
-            histogram_total(registry, rule.metric, merged);
-        if (h == nullptr || h->count() == 0) have_value = false;
-        value = h != nullptr ? h->percentile(rule.quantile) : 0.0;
+        HistogramData total;
+        for (const HistogramSeries& s : snapshot.histograms)
+          if (s.name == rule.metric) total.merge(s.data);
+        have_value = total.count() != 0;
+        value = total.percentile(rule.quantile);
         break;
       }
     }
@@ -279,80 +284,29 @@ MetricsPump::~MetricsPump() { stop(); }
 
 PumpSnapshot MetricsPump::tick() {
   const std::scoped_lock lock(tick_mutex_);
-  PumpSnapshot snapshot;
+  PumpSnapshot snapshot = obs::snapshot(registry_);
   snapshot.tick = ++tick_count_;
   snapshot.uptime_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - born_)
           .count();
-
-  for (const auto& [name, counter] : registry_.counter_entries())
-    snapshot.counters.emplace_back(name, counter->value());
-  snapshot.counter_deltas.reserve(snapshot.counters.size());
-  for (const auto& [name, value] : snapshot.counters) {
-    std::uint64_t prev = 0;
-    const auto it = std::lower_bound(
-        prev_counters_.begin(), prev_counters_.end(), name,
-        [](const auto& entry, const std::string& key) {
-          return entry.first < key;
-        });
-    if (it != prev_counters_.end() && it->first == name) prev = it->second;
-    snapshot.counter_deltas.emplace_back(name,
-                                         value >= prev ? value - prev : 0);
-  }
-  prev_counters_ = snapshot.counters;  // sorted (registry order)
-
-  for (const auto& [name, gauge] : registry_.gauge_entries())
-    snapshot.gauges.emplace_back(name, gauge->value());
-
-  for (const auto& [name, histogram] : registry_.histogram_entries())
-    snapshot.histograms.emplace_back(name, histogram->summary());
-
-  for (const auto& [name, family] : registry_.labeled_counter_entries()) {
-    for (const auto& [labels, child] : family->entries()) {
-      LabeledCounterSample sample;
-      sample.name = name;
-      sample.labels = labels;
-      sample.value = child->value();
-      const std::string key = name + '{' + labels + '}';
-      const auto it = prev_labeled_.find(key);
-      const std::uint64_t prev = it != prev_labeled_.end() ? it->second : 0;
-      sample.delta = sample.value >= prev ? sample.value - prev : 0;
-      prev_labeled_[key] = sample.value;
-      snapshot.labeled_counters.push_back(std::move(sample));
-    }
-  }
-  for (const auto& [name, family] : registry_.labeled_gauge_entries()) {
-    for (const auto& [labels, child] : family->entries()) {
-      LabeledGaugeSample sample;
-      sample.name = name;
-      sample.labels = labels;
-      sample.value = child->value();
-      snapshot.labeled_gauges.push_back(std::move(sample));
-    }
-  }
-  for (const auto& [name, family] : registry_.labeled_histogram_entries()) {
-    for (const auto& [labels, child] : family->entries()) {
-      LabeledHistogramSample sample;
-      sample.name = name;
-      sample.labels = labels;
-      sample.summary = child->summary();
-      sample.exemplar = child->worst_exemplar();
-      snapshot.labeled_histograms.push_back(std::move(sample));
-    }
+  for (CounterSeries& s : snapshot.counters) {
+    std::uint64_t& prev = prev_counters_[{s.name, s.labels}];
+    s.delta = s.value >= prev ? s.value - prev : 0;
+    prev = s.value;
   }
 
   if (options_.profiler != nullptr)
     snapshot.profile = options_.profiler->snapshot().entries;
 
   if (options_.watchdog != nullptr) {
-    snapshot.alerts = options_.watchdog->evaluate(registry_);
+    snapshot.alerts = options_.watchdog->evaluate(snapshot);
     for (AlertEvent& alert : snapshot.alerts) {
       alert.tick = snapshot.tick;
       if (!alert.resolved && options_.recorder != nullptr) {
         alert.dump_path = options_.recorder->trigger_dump(
             options_.dump_dir,
             "slo-" + alert.rule + "-tick" + std::to_string(snapshot.tick),
-            breach_context_lines(registry_, snapshot, alert));
+            breach_context_lines(snapshot, alert));
       }
     }
     if (!snapshot.alerts.empty()) {

@@ -1,18 +1,25 @@
 // Declarative SLO rules over registry instruments + the periodic
 // MetricsPump that evaluates them.
 //
+// One walk reads the registry: obs::snapshot() copies every instrument
+// into a PumpSnapshot (one vector of series per kind, sorted by name and
+// labels, histograms with their buckets).  Everything downstream reads
+// that snapshot: the Prometheus renderer (obs/export.h), the wire codec
+// (obs/wire), the JSONL sink, `lumen_top`, and the SloWatchdog.
+//
 // A SloRule names a threshold over an existing instrument — a counter
 // value or windowed delta, a ratio of two counter deltas (blocking
 // ratio), or a histogram percentile (p99 open latency).  The SloWatchdog
-// evaluates its rules against a Registry and reports edge-triggered
+// evaluates its rules against a snapshot and reports edge-triggered
 // AlertEvents: one when a rule starts breaching, one when it resolves.
 //
 // MetricsPump drives it: every tick (a background thread, or synchronous
-// tick() calls for deterministic tests) it samples every instrument into
-// a PumpSnapshot (values + deltas since the previous tick), runs the
-// watchdog, triggers a FlightRecorder dump per fresh breach, appends the
-// snapshot to a JSONL sink (what `lumen_top` tails), and invokes an
-// optional callback.
+// tick() calls for deterministic tests) it takes one snapshot, stamps the
+// counter deltas since the previous tick, runs the watchdog on that same
+// snapshot, triggers a FlightRecorder dump per fresh breach, appends the
+// snapshot to a JSONL sink (what `lumen_top` tails), sends it on the wire,
+// and invokes an optional callback.  An alert therefore reports the value
+// the snapshot it ships with holds.
 //
 //   obs::SloWatchdog dog;
 //   dog.add_rule(obs::SloRule::percentile(
@@ -58,9 +65,9 @@ struct SloRule {
 
   std::string name;          ///< rule id, used in alerts and dump tags
   Kind kind = Kind::kCounterValue;
-  /// Instrument name in the registry.  A counter or histogram name with
-  /// no plain instrument reads its labeled family: the children's summed
-  /// values, or the percentile of their summed buckets.
+  /// Instrument name in the registry.  A rule reads the total over every
+  /// series of that name (plain and labeled): the summed counter values,
+  /// or the percentile of the merged histogram buckets.
   std::string metric;
   std::string denominator;   ///< kCounterRatio only
   double quantile = 0.99;    ///< kHistogramPercentile only (0..1)
@@ -141,76 +148,68 @@ struct AlertEvent {
   return out;
 }
 
-/// One labeled counter child at sample time.  `labels` uses the
-/// canonical TagSet rendering ("tenant=3,shard=1" — see obs/tagset.h).
-/// Passive data.
-struct LabeledCounterSample {
+/// One counter series at sample time: a name plus its canonical TagSet
+/// labels ("tenant=3,shard=1" — see obs/tagset.h; "" for the name's
+/// unlabeled series), the lifetime value and the delta since the previous
+/// pump tick.  Passive data.
+struct CounterSeries {
   std::string name;
   std::string labels;
   std::uint64_t value = 0;
   std::uint64_t delta = 0;
 
-  friend bool operator==(const LabeledCounterSample&,
-                         const LabeledCounterSample&) = default;
+  friend bool operator==(const CounterSeries&, const CounterSeries&) = default;
 };
 
-/// One labeled gauge child at sample time.  Passive data.
-struct LabeledGaugeSample {
+/// One gauge series at sample time.  Passive data.
+struct GaugeSeries {
   std::string name;
   std::string labels;
   double value = 0.0;
 
-  friend bool operator==(const LabeledGaugeSample&,
-                         const LabeledGaugeSample&) = default;
+  friend bool operator==(const GaugeSeries&, const GaugeSeries&) = default;
 };
 
-/// One labeled histogram child at sample time, plus the exemplar
-/// trace_id of its worst populated latency bucket (0 = none).  Passive.
-struct LabeledHistogramSample {
+/// One histogram series at sample time, buckets and all.  Passive data.
+struct HistogramSeries {
   std::string name;
   std::string labels;
-  HistogramSummary summary;
-  std::uint64_t exemplar = 0;
+  HistogramData data;
 
-  friend bool operator==(const LabeledHistogramSample&,
-                         const LabeledHistogramSample&) = default;
+  friend bool operator==(const HistogramSeries&,
+                         const HistogramSeries&) = default;
 };
 
-/// One periodic sample of every registry instrument.  Passive data,
-/// shared by both build modes: the wire codec (obs/wire) moves these
-/// across process boundaries, so the struct must not depend on whether
-/// the producing or consuming binary compiled the instruments in.
+/// One sample of every registry instrument.  Passive data, shared by both
+/// build modes: the wire codec (obs/wire) moves these across process
+/// boundaries, so the struct must not depend on whether the producing or
+/// consuming binary compiled the instruments in.
+///
+/// Each kind is one vector sorted by (name, labels).  A name's unlabeled
+/// series (labels "") is its plain instrument plus its labeled family's
+/// overflow child; the family's labeled children follow it.
 struct PumpSnapshot {
   std::uint64_t tick = 0;
   double uptime_seconds = 0.0;
-  /// (name, lifetime value), sorted by name.
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  /// (name, delta since previous tick), parallel to `counters`.
-  std::vector<std::pair<std::string, std::uint64_t>> counter_deltas;
-  /// (name, current level), sorted by name.
-  std::vector<std::pair<std::string, double>> gauges;
-  /// (name, summary), sorted by name.
-  std::vector<std::pair<std::string, HistogramSummary>> histograms;
-  /// Labeled children (per-tenant/per-shard/per-stage series), sorted
-  /// by (name, labels).
-  std::vector<LabeledCounterSample> labeled_counters;
-  std::vector<LabeledGaugeSample> labeled_gauges;
-  std::vector<LabeledHistogramSample> labeled_histograms;
+  std::vector<CounterSeries> counters;
+  std::vector<GaugeSeries> gauges;
+  std::vector<HistogramSeries> histograms;
   /// Stage profile at this tick (empty without a pump profiler).
   std::vector<ProfileEntry> profile;
   /// Watchdog transitions observed on this tick.
   std::vector<AlertEvent> alerts;
 };
 
-/// One snapshot as a single-line flat JSON object (no newline): keys are
-/// "tick", "uptime_seconds", "c:<counter>" (value), "d:<counter>"
-/// (delta), "g:<gauge>" (level), and
-/// "h:<histogram>:{count,mean,p50,p90,p99,max}".  Labeled children use
-/// the same prefixes with the labels appended in braces —
-/// "c:<name>{tenant=3}", "h:<name>{tenant=3}:p99", plus ":exemplar" for
-/// labeled histograms — and profile entries render as
-/// "p:<stack>:{n,self,total}".  Alerts are NOT inlined — the pump
-/// writes them as separate alert_to_json lines.
+/// One snapshot as a single-line flat JSON object (no newline).  Keys are
+/// "tick", "uptime_seconds", and per series "c:<key>" (value), "d:<key>"
+/// (delta), "g:<key>" (level) and "h:<key>:{count,mean,p50,p90,p99,max,
+/// exemplar,buckets}", where <key> is the name, with the labels appended
+/// in braces for a labeled series ("c:<name>{tenant=3}").  ":buckets" is
+/// a string: sum, min and max, then one "index:count:exemplar" triple per
+/// bucket holding a count or an exemplar, space-separated — enough to
+/// rebuild the HistogramData.  Profile entries render as
+/// "p:<stack>:{n,self,total}".  Alerts are NOT inlined — the pump writes
+/// them as separate alert_to_json lines.
 [[nodiscard]] std::string pump_snapshot_to_json(const PumpSnapshot& snapshot);
 
 namespace wire {
@@ -221,7 +220,14 @@ class WireExporter;
 
 inline namespace LUMEN_OBS_MODE_NAMESPACE {
 
-/// Evaluates SLO rules against a registry; breach state is kept per rule
+/// Every instrument of `registry` as one PumpSnapshot (tick 0, deltas 0,
+/// no profile or alerts: the pump fills those in).  The only walk of the
+/// registry's instruments: the Prometheus renderer, the wire codec, the
+/// JSONL sink and the watchdog all read what it returns.  Empty for an
+/// obs-off registry, which lists none.
+[[nodiscard]] PumpSnapshot snapshot(const Registry& registry);
+
+/// Evaluates SLO rules against a snapshot; breach state is kept per rule
 /// so alerts fire only on transitions.  Thread-safe.
 class SloWatchdog {
  public:
@@ -235,8 +241,11 @@ class SloWatchdog {
   /// One evaluation pass; windowed counter rules measure the delta since
   /// the previous evaluate() call.  Returns the transitions (alerts'
   /// `tick` is 0 — the pump stamps it).
+  [[nodiscard]] std::vector<AlertEvent> evaluate(const PumpSnapshot& snapshot);
   [[nodiscard]] std::vector<AlertEvent> evaluate(
-      const Registry& registry = Registry::global());
+      const Registry& registry = Registry::global()) {
+    return evaluate(snapshot(registry));
+  }
 
   /// Current breach state of `rule` (false for unknown rules).
   [[nodiscard]] bool breaching(const std::string& rule) const;
@@ -316,9 +325,8 @@ class MetricsPump {
 
   mutable std::mutex tick_mutex_;  // serializes tick()
   std::uint64_t tick_count_ = 0;
-  std::vector<std::pair<std::string, std::uint64_t>> prev_counters_;
-  /// Previous labeled-counter values keyed "name{labels}".
-  std::map<std::string, std::uint64_t> prev_labeled_;
+  /// Previous counter values keyed (name, labels).
+  std::map<std::pair<std::string, std::string>, std::uint64_t> prev_counters_;
 
   mutable std::mutex state_mutex_;  // guards the thread lifecycle
   std::condition_variable cv_;

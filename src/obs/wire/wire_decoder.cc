@@ -38,6 +38,27 @@ bool read_field(lumen::ByteReader& reader, const FieldSpec& spec,
 
 double as_f64(const FieldValue& v) { return std::bit_cast<double>(v.u); }
 
+/// Fills `data` from a kFBuckets payload.  False unless the payload is
+/// whole (index, count, exemplar) triples with strictly increasing
+/// in-range indices, each holding a count or an exemplar.
+bool read_buckets(const std::string& payload, HistogramData& data) {
+  if (payload.size() % kBucketTripleBytes != 0) return false;
+  lumen::ByteReader reader(std::as_bytes(std::span(payload)));
+  int next = 0;  // smallest index the next triple may carry
+  while (reader.remaining() > 0) {
+    const int b = reader.u8();
+    const std::uint64_t count = reader.u64();
+    const std::uint64_t exemplar = reader.u64();
+    if (b < next || b >= HistogramData::kBuckets ||
+        (count == 0 && exemplar == 0))
+      return false;
+    data.buckets[b] = count;
+    data.exemplars[b] = exemplar;
+    next = b + 1;
+  }
+  return reader.ok();
+}
+
 }  // namespace
 
 WireDecoder::WireDecoder(WireDecoderOptions options) : options_(options) {}
@@ -168,63 +189,6 @@ bool WireDecoder::decode_record(DomainState& domain, lumen::ByteReader& reader,
       begin_snapshot(domain, tick, uptime);
       break;
     }
-    case kCounterTemplate: {
-      std::string name;
-      std::uint64_t value = 0, delta = 0;
-      for (const FieldSpec& spec : fields) {
-        FieldValue v;
-        if (!read_field(reader, spec, v)) return false;
-        if (spec.id == kFName) name = std::move(v.s);
-        if (spec.id == kFValueU64) value = v.u;
-        if (spec.id == kFDeltaU64) delta = v.u;
-      }
-      if (!domain.in_snapshot) {
-        ++stats_.records_orphaned;
-      } else {
-        domain.current.counters.emplace_back(name, value);
-        domain.current.counter_deltas.emplace_back(std::move(name), delta);
-      }
-      break;
-    }
-    case kGaugeTemplate: {
-      std::string name;
-      double value = 0.0;
-      for (const FieldSpec& spec : fields) {
-        FieldValue v;
-        if (!read_field(reader, spec, v)) return false;
-        if (spec.id == kFName) name = std::move(v.s);
-        if (spec.id == kFValueF64) value = as_f64(v);
-      }
-      if (!domain.in_snapshot)
-        ++stats_.records_orphaned;
-      else
-        domain.current.gauges.emplace_back(std::move(name), value);
-      break;
-    }
-    case kHistogramTemplate: {
-      std::string name;
-      HistogramSummary summary;
-      for (const FieldSpec& spec : fields) {
-        FieldValue v;
-        if (!read_field(reader, spec, v)) return false;
-        switch (spec.id) {
-          case kFName: name = std::move(v.s); break;
-          case kFCount: summary.count = v.u; break;
-          case kFMean: summary.mean = as_f64(v); break;
-          case kFMin: summary.min = as_f64(v); break;
-          case kFMax: summary.max = as_f64(v); break;
-          case kFP50: summary.p50 = as_f64(v); break;
-          case kFP90: summary.p90 = as_f64(v); break;
-          case kFP99: summary.p99 = as_f64(v); break;
-          default: break;
-        }
-      }
-      if (!domain.in_snapshot)
-        ++stats_.records_orphaned;
-      else
-        domain.current.histograms.emplace_back(std::move(name), summary);
-      break;
-    }
     case kAlertTemplate: {
       AlertEvent alert;
       for (const FieldSpec& spec : fields) {
@@ -247,7 +211,7 @@ bool WireDecoder::decode_record(DomainState& domain, lumen::ByteReader& reader,
         domain.current.alerts.push_back(std::move(alert));
       break;
     }
-    case kLabeledSeriesTemplate: {
+    case kSeriesTemplate: {
       std::string name, labels;
       std::uint64_t kind = 0, value = 0, delta = 0;
       double fvalue = 0.0;
@@ -264,47 +228,37 @@ bool WireDecoder::decode_record(DomainState& domain, lumen::ByteReader& reader,
           default: break;
         }
       }
-      if (!domain.in_snapshot) {
+      if (!domain.in_snapshot)
         ++stats_.records_orphaned;
-      } else if (kind == 0) {
-        LabeledCounterSample sample;
-        sample.name = std::move(name);
-        sample.labels = std::move(labels);
-        sample.value = value;
-        sample.delta = delta;
-        domain.current.labeled_counters.push_back(std::move(sample));
-      } else {
-        LabeledGaugeSample sample;
-        sample.name = std::move(name);
-        sample.labels = std::move(labels);
-        sample.value = fvalue;
-        domain.current.labeled_gauges.push_back(std::move(sample));
-      }
+      else if (kind == 0)
+        domain.current.counters.push_back(
+            {std::move(name), std::move(labels), value, delta});
+      else
+        domain.current.gauges.push_back(
+            {std::move(name), std::move(labels), fvalue});
       break;
     }
-    case kLabeledHistogramTemplate: {
-      LabeledHistogramSample sample;
+    case kHistogramTemplate: {
+      HistogramSeries series;
       for (const FieldSpec& spec : fields) {
         FieldValue v;
         if (!read_field(reader, spec, v)) return false;
         switch (spec.id) {
-          case kFName: sample.name = std::move(v.s); break;
-          case kFLabels: sample.labels = std::move(v.s); break;
-          case kFCount: sample.summary.count = v.u; break;
-          case kFMean: sample.summary.mean = as_f64(v); break;
-          case kFMin: sample.summary.min = as_f64(v); break;
-          case kFMax: sample.summary.max = as_f64(v); break;
-          case kFP50: sample.summary.p50 = as_f64(v); break;
-          case kFP90: sample.summary.p90 = as_f64(v); break;
-          case kFP99: sample.summary.p99 = as_f64(v); break;
-          case kFExemplar: sample.exemplar = v.u; break;
+          case kFName: series.name = std::move(v.s); break;
+          case kFLabels: series.labels = std::move(v.s); break;
+          case kFSum: series.data.sum = v.u; break;
+          case kFMinTicks: series.data.min = v.u; break;
+          case kFMaxTicks: series.data.max = v.u; break;
+          case kFBuckets:
+            if (!read_buckets(v.s, series.data)) return false;
+            break;
           default: break;
         }
       }
       if (!domain.in_snapshot)
         ++stats_.records_orphaned;
       else
-        domain.current.labeled_histograms.push_back(std::move(sample));
+        domain.current.histograms.push_back(std::move(series));
       break;
     }
     case kProfileTemplate: {

@@ -21,9 +21,10 @@
 //   * interleaved exporters — templates, sequence state, and parked sets
 //     are all keyed by the frame's observation-domain id.
 //
-// Decoded counter/gauge/histogram/alert records accumulate into the
-// snapshot opened by the latest snapshot-boundary record; the next
-// boundary (or flush()) completes it.  Route events accumulate
+// Decoded series, profile and alert records accumulate into the snapshot
+// opened by the latest snapshot-boundary record; the next boundary (or
+// flush()) completes it.  A histogram record whose bucket list is not
+// whole, in-range, strictly increasing triples rejects its frame.  Route events accumulate
 // independently.  Compiled in both build modes.
 #pragma once
 

@@ -80,16 +80,12 @@ void WireExporter::append_template_set() {
   ByteWriter writer(frame_);
   writer.u16(kTemplateSetId);
   writer.u16(0);  // set length, patched below
-  append_one_template(writer, kCounterTemplate, kCounterFields);
-  append_one_template(writer, kGaugeTemplate, kGaugeFields);
-  append_one_template(writer, kHistogramTemplate, kHistogramFields);
   append_one_template(writer, kSnapshotTemplate, kSnapshotFields);
   append_one_template(writer, kAlertTemplate, kAlertFields);
   append_one_template(writer, kRouteEventTemplate, kRouteEventFields);
-  append_one_template(writer, kLabeledSeriesTemplate, kLabeledSeriesFields);
-  append_one_template(writer, kLabeledHistogramTemplate,
-                      kLabeledHistogramFields);
+  append_one_template(writer, kSeriesTemplate, kSeriesFields);
   append_one_template(writer, kProfileTemplate, kProfileFields);
+  append_one_template(writer, kHistogramTemplate, kHistogramFields);
   writer.patch_u16(set_offset + 2,
                    static_cast<std::uint16_t>(frame_.size() - set_offset));
   ++stats_.template_sets;
@@ -145,74 +141,48 @@ void WireExporter::export_snapshot(const PumpSnapshot& snapshot) {
   }
   append_record(kSnapshotTemplate, scratch_);
 
-  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
-    const auto& [name, value] = snapshot.counters[i];
-    const std::uint64_t delta = i < snapshot.counter_deltas.size()
-                                    ? snapshot.counter_deltas[i].second
-                                    : 0;
+  for (const CounterSeries& series : snapshot.counters) {
     scratch_.clear();
     ByteWriter writer(scratch_);
-    writer.str(name);
-    writer.u64(value);
-    writer.u64(delta);
-    append_record(kCounterTemplate, scratch_);
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    scratch_.clear();
-    ByteWriter writer(scratch_);
-    writer.str(name);
-    writer.f64(value);
-    append_record(kGaugeTemplate, scratch_);
-  }
-  for (const auto& [name, summary] : snapshot.histograms) {
-    scratch_.clear();
-    ByteWriter writer(scratch_);
-    writer.str(name);
-    writer.u64(summary.count);
-    writer.f64(summary.mean);
-    writer.f64(summary.min);
-    writer.f64(summary.max);
-    writer.f64(summary.p50);
-    writer.f64(summary.p90);
-    writer.f64(summary.p99);
-    append_record(kHistogramTemplate, scratch_);
-  }
-  for (const LabeledCounterSample& sample : snapshot.labeled_counters) {
-    scratch_.clear();
-    ByteWriter writer(scratch_);
-    writer.str(sample.name);
-    writer.str(sample.labels);
+    writer.str(series.name);
+    writer.str(series.labels);
     writer.u8(0);  // kind: counter
-    writer.u64(sample.value);
-    writer.u64(sample.delta);
+    writer.u64(series.value);
+    writer.u64(series.delta);
     writer.f64(0.0);
-    append_record(kLabeledSeriesTemplate, scratch_);
+    append_record(kSeriesTemplate, scratch_);
   }
-  for (const LabeledGaugeSample& sample : snapshot.labeled_gauges) {
+  for (const GaugeSeries& series : snapshot.gauges) {
     scratch_.clear();
     ByteWriter writer(scratch_);
-    writer.str(sample.name);
-    writer.str(sample.labels);
+    writer.str(series.name);
+    writer.str(series.labels);
     writer.u8(1);  // kind: gauge
     writer.u64(0);
     writer.u64(0);
-    writer.f64(sample.value);
-    append_record(kLabeledSeriesTemplate, scratch_);
+    writer.f64(series.value);
+    append_record(kSeriesTemplate, scratch_);
   }
-  for (const LabeledHistogramSample& sample : snapshot.labeled_histograms) {
+  for (const HistogramSeries& series : snapshot.histograms) {
+    const HistogramData& data = series.data;
     scratch_.clear();
     ByteWriter writer(scratch_);
-    writer.str(sample.name);
-    writer.str(sample.labels);
-    writer.u64(sample.summary.count);
-    writer.f64(sample.summary.mean);
-    writer.f64(sample.summary.min);
-    writer.f64(sample.summary.max);
-    writer.f64(sample.summary.p50);
-    writer.f64(sample.summary.p90);
-    writer.f64(sample.summary.p99);
-    writer.u64(sample.exemplar);
-    append_record(kLabeledHistogramTemplate, scratch_);
+    writer.str(series.name);
+    writer.str(series.labels);
+    writer.u64(data.sum);
+    writer.u64(data.min);
+    writer.u64(data.max);
+    const std::size_t length_at = scratch_.size();
+    writer.u16(0);  // bucket-list length, patched below
+    for (int b = 0; b < HistogramData::kBuckets; ++b) {
+      if (data.buckets[b] == 0 && data.exemplars[b] == 0) continue;
+      writer.u8(static_cast<std::uint8_t>(b));
+      writer.u64(data.buckets[b]);
+      writer.u64(data.exemplars[b]);
+    }
+    writer.patch_u16(length_at, static_cast<std::uint16_t>(
+                                    scratch_.size() - length_at - 2));
+    append_record(kHistogramTemplate, scratch_);
   }
   for (const ProfileEntry& entry : snapshot.profile) {
     scratch_.clear();

@@ -2,7 +2,7 @@
 //
 // The producing half of the wire protocol (wire_format.h).  Feed it
 // PumpSnapshots (each one becomes a snapshot-boundary record followed by
-// one record per counter / gauge / histogram / alert, split across as
+// one record per series / profile entry / alert, split across as
 // many frames as the transport's datagram ceiling requires) and
 // flight-recorder RouteEvents.  Template sets describing the record
 // layouts lead the very first frame and are re-announced every
@@ -64,8 +64,8 @@ class WireExporter {
   WireExporter& operator=(const WireExporter&) = delete;
 
   /// Encodes one pump snapshot: a snapshot-boundary record, then every
-  /// counter, gauge, histogram summary, and alert, over as many frames
-  /// as needed.  The final frame is sent before returning (a snapshot
+  /// counter, gauge and histogram series, profile entry, and alert, over
+  /// as many frames as needed.  The final frame is sent before returning (a snapshot
   /// never sits half-exported in the buffer).
   void export_snapshot(const PumpSnapshot& snapshot);
 

@@ -28,11 +28,15 @@
 // that arrive before their template and replays them once it shows up.
 //
 // The templates below are the protocol's builtin vocabulary: counter /
-// gauge / histogram-summary samples and snapshot boundaries (the
-// MetricsPump feed), SLO alerts, and flight-recorder route events.  A
-// decoder skips unknown field ids inside a known template, so appending
-// fields to a template is a compatible change; new record kinds take a
-// fresh template id.
+// gauge series, histogram series with their buckets, and snapshot
+// boundaries (the MetricsPump feed), profile stacks, SLO alerts, and
+// flight-recorder route events.  A decoder skips unknown field ids inside
+// a known template, and consumes records of an unknown template at their
+// declared widths, so appending fields to a template is a compatible
+// change; new record kinds take a fresh template id.  Ids 256 (counter),
+// 257 (gauge), 258 (histogram summary) and 263 (labeled histogram
+// summary) are retired: they are neither sent nor decoded, and stay
+// reserved.
 //
 // Everything in this header is passive data — compiled identically with
 // and without LUMEN_OBS_DISABLED, so an obs-off collector still decodes
@@ -58,33 +62,25 @@ inline constexpr std::uint16_t kVarLen = 0xFFFF;
 
 /// Builtin template ids.
 enum TemplateId : std::uint16_t {
-  kCounterTemplate = 256,     ///< one registry counter sample
-  kGaugeTemplate = 257,       ///< one registry gauge sample
-  kHistogramTemplate = 258,   ///< one histogram summary sample
   kSnapshotTemplate = 259,    ///< snapshot boundary (tick, uptime)
   kAlertTemplate = 260,       ///< one SLO alert transition
   kRouteEventTemplate = 261,  ///< one flight-recorder route event
-  /// One labeled counter/gauge child (kFKind discriminates).
-  kLabeledSeriesTemplate = 262,
-  /// One labeled histogram child + its worst-bucket exemplar trace id.
-  kLabeledHistogramTemplate = 263,
+  /// One counter or gauge series, plain (labels "") or labeled; kFKind
+  /// discriminates.
+  kSeriesTemplate = 262,
   /// One aggregated profiler stage stack.
   kProfileTemplate = 264,
+  /// One histogram series: sum, extremes, and its bucket list.
+  kHistogramTemplate = 265,
 };
 
-/// Field ids (the protocol's information elements).
+/// Field ids (the protocol's information elements).  Ids 5-11 and 52
+/// belonged to the retired histogram-summary templates.
 enum FieldId : std::uint16_t {
   kFName = 1,      ///< instrument name (var)
   kFValueU64 = 2,  ///< counter lifetime value (u64)
   kFDeltaU64 = 3,  ///< counter delta since previous tick (u64)
   kFValueF64 = 4,  ///< gauge level / alert value (f64)
-  kFCount = 5,     ///< histogram count (u64)
-  kFMean = 6,      ///< f64
-  kFMin = 7,       ///< f64
-  kFMax = 8,       ///< f64
-  kFP50 = 9,       ///< f64
-  kFP90 = 10,      ///< f64
-  kFP99 = 11,      ///< f64
 
   kFTick = 20,       ///< pump tick (u64)
   kFUptime = 21,     ///< uptime seconds (f64)
@@ -111,14 +107,24 @@ enum FieldId : std::uint16_t {
   kFSearchSeconds = 44,  ///< f64
   kFTraceId = 45,        ///< u64
 
-  kFKind = 46,      ///< u8: labeled series kind (0 counter, 1 gauge)
+  kFKind = 46,      ///< u8: series kind (0 counter, 1 gauge)
   kFLabels = 47,    ///< canonical TagSet labels "k=v,k=v" (var)
   kFStack = 48,     ///< ';'-joined profile stage stack (var)
   kFSamples = 49,   ///< profile weighted sample count (u64)
   kFSelfNs = 50,    ///< profile weighted self nanoseconds (u64)
   kFTotalNs = 51,   ///< profile weighted total nanoseconds (u64)
-  kFExemplar = 52,  ///< histogram worst-bucket exemplar trace id (u64)
+
+  kFSum = 53,      ///< histogram sum of ticks (u64)
+  kFMinTicks = 54,  ///< histogram smallest tick, 0 when empty (u64)
+  kFMaxTicks = 55,  ///< histogram largest tick (u64)
+  /// Histogram buckets (var): one (u8 index, u64 count, u64 exemplar)
+  /// triple per bucket holding a count or an exemplar, indices strictly
+  /// increasing and below HistogramData::kBuckets.
+  kFBuckets = 56,
 };
+
+/// Bytes of one kFBuckets triple.
+inline constexpr std::size_t kBucketTripleBytes = 1 + 8 + 8;
 
 /// One field spec of a template: (field id, encoded length).
 struct FieldSpec {
@@ -127,13 +133,6 @@ struct FieldSpec {
 };
 
 /// The builtin template layouts, exactly as the exporter announces them.
-inline constexpr FieldSpec kCounterFields[] = {
-    {kFName, kVarLen}, {kFValueU64, 8}, {kFDeltaU64, 8}};
-inline constexpr FieldSpec kGaugeFields[] = {{kFName, kVarLen},
-                                             {kFValueF64, 8}};
-inline constexpr FieldSpec kHistogramFields[] = {
-    {kFName, kVarLen}, {kFCount, 8}, {kFMean, 8}, {kFMin, 8},
-    {kFMax, 8},        {kFP50, 8},   {kFP90, 8},  {kFP99, 8}};
 inline constexpr FieldSpec kSnapshotFields[] = {{kFTick, 8}, {kFUptime, 8}};
 inline constexpr FieldSpec kAlertFields[] = {
     {kFRule, kVarLen},  {kFMetric, kVarLen}, {kFValueF64, 8},
@@ -146,15 +145,13 @@ inline constexpr FieldSpec kRouteEventFields[] = {
     {kFAuxNodes, 8},       {kFAuxLinks, 8},        {kFRelaxations, 8},
     {kFHeapPops, 8},       {kFBuildSeconds, 8},    {kFSearchSeconds, 8},
     {kFTraceId, 8}};
-inline constexpr FieldSpec kLabeledSeriesFields[] = {
+inline constexpr FieldSpec kSeriesFields[] = {
     {kFName, kVarLen}, {kFLabels, kVarLen}, {kFKind, 1},
     {kFValueU64, 8},   {kFDeltaU64, 8},     {kFValueF64, 8}};
-inline constexpr FieldSpec kLabeledHistogramFields[] = {
-    {kFName, kVarLen}, {kFLabels, kVarLen}, {kFCount, 8},
-    {kFMean, 8},       {kFMin, 8},          {kFMax, 8},
-    {kFP50, 8},        {kFP90, 8},          {kFP99, 8},
-    {kFExemplar, 8}};
 inline constexpr FieldSpec kProfileFields[] = {
     {kFStack, kVarLen}, {kFSamples, 8}, {kFSelfNs, 8}, {kFTotalNs, 8}};
+inline constexpr FieldSpec kHistogramFields[] = {
+    {kFName, kVarLen}, {kFLabels, kVarLen}, {kFSum, 8},
+    {kFMinTicks, 8},   {kFMaxTicks, 8},     {kFBuckets, kVarLen}};
 
 }  // namespace lumen::obs::wire

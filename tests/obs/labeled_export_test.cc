@@ -84,13 +84,13 @@ TEST(LabeledExportTest, OverflowChildIsTheUnlabeledSeries) {
 
   MetricsPump pump(registry);
   const PumpSnapshot snapshot = pump.tick();
-  ASSERT_EQ(snapshot.labeled_counters.size(), 2u);
-  EXPECT_EQ(snapshot.labeled_counters[0].labels, "");
-  EXPECT_EQ(snapshot.labeled_counters[0].value, 5u);
-  EXPECT_EQ(snapshot.labeled_counters[1].labels, "tenant=1");
-  EXPECT_EQ(snapshot.labeled_counters[1].value, 2u);
-  ASSERT_EQ(snapshot.labeled_histograms.size(), 1u);
-  EXPECT_EQ(snapshot.labeled_histograms[0].summary.count, 1u);
+  ASSERT_EQ(snapshot.counters.size(), 2u);
+  EXPECT_EQ(snapshot.counters[0].labels, "");
+  EXPECT_EQ(snapshot.counters[0].value, 5u);
+  EXPECT_EQ(snapshot.counters[1].labels, "tenant=1");
+  EXPECT_EQ(snapshot.counters[1].value, 2u);
+  ASSERT_EQ(snapshot.histograms.size(), 1u);
+  EXPECT_EQ(snapshot.histograms[0].data.count(), 1u);
 }
 
 TEST(LabeledExportTest, OverflowBesideAPlainNamesakeIsOneUnlabeledSample) {
@@ -135,13 +135,12 @@ TEST(LabeledExportTest, LabeledHistogramBucketsMergeLeWithLabels) {
 TEST(LabeledExportTest, PumpSnapshotJsonUsesBraceKeys) {
   PumpSnapshot snapshot;
   snapshot.tick = 1;
-  snapshot.labeled_counters = {{"lumen.svc.admitted", "tenant=3", 17, 4}};
-  snapshot.labeled_gauges = {{"lumen.svc.share", "tenant=3", 0.625}};
-  HistogramSummary summary;
-  summary.count = 5;
-  summary.p99 = 8.5e3;
-  snapshot.labeled_histograms = {
-      {"lumen.svc.admit_latency_ns", "tenant=3", summary, 0xbeef}};
+  snapshot.counters = {{"lumen.svc.admitted", "tenant=3", 17, 4}};
+  snapshot.gauges = {{"lumen.svc.share", "tenant=3", 0.625}};
+  HistogramData data;
+  data.buckets[13] = 5;
+  data.exemplars[13] = 0xbeef;
+  snapshot.histograms = {{"lumen.svc.admit_latency_ns", "tenant=3", data}};
   snapshot.profile = {{"svc.admit;svc.route", 24, 9000, 12000}};
 
   const std::string json = pump_snapshot_to_json(snapshot);

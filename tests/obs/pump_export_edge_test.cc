@@ -22,7 +22,7 @@ TEST(PumpSnapshotJsonTest, EmptySnapshotIsStillValidJson) {
 
 TEST(PumpSnapshotJsonTest, ZeroCountHistogramRendersAllFields) {
   PumpSnapshot snapshot;
-  snapshot.histograms = {{"lumen.rwa.open_latency_ns", HistogramSummary{}}};
+  snapshot.histograms = {{"lumen.rwa.open_latency_ns", "", HistogramData{}}};
   const std::string json = pump_snapshot_to_json(snapshot);
   EXPECT_NE(json.find("\"h:lumen.rwa.open_latency_ns:count\":0"),
             std::string::npos);
@@ -34,7 +34,7 @@ TEST(PumpSnapshotJsonTest, ZeroCountHistogramRendersAllFields) {
 
 TEST(PumpSnapshotJsonTest, GaugeKeysUseThePrefixLumenTopParses) {
   PumpSnapshot snapshot;
-  snapshot.gauges = {{"lumen.rwa.util.busy_ratio", 0.5}};
+  snapshot.gauges = {{"lumen.rwa.util.busy_ratio", "", 0.5}};
   EXPECT_NE(pump_snapshot_to_json(snapshot)
                 .find("\"g:lumen.rwa.util.busy_ratio\":0.5"),
             std::string::npos);
@@ -42,7 +42,7 @@ TEST(PumpSnapshotJsonTest, GaugeKeysUseThePrefixLumenTopParses) {
 
 TEST(PumpSnapshotJsonTest, NamesWithQuotesAndBackslashesAreEscaped) {
   PumpSnapshot snapshot;
-  snapshot.counters = {{"weird\"name\\with\ncontrol", 1}};
+  snapshot.counters = {{"weird\"name\\with\ncontrol", "", 1, 0}};
   const std::string json = pump_snapshot_to_json(snapshot);
   EXPECT_NE(json.find("\"c:weird\\\"name\\\\with\\ncontrol\":1"),
             std::string::npos);

@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -150,19 +151,51 @@ TEST(MetricsPumpTest, TickSnapshotsCountersAndDeltas) {
   EXPECT_EQ(snap.tick, 1u);
   if constexpr (obs::kObsEnabled) {
     ASSERT_EQ(snap.counters.size(), 1u);
-    EXPECT_EQ(snap.counters[0].first, "pump.c");
-    EXPECT_EQ(snap.counters[0].second, 3u);
-    EXPECT_EQ(snap.counter_deltas[0].second, 3u);  // first tick: delta = value
+    EXPECT_EQ(snap.counters[0].name, "pump.c");
+    EXPECT_EQ(snap.counters[0].value, 3u);
+    EXPECT_EQ(snap.counters[0].delta, 3u);  // first tick: delta = value
   }
   c.add(2);
   snap = pump.tick();
   EXPECT_EQ(snap.tick, 2u);
   if constexpr (obs::kObsEnabled) {
-    EXPECT_EQ(snap.counters[0].second, 5u);
-    EXPECT_EQ(snap.counter_deltas[0].second, 2u);
+    EXPECT_EQ(snap.counters[0].value, 5u);
+    EXPECT_EQ(snap.counters[0].delta, 2u);
   }
   EXPECT_GE(snap.uptime_seconds, 0.0);
   EXPECT_EQ(pump.ticks(), 2u);
+}
+
+TEST(MetricsPumpTest, CounterAlertCarriesTheDeltaOfItsSnapshot) {
+  LUMEN_REQUIRE_OBS();
+  Registry registry;
+  obs::Counter& errors = registry.counter("errors");
+  SloWatchdog dog;
+  dog.add_rule(SloRule::counter_value("err-burst", "errors", 0.0));
+  PumpOptions options;
+  options.watchdog = &dog;
+  MetricsPump pump(registry, options);
+
+  // A writer keeps the counter moving while the pump ticks: the alert
+  // must report the delta of the snapshot it ships with, not a second,
+  // later read of the live registry.
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    while (!stop.load(std::memory_order_relaxed)) errors.add();
+  });
+  while (errors.value() == 0) std::this_thread::yield();
+  (void)pump.tick();  // primes the windowed rule
+  // Make sure the window holds increments, however the threads schedule.
+  const std::uint64_t primed = errors.value();
+  while (errors.value() == primed) std::this_thread::yield();
+  const obs::PumpSnapshot snap = pump.tick();
+  stop.store(true);
+  writer.join();
+
+  ASSERT_EQ(snap.alerts.size(), 1u);
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_GT(snap.counters[0].delta, 0u);
+  EXPECT_EQ(snap.alerts[0].value, static_cast<double>(snap.counters[0].delta));
 }
 
 TEST(MetricsPumpTest, SinkAppendsSnapshotLines) {

@@ -5,8 +5,11 @@
 // hold after every single frame.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "obs/wire/wire_decoder.h"
 #include "obs/wire/wire_encoder.h"
 #include "obs/wire/wire_transport.h"
+#include "util/byteorder.h"
 #include "util/rng.h"
 
 namespace lumen::obs::wire {
@@ -30,23 +34,26 @@ PumpSnapshot seed_snapshot(std::uint64_t tick) {
   PumpSnapshot snapshot;
   snapshot.tick = tick;
   snapshot.uptime_seconds = static_cast<double>(tick);
-  snapshot.counters = {{"lumen.rwa.blocked", tick}, {"lumen.rwa.offered", 9}};
-  snapshot.counter_deltas = snapshot.counters;
-  snapshot.gauges = {{"lumen.rwa.util.busy_ratio", 0.25}};
-  HistogramSummary summary;
-  summary.count = tick;
-  summary.mean = 3.5;
-  snapshot.histograms = {{"lumen.rwa.open_latency_ns", summary}};
+  snapshot.counters = {{"lumen.rwa.blocked", "", tick, tick},
+                       {"lumen.rwa.offered", "", 9, 9}};
+  snapshot.gauges = {{"lumen.rwa.util.busy_ratio", "", 0.25}};
+  HistogramData data;
+  data.buckets[2] = tick;
+  data.sum = 3 * tick;
+  data.min = 3;
+  data.max = 3;
+  snapshot.histograms = {{"lumen.rwa.open_latency_ns", "", data}};
   AlertEvent alert;
   alert.rule = "blocking";
   alert.metric = "lumen.rwa.blocked";
   snapshot.alerts = {alert};
-  // Labeled series + profile put templates 262/263/264 in the corpus so
-  // the mutation sweep exercises their decode paths too.
-  snapshot.labeled_counters = {{"lumen.svc.admitted", "tenant=3", tick, 1}};
-  snapshot.labeled_gauges = {{"lumen.svc.tenant_share", "tenant=3", 0.5}};
-  snapshot.labeled_histograms = {
-      {"lumen.svc.admit_latency_ns", "tenant=3", summary, 0xbeef}};
+  // Labeled series + profile put labels, exemplars and template 264 in
+  // the corpus so the mutation sweep exercises their decode paths too.
+  snapshot.counters.push_back({"lumen.svc.admitted", "tenant=3", tick, 1});
+  snapshot.gauges.push_back({"lumen.svc.tenant_share", "tenant=3", 0.5});
+  data.exemplars[2] = 0xbeef;
+  snapshot.histograms.push_back(
+      {"lumen.svc.admit_latency_ns", "tenant=3", data});
   snapshot.profile = {{"svc.admit;svc.route", 8, 100, 200}};
   return snapshot;
 }
@@ -130,6 +137,82 @@ TEST(WireFuzzTest, EmptyAndTinyFramesAreRejected) {
   EXPECT_FALSE(decoder.decode_frame(tiny));
   expect_accounted(decoder);
   EXPECT_EQ(decoder.stats().frames_rejected, 2u);
+}
+
+/// (index, count, exemplar) triples as a raw kFBuckets payload.
+std::vector<std::byte> triples(
+    std::initializer_list<std::array<std::uint64_t, 3>> list) {
+  std::vector<std::byte> out;
+  ByteWriter writer(out);
+  for (const auto& [index, count, exemplar] : list) {
+    writer.u8(static_cast<std::uint8_t>(index));
+    writer.u64(count);
+    writer.u64(exemplar);
+  }
+  return out;
+}
+
+/// One frame announcing the histogram template and carrying one record
+/// whose bucket list is `buckets`, verbatim.
+std::vector<std::byte> histogram_frame(const std::vector<std::byte>& buckets) {
+  std::vector<std::byte> frame;
+  ByteWriter writer(frame);
+  writer.u16(kWireVersion);
+  writer.u16(0);  // frame length, patched below
+  writer.u32(0);  // sequence
+  writer.u32(0);  // export tick
+  writer.u32(1);  // domain
+  const auto begin_set = [&](std::uint16_t id) {
+    const std::size_t at = frame.size();
+    writer.u16(id);
+    writer.u16(0);  // set length, patched by end_set
+    return at;
+  };
+  const auto end_set = [&](std::size_t at) {
+    writer.patch_u16(at + 2, static_cast<std::uint16_t>(frame.size() - at));
+  };
+  std::size_t set = begin_set(kTemplateSetId);
+  writer.u16(kHistogramTemplate);
+  writer.u16(static_cast<std::uint16_t>(std::size(kHistogramFields)));
+  for (const FieldSpec& field : kHistogramFields) {
+    writer.u16(field.id);
+    writer.u16(field.length);
+  }
+  end_set(set);
+  set = begin_set(kHistogramTemplate);
+  writer.str("lumen.test.latency_ns");
+  writer.str("");
+  writer.u64(10);  // sum
+  writer.u64(1);   // min
+  writer.u64(9);   // max
+  writer.u16(static_cast<std::uint16_t>(buckets.size()));
+  writer.bytes(buckets);
+  end_set(set);
+  writer.patch_u16(2, static_cast<std::uint16_t>(frame.size()));
+  return frame;
+}
+
+TEST(WireFuzzTest, MalformedBucketListsAreRejectedAndCounted) {
+  WireDecoder decoder;
+  // Control: a well-formed list decodes.
+  EXPECT_TRUE(decoder.decode_frame(
+      histogram_frame(triples({{1, 1, 0}, {4, 1, 0xbeef}}))));
+  std::vector<std::byte> ragged = triples({{1, 1, 0}, {4, 1, 0}});
+  ragged.pop_back();  // not a whole number of triples
+  EXPECT_FALSE(decoder.decode_frame(histogram_frame(ragged)));
+  // Indices past the last bucket.
+  EXPECT_FALSE(decoder.decode_frame(histogram_frame(triples({{65, 1, 0}}))));
+  EXPECT_FALSE(decoder.decode_frame(histogram_frame(triples({{255, 1, 0}}))));
+  // Repeated and unsorted indices.
+  EXPECT_FALSE(decoder.decode_frame(
+      histogram_frame(triples({{4, 1, 0}, {4, 1, 0}}))));
+  EXPECT_FALSE(decoder.decode_frame(
+      histogram_frame(triples({{4, 1, 0}, {1, 1, 0}}))));
+  // A listed bucket with neither a count nor an exemplar.
+  EXPECT_FALSE(decoder.decode_frame(histogram_frame(triples({{4, 0, 0}}))));
+  expect_accounted(decoder);
+  EXPECT_EQ(decoder.stats().frames_accepted, 1u);
+  EXPECT_EQ(decoder.stats().frames_rejected, 6u);
 }
 
 TEST(WireFuzzTest, ParkedSetCapEvictsOldestAndCounts) {

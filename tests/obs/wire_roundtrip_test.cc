@@ -8,7 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "obs/export.h"
+#include "obs/registry.h"
 #include "obs/slo.h"
+#include "obs/tagset.h"
 #include "obs/wire/wire_decoder.h"
 #include "obs/wire/wire_encoder.h"
 #include "obs/wire/wire_transport.h"
@@ -16,25 +19,29 @@
 namespace lumen::obs::wire {
 namespace {
 
+/// A histogram with a few populated buckets and one exemplar.
+HistogramData sample_histogram(std::uint64_t tick) {
+  HistogramData data;
+  data.buckets[0] = 1;
+  data.buckets[7] = 12 + tick;
+  data.buckets[12] = 2;
+  data.exemplars[12] = 0xfeedbeef;
+  data.sum = 1500 * (12 + tick) + 5000;
+  data.min = 0;
+  data.max = 2100;
+  return data;
+}
+
 PumpSnapshot sample_snapshot(std::uint64_t tick) {
   PumpSnapshot snapshot;
   snapshot.tick = tick;
   snapshot.uptime_seconds = 0.5 * static_cast<double>(tick);
-  snapshot.counters = {{"lumen.rwa.blocked", 3 + tick},
-                       {"lumen.rwa.offered", 100 * tick}};
-  snapshot.counter_deltas = {{"lumen.rwa.blocked", 1},
-                             {"lumen.rwa.offered", 100}};
-  snapshot.gauges = {{"lumen.rwa.util.busy_ratio", 1.0 / 3.0},
-                     {"lumen.rwa.util.spans_busy", 17.0}};
-  HistogramSummary summary;
-  summary.count = 12 + tick;
-  summary.mean = 2.5e-6;
-  summary.min = 1.25e-7;
-  summary.max = 9e-6;
-  summary.p50 = 2e-6;
-  summary.p90 = 7e-6;
-  summary.p99 = 8.5e-6;
-  snapshot.histograms = {{"lumen.rwa.open_latency_ns", summary}};
+  snapshot.counters = {{"lumen.rwa.blocked", "", 3 + tick, 1},
+                       {"lumen.rwa.offered", "", 100 * tick, 100}};
+  snapshot.gauges = {{"lumen.rwa.util.busy_ratio", "", 1.0 / 3.0},
+                     {"lumen.rwa.util.spans_busy", "", 17.0}};
+  snapshot.histograms = {
+      {"lumen.rwa.open_latency_ns", "", sample_histogram(tick)}};
   return snapshot;
 }
 
@@ -50,11 +57,12 @@ void expect_equal(const PumpSnapshot& got, const PumpSnapshot& want) {
   EXPECT_EQ(got.tick, want.tick);
   EXPECT_EQ(got.uptime_seconds, want.uptime_seconds);
   EXPECT_EQ(got.counters, want.counters);
-  EXPECT_EQ(got.counter_deltas, want.counter_deltas);
   EXPECT_EQ(got.gauges, want.gauges);
   EXPECT_EQ(got.histograms, want.histograms);
-  // The JSON rendering is the cross-tool contract; it must agree too.
+  // The JSON and Prometheus renderings are the cross-tool contract; they
+  // must agree too.
   EXPECT_EQ(pump_snapshot_to_json(got), pump_snapshot_to_json(want));
+  EXPECT_EQ(prometheus_text(got), prometheus_text(want));
 }
 
 TEST(WireRoundTripTest, SnapshotSurvivesExactly) {
@@ -112,12 +120,11 @@ TEST(WireRoundTripTest, SplitsAcrossFramesAtTransportCeiling) {
   transport.set_max_frame_bytes(256);  // force aggressive splitting
   WireExporter exporter(transport);
   PumpSnapshot sent = sample_snapshot(1);
-  for (int i = 0; i < 40; ++i)
-    sent.counters.emplace_back("lumen.synthetic.counter_" + std::to_string(i),
-                               static_cast<std::uint64_t>(i) * 1000);
-  sent.counter_deltas.clear();
-  for (const auto& [name, value] : sent.counters)
-    sent.counter_deltas.emplace_back(name, value / 2);
+  for (int i = 0; i < 40; ++i) {
+    const auto value = static_cast<std::uint64_t>(i) * 1000;
+    sent.counters.push_back({"lumen.synthetic.counter_" + std::to_string(i),
+                             "", value, value / 2});
+  }
   exporter.export_snapshot(sent);
   ASSERT_GT(transport.frames().size(), 3u) << "splitting did not happen";
 
@@ -250,22 +257,17 @@ TEST(WireRoundTripTest, TwoDomainsDoNotInterfere) {
 
 PumpSnapshot labeled_snapshot(std::uint64_t tick) {
   PumpSnapshot snapshot = sample_snapshot(tick);
-  snapshot.labeled_counters = {
-      {"lumen.svc.admitted", "tenant=3", 17 + tick, 4},
-      {"lumen.svc.admitted", "tenant=4", 2, 2},
-      {"lumen.svc.blocked", "shard=1,policy=a\\,b\\=c", 1, 0}};
-  snapshot.labeled_gauges = {{"lumen.svc.tenant_share", "tenant=3", 0.625}};
-  HistogramSummary summary;
-  summary.count = 5;
-  summary.mean = 2.5e3;
-  summary.min = 1e3;
-  summary.max = 9e3;
-  summary.p50 = 2e3;
-  summary.p90 = 7e3;
-  summary.p99 = 8.5e3;
-  snapshot.labeled_histograms = {
-      {"lumen.svc.admit_latency_ns", "tenant=3", summary, 0xfeedbeef},
-      {"lumen.svc.admit_latency_ns", "tenant=4", summary, 0}};
+  snapshot.counters.push_back({"lumen.svc.admitted", "tenant=3", 17 + tick, 4});
+  snapshot.counters.push_back({"lumen.svc.admitted", "tenant=4", 2, 2});
+  snapshot.counters.push_back(
+      {"lumen.svc.blocked", "shard=1,policy=a\\,b\\=c", 1, 0});
+  snapshot.gauges.push_back({"lumen.svc.tenant_share", "tenant=3", 0.625});
+  HistogramData no_exemplar = sample_histogram(tick);
+  no_exemplar.exemplars = {};
+  snapshot.histograms.push_back(
+      {"lumen.svc.admit_latency_ns", "tenant=3", sample_histogram(tick)});
+  snapshot.histograms.push_back(
+      {"lumen.svc.admit_latency_ns", "tenant=4", no_exemplar});
   snapshot.profile = {{"svc.admit", 24, 9000, 21000},
                       {"svc.admit;svc.route", 24, 12000, 12000}};
   return snapshot;
@@ -284,11 +286,11 @@ TEST(WireRoundTripTest, LabeledSeriesAndProfileSurviveExactly) {
   ASSERT_EQ(snapshots.size(), 1u);
   const PumpSnapshot& got = snapshots[0];
   expect_equal(got, sent);
-  // Templates 262/263/264 carry every field bit-exactly, including the
+  // Templates 262/264/265 carry every field bit-exactly, including the
   // escaped label text, zero vs nonzero exemplars, and profile weights.
-  EXPECT_EQ(got.labeled_counters, sent.labeled_counters);
-  EXPECT_EQ(got.labeled_gauges, sent.labeled_gauges);
-  EXPECT_EQ(got.labeled_histograms, sent.labeled_histograms);
+  EXPECT_EQ(got.counters, sent.counters);
+  EXPECT_EQ(got.gauges, sent.gauges);
+  EXPECT_EQ(got.histograms, sent.histograms);
   EXPECT_EQ(got.profile, sent.profile);
   EXPECT_EQ(decoder.stats().frames_rejected, 0u);
 }
@@ -306,9 +308,54 @@ TEST(WireRoundTripTest, LabeledRecordsSplitAcrossTinyFrames) {
   decoder.flush();
   const auto snapshots = decoder.take_snapshots();
   ASSERT_EQ(snapshots.size(), 1u);
-  EXPECT_EQ(snapshots[0].labeled_counters, sent.labeled_counters);
-  EXPECT_EQ(snapshots[0].labeled_histograms, sent.labeled_histograms);
+  EXPECT_EQ(snapshots[0].counters, sent.counters);
+  EXPECT_EQ(snapshots[0].histograms, sent.histograms);
   EXPECT_EQ(snapshots[0].profile, sent.profile);
+}
+
+TEST(WireRoundTripTest, RegistryPrometheusTextSurvivesPumpAndWire) {
+  // Plain and labeled series of every kind, including plain namesakes
+  // whose family overflow child is nonzero: the pump's snapshot, sent
+  // over the wire and decoded, renders byte for byte as the registry.
+  Registry registry;
+  registry.counter("lumen.test.both").add(10);
+  auto& both = registry.labeled_counter("lumen.test.both");
+  both.at(TagSet{}).add(5);
+  both.at(TagSet{}.tenant(3)).add(7);
+  registry.counter("lumen.test.plain").add(2);
+  registry.labeled_counter("lumen.test.labeled").at(TagSet{}.shard(1)).add(4);
+  registry.gauge("lumen.test.level").set(0.375);
+  registry.labeled_gauge("lumen.test.share").at(TagSet{}.tenant(3)).set(0.625);
+  LatencyHistogram& plain = registry.histogram("lumen.test.latency_ns");
+  plain.record(3);
+  plain.record(900, 0xabc);
+  auto& family = registry.labeled_histogram("lumen.test.latency_ns");
+  family.at(TagSet{}).record(17);
+  family.at(TagSet{}.tenant(3)).record(std::uint64_t{1} << 40, 0xdef);
+  registry.labeled_histogram("lumen.test.admit_ns")
+      .at(TagSet{}.tenant(4))
+      .record(0);
+
+  LoopbackTransport transport;
+  WireExporter exporter(transport);
+  PumpOptions options;
+  options.wire = &exporter;
+  MetricsPump pump(registry, options);
+  (void)pump.tick();
+
+  WireDecoder decoder;
+  feed_all(transport, decoder);
+  decoder.flush();
+  const auto snapshots = decoder.take_snapshots();
+  ASSERT_EQ(snapshots.size(), 1u);
+  const std::string want = prometheus_text(registry);
+  EXPECT_EQ(prometheus_text(snapshots[0]), want);
+  if constexpr (kObsEnabled) {
+    EXPECT_NE(want.find("lumen_test_both 15\n"), std::string::npos);
+    EXPECT_NE(want.find("lumen_test_latency_ns_count 3\n"), std::string::npos);
+  } else {
+    EXPECT_EQ(want, "");
+  }
 }
 
 }  // namespace

@@ -79,9 +79,8 @@ TEST(WireUdpTest, SnapshotSurvivesARealSocketHop) {
   PumpSnapshot sent;
   sent.tick = 11;
   sent.uptime_seconds = 5.5;
-  sent.counters = {{"lumen.rwa.blocked", 7}};
-  sent.counter_deltas = {{"lumen.rwa.blocked", 2}};
-  sent.gauges = {{"lumen.rwa.util.fragmentation", 0.125}};
+  sent.counters = {{"lumen.rwa.blocked", "", 7, 2}};
+  sent.gauges = {{"lumen.rwa.util.fragmentation", "", 0.125}};
   exporter.export_snapshot(sent);
   ASSERT_EQ(exporter.stats().frames_lost, 0u);
 
@@ -98,7 +97,7 @@ TEST(WireUdpTest, SnapshotSurvivesARealSocketHop) {
   ASSERT_EQ(snapshots.size(), 1u);
   EXPECT_EQ(snapshots[0].tick, sent.tick);
   EXPECT_EQ(snapshots[0].counters, sent.counters);
-  EXPECT_EQ(snapshots[0].counter_deltas, sent.counter_deltas);
+  EXPECT_EQ(snapshots[0].counters[0].delta, 2u);
   EXPECT_EQ(snapshots[0].gauges, sent.gauges);
   EXPECT_EQ(pump_snapshot_to_json(snapshots[0]), pump_snapshot_to_json(sent));
 }

@@ -5,18 +5,19 @@
 //   $ ./lumen_collect --selfcheck
 //
 // Binds 127.0.0.1:P (0 = ephemeral; the bound port is printed to
-// stderr), decodes every arriving wire frame (src/obs/wire), and
-// re-exports what it understood:
+// stderr), decodes every arriving wire frame (src/obs/wire) back into
+// the PumpSnapshot the exporter sent, and re-exports it:
 //
 //   --jsonl FILE   append one pump_snapshot_to_json line per completed
 //                  snapshot, one alert_to_json line per alert, and one
 //                  route_event_to_json line per route event ("-" =
 //                  stdout).  The same JSONL dialect the MetricsPump
 //                  writes locally, so `lumen_top FILE` tails it.
-//   --prom FILE    rewrite FILE after every completed snapshot with a
-//                  Prometheus text rendering of that snapshot plus the
-//                  collector's own health (node_exporter textfile-
-//                  collector style).
+//   --prom FILE    rewrite FILE after every completed snapshot with
+//                  obs::prometheus_text of that snapshot — the renderer
+//                  behind `/metrics`, native histograms included — plus
+//                  the collector's own health as extra counter series
+//                  (node_exporter textfile-collector style).
 //
 // The decoder never trusts the network: malformed or truncated frames
 // are counted and dropped (frames_received == accepted + rejected,
@@ -25,30 +26,31 @@
 // `lumen.obs.wire.gaps`.
 //
 //   --frames N     exit after N datagrams (tests/bounded captures)
-//   --idle-exit S  exit after S seconds with no traffic
+//   --idle-exit S  exit after S seconds with no traffic (S > 0)
+//
+// Ports and counts are whole unsigned tokens, seconds finite and > 0;
+// anything else prints the usage and exits 2.
 //
 // --selfcheck runs the whole path in-process — exporter → real UDP
 // socket → decoder — and verifies the round-trip reproduces the
-// snapshot exactly; it is this binary's smoke test and works in every
-// build mode (the wire codec is compiled identically with and without
-// LUMEN_OBS_DISABLED).
+// snapshot exactly, in its JSONL and its Prometheus rendering; it is
+// this binary's smoke test and works in every build mode (the wire
+// codec is compiled identically with and without LUMEN_OBS_DISABLED).
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "obs/export.h"
-#include "obs/flat_json.h"
 #include "obs/slo.h"
 #include "obs/wire/wire_decoder.h"
 #include "obs/wire/wire_encoder.h"
 #include "obs/wire/wire_transport.h"
+#include "util/parse.h"
 #include "util/udp.h"
 
 using namespace lumen;
@@ -72,78 +74,22 @@ void usage() {
                "       lumen_collect --selfcheck\n");
 }
 
-/// One decoded snapshot (plus collector health) in Prometheus text
-/// exposition format.  Histogram summaries re-export as a `_count`
-/// counter plus mean/percentile gauges — the wire carries condensed
-/// summaries, not buckets.  Labeled series (templates 262/263) render
-/// as extra `name{tenant="3",...}` samples with exposition-escaped
-/// label values; a metric's TYPE line is emitted once even when plain
-/// and labeled samples share the name.  Profile stacks (template 264)
-/// become `lumen.obs.profile.*{stack="..."}` gauges.
-std::string snapshot_prometheus_text(
-    const obs::PumpSnapshot& snapshot,
-    const obs::wire::WireDecoderStats& stats) {
-  std::string out;
-  std::set<std::string> typed;
-  const auto type_line = [&](const std::string& metric, const char* kind) {
-    if (typed.insert(metric).second)
-      out += "# TYPE " + metric + " " + kind + "\n";
+/// `snapshot` in Prometheus text, with the collector's health appended
+/// as extra counter series.
+std::string prometheus_with_health(obs::PumpSnapshot snapshot,
+                                   const obs::wire::WireDecoderStats& stats) {
+  const auto health = [&](const char* name, std::uint64_t value) {
+    snapshot.counters.push_back({name, "", value, 0});
   };
-  const auto counter = [&](const std::string& name, std::uint64_t value,
-                           const std::string& labels = {}) {
-    const std::string metric = obs::prometheus_name(name);
-    type_line(metric, "counter");
-    out += metric + obs::prometheus_labels(labels) + " " +
-           std::to_string(value) + "\n";
-  };
-  const auto gauge = [&](const std::string& name, double value,
-                         const std::string& labels = {}) {
-    const std::string metric = obs::prometheus_name(name);
-    type_line(metric, "gauge");
-    out += metric + obs::prometheus_labels(labels) + " " +
-           obs::detail::fmt_double_exact(value) + "\n";
-  };
-  for (const auto& [name, value] : snapshot.counters) counter(name, value);
-  for (const obs::LabeledCounterSample& s : snapshot.labeled_counters)
-    counter(s.name, s.value, s.labels);
-  for (const auto& [name, value] : snapshot.gauges) gauge(name, value);
-  for (const obs::LabeledGaugeSample& s : snapshot.labeled_gauges)
-    gauge(s.name, s.value, s.labels);
-  for (const auto& [name, summary] : snapshot.histograms) {
-    counter(name + "_count", summary.count);
-    gauge(name + "_mean", summary.mean);
-    gauge(name + "_p50", summary.p50);
-    gauge(name + "_p90", summary.p90);
-    gauge(name + "_p99", summary.p99);
-    gauge(name + "_max", summary.max);
-  }
-  for (const obs::LabeledHistogramSample& s : snapshot.labeled_histograms) {
-    counter(s.name + "_count", s.summary.count, s.labels);
-    gauge(s.name + "_mean", s.summary.mean, s.labels);
-    gauge(s.name + "_p50", s.summary.p50, s.labels);
-    gauge(s.name + "_p90", s.summary.p90, s.labels);
-    gauge(s.name + "_p99", s.summary.p99, s.labels);
-    gauge(s.name + "_max", s.summary.max, s.labels);
-    if (s.exemplar != 0)
-      counter(s.name + "_exemplar", s.exemplar, s.labels);
-  }
-  for (const obs::ProfileEntry& entry : snapshot.profile) {
-    const std::string labels = obs::labels_canonical({{"stack", entry.stack}});
-    counter("lumen.obs.profile.samples", entry.samples, labels);
-    gauge("lumen.obs.profile.self_ns",
-          static_cast<double>(entry.self_ns), labels);
-    gauge("lumen.obs.profile.total_ns",
-          static_cast<double>(entry.total_ns), labels);
-  }
-  counter("lumen.obs.wire.frames_received", stats.frames_received);
-  counter("lumen.obs.wire.frames_accepted", stats.frames_accepted);
-  counter("lumen.obs.wire.frames_rejected", stats.frames_rejected);
-  counter("lumen.obs.wire.records", stats.records_decoded);
-  counter("lumen.obs.wire.gaps", stats.sequence_gaps);
-  counter("lumen.obs.wire.frames_missed", stats.frames_missed);
-  counter("lumen.obs.wire.buffered_sets", stats.buffered_sets);
-  counter("lumen.obs.wire.replayed_sets", stats.replayed_sets);
-  return out;
+  health("lumen.obs.wire.frames_received", stats.frames_received);
+  health("lumen.obs.wire.frames_accepted", stats.frames_accepted);
+  health("lumen.obs.wire.frames_rejected", stats.frames_rejected);
+  health("lumen.obs.wire.records", stats.records_decoded);
+  health("lumen.obs.wire.gaps", stats.sequence_gaps);
+  health("lumen.obs.wire.frames_missed", stats.frames_missed);
+  health("lumen.obs.wire.buffered_sets", stats.buffered_sets);
+  health("lumen.obs.wire.replayed_sets", stats.replayed_sets);
+  return obs::prometheus_text(snapshot);
 }
 
 /// Re-export sinks shared by the live loop and the final flush.
@@ -169,7 +115,7 @@ void drain(obs::wire::WireDecoder& decoder, Sinks& sinks) {
   if (!sinks.prom_path.empty() && !snapshots.empty()) {
     std::ofstream prom(sinks.prom_path, std::ios::trunc);
     if (prom)
-      prom << snapshot_prometheus_text(snapshots.back(), decoder.stats());
+      prom << prometheus_with_health(snapshots.back(), decoder.stats());
   }
 }
 
@@ -260,37 +206,23 @@ int run_selfcheck() {
   obs::PumpSnapshot sent;
   sent.tick = 7;
   sent.uptime_seconds = 1.5;
-  sent.counters = {{"lumen.rwa.blocked", 3}, {"lumen.rwa.offered", 41}};
-  sent.counter_deltas = {{"lumen.rwa.blocked", 1}, {"lumen.rwa.offered", 8}};
-  sent.gauges = {{"lumen.rwa.util.busy_ratio", 0.375}};
-  obs::HistogramSummary summary;
-  summary.count = 12;
-  summary.mean = 2.5e-6;
-  summary.min = 1e-7;
-  summary.max = 9e-6;
-  summary.p50 = 2e-6;
-  summary.p90 = 7e-6;
-  summary.p99 = 8.5e-6;
-  sent.histograms = {{"lumen.rwa.open_latency_ns", summary}};
-  // Labeled children + profile stacks (templates 262-264); the label
-  // value exercises the canonical escaping (backslash, comma, equals).
-  obs::LabeledCounterSample labeled_counter;
-  labeled_counter.name = "lumen.svc.admitted";
-  labeled_counter.labels = "tenant=3";
-  labeled_counter.value = 17;
-  labeled_counter.delta = 4;
-  sent.labeled_counters = {labeled_counter};
-  obs::LabeledGaugeSample labeled_gauge;
-  labeled_gauge.name = "lumen.svc.tenant_share";
-  labeled_gauge.labels = "policy=a\\,b\\=c,tenant=3";
-  labeled_gauge.value = 0.625;
-  sent.labeled_gauges = {labeled_gauge};
-  obs::LabeledHistogramSample labeled_histogram;
-  labeled_histogram.name = "lumen.svc.admit_latency_ns";
-  labeled_histogram.labels = "tenant=3";
-  labeled_histogram.summary = summary;
-  labeled_histogram.exemplar = 0xfeedbeef;
-  sent.labeled_histograms = {labeled_histogram};
+  // Plain and labeled series of every kind; the label value exercises
+  // the canonical escaping (backslash, comma, equals).
+  sent.counters = {{"lumen.rwa.blocked", "", 3, 1},
+                   {"lumen.rwa.offered", "", 41, 8},
+                   {"lumen.svc.admitted", "tenant=3", 17, 4}};
+  sent.gauges = {{"lumen.rwa.util.busy_ratio", "", 0.375},
+                 {"lumen.svc.tenant_share", "policy=a\\,b\\=c,tenant=3",
+                  0.625}};
+  obs::HistogramData latency;
+  latency.buckets[3] = 5;
+  latency.buckets[7] = 7;
+  latency.exemplars[7] = 0xfeedbeef;
+  latency.sum = 520;
+  latency.min = 4;
+  latency.max = 120;
+  sent.histograms = {{"lumen.rwa.open_latency_ns", "", latency},
+                     {"lumen.svc.admit_latency_ns", "tenant=3", latency}};
   obs::ProfileEntry profile_entry;
   profile_entry.stack = "svc.admit;svc.route";
   profile_entry.samples = 24;
@@ -334,6 +266,7 @@ int run_selfcheck() {
   ok = ok && snapshots.size() == 1 &&
        obs::pump_snapshot_to_json(snapshots[0]) ==
            obs::pump_snapshot_to_json(sent) &&
+       obs::prometheus_text(snapshots[0]) == obs::prometheus_text(sent) &&
        snapshots[0].alerts.size() == 1 &&
        snapshots[0].alerts[0].rule == alert.rule &&
        snapshots[0].alerts[0].value == alert.value;
@@ -348,30 +281,36 @@ int run_selfcheck() {
 
 int main(int argc, char** argv) {
   Options options;
-  for (int i = 1; i < argc; ++i) {
+  bool bad = false;
+  for (int i = 1; i < argc && !bad; ++i) {
     const char* arg = argv[i];
+    const bool has_value = i + 1 < argc;
     if (std::strcmp(arg, "--selfcheck") == 0) {
       options.selfcheck = true;
-    } else if (std::strcmp(arg, "--port") == 0 && i + 1 < argc) {
-      options.port = std::atoi(argv[++i]);
-    } else if (std::strcmp(arg, "--jsonl") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(arg, "--port") == 0 && has_value) {
+      const auto port = parse_unsigned<std::uint16_t>(argv[++i]);
+      bad = !port;
+      options.port = port.value_or(0);
+    } else if (std::strcmp(arg, "--jsonl") == 0 && has_value) {
       options.jsonl_path = argv[++i];
-    } else if (std::strcmp(arg, "--prom") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(arg, "--prom") == 0 && has_value) {
       options.prom_path = argv[++i];
-    } else if (std::strcmp(arg, "--frames") == 0 && i + 1 < argc) {
-      options.max_frames =
-          static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(arg, "--idle-exit") == 0 && i + 1 < argc) {
-      options.idle_exit_seconds = std::atof(argv[++i]);
+    } else if (std::strcmp(arg, "--frames") == 0 && has_value) {
+      const auto frames = parse_unsigned<std::uint64_t>(argv[++i]);
+      bad = !frames;
+      options.max_frames = frames.value_or(0);
+    } else if (std::strcmp(arg, "--idle-exit") == 0 && has_value) {
+      const auto seconds = parse_seconds(argv[++i]);
+      bad = !seconds;
+      options.idle_exit_seconds = seconds.value_or(0.0);
     } else if (std::strcmp(arg, "--quiet") == 0) {
       options.quiet = true;
     } else {
-      usage();
-      return 2;
+      bad = true;
     }
   }
-  if (options.selfcheck) return run_selfcheck();
-  if (options.port < 0 || options.port > 65535) {
+  if (options.selfcheck && !bad) return run_selfcheck();
+  if (bad || options.port < 0) {
     usage();
     return 2;
   }

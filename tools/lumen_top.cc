@@ -11,8 +11,11 @@
 // parser is the same flat-JSON reader the exporters use, so lumen_top
 // needs no dependencies beyond the lumen libraries themselves.
 //
-//   --interval S   refresh period in seconds (default 1.0)
+//   --interval S   refresh period in seconds (default 1.0; finite, > 0)
 //   --once         render the newest snapshot once and exit (no clearing)
+//
+// Ports are whole unsigned tokens below 65536; a malformed flag prints
+// the usage and exits 2.
 //
 // Demo mode is a self-contained traffic generator: it drives an online
 // RWA workload on the ARPANET backbone, ticks a local MetricsPump with a
@@ -39,12 +42,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -59,6 +62,7 @@
 #include "rwa/session_manager.h"
 #include "topo/topologies.h"
 #include "topo/wavelengths.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/udp.h"
@@ -92,36 +96,29 @@ void render(const obs::PumpSnapshot& snapshot,
          fmt_double(snapshot.uptime_seconds, 1) + "s, alerts " +
          std::to_string(snapshot.alerts.size()) + "\n\n";
 
-  if (!snapshot.counters.empty()) {
-    Table counters({"counter", "total", "delta"});
-    for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
-      const std::uint64_t delta = i < snapshot.counter_deltas.size()
-                                      ? snapshot.counter_deltas[i].second
-                                      : 0;
-      counters.add_row({snapshot.counters[i].first,
-                        fmt_int(static_cast<std::int64_t>(
-                            snapshot.counters[i].second)),
-                        "+" + std::to_string(delta)});
-    }
-    out += counters.to_markdown() + "\n";
-  }
+  // Unlabeled series here; labeled ones feed the pivots below.
+  Table counters({"counter", "total", "delta"});
+  for (const obs::CounterSeries& s : snapshot.counters)
+    if (s.labels.empty())
+      counters.add_row({s.name, fmt_int(static_cast<std::int64_t>(s.value)),
+                        "+" + std::to_string(s.delta)});
+  if (counters.num_rows() != 0) out += counters.to_markdown() + "\n";
 
-  if (!snapshot.gauges.empty()) {
-    Table gauges({"gauge", "value"});
-    for (const auto& [name, value] : snapshot.gauges)
-      gauges.add_row({name, fmt_double(value, 4)});
-    out += gauges.to_markdown() + "\n";
-  }
+  Table gauges({"gauge", "labels", "value"});
+  for (const obs::GaugeSeries& s : snapshot.gauges)
+    gauges.add_row({s.name, s.labels, fmt_double(s.value, 4)});
+  if (gauges.num_rows() != 0) out += gauges.to_markdown() + "\n";
 
-  if (!snapshot.histograms.empty()) {
-    Table latencies({"histogram", "count", "mean", "p50", "p90", "p99"});
-    for (const auto& [name, summary] : snapshot.histograms)
-      latencies.add_row({name,
-                         fmt_int(static_cast<std::int64_t>(summary.count)),
-                         fmt_sci(summary.mean), fmt_sci(summary.p50),
-                         fmt_sci(summary.p90), fmt_sci(summary.p99)});
-    out += latencies.to_markdown() + "\n";
+  Table latencies({"histogram", "count", "mean", "p50", "p90", "p99"});
+  for (const obs::HistogramSeries& s : snapshot.histograms) {
+    if (!s.labels.empty()) continue;
+    const obs::HistogramSummary summary = s.data.summary();
+    latencies.add_row({s.name,
+                       fmt_int(static_cast<std::int64_t>(summary.count)),
+                       fmt_sci(summary.mean), fmt_sci(summary.p50),
+                       fmt_sci(summary.p90), fmt_sci(summary.p99)});
   }
+  if (latencies.num_rows() != 0) out += latencies.to_markdown() + "\n";
 
   // Per-tenant admission split, pivoted from the labeled svc children.
   struct TenantRow {
@@ -140,7 +137,7 @@ void render(const obs::PumpSnapshot& snapshot,
       if (k == key) return v;
     return {};
   };
-  for (const obs::LabeledCounterSample& s : snapshot.labeled_counters) {
+  for (const obs::CounterSeries& s : snapshot.counters) {
     const std::string tenant = label_value(s.labels, "tenant");
     if (!tenant.empty()) {
       TenantRow& row = tenants[tenant];
@@ -155,13 +152,13 @@ void render(const obs::PumpSnapshot& snapshot,
       else if (s.name.ends_with(".resync_patches")) row.patches += s.value;
     }
   }
-  for (const obs::LabeledHistogramSample& s : snapshot.labeled_histograms) {
+  for (const obs::HistogramSeries& s : snapshot.histograms) {
     const std::string tenant = label_value(s.labels, "tenant");
     if (tenant.empty() || s.name.find("admit_latency") == std::string::npos)
       continue;
     TenantRow& row = tenants[tenant];
-    row.p99 = s.summary.p99;
-    if (s.exemplar != 0) row.exemplar = s.exemplar;
+    row.p99 = s.data.percentile(0.99);
+    if (s.data.worst_exemplar() != 0) row.exemplar = s.data.worst_exemplar();
   }
   if (!tenants.empty()) {
     Table table({"tenant", "admitted", "blocked", "quota", "admit p99",
@@ -183,14 +180,6 @@ void render(const obs::PumpSnapshot& snapshot,
     for (const auto& [shard, row] : shards)
       table.add_row({shard, fmt_int(static_cast<std::int64_t>(row.conflicts)),
                      fmt_int(static_cast<std::int64_t>(row.patches))});
-    out += table.to_markdown() + "\n";
-  }
-
-  // Remaining labeled series that the pivots above did not claim.
-  if (!snapshot.labeled_gauges.empty()) {
-    Table table({"labeled gauge", "labels", "value"});
-    for (const obs::LabeledGaugeSample& s : snapshot.labeled_gauges)
-      table.add_row({s.name, s.labels, fmt_double(s.value, 4)});
     out += table.to_markdown() + "\n";
   }
 
@@ -243,100 +232,60 @@ void split_labeled(const std::string& key, std::string& name,
   labels = key.substr(brace + 1, key.size() - brace - 2);
 }
 
+/// Fills `data` from an "h:<key>:buckets" value: sum, min and max, then
+/// one "index:count:exemplar" triple per listed bucket.
+void parse_buckets(const std::string& text, obs::HistogramData& data) {
+  std::istringstream in(text);
+  in >> data.sum >> data.min >> data.max;
+  int b = 0;
+  std::uint64_t count = 0, exemplar = 0;
+  char colon = 0;
+  while (in >> b >> colon >> count >> colon >> exemplar)
+    if (b >= 0 && b < obs::HistogramData::kBuckets) {
+      data.buckets[b] = count;
+      data.exemplars[b] = exemplar;
+    }
+}
+
 /// Parses one pump_snapshot_to_json line back into a PumpSnapshot.
-/// Key scheme: "tick", "uptime_seconds", "c:<name>", "d:<name>",
-/// "g:<name>", "h:<name>:<field>", "alerts"; labeled children embed
-/// their labels in braces ("c:<name>{tenant=3}"), labeled histograms
-/// add an ":exemplar" field, and profiler stacks ride as
-/// "p:<stack>:{n,self,total}".
+/// Key scheme: "tick", "uptime_seconds", "c:<key>", "d:<key>",
+/// "g:<key>", "h:<key>:<field>", "p:<stack>:<field>", "alerts", where
+/// <key> is a name with "{labels}" appended when labeled.  Histograms
+/// rebuild from their ":buckets" field; the other fields derive from it.
 obs::PumpSnapshot parse_snapshot_line(const std::string& line,
                                       std::size_t line_no) {
   obs::PumpSnapshot snapshot;
-  std::vector<std::pair<std::string, obs::HistogramSummary>>& hists =
-      snapshot.histograms;
   obs::detail::FlatJsonParser parser(line, line_no);
-  parser.parse([&](const std::string& key, const std::string&, double number,
-                   bool is_string) {
-    if (is_string) return;
+  parser.parse([&](const std::string& key, const std::string& text,
+                   double number, bool is_string) {
+    const auto count = static_cast<std::uint64_t>(number);
+    const std::size_t colon = key.rfind(':');
+    std::string name, labels;
     if (key == "tick") {
-      snapshot.tick = static_cast<std::uint64_t>(number);
+      snapshot.tick = count;
     } else if (key == "uptime_seconds") {
       snapshot.uptime_seconds = number;
-    } else if (key.rfind("c:", 0) == 0) {
-      const std::string body = key.substr(2);
-      if (body.find('{') == std::string::npos) {
-        snapshot.counters.emplace_back(body,
-                                       static_cast<std::uint64_t>(number));
-      } else {
-        obs::LabeledCounterSample sample;
-        split_labeled(body, sample.name, sample.labels);
-        sample.value = static_cast<std::uint64_t>(number);
-        snapshot.labeled_counters.push_back(std::move(sample));
-      }
-    } else if (key.rfind("d:", 0) == 0) {
-      const std::string body = key.substr(2);
-      if (body.find('{') == std::string::npos) {
-        snapshot.counter_deltas.emplace_back(
-            body, static_cast<std::uint64_t>(number));
-      } else {
-        // The delta key follows its value key, so it lands on the
-        // labeled counter just pushed (or starts one after a lost pair).
-        std::string name, labels;
-        split_labeled(body, name, labels);
-        auto& labeled = snapshot.labeled_counters;
-        if (labeled.empty() || labeled.back().name != name ||
-            labeled.back().labels != labels) {
-          obs::LabeledCounterSample sample;
-          sample.name = std::move(name);
-          sample.labels = std::move(labels);
-          labeled.push_back(std::move(sample));
-        }
-        labeled.back().delta = static_cast<std::uint64_t>(number);
-      }
-    } else if (key.rfind("g:", 0) == 0) {
-      const std::string body = key.substr(2);
-      if (body.find('{') == std::string::npos) {
-        snapshot.gauges.emplace_back(body, number);
-      } else {
-        obs::LabeledGaugeSample sample;
-        split_labeled(body, sample.name, sample.labels);
-        sample.value = number;
-        snapshot.labeled_gauges.push_back(std::move(sample));
-      }
-    } else if (key.rfind("h:", 0) == 0) {
-      const std::size_t colon = key.rfind(':');
-      const std::string body = key.substr(2, colon - 2);
-      const std::string field = key.substr(colon + 1);
-      obs::HistogramSummary* summary = nullptr;
-      std::uint64_t* exemplar = nullptr;
-      if (body.find('{') == std::string::npos) {
-        if (hists.empty() || hists.back().first != body)
-          hists.emplace_back(body, obs::HistogramSummary{});
-        summary = &hists.back().second;
-      } else {
-        std::string name, labels;
-        split_labeled(body, name, labels);
-        auto& labeled = snapshot.labeled_histograms;
-        if (labeled.empty() || labeled.back().name != name ||
-            labeled.back().labels != labels) {
-          obs::LabeledHistogramSample sample;
-          sample.name = std::move(name);
-          sample.labels = std::move(labels);
-          labeled.push_back(std::move(sample));
-        }
-        summary = &labeled.back().summary;
-        exemplar = &labeled.back().exemplar;
-      }
-      if (field == "count") summary->count = static_cast<std::uint64_t>(number);
-      else if (field == "mean") summary->mean = number;
-      else if (field == "p50") summary->p50 = number;
-      else if (field == "p90") summary->p90 = number;
-      else if (field == "p99") summary->p99 = number;
-      else if (field == "max") summary->max = number;
-      else if (field == "exemplar" && exemplar != nullptr)
-        *exemplar = static_cast<std::uint64_t>(number);
-    } else if (key.rfind("p:", 0) == 0) {
-      const std::size_t colon = key.rfind(':');
+    } else if (key.starts_with("c:")) {
+      split_labeled(key.substr(2), name, labels);
+      snapshot.counters.push_back({name, labels, count, 0});
+    } else if (key.starts_with("d:")) {
+      // The delta key follows its value key.
+      split_labeled(key.substr(2), name, labels);
+      if (!snapshot.counters.empty() &&
+          snapshot.counters.back().name == name &&
+          snapshot.counters.back().labels == labels)
+        snapshot.counters.back().delta = count;
+    } else if (key.starts_with("g:")) {
+      split_labeled(key.substr(2), name, labels);
+      snapshot.gauges.push_back({name, labels, number});
+    } else if (key.starts_with("h:") && is_string &&
+               key.substr(colon + 1) == "buckets") {
+      split_labeled(key.substr(2, colon - 2), name, labels);
+      obs::HistogramSeries& series = snapshot.histograms.emplace_back();
+      series.name = name;
+      series.labels = labels;
+      parse_buckets(text, series.data);
+    } else if (key.starts_with("p:")) {
       const std::string stack = key.substr(2, colon - 2);
       const std::string field = key.substr(colon + 1);
       auto& profile = snapshot.profile;
@@ -345,12 +294,9 @@ obs::PumpSnapshot parse_snapshot_line(const std::string& line,
         entry.stack = stack;
         profile.push_back(std::move(entry));
       }
-      if (field == "n")
-        profile.back().samples = static_cast<std::uint64_t>(number);
-      else if (field == "self")
-        profile.back().self_ns = static_cast<std::uint64_t>(number);
-      else if (field == "total")
-        profile.back().total_ns = static_cast<std::uint64_t>(number);
+      if (field == "n") profile.back().samples = count;
+      else if (field == "self") profile.back().self_ns = count;
+      else if (field == "total") profile.back().total_ns = count;
     }
   });
   return snapshot;
@@ -496,29 +442,38 @@ int run_demo(const Options& options) {
 
 int main(int argc, char** argv) {
   Options options;
-  for (int i = 1; i < argc; ++i) {
+  bool bad = false;
+  for (int i = 1; i < argc && !bad; ++i) {
     const char* arg = argv[i];
+    const bool has_value = i + 1 < argc;
     if (std::strcmp(arg, "--once") == 0) {
       options.once = true;
     } else if (std::strcmp(arg, "--demo") == 0) {
       options.demo = true;
-    } else if (std::strcmp(arg, "--interval") == 0 && i + 1 < argc) {
-      options.interval_seconds = std::atof(argv[++i]);
-      if (options.interval_seconds <= 0.0) options.interval_seconds = 1.0;
-    } else if (std::strcmp(arg, "--serve") == 0 && i + 1 < argc) {
-      options.serve_port = std::atoi(argv[++i]);
-    } else if (std::strcmp(arg, "--collect") == 0 && i + 1 < argc) {
-      options.collect_port = std::atoi(argv[++i]);
+    } else if (std::strcmp(arg, "--interval") == 0 && has_value) {
+      const auto seconds = parse_seconds(argv[++i]);
+      bad = !seconds;
+      options.interval_seconds = seconds.value_or(1.0);
+    } else if (std::strcmp(arg, "--serve") == 0 && has_value) {
+      const auto port = parse_unsigned<std::uint16_t>(argv[++i]);
+      bad = !port;
+      options.serve_port = port.value_or(0);
+    } else if (std::strcmp(arg, "--collect") == 0 && has_value) {
+      const auto port = parse_unsigned<std::uint16_t>(argv[++i]);
+      bad = !port;
+      options.collect_port = port.value_or(0);
     } else if (arg[0] == '-') {
-      usage();
-      return 2;
+      bad = true;
     } else {
       options.snapshot_path = arg;
     }
   }
+  if (bad) {
+    usage();
+    return 2;
+  }
   if (options.demo) return run_demo(options);
-  if (options.collect_port >= 0 && options.collect_port <= 65535)
-    return run_collect(options);
+  if (options.collect_port >= 0) return run_collect(options);
   if (options.snapshot_path.empty()) {
     usage();
     return 2;
