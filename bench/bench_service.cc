@@ -30,15 +30,17 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
+#include <cstdio>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <queue>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "svc/service.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -248,14 +250,23 @@ BENCHMARK(BM_ServiceChurnSmoke)->Unit(benchmark::kMillisecond);
 
 // LUMEN_BENCH_MAIN() with a --tenants N front-end: the flag is consumed
 // here (google benchmark would reject it) before the usual --json
-// rewrite and benchmark::Initialize.
+// rewrite and benchmark::Initialize.  N must be a whole positive number;
+// anything else is a usage error (exit 2).
 int main(int argc, char** argv) {
   std::vector<char*> kept;
   kept.reserve(static_cast<std::size_t>(argc));
   for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--tenants") == 0 && i + 1 < argc) {
-      const int n = std::atoi(argv[++i]);
-      if (n >= 1) g_num_tenants = static_cast<std::uint32_t>(n);
+    if (std::strcmp(argv[i], "--tenants") == 0) {
+      const std::optional<std::uint32_t> n =
+          i + 1 < argc ? lumen::parse_unsigned<std::uint32_t>(argv[++i])
+                       : std::nullopt;
+      if (!n || *n == 0) {
+        std::fprintf(stderr,
+                     "usage: %s [--tenants N>=1] [benchmark flags]\n",
+                     argv[0]);
+        return 2;
+      }
+      g_num_tenants = *n;
       continue;
     }
     kept.push_back(argv[i]);

@@ -10,7 +10,6 @@
 // gravity workload, batch provisioning, wavelength-assignment bounds, and
 // the metrics module together.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "core/liang_shen.h"
@@ -18,16 +17,19 @@
 #include "rwa/wavelength_assignment.h"
 #include "topo/topologies.h"
 #include "topo/wavelengths.h"
+#include "util/parse.h"
 #include "util/table.h"
 #include "wdm/metrics.h"
 
 using namespace lumen;
 
 int main(int argc, char** argv) {
-  const std::uint32_t num_demands =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 60;
-  const std::uint64_t seed =
-      argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 5;
+  std::uint32_t num_demands = 60;
+  std::uint64_t seed = 5;
+  if (!parse_positional(argc, argv, num_demands, seed)) {
+    std::fprintf(stderr, "usage: %s [num_demands] [seed]\n", argv[0]);
+    return 2;
+  }
 
   const Topology topo = nsfnet_topology();
   Rng demand_rng(seed);

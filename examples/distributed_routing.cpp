@@ -6,22 +6,24 @@
 // demands, and compares its answers and measured message/round counts with
 // the centralized router and with the paper's O(km) / O(kn) bounds.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "core/liang_shen.h"
 #include "dist/dist_router.h"
 #include "topo/topologies.h"
 #include "topo/wavelengths.h"
+#include "util/parse.h"
 #include "util/table.h"
 
 using namespace lumen;
 
 int main(int argc, char** argv) {
-  const std::uint32_t n =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 60;
-  const std::uint64_t seed =
-      argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 7;
+  std::uint32_t n = 60;
+  std::uint64_t seed = 7;
+  if (!parse_positional(argc, argv, n, seed)) {
+    std::fprintf(stderr, "usage: %s [n] [seed]\n", argv[0]);
+    return 2;
+  }
 
   constexpr std::uint32_t kWavelengths = 8;
   constexpr std::uint32_t kK0 = 4;

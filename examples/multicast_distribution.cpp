@@ -8,23 +8,24 @@
 // prefixes carry one copy of the signal — the light-forest saving this
 // demo quantifies against independent unicasts.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "core/multicast.h"
 #include "topo/topologies.h"
 #include "topo/wavelengths.h"
+#include "util/parse.h"
 #include "util/table.h"
 
 using namespace lumen;
 
 int main(int argc, char** argv) {
-  const std::uint32_t hubs =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 5;
-  const std::uint32_t ring_size =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 6;
-  const std::uint64_t seed =
-      argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 3;
+  std::uint32_t hubs = 5;
+  std::uint32_t ring_size = 6;
+  std::uint64_t seed = 3;
+  if (!parse_positional(argc, argv, hubs, ring_size, seed)) {
+    std::fprintf(stderr, "usage: %s [hubs] [ring_size] [seed]\n", argv[0]);
+    return 2;
+  }
 
   constexpr std::uint32_t kWavelengths = 8;
   Rng rng(seed);

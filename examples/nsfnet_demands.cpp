@@ -10,24 +10,27 @@
 // semilightpaths — and reports blocking rates, mean costs, and conversion
 // usage.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "core/liang_shen.h"
 #include "topo/topologies.h"
 #include "topo/wavelengths.h"
+#include "util/parse.h"
 #include "util/stats.h"
 #include "util/table.h"
 
 using namespace lumen;
 
 int main(int argc, char** argv) {
-  const std::uint32_t interferers =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 150;
-  const std::uint32_t num_demands =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 100;
-  const std::uint64_t seed =
-      argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 2026;
+  std::uint32_t interferers = 150;
+  std::uint32_t num_demands = 100;
+  std::uint64_t seed = 2026;
+  if (!parse_positional(argc, argv, interferers, num_demands, seed)) {
+    std::fprintf(stderr,
+                 "usage: %s [num_interferers] [num_demands] [seed]\n",
+                 argv[0]);
+    return 2;
+  }
 
   constexpr std::uint32_t kWavelengths = 8;
   Rng rng(seed);

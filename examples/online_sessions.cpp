@@ -13,7 +13,6 @@
 // point is appended to <file> as one JSONL RouteEvent record (schema:
 // docs/OBSERVABILITY.md).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -23,6 +22,7 @@
 #include "rwa/dynamic_workload.h"
 #include "topo/topologies.h"
 #include "topo/wavelengths.h"
+#include "util/parse.h"
 #include "util/table.h"
 
 using namespace lumen;
@@ -67,10 +67,14 @@ int main(int argc, char** argv) {
       break;
     }
   }
-  const std::uint32_t num_arrivals =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 2000;
-  const std::uint64_t seed =
-      argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 11;
+  std::uint32_t num_arrivals = 2000;
+  std::uint64_t seed = 11;
+  if (!parse_positional(argc, argv, num_arrivals, seed)) {
+    std::fprintf(stderr,
+                 "usage: %s [num_arrivals] [seed] [--metrics out.jsonl]\n",
+                 argv[0]);
+    return 2;
+  }
   obs::RouteEventLog event_log;
   obs::RouteEventLog* events = metrics_path != nullptr ? &event_log : nullptr;
 

@@ -9,21 +9,23 @@
 // route, sometimes the same route on different wavelengths or with
 // different conversion points.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "core/k_shortest.h"
 #include "topo/topologies.h"
 #include "topo/wavelengths.h"
+#include "util/parse.h"
 #include "util/table.h"
 
 using namespace lumen;
 
 int main(int argc, char** argv) {
-  const std::uint32_t K =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 6;
-  const std::uint64_t seed =
-      argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 4;
+  std::uint32_t K = 6;
+  std::uint64_t seed = 4;
+  if (!parse_positional(argc, argv, K, seed)) {
+    std::fprintf(stderr, "usage: %s [K] [seed]\n", argv[0]);
+    return 2;
+  }
 
   constexpr std::uint32_t kWavelengths = 6;
   Rng rng(seed);

@@ -7,23 +7,25 @@
 // this example prints the measured wall-clock ratio as n doubles.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "core/cfz.h"
 #include "core/liang_shen.h"
 #include "topo/topologies.h"
 #include "topo/wavelengths.h"
+#include "util/parse.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
 
 using namespace lumen;
 
 int main(int argc, char** argv) {
-  const std::uint32_t max_n =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 2048;
-  const std::uint64_t seed =
-      argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 99;
+  std::uint32_t max_n = 2048;
+  std::uint64_t seed = 99;
+  if (!parse_positional(argc, argv, max_n, seed)) {
+    std::fprintf(stderr, "usage: %s [max_n] [seed]\n", argv[0]);
+    return 2;
+  }
 
   Table table({"n", "m", "k", "t_LS (ms)", "t_CFZ (ms)", "ratio"});
   for (std::uint32_t n = 128; n <= max_n; n *= 2) {

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <iterator>
+#include <optional>
 
 #include "obs/registry.h"
 #include "obs/trace_context.h"
@@ -12,10 +13,11 @@ namespace {
 
 /// Call-site instrument cache (one registry lookup per process).  Each
 /// metric has exactly one instrument: admission outcomes and admit
-/// latency are {tenant}-labeled, contention is {shard}-labeled, and the
-/// rest are plain, so no Prometheus name carries a plain total beside
-/// its children (a family's total is their sum; the SLO watchdog reads
-/// it that way).  Children are created lazily on first touch.
+/// latency are {tenant}-labeled, contention (commit conflicts, shard
+/// waits, re-sync patches) is {shard}-labeled, and the rest are plain,
+/// so no Prometheus name carries a plain total beside its children (a
+/// family's total is their sum; the SLO watchdog reads it that way).
+/// Children are created lazily on first touch.
 struct Instruments {
   obs::Counter& offered;
   obs::Counter& aborted;
@@ -26,6 +28,7 @@ struct Instruments {
   obs::LabeledFamily<obs::Counter>& quota_denied;
   obs::LabeledFamily<obs::LatencyHistogram>& admit_latency;
   obs::LabeledFamily<obs::Counter>& conflicts;
+  obs::LabeledFamily<obs::Counter>& shard_waits;
   obs::LabeledFamily<obs::Counter>& resync_patches;
 
   static Instruments& get() {
@@ -40,6 +43,7 @@ struct Instruments {
         obs::Registry::global().labeled_histogram(
             "lumen.svc.admit_latency_ns"),
         obs::Registry::global().labeled_counter("lumen.svc.commit_conflicts"),
+        obs::Registry::global().labeled_counter("lumen.svc.shard_waits"),
         obs::Registry::global().labeled_counter("lumen.svc.resync_patches"),
     };
     return instance;
@@ -104,10 +108,23 @@ AdmitTicket RoutingService::open(TenantId tenant, NodeId source,
   const std::uint64_t prior =
       state.active.fetch_add(1, std::memory_order_acq_rel);
   if (prior < state.quota.load(std::memory_order_acquire)) {
-    const std::uint32_t shard_index =
+    // The first free replica from the round-robin start wins; only when
+    // every engine mutex is held does the admission wait, on the start.
+    const std::uint32_t start =
         round_robin_.fetch_add(1, std::memory_order_relaxed) % num_shards();
-    Shard::AdmitOutcome outcome =
-        shards_[shard_index]->admit(tenant, source, target);
+    std::uint32_t shard_index = start;
+    std::optional<Shard::AdmitOutcome> tried;
+    for (std::uint32_t i = 0; i < num_shards() && !tried; ++i) {
+      shard_index = (start + i) % num_shards();
+      tried = shards_[shard_index]->try_admit(tenant, source, target);
+    }
+    if (!tried) {
+      shard_index = start;
+      shards_[start]->count_wait();
+      ins.shard_waits.at(obs::TagSet{}.shard(start)).add();
+      tried = shards_[start]->admit(tenant, source, target);
+    }
+    Shard::AdmitOutcome& outcome = *tried;
     if (outcome.ticket.conflicts > 0) {
       ins.conflicts.at(obs::TagSet{}.shard(shard_index))
           .add(outcome.ticket.conflicts);
@@ -180,6 +197,7 @@ ServiceStats RoutingService::stats() const {
   }
   for (const auto& shard : shards_) {
     out.commit_conflicts += shard->commit_conflicts();
+    out.shard_waits += shard->waits();
     out.cross_shard_patches += shard->resync_sent();
   }
   return out;

@@ -1,22 +1,26 @@
 // The sharded multi-tenant routing service front-end.
 //
 // RoutingService is the concurrent counterpart of SessionManager: many
-// threads call open()/close() at once, sessions land on shards
-// round-robin, each shard routes on its own RouteEngine replica, and
-// every commit is arbitrated by the global atomic SlotTable (slot
-// ownership can never be double-booked — see slot_table.h).  Multi-
-// tenancy is an admission-control layer in front of the shards: each
-// tenant has an active-session quota enforced with an optimistic
-// fetch_add (in-flight admissions count against the quota, so a tenant
-// can never exceed it even transiently), plus fairness counters.
+// threads call open()/close() at once, each shard routes on its own
+// RouteEngine replica, and every commit is arbitrated by the global
+// atomic SlotTable (slot ownership can never be double-booked — see
+// slot_table.h).  An admission starts at a round-robin shard and tries
+// every shard's engine mutex once, taking the first free replica; only
+// when all are busy does it wait, on the starting shard.  A close never
+// takes an engine mutex: it frees the session's owner words and notes
+// the slots into every shard's re-sync inbox (shard.h).  Multi-tenancy
+// is an admission-control layer in front of the shards: each tenant has
+// an active-session quota enforced with an optimistic fetch_add
+// (in-flight admissions count against the quota, so a tenant can never
+// exceed it even transiently), plus fairness counters.
 //
 // Accounting: each event is counted once in an exact cell (per tenant
-// for admission outcomes and closes, per shard for commit conflicts and
-// sent re-sync notes), and stats() sums the cells, so it stays exact
-// under LUMEN_OBS_DISABLED.  Observability: each `lumen.svc.*` metric
-// has one instrument, plain or labeled, never both (see
-// docs/SERVICE.md); default_slo_rules() watches p99 admit latency and
-// the abort and quota-denial rates.
+// for admission outcomes and closes, per shard for commit conflicts,
+// waits and sent re-sync notes), and stats() sums the cells, so it
+// stays exact under LUMEN_OBS_DISABLED.  Observability: each
+// `lumen.svc.*` metric has one instrument, plain or labeled, never both
+// (see docs/SERVICE.md); default_slo_rules() watches p99 admit latency
+// and the abort and quota-denial rates.
 #pragma once
 
 #include <atomic>
@@ -49,14 +53,15 @@ class RoutingService {
   /// cost) and the slot table.  The network itself is not retained.
   RoutingService(const WdmNetwork& net, const ServiceOptions& options);
 
-  /// Routes and commits one session for `tenant`.  Throws lumen::Error,
+  /// Routes and commits one session for `tenant` on the first shard whose
+  /// engine mutex is free (see file comment).  Throws lumen::Error,
   /// touching no accounting, unless source and target are distinct nodes
   /// of the network.  Thread-safe.
   [[nodiscard]] AdmitTicket open(TenantId tenant, NodeId source,
                                  NodeId target);
 
-  /// Releases an admitted session.  False when the id is unknown or
-  /// already closed.  Thread-safe.
+  /// Releases an admitted session without waiting for any route search.
+  /// False when the id is unknown or already closed.  Thread-safe.
   bool close(SvcSessionId id);
 
   /// Sets a tenant's active-session quota (takes effect for future

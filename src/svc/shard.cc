@@ -59,6 +59,19 @@ void Shard::drain_inbox_locked() {
 Shard::AdmitOutcome Shard::admit(TenantId tenant, NodeId source,
                                  NodeId target) {
   const std::lock_guard<std::mutex> lock(mutex_);
+  return admit_locked(tenant, source, target);
+}
+
+std::optional<Shard::AdmitOutcome> Shard::try_admit(TenantId tenant,
+                                                    NodeId source,
+                                                    NodeId target) {
+  const std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
+  if (!lock.owns_lock()) return std::nullopt;
+  return admit_locked(tenant, source, target);
+}
+
+Shard::AdmitOutcome Shard::admit_locked(TenantId tenant, NodeId source,
+                                        NodeId target) {
   drain_inbox_locked();
   AdmitOutcome out;
   out.ticket.status = AdmitStatus::kBlocked;
@@ -118,8 +131,10 @@ Shard::AdmitOutcome Shard::admit(TenantId tenant, NodeId source,
       log_->append(CommitRecord{seq, false, id.bits(), slots});
     }
     for (const std::uint32_t slot : slots) resync_slot_locked(slot);
-    sessions_.try_emplace(next_seq_,
-                          Session{tenant, route.cost, slots});
+    {
+      const std::lock_guard<std::mutex> sessions_lock(sessions_mutex_);
+      sessions_.try_emplace(next_seq_, Session{tenant, slots});
+    }
     ++next_seq_;
 
     out.ticket.status = AdmitStatus::kAdmitted;
@@ -133,12 +148,14 @@ Shard::AdmitOutcome Shard::admit(TenantId tenant, NodeId source,
 }
 
 Shard::CloseOutcome Shard::close(std::uint64_t seq) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = sessions_.find(seq);
-  if (it == sessions_.end()) return CloseOutcome{};
-
-  const Session session = std::move(it->second);
-  sessions_.erase(seq);
+  Session session;
+  {
+    const std::lock_guard<std::mutex> lock(sessions_mutex_);
+    const auto it = sessions_.find(seq);
+    if (it == sessions_.end()) return CloseOutcome{};
+    session = std::move(it->second);
+    sessions_.erase(seq);
+  }
   const SvcSessionId id = SvcSessionId::make(index_, seq);
 
   // Release seq is drawn BEFORE the first slot is freed (slot_table.h).
@@ -149,13 +166,13 @@ Shard::CloseOutcome Shard::close(std::uint64_t seq) {
   if (logging) {
     log_->append(CommitRecord{log_seq, true, id.bits(), session.slots});
   }
-  // Truth-based restore: a peer may already have re-claimed a slot.
-  for (const std::uint32_t slot : session.slots) resync_slot_locked(slot);
+  // The home replica re-syncs at its next admission, like every peer.
+  push_resync(session.slots);
 
   CloseOutcome out;
   out.ok = true;
   out.tenant = session.tenant;
-  out.slots = session.slots;
+  out.slots = std::move(session.slots);
   return out;
 }
 
@@ -173,7 +190,7 @@ void Shard::drain() {
 
 std::vector<std::pair<std::uint64_t, std::vector<std::uint32_t>>>
 Shard::session_slots() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<std::mutex> lock(sessions_mutex_);
   std::vector<std::pair<std::uint64_t, std::vector<std::uint32_t>>> out;
   out.reserve(sessions_.size());
   for (const auto& [seq, session] : sessions_) {

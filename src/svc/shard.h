@@ -1,14 +1,18 @@
 // One shard of the routing service: a RouteEngine replica plus the slice
 // of the session table whose ids it minted.
 //
-// Concurrency model (striped mutex): every shard has one mutex guarding
-// its engine replica and session table.  Service threads are routed to a
-// shard per request, so with N shards up to N admissions proceed in
-// parallel — each routing on its own replica, then committing against
-// the global SlotTable with lock-free CAS.  Shards never take each
-// other's mutexes; cross-shard effects travel as *slot re-sync notes*
-// dropped into a peer's inbox (a plain vector behind its own tiny lock)
-// and are applied at the peer's next convenience.
+// Concurrency model: every shard has one engine mutex guarding its
+// replica and its id counter, held while an admission routes and
+// commits (and by drain(), which tests quiesce with).  The session table
+// and the re-sync inbox each sit behind their own small lock, and a
+// close takes only those, so a close never waits for a route search.
+// Service threads try every shard's engine mutex once before blocking on
+// one (RoutingService::open), so with N shards up to N admissions
+// proceed in parallel — each routing on its own replica, then committing
+// against the global SlotTable with lock-free CAS.  Shards never take
+// each other's locks; slot changes travel as *slot re-sync notes*
+// dropped into an inbox (a plain vector behind its own tiny lock) and
+// are applied at the next admission there.
 //
 // Replica views are therefore eventually consistent, and deliberately
 // self-correcting rather than carefully ordered: a re-sync note carries
@@ -16,17 +20,20 @@
 // *now* and setting the replica weight accordingly (owned → +inf, free →
 // base cost).  Out-of-order delivery, duplicated notes, or a note raced
 // by a concurrent commit all converge to the truth at the next touch.
-// One rule keeps every replica converging: every change a shard makes to
-// a slot's owner word — commit, release, and the rollback of a partial
-// claim — is broadcast to its peers.  The table, never the replica,
-// decides admission — a stale replica can only cause a commit conflict
-// (retried after patching the conflicting slot) or a transiently
-// pessimistic route.
+// One rule keeps every replica converging: every change to a slot's
+// owner word reaches every replica.  An admission re-syncs its own
+// replica under the engine mutex and its peers through their inboxes
+// (commits and the rollback of a partial claim alike); a close frees
+// the words and notes the slots into its own inbox, and its peers'.
+// The table, never the replica, decides admission — a stale replica can
+// only cause a commit conflict (retried after patching the conflicting
+// slot) or a transiently pessimistic route.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -55,9 +62,15 @@ class Shard {
   };
 
   /// Routes on the replica (ALT + target potential), two-phase-commits
-  /// against the table, and re-routes after a lost slot race.
+  /// against the table, and re-routes after a lost slot race.  Blocks
+  /// while another admission holds the engine mutex.
   [[nodiscard]] AdmitOutcome admit(TenantId tenant, NodeId source,
                                    NodeId target);
+  /// admit() when the engine mutex is free right now; nullopt when
+  /// another admission holds it.
+  [[nodiscard]] std::optional<AdmitOutcome> try_admit(TenantId tenant,
+                                                      NodeId source,
+                                                      NodeId target);
 
   struct CloseOutcome {
     bool ok = false;
@@ -65,11 +78,12 @@ class Shard {
     std::vector<std::uint32_t> slots;  ///< freed (broadcast as re-sync)
   };
 
-  /// Releases the session minted as local sequence `seq`.
+  /// Releases the session minted as local sequence `seq` and notes its
+  /// slots into this shard's inbox.  Never takes the engine mutex.
   [[nodiscard]] CloseOutcome close(std::uint64_t seq);
 
-  /// Drops slot re-sync notes into the inbox (called by peers' service
-  /// threads; never takes the shard mutex).
+  /// Drops slot re-sync notes into the inbox (never takes the engine
+  /// mutex).
   void push_resync(std::span<const std::uint32_t> slots);
 
   /// Applies pending inbox notes now.  admit() does this implicitly;
@@ -90,6 +104,14 @@ class Shard {
   void count_resync_sent(std::uint64_t notes) noexcept {
     resync_sent_.fetch_add(notes, std::memory_order_relaxed);
   }
+  /// Admissions that found every shard busy and blocked on this one.
+  [[nodiscard]] std::uint64_t waits() const noexcept {
+    return waits_.load(std::memory_order_relaxed);
+  }
+  /// Counts one such admission (the service decides when it blocks).
+  void count_wait() noexcept {
+    waits_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   /// (owner bits, claimed slots) of every live session — the fuzz
   /// harness's double-booking audit.  Quiesce for exact answers.
@@ -100,10 +122,11 @@ class Shard {
  private:
   struct Session {
     TenantId tenant;
-    double cost = 0.0;
     std::vector<std::uint32_t> slots;
   };
 
+  /// The body of admit() and try_admit(); the caller holds mutex_.
+  AdmitOutcome admit_locked(TenantId tenant, NodeId source, NodeId target);
   /// Sets the replica weight of `slot` from the SlotTable truth.
   void resync_slot_locked(std::uint32_t slot);
   void drain_inbox_locked();
@@ -112,12 +135,15 @@ class Shard {
   SlotTable* const table_;
   CommitLog* const log_;
 
-  mutable std::mutex mutex_;  // guards engine_, sessions_, next_seq_
+  std::mutex mutex_;            // the engine mutex: engine_, next_seq_
   RouteEngine engine_;
-  FlatMap<std::uint64_t, Session> sessions_;  // keyed by local seq
-  std::uint64_t next_seq_ = 1;                // ids start at 1 (0 = free)
-  std::atomic<std::uint64_t> conflicts_{0};   // written under mutex_
+  std::uint64_t next_seq_ = 1;  // ids start at 1 (0 = free)
+  std::atomic<std::uint64_t> conflicts_{0};  // written under mutex_
+  std::atomic<std::uint64_t> waits_{0};
   std::atomic<std::uint64_t> resync_sent_{0};
+
+  mutable std::mutex sessions_mutex_;
+  FlatMap<std::uint64_t, Session> sessions_;  // keyed by local seq
 
   std::mutex inbox_mutex_;
   std::vector<std::uint32_t> inbox_;

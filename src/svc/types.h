@@ -97,6 +97,8 @@ struct ServiceStats {
   std::uint64_t aborted = 0;
   std::uint64_t released = 0;
   std::uint64_t commit_conflicts = 0;
+  /// Admissions that found every shard's engine mutex held and waited.
+  std::uint64_t shard_waits = 0;
   /// Re-sync notes sent to peer shards (one per slot per peer).
   std::uint64_t cross_shard_patches = 0;
   std::uint64_t active = 0;

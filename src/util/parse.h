@@ -11,6 +11,7 @@
 #include <optional>
 #include <string_view>
 #include <system_error>
+#include <type_traits>
 
 namespace lumen {
 
@@ -35,6 +36,27 @@ template <class T>
       value <= 0.0)
     return std::nullopt;
   return value;
+}
+
+/// Parses argv[1], argv[2], ... in order into `out...` with
+/// parse_unsigned; an absent argument keeps its default.  False on a
+/// malformed token or an argument past the last output.
+template <class... T>
+[[nodiscard]] bool parse_positional(int argc, char** argv, T&... out) {
+  int next = 1;
+  bool ok = true;
+  const auto take = [&](auto& value) {
+    if (!ok || next >= argc) return;
+    const auto parsed =
+        parse_unsigned<std::remove_reference_t<decltype(value)>>(argv[next++]);
+    if (parsed) {
+      value = *parsed;
+    } else {
+      ok = false;
+    }
+  };
+  (take(out), ...);
+  return ok && next >= argc;
 }
 
 }  // namespace lumen

@@ -1,8 +1,9 @@
 // Unit coverage for the svc building blocks: session-id packing, the
 // atomic SlotTable (two-phase claim/rollback), the commit log, one
-// Shard's re-sync rule, and the RoutingService front-end (admission
-// outcomes, endpoint checks, quotas, tenant/service accounting under
-// concurrent churn, one instrument per metric, SLO rule wiring).
+// Shard's re-sync rule (rolled-back claims and closes), and the
+// RoutingService front-end (admission outcomes, endpoint checks, quotas,
+// tenant/service accounting under concurrent churn, one instrument per
+// metric, SLO rule wiring).
 #include "svc/service.h"
 
 #include <gtest/gtest.h>
@@ -166,6 +167,44 @@ TEST(ShardTest, LostClaimReportsItsRolledBackPrefix) {
   EXPECT_EQ(table.owner(second_slot), foreign);
 }
 
+TEST(ShardTest, CloseReturnsFreedSlotsToTheHomeReplica) {
+  // Chain 0 -> 1 -> 2, one wavelength per link, one shard on its own
+  // table.  The first session holds the whole chain, so the second blocks
+  // on the replica without a commit conflict.  A close frees the owner
+  // words without the engine mutex and notes the slots into the shard's
+  // own inbox: the next admission must drain them and route the freed
+  // chain again, at the first session's cost.
+  WdmNetwork net(3, 1, std::make_shared<NoConversion>());
+  const LinkId first_link = net.add_link(NodeId{0}, NodeId{1});
+  const LinkId second_link = net.add_link(NodeId{1}, NodeId{2});
+  net.set_wavelength(first_link, Wavelength{0}, 1.0);
+  net.set_wavelength(second_link, Wavelength{0}, 2.5);
+
+  SlotTable table(net);
+  CommitLog log;
+  Shard shard(0, net, &table, &log);
+  const Shard::AdmitOutcome first =
+      shard.admit(TenantId{0}, NodeId{0}, NodeId{2});
+  ASSERT_EQ(first.ticket.status, AdmitStatus::kAdmitted);
+  EXPECT_DOUBLE_EQ(first.ticket.cost, 3.5);
+
+  const Shard::AdmitOutcome second =
+      shard.admit(TenantId{0}, NodeId{0}, NodeId{2});
+  EXPECT_EQ(second.ticket.status, AdmitStatus::kBlocked);
+  EXPECT_EQ(second.ticket.conflicts, 0u);
+
+  const Shard::CloseOutcome closed = shard.close(first.ticket.id.seq());
+  ASSERT_TRUE(closed.ok);
+  EXPECT_EQ(table.occupied(), 0u);
+  EXPECT_FALSE(shard.close(first.ticket.id.seq()).ok);
+
+  const Shard::AdmitOutcome third =
+      shard.admit(TenantId{0}, NodeId{0}, NodeId{2});
+  ASSERT_EQ(third.ticket.status, AdmitStatus::kAdmitted);
+  EXPECT_EQ(third.ticket.conflicts, 0u);
+  EXPECT_DOUBLE_EQ(third.ticket.cost, first.ticket.cost);
+}
+
 TEST(RoutingServiceTest, AdmitsRoutesAndReleases) {
   const WdmNetwork net = paper_example_network();
   ServiceOptions options;
@@ -194,6 +233,8 @@ TEST(RoutingServiceTest, AdmitsRoutesAndReleases) {
   EXPECT_EQ(stats.admitted, 1u);
   EXPECT_EQ(stats.released, 1u);
   EXPECT_EQ(stats.active, 0u);
+  // One caller never finds every engine mutex held.
+  EXPECT_EQ(stats.shard_waits, 0u);
 }
 
 TEST(RoutingServiceTest, AdmissionCostMatchesTicket) {
@@ -308,7 +349,8 @@ TEST(RoutingServiceTest, ChurnAccountingSumsTheTenantAndShardCells) {
       {"lumen.svc.blocked", &TenantStats::blocked},
       {"lumen.svc.quota_denied", &TenantStats::quota_denied}};
   const char* const kShardFamilies[] = {"lumen.svc.commit_conflicts",
-                                        "lumen.svc.resync_patches"};
+                                        "lumen.svc.resync_patches",
+                                        "lumen.svc.shard_waits"};
   std::vector<std::uint64_t> tenant_before, shard_before;
   for (const TenantFamily& family : kTenantFamilies)
     for (std::uint32_t t = 0; t < kTenants; ++t)
@@ -389,15 +431,18 @@ TEST(RoutingServiceTest, ChurnAccountingSumsTheTenantAndShardCells) {
       }
     }
     // Shard cells surface only as ServiceStats sums: compare the families.
-    std::uint64_t conflicts = 0, patches = 0;
+    std::uint64_t conflicts = 0, patches = 0, waits = 0;
     for (std::uint32_t s = 0; s < kShards; ++s) {
       conflicts += child_value(kShardFamilies[0], obs::TagSet{}.shard(s)) -
                    shard_before[s];
       patches += child_value(kShardFamilies[1], obs::TagSet{}.shard(s)) -
                  shard_before[kShards + s];
+      waits += child_value(kShardFamilies[2], obs::TagSet{}.shard(s)) -
+               shard_before[2 * kShards + s];
     }
     EXPECT_EQ(conflicts, stats.commit_conflicts);
     EXPECT_EQ(patches, stats.cross_shard_patches);
+    EXPECT_EQ(waits, stats.shard_waits);
 
     // One instrument per metric: no lumen.svc.* name is both plain and
     // labeled, and the active-session gauge is gone.

@@ -12,8 +12,11 @@
 //      recorded history replayed SERIALLY in seq order into a fresh
 //      occupancy table must never conflict.  A conflict would mean the
 //      concurrent decisions have no linearization.
-//      The churn sweep then probes every shard once against a fresh
+//      The churn sweeps then probe every shard once against a fresh
 //      RouteEngine on the table truth: quiesced replicas must agree.
+//      One sweep closes each thread's own sessions; another hands ids
+//      from opener threads to closer threads, so closes race admissions
+//      on the same shard.
 //   3. Serial equivalence: driven single-threaded, the service (any
 //      shard count — cross-shard re-sync is synchronous in that regime)
 //      must make exactly the admit/block decisions of the serial
@@ -21,8 +24,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -236,6 +242,107 @@ TEST(ShardOracleTest, ConcurrentChurnAcross50NetsNeverDoubleBooks) {
   EXPECT_GT(total_admitted, 1000u);
   // Conflicts are timing-dependent; just surface the count.
   RecordProperty("commit_conflicts", static_cast<int>(total_conflicts));
+}
+
+/// Admitted ids handed from opener threads to closer threads.
+class IdQueue {
+ public:
+  explicit IdQueue(std::uint32_t producers) : producers_(producers) {}
+
+  void push(SvcSessionId id) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ids_.push_back(id);
+    }
+    ready_.notify_one();
+  }
+  void finish_producer() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      --producers_;
+    }
+    ready_.notify_all();
+  }
+  /// The next id; nullopt once every producer finished and none is left.
+  std::optional<SvcSessionId> pop() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    ready_.wait(lock, [&] { return !ids_.empty() || producers_ == 0; });
+    if (ids_.empty()) return std::nullopt;
+    const SvcSessionId id = ids_.front();
+    ids_.pop_front();
+    return id;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable ready_;
+  std::deque<SvcSessionId> ids_;
+  std::uint32_t producers_;
+};
+
+TEST(ShardOracleTest, CrossThreadClosesNeverDoubleBook) {
+  // Two opener threads hand most admitted ids through a locked queue to
+  // two closer threads, so a close can race an admission's route search
+  // and its session-table insert on the same shard.  The ids the openers
+  // keep stay live for the audit.
+  constexpr std::uint32_t kOpeners = 2;
+  constexpr std::uint32_t kClosers = 2;
+  constexpr std::uint32_t kOpensPerThread = 80;
+  std::uint64_t total_closed = 0;
+
+  for (std::uint64_t net_seed = 0; net_seed < 10; ++net_seed) {
+    Rng rng(net_seed * 0x9e3779b97f4a7c15ULL + 23);
+    const WdmNetwork net =
+        random_network(/*n=*/14, /*extra_links=*/16, /*k=*/4, /*k0_max=*/4,
+                       testing::ConvKind::kUniform, rng);
+
+    for (const std::uint32_t shards : {1u, 2u, 4u}) {
+      RoutingService service(net, ServiceOptions{.num_shards = shards});
+      service.commit_log().enable();
+      IdQueue handed(kOpeners);
+      std::atomic<std::uint64_t> closed{0};
+      std::atomic<std::uint64_t> refused{0};
+
+      std::vector<std::thread> threads;
+      for (std::uint32_t w = 0; w < kOpeners; ++w) {
+        threads.emplace_back([&, w] {
+          Rng ops(net_seed * 1000 + shards * 10 + w);
+          for (std::uint32_t op = 0; op < kOpensPerThread; ++op) {
+            const auto s = NodeId{static_cast<std::uint32_t>(
+                ops.next_below(net.num_nodes()))};
+            auto t = NodeId{static_cast<std::uint32_t>(
+                ops.next_below(net.num_nodes()))};
+            if (s == t) t = NodeId{(t.value() + 1) % net.num_nodes()};
+            const AdmitTicket ticket = service.open(TenantId{0}, s, t);
+            if (ticket.status == AdmitStatus::kAdmitted &&
+                ops.next_bool(0.8)) {
+              handed.push(ticket.id);
+            }
+          }
+          handed.finish_producer();
+        });
+      }
+      for (std::uint32_t c = 0; c < kClosers; ++c) {
+        threads.emplace_back([&] {
+          while (const std::optional<SvcSessionId> id = handed.pop()) {
+            (service.close(*id) ? closed : refused)
+                .fetch_add(1, std::memory_order_relaxed);
+          }
+        });
+      }
+      for (std::thread& thread : threads) thread.join();
+
+      const std::string context =
+          replay(net_seed, shards, kOpeners + kClosers) +
+          " (cross-thread closes)";
+      // Every handed id was live and is closed exactly once.
+      ASSERT_EQ(refused.load(), 0u) << context;
+      audit_service(service, context);
+      probe_every_shard(service, net, TenantId{0}, net_seed, context);
+      total_closed += closed.load();
+    }
+  }
+  EXPECT_GT(total_closed, 500u);
 }
 
 TEST(ShardOracleTest, SerialDecisionsMatchSessionManagerOracle) {
