@@ -59,7 +59,8 @@ void BM_CFZ(benchmark::State& state) {
     cfz_seconds += clock.seconds();
     ++runs;
     benchmark::DoNotOptimize(cost = r.cost);
-    if (ls.found && r.found && std::abs(r.cost - ls.cost) > 1e-6) {
+    if (r.found != ls.found ||
+        (r.found && std::abs(r.cost - ls.cost) > 1e-6)) {
       state.SkipWithError("CFZ optimum disagrees with Liang–Shen");
       return;
     }

@@ -7,7 +7,8 @@
 // visible per size.
 //
 // E8 rides along: the same Dijkstra on G_{s,t} with each in-tree heap
-// plugged in (BM_DijkstraOnAux), plus the raw heap push/decrease/pop mix
+// plugged in (BM_DijkstraOnAux), route_semilightpath's own search with
+// each heap (BM_SemilightpathHeap), plus the raw heap push/decrease/pop mix
 // (BM_HeapMixedOps).
 #include <benchmark/benchmark.h>
 
@@ -16,6 +17,7 @@
 
 #include "bench/bench_common.h"
 #include "core/aux_graph.h"
+#include "core/liang_shen.h"
 #include "graph/binary_heap.h"
 #include "graph/csr.h"
 #include "graph/dijkstra.h"
@@ -113,6 +115,43 @@ BENCHMARK(BM_DijkstraOnAux<QuaternaryHeap>)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DijkstraOnAux<PairingHeap>)
     ->Name("BM_DijkstraOnAux/Pairing")
+    ->RangeMultiplier(4)
+    ->Range(64, 4096)
+    ->Unit(benchmark::kMillisecond);
+
+/// E8 on the router's own search: route_semilightpath with each heap on
+/// the BM_DijkstraOnAux instances.  It generates gadget links as X-nodes
+/// settle and stops at t'', so `search_ms` (the search alone, without the
+/// G_{s,t} layout) is the column that ranks the heaps.
+void BM_SemilightpathHeap(benchmark::State& state, HeapKind heap) {
+  constexpr std::uint64_t kE8Seed = 5150;
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const WdmNetwork net = bench::comparison_network(n, kE8Seed);
+  double search_seconds = 0.0;
+  std::uint64_t pops = 0;
+  for (auto _ : state) {
+    const RouteResult r = route_semilightpath(net, NodeId{0}, NodeId{n / 2},
+                                              heap);
+    search_seconds += r.stats.search_seconds;
+    pops = r.stats.search_pops;
+  }
+  state.counters["search_ms"] =
+      1e3 * search_seconds / static_cast<double>(state.iterations());
+  state.counters["pops"] = static_cast<double>(pops);
+}
+BENCHMARK_CAPTURE(BM_SemilightpathHeap, Fibonacci, HeapKind::kFibonacci)
+    ->RangeMultiplier(4)
+    ->Range(64, 4096)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SemilightpathHeap, Binary, HeapKind::kBinary)
+    ->RangeMultiplier(4)
+    ->Range(64, 4096)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SemilightpathHeap, Quaternary, HeapKind::kQuaternary)
+    ->RangeMultiplier(4)
+    ->Range(64, 4096)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SemilightpathHeap, Pairing, HeapKind::kPairing)
     ->RangeMultiplier(4)
     ->Range(64, 4096)
     ->Unit(benchmark::kMillisecond);

@@ -20,8 +20,8 @@ using namespace lumen;
 int main(int argc, char** argv) {
   std::uint32_t n = 60;
   std::uint64_t seed = 7;
-  if (!parse_positional(argc, argv, n, seed)) {
-    std::fprintf(stderr, "usage: %s [n] [seed]\n", argv[0]);
+  if (!parse_positional(argc, argv, n, seed) || n < 2) {
+    std::fprintf(stderr, "usage: %s [n >= 2] [seed]\n", argv[0]);
     return 2;
   }
 

@@ -22,8 +22,10 @@ int main(int argc, char** argv) {
   std::uint32_t hubs = 5;
   std::uint32_t ring_size = 6;
   std::uint64_t seed = 3;
-  if (!parse_positional(argc, argv, hubs, ring_size, seed)) {
-    std::fprintf(stderr, "usage: %s [hubs] [ring_size] [seed]\n", argv[0]);
+  if (!parse_positional(argc, argv, hubs, ring_size, seed) || hubs < 3 ||
+      ring_size < 2) {
+    std::fprintf(stderr, "usage: %s [hubs >= 3] [ring_size >= 2] [seed]\n",
+                 argv[0]);
     return 2;
   }
 

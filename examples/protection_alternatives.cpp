@@ -22,8 +22,8 @@ using namespace lumen;
 int main(int argc, char** argv) {
   std::uint32_t K = 6;
   std::uint64_t seed = 4;
-  if (!parse_positional(argc, argv, K, seed)) {
-    std::fprintf(stderr, "usage: %s [K] [seed]\n", argv[0]);
+  if (!parse_positional(argc, argv, K, seed) || K < 1) {
+    std::fprintf(stderr, "usage: %s [K >= 1] [seed]\n", argv[0]);
     return 2;
   }
 

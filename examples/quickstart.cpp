@@ -81,8 +81,11 @@ int main() {
                 s.value(), t.value());
   }
 
-  // What the router built under the hood (Theorem 1's auxiliary graph).
-  std::printf("\nauxiliary graph G_{s,t}: %llu nodes, %llu links, "
+  // What the router searched (Theorem 1's auxiliary graph).  It stores
+  // only E_org and generates a node's gadget links when the search settles
+  // it, so "links searched" counts E_org, the terminal ties and the gadget
+  // links of the settled X-nodes, not the whole of E'.
+  std::printf("\nauxiliary graph G_{s,t}: %llu nodes, %llu links searched, "
               "%llu heap pops\n",
               static_cast<unsigned long long>(semi.stats.aux_nodes),
               static_cast<unsigned long long>(semi.stats.aux_links),

@@ -1,10 +1,25 @@
 // The Liang–Shen optimal semilightpath algorithm (Theorem 1).
 //
-// Builds the layered auxiliary graph G_{s,t} and runs Dijkstra (Fibonacci
-// heap by default) from s' to t''.  Total cost
-// O(k^2 n + k m + k n log(kn)); for networks with |Λ(e)| <= k_0 the same
-// code meets Theorem 4's O(d^2 n k_0^2 + m k_0 log n) — independent of the
-// universe size k — because construction never enumerates Λ itself.
+// route_semilightpath lays out the layered auxiliary graph G_{s,t} for one
+// request and runs Dijkstra (Fibonacci heap by default) from s' to t''.
+// The layout keeps X_v, Y_v and E_org only.  The gadget links
+// x_v(λ) -> y_v(λ') are generated from c_v when the search settles x_v(λ),
+// in the order the materialised graph lists them, so the search is
+// Dijkstra on G_{s,t} exactly: same optimum, same pops, same hops.  The
+// build is O(km + Σ_v |X_v| + |Y_v|); the k² gadget term is paid only for
+// settled X-nodes, O(k²n + km + kn log(kn)) in the worst case.  For
+// networks with |Λ(e)| <= k_0 the same code meets Theorem 4's
+// O(d²nk_0² + mk_0 log n), independent of the universe size k, because it
+// never enumerates Λ itself.
+//
+// RouteStats::aux_nodes is |V'|.  aux_links counts the links the search
+// saw: E_org, the terminal ties and the gadget links of the settled
+// X-nodes.  It does not count every X_v × Y_v pair: that count alone would
+// put the k²n term back into every route.
+//
+// route_on_aux searches a materialised AuxiliaryGraph instead: the paper's
+// construction (E1/E3), and the reference route_semilightpath is tested
+// against.
 #pragma once
 
 #include "core/aux_graph.h"
@@ -30,9 +45,10 @@ enum class HeapKind {
     const WdmNetwork& net, NodeId s, NodeId t,
     HeapKind heap = HeapKind::kFibonacci);
 
-/// As route_semilightpath, but reuses a prebuilt single-pair auxiliary
-/// graph (the caller owns the build cost; useful for benches that separate
-/// construction from search).
+/// As route_semilightpath, but searches a prebuilt, materialised
+/// single-pair auxiliary graph (the caller owns the build cost; useful for
+/// benches that separate construction from search).  aux_links is then
+/// the whole |E'|.
 [[nodiscard]] RouteResult route_on_aux(const WdmNetwork& net,
                                        const AuxiliaryGraph& aux,
                                        HeapKind heap = HeapKind::kFibonacci);

@@ -40,40 +40,54 @@ struct ShortestPathTree {
   }
 };
 
-/// Runs Dijkstra from `source`.  If `target` is given, the search stops as
-/// soon as the target is settled (distances of other nodes may then be
-/// upper bounds only, but dist[target] and the path to it are exact).
+namespace detail {
+
+/// Per-thread search buffers and heap, one set per heap type, reused across
+/// calls: repeated queries (the RouteEngine regime, all-pairs trees,
+/// per-wavelength sweeps, one G_{s,t} per route) stop paying O(n) heap
+/// allocations each, and a warm heap keeps its node pool.  assign()/clear()
+/// recycle capacity; an early exit (target settled) may leave entries
+/// behind, which clear() drops at the start of the next call.
+template <class Heap>
+struct DijkstraScratch {
+  std::vector<typename Heap::Handle> handle;
+  std::vector<char> in_heap;
+  std::vector<char> settled;
+  Heap heap;
+
+  static DijkstraScratch& get() {
+    thread_local DijkstraScratch scratch;
+    return scratch;
+  }
+};
+
+}  // namespace detail
+
+/// The heap loop behind every Dijkstra here, over any graph that can list a
+/// node's out-links when the node is settled.  For each settled node u
+/// (except a settled target) it calls `relax_out(u, relax)`, which must call
+/// `relax(v, w, via)` once per link u -> v of weight w, in the graph's row
+/// order; `via` becomes parent_link[v] when that link improves v.  Links of
+/// weight +infinity and links into settled nodes are skipped.
 ///
 /// Heap must provide: Handle push(double,uint32_t), pop_min(),
-/// decrease_key(Handle,double), empty().
-template <class Heap>
-ShortestPathTree dijkstra_with(const Digraph& g, NodeId source,
-                               std::optional<NodeId> target = std::nullopt) {
-  LUMEN_REQUIRE(source.value() < g.num_nodes());
-  if (target) LUMEN_REQUIRE(target->value() < g.num_nodes());
+/// decrease_key(Handle,double), empty(), clear().
+template <class Heap, class RelaxOut>
+ShortestPathTree dijkstra_search(std::uint32_t num_nodes, NodeId source,
+                                 std::optional<NodeId> target,
+                                 RelaxOut&& relax_out) {
+  LUMEN_REQUIRE(source.value() < num_nodes);
+  if (target) LUMEN_REQUIRE(target->value() < num_nodes);
 
   ShortestPathTree tree;
   tree.source = source;
-  tree.dist.assign(g.num_nodes(), kInfiniteCost);
-  tree.parent_link.assign(g.num_nodes(), LinkId::invalid());
+  tree.dist.assign(num_nodes, kInfiniteCost);
+  tree.parent_link.assign(num_nodes, LinkId::invalid());
 
-  // Per-thread search buffers and heap, reused across calls: repeated
-  // queries (the RouteEngine regime, all-pairs trees, per-wavelength sweeps,
-  // one G_{s,t} per route) stop paying O(n) heap allocations each, and a
-  // warm heap keeps its node pool.  assign()/clear() recycle capacity; an
-  // early exit (target settled) may leave entries behind, which clear()
-  // drops at the start of the next call.
-  struct Scratch {
-    std::vector<typename Heap::Handle> handle;
-    std::vector<char> in_heap;
-    std::vector<char> settled;
-    Heap heap;
-  };
-  thread_local Scratch scratch;
-  if (scratch.handle.size() < g.num_nodes())
-    scratch.handle.resize(g.num_nodes());
-  scratch.in_heap.assign(g.num_nodes(), 0);
-  scratch.settled.assign(g.num_nodes(), 0);
+  auto& scratch = detail::DijkstraScratch<Heap>::get();
+  if (scratch.handle.size() < num_nodes) scratch.handle.resize(num_nodes);
+  scratch.in_heap.assign(num_nodes, 0);
+  scratch.settled.assign(num_nodes, 0);
   std::vector<typename Heap::Handle>& handle = scratch.handle;
   std::vector<char>& in_heap = scratch.in_heap;
   std::vector<char>& settled = scratch.settled;
@@ -87,21 +101,18 @@ ShortestPathTree dijkstra_with(const Digraph& g, NodeId source,
   while (!heap.empty()) {
     const auto [d, u_raw] = heap.pop_min();
     ++tree.pops;
-    const NodeId u{u_raw};
     in_heap[u_raw] = 0;
     settled[u_raw] = 1;
-    if (target && u == *target) break;
+    if (target && u_raw == target->value()) break;
     if (d == kInfiniteCost) break;  // remaining nodes unreachable
 
-    for (const LinkId e : g.out_links(u)) {
-      const double w = g.weight(e);
-      if (w == kInfiniteCost) continue;
-      const NodeId v = g.head(e);
-      if (settled[v.value()]) continue;
-      const double candidate = d + w;
+    const double settled_dist = d;
+    relax_out(NodeId{u_raw}, [&](NodeId v, double w, LinkId via) {
+      if (w == kInfiniteCost || settled[v.value()]) return;
+      const double candidate = settled_dist + w;
       if (candidate < tree.dist[v.value()]) {
         tree.dist[v.value()] = candidate;
-        tree.parent_link[v.value()] = e;
+        tree.parent_link[v.value()] = via;
         ++tree.relaxations;
         if (in_heap[v.value()]) {
           heap.decrease_key(handle[v.value()], candidate);
@@ -110,9 +121,21 @@ ShortestPathTree dijkstra_with(const Digraph& g, NodeId source,
           in_heap[v.value()] = 1;
         }
       }
-    }
+    });
   }
   return tree;
+}
+
+/// Runs Dijkstra from `source`.  If `target` is given, the search stops as
+/// soon as the target is settled (distances of other nodes may then be
+/// upper bounds only, but dist[target] and the path to it are exact).
+template <class Heap>
+ShortestPathTree dijkstra_with(const Digraph& g, NodeId source,
+                               std::optional<NodeId> target = std::nullopt) {
+  return dijkstra_search<Heap>(
+      g.num_nodes(), source, target, [&g](NodeId u, auto&& relax) {
+        for (const LinkId e : g.out_links(u)) relax(g.head(e), g.weight(e), e);
+      });
 }
 
 /// Dijkstra with the Fibonacci heap (the paper's choice).

@@ -49,6 +49,27 @@ namespace lumen::testing {
   return net;
 }
 
+/// The Fig. 5-style instance (E7): node w (=1) cannot convert λ0→λ2
+/// directly, but can go λ0→λ1 and λ1→λ2; the loop w -> a -> w on λ1 lets
+/// the path convert in two steps, so the unique s(=0)→t(=3) semilightpath
+/// visits w twice.
+[[nodiscard]] inline WdmNetwork revisit_instance() {
+  auto conv = std::make_shared<MatrixConversion>(4, 3);
+  conv->set(NodeId{1}, Wavelength{0}, Wavelength{1}, 0.1);
+  conv->set(NodeId{1}, Wavelength{1}, Wavelength{2}, 0.1);
+  // λ0→λ2 at node 1 stays forbidden: Restriction 1 is violated.
+  WdmNetwork net(4, 3, std::move(conv));
+  const LinkId sw = net.add_link(NodeId{0}, NodeId{1});  // s -> w
+  net.set_wavelength(sw, Wavelength{0}, 1.0);
+  const LinkId wa = net.add_link(NodeId{1}, NodeId{2});  // w -> a
+  net.set_wavelength(wa, Wavelength{1}, 1.0);
+  const LinkId aw = net.add_link(NodeId{2}, NodeId{1});  // a -> w
+  net.set_wavelength(aw, Wavelength{1}, 1.0);
+  const LinkId wt = net.add_link(NodeId{1}, NodeId{3});  // w -> t
+  net.set_wavelength(wt, Wavelength{2}, 1.0);
+  return net;
+}
+
 /// Which conversion regime a random test network uses.
 enum class ConvKind {
   kNone,
