@@ -38,6 +38,12 @@ struct EngineInstruments {
       obs::Registry::global().counter("lumen.core.search.settled");
   obs::Counter& search_pruned =
       obs::Registry::global().counter("lumen.core.search.pruned");
+  // The per-target reverse search behind goal direction: pops of the
+  // capped reverse Dijkstra and the cache misses that ran one.
+  obs::Counter& potential_pops =
+      obs::Registry::global().counter("lumen.core.potential.pops");
+  obs::Counter& potential_misses =
+      obs::Registry::global().counter("lumen.core.potential.misses");
   // Per-stage search split: labeled children keyed stage=astar /
   // dijkstra / lightpath.  The tag sets are interned once here, so the
   // per-query cost is a lock-free family probe.
@@ -217,21 +223,59 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
   return route_semilightpath(s, t, scratch_, query);
 }
 
-const double* RouteEngine::target_potential(NodeId t,
-                                            SearchScratch& scratch) const {
+const double* RouteEngine::target_potential(NodeId s, NodeId t,
+                                            SearchScratch& scratch,
+                                            std::uint64_t& pops) const {
   SearchScratch::TargetPotential& slot = scratch.target_potential();
-  if (slot.owner != potential_token_ || slot.target != t.value()) {
-    // Miss: one reverse Dijkstra over the base-weight physical topology.
-    // Hits (repeated queries / batches to the same target) cost nothing.
-    slot.dist.resize(n_);
-    const NodeId sources[1] = {t};
-    scratch.begin(rev_base_->num_nodes());
-    (void)dijkstra_csr_run(*rev_base_, sources, scratch);
-    for (std::uint32_t v = 0; v < n_; ++v)
-      slot.dist[v] = scratch.dist(NodeId{v});
-    slot.owner = potential_token_;
-    slot.target = t.value();
+  pops = 0;
+  if (slot.owner == potential_token_ && slot.target == t.value()) {
+    // Hit when s lies inside the cached ball (its entry is then its exact
+    // distance, below the radius, or s is the ball's own source) or the
+    // row is exact everywhere (radius +inf).  An s outside the ball would
+    // search under a weak, capped row.
+    if (slot.dist[s.value()] < slot.radius || slot.source == s.value() ||
+        slot.radius == kInfiniteCost)
+      return slot.dist.data();
   }
+  // Miss: one reverse Dijkstra from t over the base-weight physical
+  // topology, stopped when s settles at radius r = d(s, t).
+  const NodeId sources[1] = {t};
+  scratch.begin(rev_base_->num_nodes());
+  scratch.mark_sink(s);
+  CsrRunStats run_stats;
+  const NodeId reached = dijkstra_csr_run(*rev_base_, sources, scratch,
+                                          &run_stats);
+  // The unsettled nodes provably cannot reach t when the search exhausted,
+  // or when it stopped at s with an empty frontier and none of s's own
+  // reverse links (the kernel stops before relaxing them) leads outside
+  // the settled set.  Otherwise they are bounded by the radius.
+  bool exact = !reached.valid();
+  if (!exact && scratch.frontier_empty()) {
+    exact = true;
+    const double* w = rev_base_->weights_data();
+    const auto [first, last] = rev_base_->out_slot_range(s);
+    for (std::uint32_t e = first; e < last; ++e) {
+      if (w[e] < kInfiniteCost && !scratch.settled(rev_base_->head(e))) {
+        exact = false;
+        break;
+      }
+    }
+  }
+  // By settle order every settled node is at most r from t and every
+  // queued or untouched one at least r, so min(dist, r) is the row
+  // without a per-node settled test (an exact row has no queued nodes).
+  const double radius = exact ? kInfiniteCost : scratch.dist(s);
+  slot.dist.resize(n_);
+  for (std::uint32_t v = 0; v < n_; ++v)
+    slot.dist[v] = std::min(scratch.dist(NodeId{v}), radius);
+  slot.owner = potential_token_;
+  slot.target = t.value();
+  slot.source = s.value();
+  slot.radius = radius;
+  pops = run_stats.pops;
+  EngineInstruments& instruments = EngineInstruments::get();
+  instruments.potential_misses.add();
+  instruments.potential_pops.add(run_stats.pops);
   return slot.dist.data();
 }
 
@@ -259,11 +303,14 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
   // The per-target table must be resolved before scratch.begin() below:
   // filling it on a miss runs its own search in the same scratch.
   const bool goal = query.goal_directed;
-  const double* to_target = goal ? target_potential(t, scratch) : nullptr;
+  const double* to_target =
+      goal ? target_potential(s, t, scratch, result.stats.potential_pops)
+           : nullptr;
 
-  // π_t over core nodes = max of the base-weight bounds for the node's
-  // physical site.  Both bounds are 0 at t itself, so every sink has
-  // potential 0 and the first settled sink is still the cheapest.
+  // π_t over core nodes = the capped row at the node's physical site,
+  // max-combined with the ALT bound when the engine has landmarks.  Both
+  // are 0 at t itself, so every sink has potential 0 and the first
+  // settled sink is still the cheapest.
   const bool use_alt = !landmarks_.empty();
   const std::uint32_t tv = t.value();
   const auto potential = [&](std::uint32_t aux_node) {

@@ -1,9 +1,9 @@
 // Build-once route-many: a reusable flattened auxiliary-graph engine.
 //
-// route_semilightpath() pays the full G_{s,t} construction — O(k²n + km)
-// node/link inserts on an allocation-per-adjacency-list Digraph — on every
-// query, even though only the two terminal nodes depend on (s, t).  The
-// engine hoists everything else out of the hot path:
+// route_semilightpath() lays out a fresh G_{s,t} on every query: an
+// O(km + Σ_v |X_v| + |Y_v|) build, plus the k² gadget links of every
+// X-node its search settles.  Only the two terminal nodes depend on
+// (s, t), so the engine hoists everything else out of the hot path:
 //
 //   * The wavelength-gadget core G' (G_M + conversion gadgets, NO
 //     terminals) is built once per network and flattened into a
@@ -27,16 +27,23 @@
 //     flattened core is searched concurrently with per-thread scratch.
 //   * Goal direction (QueryOptions{goal_directed}): single-pair queries
 //     run multi-source A* instead of uniform Dijkstra, keyed by
-//     f = g + π_t(v) where π_t combines (max) two base-weight lower
-//     bounds — ALT landmark bounds precomputed at build time, and an
-//     exact cheapest-wavelength reverse Dijkstra to t computed lazily
-//     once per target and cached in the scratch.  Both are *base*-weight
-//     distances, which is what makes them residual-safe with zero
-//     invalidation: weight patches only ever raise a link's weight above
-//     its base value (reserve/fail → +inf, release/repair → restore
-//     base; set_weight enforces this), so the bounds stay admissible and
-//     consistent for the engine's whole lifetime.  Pruning degrades
-//     gracefully as load rises; correctness never does.
+//     f = g + π_t(v).  π_t comes from a cheapest-wavelength reverse
+//     Dijkstra from t that stops when s settles, at radius
+//     r = d_base(s, t): π_t(v) = min(d_base(v, t), r), the min of two
+//     consistent potentials, cached in the scratch and reused by later
+//     queries to t whose source lies inside the ball (stats
+//     potential_pops; 0 on a hit).  Engines built with num_landmarks > 0
+//     max-combine ALT landmark bounds into π_t.  The default builds none:
+//     an ALT bound never exceeds d_base(v, t), so it can only lift nodes
+//     outside the ball above r, and that did not pay for its table
+//     lookups (E17 and the svc-sparse-mt runs in docs/PERFORMANCE.md).
+//     All bounds are *base*-weight distances, which is what makes them
+//     residual-safe with zero invalidation: weight patches only ever
+//     raise a link's weight above its base value (reserve/fail → +inf,
+//     release/repair → restore base; set_weight enforces this), so the
+//     bounds stay admissible and consistent for the engine's whole
+//     lifetime.  Pruning degrades gracefully as load rises; correctness
+//     never does.
 //
 // Invalidation rules: weight-only residual changes (reserve/release of a
 // wavelength that exists in the base network, span failure/repair) are
@@ -69,9 +76,10 @@ class RouteEngine {
   struct Options {
     /// ALT landmarks precomputed on the physical topology at build time
     /// (farthest-point selection, base cheapest-wavelength weights).
-    /// 0 disables the tables; goal-directed queries then rely on the
-    /// per-target reverse-Dijkstra potential alone.
-    std::uint32_t num_landmarks = 8;
+    /// 0 (the default) builds no tables; goal-directed queries then rely
+    /// on the per-target reverse-Dijkstra potential alone.  Nonzero
+    /// values are the E17 ablation.
+    std::uint32_t num_landmarks = 0;
   };
 
   /// Per-query configuration.
@@ -118,7 +126,8 @@ class RouteEngine {
   /// results[i] answers pairs[i].  Weights must not be patched while a
   /// batch is in flight.  `query` applies to semilightpath batches; each
   /// worker owns a scratch, so goal-directed batches sorted by target
-  /// amortize the per-target potential within a worker.
+  /// amortize the per-target potential within a worker (a row is reused
+  /// for sources inside its ball, recomputed for the others).
   [[nodiscard]] std::vector<RouteResult> route_many(
       std::span<const std::pair<NodeId, NodeId>> pairs, unsigned threads = 0,
       QueryKind kind = QueryKind::kSemilightpath) const {
@@ -195,10 +204,14 @@ class RouteEngine {
   /// needs a rebuild.
   [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> locate(
       LinkId e, Wavelength lambda) const;
-  /// Returns the per-physical-node base distance-to-t table, filling the
-  /// scratch's token-stamped cache slot (one reverse Dijkstra) on miss.
-  [[nodiscard]] const double* target_potential(NodeId t,
-                                               SearchScratch& scratch) const;
+  /// Returns the per-physical-node potential row min(d_base(v, t), r) for
+  /// the query (s, t), r = d_base(s, t).  Reuses the scratch's
+  /// token-stamped row when s lies inside its ball; otherwise runs one
+  /// reverse Dijkstra from t that stops when s settles.  `pops` receives
+  /// that search's heap pops (0 on a hit).
+  [[nodiscard]] const double* target_potential(NodeId s, NodeId t,
+                                               SearchScratch& scratch,
+                                               std::uint64_t& pops) const;
 
   std::uint32_t n_ = 0;  ///< physical nodes
   std::uint32_t k_ = 0;  ///< wavelength universe size

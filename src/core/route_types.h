@@ -32,6 +32,10 @@ struct RouteStats {
   /// Relaxations skipped because a goal-directed potential proved the
   /// node cannot reach the target (0 for uninformed searches).
   std::uint64_t search_pruned = 0;
+  /// Heap pops of the per-target reverse search a goal-directed engine
+  /// query ran to build its potential (0 on a cache hit, and for every
+  /// uninformed search).
+  std::uint64_t potential_pops = 0;
   /// Seconds spent building the auxiliary graph.
   double build_seconds = 0.0;
   /// Seconds spent in the shortest-path search.

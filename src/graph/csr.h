@@ -177,16 +177,25 @@ class SearchScratch {
 
   /// A token-stamped per-target distance table for goal-directed searches.
   /// The owner (a RouteEngine, identified by a unique token) fills it
-  /// lazily — one reverse Dijkstra on the first query to `target` — and
-  /// reuses it while (owner, target) match, so batches and repeated
-  /// queries to the same target amortize the potential computation.  The
-  /// tables hold *base*-weight distances, which stay admissible for the
-  /// owner's whole lifetime (weight patches only ever raise weights), so
-  /// no weight-change invalidation is ever needed.
+  /// lazily with one reverse Dijkstra from `target` that stops when the
+  /// query's source settles, at radius r = d(source, target).  Each node
+  /// settled inside that ball holds its exact distance to the target;
+  /// every other node holds r (or +inf when the search proved it cannot
+  /// reach the target at all, in which case radius is +inf and the table
+  /// is exact everywhere).  min(d(v, target), r) is the min of two
+  /// consistent bounds, so the table is a consistent, admissible
+  /// potential.  It is reused while (owner, target) match and the next
+  /// query's source lies inside the ball, so batches and repeated queries
+  /// to the same target amortize it.  The tables hold *base*-weight
+  /// distances, which stay admissible for the owner's whole lifetime
+  /// (weight patches only ever raise weights), so no weight-change
+  /// invalidation is ever needed.
   struct TargetPotential {
     std::uint64_t owner = 0;  ///< 0 = empty slot
     std::uint32_t target = 0xffffffffu;
-    std::vector<double> dist;  ///< per-node distance-to-target
+    std::uint32_t source = 0xffffffffu;  ///< the source the ball ends at
+    double radius = 0.0;       ///< r; +inf when the table is exact
+    std::vector<double> dist;  ///< per-node min(distance-to-target, r)
   };
   [[nodiscard]] TargetPotential& target_potential() noexcept {
     return target_potential_;
@@ -207,6 +216,9 @@ class SearchScratch {
   [[nodiscard]] bool settled(NodeId v) const noexcept {
     return stamp_[v.value()] == generation_ && state_[v.value()] == kSettled;
   }
+  /// True when no node waits in the search frontier (after an early exit,
+  /// the nodes still queued at the stop).
+  [[nodiscard]] bool frontier_empty() const noexcept { return heap_.empty(); }
   /// Slot of the CSR link that last relaxed v (kInvalidSlot at seeds and
   /// untouched nodes).
   [[nodiscard]] std::uint32_t parent_slot(NodeId v) const noexcept {

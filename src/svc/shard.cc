@@ -10,21 +10,23 @@
 namespace lumen::svc {
 namespace {
 
-// Every replica is RouteEngine(net): 8 ALT landmarks, and every admission
-// is one goal-directed query with the exact per-target potential.  Chosen
-// by measurement against the since-deleted contraction-hierarchy modes
-// (5 s perfbench runs, seeds 301-303, 4-CPU host; ops_per_s median of 3,
-// setup_s and peak_rss_mib ranges):
+// Every replica is RouteEngine(net): no ALT landmarks, and every admission
+// is one goal-directed query whose per-target potential is a reverse
+// Dijkstra from t that stops when the admission's source settles.  Chosen
+// by measurement (perfbench svc-sparse-mt, 10 s alternating runs, 4-vCPU
+// host, RelWithDebInfo; ops_per_s and admit_p50_us medians, setup_s and
+// peak_rss_mib ranges):
 //
-//   workload       metric        ALT + target   CH+ALT        CH
-//   svc-sparse-mt  ops_per_s     23.7k          6.96k         4.09k
-//                  setup_s       0.034-0.036    1.64-1.85     1.73-1.86
-//                  peak_rss_mib  24.8-25.1      139.5-139.6   138.6-138.8
-//   svc-backbone   ops_per_s     15.1k          4.09k         5.12k
-//                  setup_s       0.018-0.020    0.51-0.56     0.49-0.53
-//                  peak_rss_mib  16.7           65.7-65.9     65.2-65.3
+//   potential            runs  ops_per_s  p50_us  setup_s      peak_rss_mib
+//   full row + 8 ALT     10    32.2k      197     0.041-0.044  24.7-25.0
+//   capped row           10    48.1k      139     0.030-0.033  24.1-24.4
+//   capped row + 8 ALT    4    42.5k      148     0.040-0.043  24.5-25.0
 //
-// ALT without the target term ran at 13.2k ops/s on svc-sparse-mt.
+// (capped row against capped row + 8 ALT: 47.5k vs 42.5k, better in 4 of
+// 4 pairs.)  Earlier, full row + 8 ALT ran at 23.7k ops/s against 6.96k
+// for the since-deleted CH+ALT mode and 4.09k for CH (5 s runs, with
+// 1.64-1.86 s setup and 139 MiB peak RSS), and ALT without the target
+// term at 13.2k.
 constexpr RouteEngine::QueryOptions kQuery{.goal_directed = true};
 
 /// Commit attempts per admission before kAborted.  Each retry re-routes

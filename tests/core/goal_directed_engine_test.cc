@@ -1,8 +1,9 @@
-// Goal-directed RouteEngine equivalence: the A* search (ALT landmarks
-// max-combined with the cached per-target reverse-Dijkstra potential)
-// must return *bit-identical* costs to the engine's uninformed Dijkstra —
-// both searches relax the same weights with the same left-to-right
-// additions, so even tied optima are the same double — and must match the
+// Goal-directed RouteEngine equivalence: the A* search (the cached,
+// source-capped per-target reverse-Dijkstra potential, max-combined with
+// ALT landmark bounds on engines built with landmarks) must return
+// *bit-identical* costs to the engine's uninformed Dijkstra — both
+// searches relax the same weights with the same left-to-right additions,
+// so even tied optima are the same double — and must match the
 // per-request reference router to rounding, on random networks and under
 // interleaved reserve/release/fail/repair churn (the residual-safety
 // invariant: base-weight potentials stay admissible because patches only
@@ -42,13 +43,16 @@ WdmNetwork random_engine_network(Rng& rng) {
 }
 
 constexpr RouteEngine::QueryOptions kCombined{.goal_directed = true};
+/// The ALT side of the ablation: landmarks are off by default, so engines
+/// that must cover the max-combined potential ask for them explicitly.
+constexpr RouteEngine::Options kWithLandmarks{.num_landmarks = 8};
 /// The target-only ablation: kCombined on an engine without landmarks.
 constexpr RouteEngine::Options kNoLandmarks{.num_landmarks = 0};
 
 /// Every goal-directed flavor must agree with the engine's own uninformed
 /// search exactly (same costs as doubles, same feasibility) and produce a
-/// valid path of the claimed cost.  `target_only` is an engine over the
-/// same network (and patches) built with kNoLandmarks.
+/// valid path of the claimed cost.  `engine` is built with kWithLandmarks,
+/// `target_only` over the same network (and patches) with kNoLandmarks.
 void expect_modes_identical(const WdmNetwork& net, RouteEngine& engine,
                             RouteEngine& target_only, NodeId s, NodeId t) {
   const RouteResult plain = engine.route_semilightpath(s, t);
@@ -70,7 +74,7 @@ void expect_modes_identical(const WdmNetwork& net, RouteEngine& engine,
 
 TEST(GoalDirectedEngineTest, PaperExampleAllPairsAllModes) {
   const WdmNetwork net = paper_example_network();
-  RouteEngine engine(net);
+  RouteEngine engine(net, kWithLandmarks);
   RouteEngine target_only(net, kNoLandmarks);
   for (std::uint32_t s = 0; s < net.num_nodes(); ++s) {
     for (std::uint32_t t = 0; t < net.num_nodes(); ++t) {
@@ -97,7 +101,7 @@ TEST_P(GoalDirectedEngineFuzz, EquivalenceOnRandomNetworks) {
     const WdmNetwork net =
         iteration < 5 ? random_engine_network(rng) : fuzz_network(rng);
     if (net.num_nodes() < 2) continue;
-    RouteEngine engine(net);
+    RouteEngine engine(net, kWithLandmarks);
     RouteEngine target_only(net, kNoLandmarks);
     std::uint64_t plain_pops = 0;
     std::uint64_t goal_pops = 0;
@@ -147,7 +151,7 @@ TEST(GoalDirectedEngineTest, ChurnKeepsBaseBoundsAdmissible) {
   for (int iteration = 0; iteration < 32; ++iteration) {
     WdmNetwork oracle =
         iteration < 12 ? random_engine_network(rng) : fuzz_network(rng);
-    RouteEngine engine(oracle);
+    RouteEngine engine(oracle, kWithLandmarks);
     RouteEngine target_only(oracle, kNoLandmarks);
 
     struct Claim {
@@ -363,6 +367,149 @@ TEST(GoalDirectedEngineTest, PrunedAndSettledStatsAreConsistent) {
     EXPECT_EQ(pruned.value() - pruned_before, again.stats.search_pruned);
     EXPECT_EQ(pops.value() - pops_before, again.stats.search_pops);
   }
+}
+
+/// Adds the one-wavelength link u -> v of cost `cost`.
+void add_hop(WdmNetwork& net, std::uint32_t u, std::uint32_t v, double cost) {
+  const LinkId e = net.add_link(NodeId{u}, NodeId{v});
+  net.set_wavelength(e, Wavelength{0}, cost);
+}
+
+/// A goal-directed query on `engine` through `scratch` that must match the
+/// engine's flat optimum and the per-request router.
+RouteResult expect_flat_optimum(const WdmNetwork& net, RouteEngine& engine,
+                                SearchScratch& scratch, NodeId s, NodeId t) {
+  const RouteResult goal = engine.route_semilightpath(s, t, scratch, kCombined);
+  const RouteResult plain = engine.route_semilightpath(s, t);
+  const RouteResult reference = route_semilightpath(net, s, t);
+  EXPECT_EQ(plain.found, goal.found) << "s=" << s.value();
+  EXPECT_EQ(reference.found, goal.found) << "s=" << s.value();
+  EXPECT_EQ(plain.cost, goal.cost) << "s=" << s.value();
+  if (goal.found) {
+    EXPECT_NEAR(reference.cost, goal.cost, 1e-9);
+    EXPECT_TRUE(goal.path.is_valid(net));
+  }
+  return goal;
+}
+
+TEST(GoalDirectedEngineTest, DefaultEngineBuildsNoLandmarks) {
+  const WdmNetwork net = paper_example_network();
+  EXPECT_EQ(RouteEngine(net).stats().landmarks, 0u);
+  EXPECT_GT(RouteEngine(net, kWithLandmarks).stats().landmarks, 0u);
+}
+
+TEST(GoalDirectedEngineTest, RowIsReusedInsideTheBallAndRecomputedOutside) {
+  // A bidirectional line 0 - 1 - ... - 9 of unit links: d_base(v, 0) = v,
+  // so the reverse search from t = 0 that stops at s settles exactly the
+  // nodes 0..s.
+  WdmNetwork net(10, 1, std::make_shared<UniformConversion>(0.5));
+  for (std::uint32_t v = 0; v + 1 < 10; ++v) {
+    add_hop(net, v, v + 1, 1.0);
+    add_hop(net, v + 1, v, 1.0);
+  }
+  RouteEngine engine(net);
+  SearchScratch scratch;
+  const SearchScratch::TargetPotential& row = scratch.target_potential();
+  const NodeId t{0};
+
+  const RouteResult first =
+      expect_flat_optimum(net, engine, scratch, NodeId{5}, t);
+  EXPECT_GT(first.stats.potential_pops, 0u);
+  EXPECT_EQ(row.radius, 5.0);
+  for (std::uint32_t v = 0; v < 10; ++v)
+    EXPECT_EQ(row.dist[v], std::min(static_cast<double>(v), 5.0)) << v;
+
+  // s2 = 3 lies inside the ball: the row is reused as it is.
+  const RouteResult inside =
+      expect_flat_optimum(net, engine, scratch, NodeId{3}, t);
+  EXPECT_EQ(inside.stats.potential_pops, 0u);
+  EXPECT_EQ(row.source, 5u);
+
+  // s3 = 8 lies outside: the capped row would be weak, so it is
+  // recomputed to the new source.
+  const RouteResult outside =
+      expect_flat_optimum(net, engine, scratch, NodeId{8}, t);
+  EXPECT_GT(outside.stats.potential_pops, first.stats.potential_pops);
+  EXPECT_EQ(row.source, 8u);
+  EXPECT_EQ(row.radius, 8.0);
+
+  // A retry of the same (s, t), as after a lost commit, is a hit.
+  const RouteResult retry =
+      expect_flat_optimum(net, engine, scratch, NodeId{8}, t);
+  EXPECT_EQ(retry.stats.potential_pops, 0u);
+}
+
+TEST(GoalDirectedEngineTest, DeadAppendixWithLiveFrontierStaysCapped) {
+  // As PrunedAndSettledStatsAreConsistent, plus node 12 whose link into t
+  // keeps the reverse frontier non-empty when s settles.  The dead
+  // appendix 3..11 then cannot be proved dead: its row entries are the
+  // radius, nothing is pruned, and the optimum is unchanged.
+  WdmNetwork net(13, 2, std::make_shared<UniformConversion>(0.1));
+  add_hop(net, 0, 1, 1.0);
+  add_hop(net, 1, 2, 1.0);
+  add_hop(net, 0, 3, 0.01);
+  for (std::uint32_t i = 3; i < 11; ++i) add_hop(net, i, i + 1, 0.01);
+  add_hop(net, 12, 2, 5.0);
+  RouteEngine engine(net);
+  SearchScratch scratch;
+  const RouteResult goal =
+      expect_flat_optimum(net, engine, scratch, NodeId{0}, NodeId{2});
+  ASSERT_TRUE(goal.found);
+  EXPECT_EQ(goal.cost, 2.0);
+  const SearchScratch::TargetPotential& row = scratch.target_potential();
+  EXPECT_EQ(row.radius, 2.0);
+  for (std::uint32_t v = 3; v < 12; ++v) EXPECT_EQ(row.dist[v], 2.0) << v;
+  EXPECT_EQ(goal.stats.search_pruned, 0u);
+}
+
+TEST(GoalDirectedEngineTest, EmptyFrontierAtSourceDoesNotProveNodesBehindIt) {
+  // t = 0 <- s = 1 <- 2 <- 3: the reverse search from t settles s with an
+  // empty heap, before relaxing s's own reverse links.  Nodes 2 and 3
+  // reach t only through s, so the row must bound them by the radius, not
+  // mark them unreachable; a later query from behind s through the same
+  // scratch must still find its route.
+  WdmNetwork net(4, 1, std::make_shared<UniformConversion>(0.5));
+  add_hop(net, 1, 0, 1.0);
+  add_hop(net, 2, 1, 1.0);
+  add_hop(net, 3, 2, 1.0);
+  RouteEngine engine(net);
+  SearchScratch scratch;
+  const NodeId t{0};
+  const RouteResult near =
+      expect_flat_optimum(net, engine, scratch, NodeId{1}, t);
+  ASSERT_TRUE(near.found);
+  for (const std::uint32_t behind : {2u, 3u}) {
+    const RouteResult far =
+        expect_flat_optimum(net, engine, scratch, NodeId{behind}, t);
+    ASSERT_TRUE(far.found) << behind;
+    EXPECT_EQ(far.cost, static_cast<double>(behind));
+  }
+}
+
+TEST(GoalDirectedEngineTest, PotentialCountersMatchQueryStats) {
+  Rng rng(0x9e7'c0deULL);
+  const WdmNetwork net = random_network(40, 60, 4, 2, ConvKind::kUniform, rng);
+  RouteEngine engine(net);
+  SearchScratch scratch;
+  obs::Counter& pops =
+      obs::Registry::global().counter("lumen.core.potential.pops");
+  obs::Counter& misses =
+      obs::Registry::global().counter("lumen.core.potential.misses");
+  // A cold query runs the reverse search; its exact repeat hits the row.
+  for (const std::uint64_t expected_misses : {1u, 0u}) {
+    const std::uint64_t pops_before = pops.value();
+    const std::uint64_t misses_before = misses.value();
+    const RouteResult r =
+        engine.route_semilightpath(NodeId{1}, NodeId{30}, scratch, kCombined);
+    EXPECT_EQ(r.stats.potential_pops > 0, expected_misses == 1);
+    if constexpr (obs::kObsEnabled) {
+      EXPECT_EQ(misses.value() - misses_before, expected_misses);
+      EXPECT_EQ(pops.value() - pops_before, r.stats.potential_pops);
+    }
+  }
+  // Uninformed searches never build a potential.
+  const RouteResult plain = engine.route_semilightpath(NodeId{1}, NodeId{30});
+  EXPECT_EQ(plain.stats.potential_pops, 0u);
 }
 
 }  // namespace
