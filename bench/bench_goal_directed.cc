@@ -2,21 +2,30 @@
 //
 // Theorem 1 is a single-pair query answered by an SSSP run that settles
 // the whole auxiliary graph.  RouteEngine + QueryOptions{goal_directed}
-// prunes that work: A* over the build-once flattened core with the cached
-// per-target reverse-Dijkstra potential (capped at the query's source).
-// The ALT series max-combine 8 landmark bounds into it, so they build the
-// engine with num_landmarks = 8; the target-only series uses the default
-// landmark-free engine.
+// prunes that work: A* over the build-once flattened core with the
+// engine's shared per-target reverse-Dijkstra potential rows (each capped
+// at a pop budget).  The ALT series max-combine 8 landmark bounds into
+// it, so they build the engine with num_landmarks = 8; the target-only
+// series uses the default landmark-free engine.
 //
 // BM_PlainDijkstraRoute is the per-request reference (G_{s,t} build plus
 // heap Dijkstra).  The engine series isolate the search cost
 // (construction is amortized outside the loop) at low load (pristine
 // residual) and high load (~half the (link, λ) pairs reserved, where +inf
-// patches erode the pruning).  Every engine series is verified in-bench
-// to return the engine's plain-Dijkstra optimum.
+// patches erode the pruning).  They repeat one (s, t), so every timed
+// query reads a row already expanded in its scratch; the scattered series
+// (BM_EngineAstarColdRow / SharedRow) walk a new target every query, as
+// svc admissions do, and time the row's first touch against a read of the
+// published row.  Every engine series is verified in-bench to return the
+// engine's plain-Dijkstra optimum.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "core/liang_shen.h"
@@ -132,6 +141,91 @@ void BM_EngineAltHighLoad(benchmark::State& state) {
   engine_series(state, kLandmarks, kAlt, 0.5);
 }
 BENCHMARK(BM_EngineAltHighLoad)
+    ->RangeMultiplier(4)
+    ->Range(64, 4096)
+    ->Unit(benchmark::kMicrosecond);
+
+/// Scattered-target series: query i routes pair i of a list whose
+/// targets walk a random permutation of every node, from random sources,
+/// so no query reuses its scratch's expanded row.  `cold`: every query is
+/// its target's first touch in a fresh engine (the engine is rebuilt,
+/// untimed, when the list wraps), so it builds and publishes the row;
+/// otherwise every row was published before the loop and a query expands
+/// the shared row.  Counters are means per query.
+void scattered_series(benchmark::State& state, bool cold) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const WdmNetwork net = bench::comparison_network(n, kSeed);
+  Rng rng(kSeed ^ 0x5ca7ULL);
+  std::vector<std::uint32_t> targets(n);
+  std::iota(targets.begin(), targets.end(), 0u);
+  for (std::uint32_t i = n; i > 1; --i)
+    std::swap(targets[i - 1], targets[rng.next_below(i)]);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (const std::uint32_t t : targets) {
+    const auto s = static_cast<std::uint32_t>(rng.next_below(n - 1));
+    pairs.emplace_back(NodeId{s < t ? s : s + 1}, NodeId{t});
+  }
+
+  {
+    RouteEngine check(net);
+    for (std::size_t i = 0; i < std::min<std::size_t>(32, pairs.size()); ++i) {
+      const auto [s, t] = pairs[i];
+      const RouteResult plain = check.route_semilightpath(s, t);
+      const RouteResult goal = check.route_semilightpath(s, t, kAlt);
+      if (plain.found != goal.found ||
+          (plain.found && plain.cost != goal.cost)) {
+        state.SkipWithError(
+            "goal-directed optimum disagrees with engine Dijkstra");
+        return;
+      }
+    }
+  }
+
+  auto engine = std::make_unique<RouteEngine>(net);
+  SearchScratch scratch;
+  if (!cold) {
+    for (const auto& [s, t] : pairs)
+      (void)engine->route_semilightpath(s, t, scratch, kAlt);
+  }
+  std::size_t next = 0;
+  std::uint64_t queries = 0;
+  std::uint64_t potential_pops = 0;
+  std::uint64_t search_pops = 0;
+  for (auto _ : state) {
+    if (next == pairs.size()) {
+      next = 0;
+      if (cold) {
+        state.PauseTiming();
+        engine = std::make_unique<RouteEngine>(net);
+        state.ResumeTiming();
+      }
+    }
+    const auto [s, t] = pairs[next++];
+    const RouteResult r = engine->route_semilightpath(s, t, scratch, kAlt);
+    benchmark::DoNotOptimize(r.cost);
+    ++queries;
+    potential_pops += r.stats.potential_pops;
+    search_pops += r.stats.search_pops;
+  }
+  const double per_query =
+      queries == 0 ? 0.0 : 1.0 / static_cast<double>(queries);
+  state.counters["potential_pops"] =
+      static_cast<double>(potential_pops) * per_query;
+  state.counters["search_pops"] = static_cast<double>(search_pops) * per_query;
+}
+
+void BM_EngineAstarColdRow(benchmark::State& state) {
+  scattered_series(state, true);
+}
+BENCHMARK(BM_EngineAstarColdRow)
+    ->RangeMultiplier(4)
+    ->Range(64, 4096)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_EngineAstarSharedRow(benchmark::State& state) {
+  scattered_series(state, false);
+}
+BENCHMARK(BM_EngineAstarSharedRow)
     ->RangeMultiplier(4)
     ->Range(64, 4096)
     ->Unit(benchmark::kMicrosecond);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 
 #include "core/aux_graph.h"
+#include "graph/landmarks.h"
 #include "obs/registry.h"
 #include "obs/trace_context.h"
 #include "util/stopwatch.h"
@@ -77,8 +79,59 @@ struct EngineInstruments {
 /// Farthest-point landmark selection seed.
 constexpr std::uint64_t kLandmarkSeed = 0x1a27'5eedULL;
 
-/// Unique per-engine identity for scratch-resident potential caches; never
-/// zero (zero marks an empty cache slot).
+/// Pop budget B of the reverse search behind a target's potential row:
+/// B = 6·⌈√n⌉ (192 at n = 1024).  A larger B makes the row exact over a
+/// larger ball and the A* that reads it pops fewer nodes, but a fully
+/// warmed table holds n·B entries of 12 bytes.  Chosen by measurement on
+/// sparse WANs shaped like perfbench's (random_sparse_topology(n, 3n),
+/// k = ⌈log2 n⌉, k0 ≤ 4; mean A* pops and µs per query over scattered
+/// targets with every row warm, unloaded, one thread, 4-vCPU host; one
+/// run at n = 1024, the median of three at n = 4096):
+///
+///   n      B = 128      192          256          384
+///   1024   118 / 19.1   95 / 17.4    83 / 14.1    72 / 13.3
+///   4096   431 / 128    318 / 103    259 / 86     199 / 69
+///
+/// and, end to end, perfbench svc-sparse-mt at n = 1024 (3 rounds of
+/// alternating 10 s runs, medians): B = 128 / 192 / 256 gave 89.2k /
+/// 100.2k / 103.3k ops/s, p90 131 / 110 / 103 µs.  The gain per extra pop
+/// shrinks with B, and the table must stay small: B = 192 at n = 1024 is
+/// a 2.25 MiB warm table, where 256 would pass 3 MiB.  The √n growth
+/// keeps the measured n = 4096 optimum (384, 18 MiB warm).
+std::uint32_t potential_budget(std::uint32_t n) {
+  return 6 * static_cast<std::uint32_t>(
+                 std::ceil(std::sqrt(static_cast<double>(n))));
+}
+
+/// What a core CSR slot stands for: a transmission of `phys` on
+/// `from` (== `to`), or a conversion `from`→`to` at `node`.
+struct SlotInfo {
+  LinkId phys;  ///< invalid for conversion slots
+  NodeId node;  ///< conversion site (invalid for transmission slots)
+  Wavelength from;
+  Wavelength to;
+};
+
+/// Per-link sorted (λ, core transmission slot, lightpath weight index)
+/// entry for O(log k0) patch lookup.
+struct TransSlot {
+  Wavelength lambda;
+  std::uint32_t core_slot;
+  std::uint32_t phys_weight_index;
+};
+
+/// A target's write-once potential row: the nodes the budgeted reverse
+/// search settled, with their exact base distances to the target, and
+/// the radius r_B that bounds every other node (+inf when the search
+/// exhausted, so the unlisted nodes cannot reach the target).
+struct PotentialRow {
+  double radius = kInfiniteCost;
+  std::vector<std::uint32_t> nodes;
+  std::vector<double> dist;
+};
+
+/// Unique identity of an engine family (an engine and its copies) for
+/// scratch-resident target tables; never zero (zero marks an empty one).
 std::uint64_t next_potential_token() {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -114,27 +167,66 @@ void drain(std::size_t count, unsigned threads, const Work& work) {
 
 }  // namespace
 
+struct RouteEngine::Frozen {
+  // Semilightpath core: flattened G' (its stored weights are the base
+  // weights) plus seed/sink lists and metadata.
+  std::unique_ptr<CsrDigraph> core;
+  std::vector<SlotInfo> slot_info;             // per core slot
+  std::vector<std::vector<NodeId>> sources_of;  // Y_v (aux node ids)
+  std::vector<std::vector<NodeId>> sinks_of;    // X_v (aux node ids)
+  std::vector<std::uint32_t> core_phys;         // core node -> physical node
+  std::vector<std::vector<TransSlot>> trans_slots;  // per physical link
+
+  // Goal direction: base-weight lower-bound machinery (see the
+  // residual-safety invariant in the header).
+  LandmarkTables landmarks;
+  /// Reversed physical topology, each link weighted by its *base*
+  /// cheapest-wavelength cost (the potential rows' search graph).
+  std::unique_ptr<CsrDigraph> rev_base;
+  /// Identity token stamped into scratch-resident target tables.
+  std::uint64_t token = next_potential_token();
+  /// Pop budget of every row's reverse search (potential_budget(n)).
+  std::uint32_t budget = 0;
+  /// rows[t]: t's potential row once some query built it.  Write-once:
+  /// the first query to finish building publishes its row by CAS and a
+  /// racing one frees its copy, so the publication is the one thing a
+  /// query changes here.
+  mutable std::vector<std::atomic<const PotentialRow*>> rows;
+
+  /// Lightpath cache: one CSR of the physical topology, shared by all
+  /// wavelengths (each copy keeps its own weight rows).
+  std::unique_ptr<CsrDigraph> phys;
+
+  Frozen() = default;
+  Frozen(const Frozen&) = delete;
+  Frozen& operator=(const Frozen&) = delete;
+  ~Frozen() {
+    for (const auto& row : rows) delete row.load();
+  }
+};
+
 RouteEngine::RouteEngine(const WdmNetwork& net, const Options& options)
-    : n_(net.num_nodes()),
-      k_(net.num_wavelengths()),
-      potential_token_(next_potential_token()) {
+    : n_(net.num_nodes()), k_(net.num_wavelengths()) {
   Stopwatch timer;
   obs::CausalSpan build_span("route.engine.build");
+  auto frozen = std::make_shared<Frozen>();
+  Frozen& f = *frozen;
 
   // --- semilightpath core: flatten G' into a CSR arena -------------------
   const AuxiliaryGraph aux = AuxiliaryGraph::build_core(net);
-  core_ = std::make_unique<CsrDigraph>(aux.graph());
+  f.core = std::make_unique<CsrDigraph>(aux.graph());
 
-  sources_of_.resize(n_);
-  sinks_of_.resize(n_);
+  f.sources_of.resize(n_);
+  f.sinks_of.resize(n_);
   for (std::uint32_t vi = 0; vi < n_; ++vi) {
     const NodeId v{vi};
-    for (const auto& [lambda, y] : aux.y_nodes(v)) sources_of_[vi].push_back(y);
-    for (const auto& [lambda, x] : aux.x_nodes(v)) sinks_of_[vi].push_back(x);
+    for (const auto& [lambda, y] : aux.y_nodes(v))
+      f.sources_of[vi].push_back(y);
+    for (const auto& [lambda, x] : aux.x_nodes(v)) f.sinks_of[vi].push_back(x);
   }
-  core_phys_.resize(core_->num_nodes());
-  for (std::uint32_t a = 0; a < core_->num_nodes(); ++a)
-    core_phys_[a] = aux.node_info(NodeId{a}).node.value();
+  f.core_phys.resize(f.core->num_nodes());
+  for (std::uint32_t a = 0; a < f.core->num_nodes(); ++a)
+    f.core_phys[a] = aux.node_info(NodeId{a}).node.value();
 
   // --- goal direction: base-weight lower-bound machinery ------------------
   // The physical topology with each link at its *base* cheapest-wavelength
@@ -149,17 +241,19 @@ RouteEngine::RouteEngine(const WdmNetwork& net, const Options& options)
       const LinkId e{ei};
       base_min.add_link(net.tail(e), net.head(e), net.min_link_cost(e));
     }
-    rev_base_ = std::make_unique<CsrDigraph>(CsrDigraph::reversed(base_min));
-    landmarks_ =
+    f.rev_base = std::make_unique<CsrDigraph>(CsrDigraph::reversed(base_min));
+    f.landmarks =
         select_landmarks(base_min, options.num_landmarks, kLandmarkSeed);
-    stats_.landmarks = landmarks_.num_landmarks;
+    stats_.landmarks = f.landmarks.num_landmarks;
     stats_.landmark_seconds = landmark_timer.seconds();
   }
+  f.budget = potential_budget(n_);
+  f.rows = std::vector<std::atomic<const PotentialRow*>>(n_);
 
   // --- lightpath cache: one physical CSR, one weight row per λ -----------
-  phys_ = std::make_unique<CsrDigraph>(net.topology());
-  const std::vector<std::uint32_t> phys_slot_of = phys_->slots_by_original();
-  const std::uint32_t m = phys_->num_links();
+  f.phys = std::make_unique<CsrDigraph>(net.topology());
+  const std::vector<std::uint32_t> phys_slot_of = f.phys->slots_by_original();
+  const std::uint32_t m = f.phys->num_links();
   lightpath_weights_.assign(static_cast<std::size_t>(k_) * m, kInfiniteCost);
   for (std::uint32_t ei = 0; ei < m; ++ei) {
     const LinkId e{ei};
@@ -170,15 +264,16 @@ RouteEngine::RouteEngine(const WdmNetwork& net, const Options& options)
   }
 
   // --- slot metadata + per-link patch tables ------------------------------
-  slot_info_.resize(core_->num_links());
-  trans_slots_.resize(m);
-  for (std::uint32_t slot = 0; slot < core_->num_links(); ++slot) {
-    const AuxLinkInfo& info = aux.link_info(core_->link(slot).original);
+  const CsrDigraph& core = *f.core;
+  f.slot_info.resize(core.num_links());
+  f.trans_slots.resize(m);
+  for (std::uint32_t slot = 0; slot < core.num_links(); ++slot) {
+    const AuxLinkInfo& info = aux.link_info(core.link(slot).original);
     if (info.kind == AuxLinkKind::kTransmission) {
-      slot_info_[slot] = {info.physical_link, NodeId::invalid(), info.from,
-                          info.to};
+      f.slot_info[slot] = {info.physical_link, NodeId::invalid(), info.from,
+                           info.to};
       const std::uint32_t ei = info.physical_link.value();
-      trans_slots_[ei].push_back(
+      f.trans_slots[ei].push_back(
           {info.from, slot,
            static_cast<std::uint32_t>(
                static_cast<std::size_t>(info.from.value()) * m +
@@ -186,21 +281,21 @@ RouteEngine::RouteEngine(const WdmNetwork& net, const Options& options)
       ++stats_.transmission_slots;
     } else {
       LUMEN_ASSERT(info.kind == AuxLinkKind::kConversion);
-      slot_info_[slot] = {LinkId::invalid(), info.node, info.from, info.to};
+      f.slot_info[slot] = {LinkId::invalid(), info.node, info.from, info.to};
     }
   }
-  for (auto& table : trans_slots_) {
+  for (auto& table : f.trans_slots) {
     std::sort(table.begin(), table.end(),
               [](const TransSlot& a, const TransSlot& b) {
                 return a.lambda < b.lambda;
               });
   }
-  base_core_weights_.resize(core_->num_links());
-  for (std::uint32_t slot = 0; slot < core_->num_links(); ++slot)
-    base_core_weights_[slot] = core_->link(slot).weight;
+  core_weights_.assign(core.weights_data(),
+                       core.weights_data() + core.num_links());
 
-  stats_.core_nodes = core_->num_nodes();
-  stats_.core_links = core_->num_links();
+  stats_.core_nodes = core.num_nodes();
+  stats_.core_links = core.num_links();
+  frozen_ = std::move(frozen);
   stats_.build_seconds = timer.seconds();
   EngineInstruments::get().core_builds.add();
 }
@@ -209,8 +304,8 @@ RouteResult RouteEngine::trivial_self_route() const {
   RouteResult result;
   result.found = true;
   result.cost = 0.0;
-  result.stats.aux_nodes = core_->num_nodes();
-  result.stats.aux_links = core_->num_links();
+  result.stats.aux_nodes = stats_.core_nodes;
+  result.stats.aux_links = stats_.core_links;
   return result;
 }
 
@@ -223,60 +318,51 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
   return route_semilightpath(s, t, scratch_, query);
 }
 
-const double* RouteEngine::target_potential(NodeId s, NodeId t,
-                                            SearchScratch& scratch,
-                                            std::uint64_t& pops) const {
-  SearchScratch::TargetPotential& slot = scratch.target_potential();
+const SearchScratch::TargetPotential& RouteEngine::target_potential(
+    NodeId t, SearchScratch& scratch, std::uint64_t& pops) const {
+  const Frozen& f = *frozen_;
+  SearchScratch::TargetPotential& table = scratch.target_potential();
   pops = 0;
-  if (slot.owner == potential_token_ && slot.target == t.value()) {
-    // Hit when s lies inside the cached ball (its entry is then its exact
-    // distance, below the radius, or s is the ball's own source) or the
-    // row is exact everywhere (radius +inf).  An s outside the ball would
-    // search under a weak, capped row.
-    if (slot.dist[s.value()] < slot.radius || slot.source == s.value() ||
-        slot.radius == kInfiniteCost)
-      return slot.dist.data();
-  }
-  // Miss: one reverse Dijkstra from t over the base-weight physical
-  // topology, stopped when s settles at radius r = d(s, t).
-  const NodeId sources[1] = {t};
-  scratch.begin(rev_base_->num_nodes());
-  scratch.mark_sink(s);
-  CsrRunStats run_stats;
-  const NodeId reached = dijkstra_csr_run(*rev_base_, sources, scratch,
-                                          &run_stats);
-  // The unsettled nodes provably cannot reach t when the search exhausted,
-  // or when it stopped at s with an empty frontier and none of s's own
-  // reverse links (the kernel stops before relaxing them) leads outside
-  // the settled set.  Otherwise they are bounded by the radius.
-  bool exact = !reached.valid();
-  if (!exact && scratch.frontier_empty()) {
-    exact = true;
-    const double* w = rev_base_->weights_data();
-    const auto [first, last] = rev_base_->out_slot_range(s);
-    for (std::uint32_t e = first; e < last; ++e) {
-      if (w[e] < kInfiniteCost && !scratch.settled(rev_base_->head(e))) {
-        exact = false;
-        break;
-      }
+  if (table.owner == f.token && table.target == t.value()) return table;
+
+  std::atomic<const PotentialRow*>& published = f.rows[t.value()];
+  const PotentialRow* row = published.load();
+  if (row == nullptr) {
+    // First query to t in this engine family: a reverse Dijkstra from t
+    // over the base-weight physical topology, stopped after B pops.
+    auto built = std::make_unique<PotentialRow>();
+    CsrRunStats run_stats;
+    built->radius =
+        dijkstra_csr_budget(*f.rev_base, t, f.budget, scratch, built->nodes,
+                            &run_stats);
+    built->nodes.shrink_to_fit();
+    built->dist.reserve(built->nodes.size());
+    for (const std::uint32_t v : built->nodes)
+      built->dist.push_back(scratch.dist(NodeId{v}));
+    pops = run_stats.pops;
+    const PotentialRow* winner = nullptr;
+    if (published.compare_exchange_strong(winner, built.get())) {
+      row = built.release();
+      // The counters count published rows: at most one per target per
+      // engine family.
+      EngineInstruments& instruments = EngineInstruments::get();
+      instruments.potential_misses.add();
+      instruments.potential_pops.add(run_stats.pops);
+    } else {
+      row = winner;  // a concurrent query published first; ours is freed
     }
   }
-  // By settle order every settled node is at most r from t and every
-  // queued or untouched one at least r, so min(dist, r) is the row
-  // without a per-node settled test (an exact row has no queued nodes).
-  const double radius = exact ? kInfiniteCost : scratch.dist(s);
-  slot.dist.resize(n_);
-  for (std::uint32_t v = 0; v < n_; ++v)
-    slot.dist[v] = std::min(scratch.dist(NodeId{v}), radius);
-  slot.owner = potential_token_;
-  slot.target = t.value();
-  slot.source = s.value();
-  slot.radius = radius;
-  pops = run_stats.pops;
-  EngineInstruments& instruments = EngineInstruments::get();
-  instruments.potential_misses.add();
-  instruments.potential_pops.add(run_stats.pops);
-  return slot.dist.data();
+
+  // Expand: reset the previous row's entries, write this row's.
+  if (table.dist.size() < n_) table.dist.resize(n_, kInfiniteCost);
+  for (const std::uint32_t v : table.nodes) table.dist[v] = kInfiniteCost;
+  table.nodes = row->nodes;
+  for (std::size_t i = 0; i < row->nodes.size(); ++i)
+    table.dist[row->nodes[i]] = row->dist[i];
+  table.radius = row->radius;
+  table.owner = f.token;
+  table.target = t.value();
+  return table;
 }
 
 RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
@@ -295,29 +381,37 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
   obs::CausalSpan causal_span("engine.semilightpath");
   causal_span.set_node(s.value());
 
+  const Frozen& f = *frozen_;
+  const CsrDigraph& core = *f.core;
   RouteResult result;
-  result.stats.aux_nodes = core_->num_nodes();
-  result.stats.aux_links = core_->num_links();
+  result.stats.aux_nodes = core.num_nodes();
+  result.stats.aux_links = core.num_links();
   Stopwatch timer;
 
-  // The per-target table must be resolved before scratch.begin() below:
-  // filling it on a miss runs its own search in the same scratch.
+  // The target table must be resolved before scratch.begin() below:
+  // building a row runs its own search in the same scratch.
   const bool goal = query.goal_directed;
-  const double* to_target =
-      goal ? target_potential(s, t, scratch, result.stats.potential_pops)
-           : nullptr;
+  const double* row = nullptr;
+  double radius = kInfiniteCost;
+  if (goal) {
+    const SearchScratch::TargetPotential& table =
+        target_potential(t, scratch, result.stats.potential_pops);
+    row = table.dist.data();
+    radius = table.radius;
+  }
 
-  // π_t over core nodes = the capped row at the node's physical site,
+  // π_t over core nodes = the row's bound at the node's physical site,
   // max-combined with the ALT bound when the engine has landmarks.  Both
   // are 0 at t itself, so every sink has potential 0 and the first
   // settled sink is still the cheapest.
-  const bool use_alt = !landmarks_.empty();
+  const bool use_alt = !f.landmarks.empty();
   const std::uint32_t tv = t.value();
+  const std::uint32_t* core_phys = f.core_phys.data();
   const auto potential = [&](std::uint32_t aux_node) {
-    const std::uint32_t p = core_phys_[aux_node];
-    double h = to_target[p];
+    const std::uint32_t p = core_phys[aux_node];
+    double h = std::min(row[p], radius);
     if (use_alt && h < kInfiniteCost) {
-      const double alt = landmarks_.potential(p, tv);
+      const double alt = f.landmarks.potential(p, tv);
       if (alt > h) h = alt;
     }
     return h;
@@ -327,16 +421,16 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
   // s' → Y_s ties), every x_t(λ) a sink; the first settled sink is the best
   // endpoint over all arrival wavelengths (≡ the zero-weight X_t → t''
   // fan-in), by Dijkstra's settle order.
-  scratch.begin(core_->num_nodes());
-  for (const NodeId x : sinks_of_[t.value()]) scratch.mark_sink(x);
+  scratch.begin(core.num_nodes());
+  for (const NodeId x : f.sinks_of[t.value()]) scratch.mark_sink(x);
   CsrRunStats run_stats;
   NodeId hit;
   if (goal) {
-    hit = astar_csr_run(*core_, sources_of_[s.value()], scratch, potential,
-                        &run_stats);
+    hit = astar_csr_run(core, f.sources_of[s.value()], scratch, potential,
+                        &run_stats, core_weights_);
   } else {
-    hit = dijkstra_csr_run(*core_, sources_of_[s.value()], scratch,
-                           &run_stats);
+    hit = dijkstra_csr_run(core, f.sources_of[s.value()], scratch, &run_stats,
+                           core_weights_);
   }
   instruments.record_search(run_stats);
   instruments.record_stage(
@@ -364,11 +458,11 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
     const std::uint32_t slot = scratch.parent_slot(v);
     if (slot == CsrDigraph::kInvalidSlot) break;
     slots.push_back(slot);
-    v = core_->tail(slot);
+    v = core.tail(slot);
   }
   std::reverse(slots.begin(), slots.end());
   for (const std::uint32_t slot : slots) {
-    const SlotInfo& info = slot_info_[slot];
+    const SlotInfo& info = f.slot_info[slot];
     if (info.phys.valid()) {
       result.path.append(Hop{info.phys, info.from});
     } else if (info.from != info.to) {
@@ -397,28 +491,29 @@ RouteResult RouteEngine::route_lightpath(NodeId s, NodeId t,
     result.found = true;
     result.cost = 0.0;
     result.stats.aux_nodes = n_;
-    result.stats.aux_links = phys_->num_links();
+    result.stats.aux_links = frozen_->phys->num_links();
     return result;
   }
   obs::CausalSpan causal_span("engine.lightpath");
   causal_span.set_node(s.value());
 
+  const CsrDigraph& phys = *frozen_->phys;
   RouteResult best;
   best.found = false;
   best.cost = kInfiniteCost;
   best.stats.aux_nodes = n_;
-  best.stats.aux_links = phys_->num_links();
+  best.stats.aux_links = phys.num_links();
   Stopwatch timer;
 
-  const std::uint32_t m = phys_->num_links();
+  const std::uint32_t m = phys.num_links();
   const NodeId sources[1] = {s};
   for (std::uint32_t li = 0; li < k_; ++li) {
     const std::span<const double> row{
         lightpath_weights_.data() + static_cast<std::size_t>(li) * m, m};
-    scratch.begin(phys_->num_nodes());
+    scratch.begin(phys.num_nodes());
     scratch.mark_sink(t);
     CsrRunStats run_stats;
-    const NodeId hit = dijkstra_csr_run(*phys_, sources, scratch, &run_stats,
+    const NodeId hit = dijkstra_csr_run(phys, sources, scratch, &run_stats,
                                         row);
     ++best.stats.wavelengths_searched;
     instruments.record_search(run_stats);
@@ -436,12 +531,12 @@ RouteResult RouteEngine::route_lightpath(NodeId s, NodeId t,
       const std::uint32_t slot = scratch.parent_slot(v);
       if (slot == CsrDigraph::kInvalidSlot) break;
       slots.push_back(slot);
-      v = phys_->tail(slot);
+      v = phys.tail(slot);
     }
     std::reverse(slots.begin(), slots.end());
     Semilightpath path;
     for (const std::uint32_t slot : slots)
-      path.append(Hop{phys_->link(slot).original, Wavelength{li}});
+      path.append(Hop{phys.original(slot), Wavelength{li}});
     best.path = std::move(path);
   }
   best.switches.clear();  // lightpaths never convert
@@ -468,6 +563,7 @@ std::vector<std::vector<double>> RouteEngine::bulk_costs(
     std::span<const NodeId> sources, unsigned threads) const {
   for (const NodeId s : sources) LUMEN_REQUIRE(s.value() < n_);
   EngineInstruments& instruments = EngineInstruments::get();
+  const Frozen& f = *frozen_;
   std::vector<std::vector<double>> rows(sources.size());
   drain(sources.size(), threads, [&](std::size_t i, SearchScratch& scratch) {
     const NodeId s = sources[i];
@@ -475,11 +571,11 @@ std::vector<std::vector<double>> RouteEngine::bulk_costs(
     row.assign(n_, kInfiniteCost);
     row[s.value()] = 0.0;
     // Isolated sources (no usable wavelength at all) need no search.
-    if (sources_of_[s.value()].empty()) return;
-    scratch.begin(core_->num_nodes());
+    if (f.sources_of[s.value()].empty()) return;
+    scratch.begin(f.core->num_nodes());
     CsrRunStats run_stats;
-    (void)dijkstra_csr_run(*core_, sources_of_[s.value()], scratch,
-                           &run_stats);
+    (void)dijkstra_csr_run(*f.core, f.sources_of[s.value()], scratch,
+                           &run_stats, core_weights_);
     instruments.record_search(run_stats);
     instruments.record_stage(instruments.dijkstra_stage, run_stats);
     // row[t] = min over the sinks X_t of the core distance — the point
@@ -488,7 +584,7 @@ std::vector<std::vector<double>> RouteEngine::bulk_costs(
     for (std::uint32_t t = 0; t < n_; ++t) {
       if (t == s.value()) continue;
       double best = kInfiniteCost;
-      for (const NodeId x : sinks_of_[t]) {
+      for (const NodeId x : f.sinks_of[t]) {
         const double d = scratch.dist(x);
         if (d < best) best = d;
       }
@@ -500,8 +596,8 @@ std::vector<std::vector<double>> RouteEngine::bulk_costs(
 
 std::pair<std::uint32_t, std::uint32_t> RouteEngine::find_slot(
     LinkId e, Wavelength lambda) const {
-  LUMEN_REQUIRE(e.value() < trans_slots_.size());
-  const auto& table = trans_slots_[e.value()];
+  LUMEN_REQUIRE(e.value() < frozen_->trans_slots.size());
+  const auto& table = frozen_->trans_slots[e.value()];
   const auto it = std::lower_bound(
       table.begin(), table.end(), lambda,
       [](const TransSlot& entry, Wavelength l) { return entry.lambda < l; });
@@ -521,10 +617,10 @@ std::pair<std::uint32_t, std::uint32_t> RouteEngine::locate(
 
 void RouteEngine::set_weight(LinkId e, Wavelength lambda, double weight) {
   const auto [core_slot, weight_index] = locate(e, lambda);
-  LUMEN_REQUIRE_MSG(weight >= base_core_weights_[core_slot],
+  LUMEN_REQUIRE_MSG(weight >= frozen_->core->weight(core_slot),
                     "patched weight below the build-time base breaks the "
                     "goal-direction lower bounds; build a new RouteEngine");
-  core_->set_weight(core_slot, weight);
+  core_weights_[core_slot] = weight;
   lightpath_weights_[weight_index] = weight;
   EngineInstruments::get().weight_patches.add();
 }
@@ -533,7 +629,7 @@ double RouteEngine::weight(LinkId e, Wavelength lambda) const {
   const std::uint32_t core_slot = find_slot(e, lambda).first;
   return core_slot == CsrDigraph::kInvalidSlot
              ? kInfiniteCost
-             : core_->link(core_slot).weight;
+             : core_weights_[core_slot];
 }
 
 }  // namespace lumen

@@ -28,15 +28,19 @@
 //   * Goal direction (QueryOptions{goal_directed}): single-pair queries
 //     run multi-source A* instead of uniform Dijkstra, keyed by
 //     f = g + π_t(v).  π_t comes from a cheapest-wavelength reverse
-//     Dijkstra from t that stops when s settles, at radius
-//     r = d_base(s, t): π_t(v) = min(d_base(v, t), r), the min of two
-//     consistent potentials, cached in the scratch and reused by later
-//     queries to t whose source lies inside the ball (stats
-//     potential_pops; 0 on a hit).  Engines built with num_landmarks > 0
-//     max-combine ALT landmark bounds into π_t.  The default builds none:
-//     an ALT bound never exceeds d_base(v, t), so it can only lift nodes
-//     outside the ball above r, and that did not pay for its table
-//     lookups (E17 and the svc-sparse-mt runs in docs/PERFORMANCE.md).
+//     Dijkstra from t that stops after a pop budget B = 6⌈√n⌉, at the
+//     radius r_B its frontier reached: π_t(v) = min(d_base(v, t), r_B),
+//     the min of two consistent potentials.  The row depends on t alone,
+//     so it is built at most once per target and published write-once
+//     in a table that every copy of the engine shares (a copy shares all
+//     build-time structure and keeps only its own patched weights);
+//     every later query to t, from any source, thread or copy, expands
+//     it in O(B) (stats potential_pops; 0 when the row already existed).
+//     Engines built with num_landmarks > 0 max-combine ALT landmark
+//     bounds into π_t.  The default builds none: an ALT bound never
+//     exceeds d_base(v, t), so it can only lift nodes outside the ball
+//     above r_B, and that did not pay for its table lookups (E17 and the
+//     svc-sparse-mt runs in docs/PERFORMANCE.md).
 //     All bounds are *base*-weight distances, which is what makes them
 //     residual-safe with zero invalidation: weight patches only ever
 //     raise a link's weight above its base value (reserve/fail → +inf,
@@ -60,7 +64,6 @@
 
 #include "core/route_types.h"
 #include "graph/csr.h"
-#include "graph/landmarks.h"
 #include "wdm/network.h"
 
 namespace lumen {
@@ -69,7 +72,11 @@ namespace lumen {
 /// construction.  The engine copies everything it needs at build time, so
 /// the source network need not outlive it; keeping the engine's patched
 /// weights in sync with a mutating residual network is the caller's job
-/// (SessionManager does this for every policy).
+/// (SessionManager does this for every policy).  A copy is a replica: it
+/// shares the build-time structure and the per-target potential rows
+/// (write-once, safe to build from any thread) and copies only the
+/// current weights, which it then patches on its own — O(km), no core
+/// rebuild.
 class RouteEngine {
  public:
   /// Build-time configuration.
@@ -125,9 +132,9 @@ class RouteEngine {
   /// flattened core (threads = 0 → one per hardware thread; 1 → inline).
   /// results[i] answers pairs[i].  Weights must not be patched while a
   /// batch is in flight.  `query` applies to semilightpath batches; each
-  /// worker owns a scratch, so goal-directed batches sorted by target
-  /// amortize the per-target potential within a worker (a row is reused
-  /// for sources inside its ball, recomputed for the others).
+  /// worker owns a scratch, and goal-directed workers share the engine's
+  /// per-target potential rows, so a batch builds each target's row once
+  /// whatever its order.
   [[nodiscard]] std::vector<RouteResult> route_many(
       std::span<const std::pair<NodeId, NodeId>> pairs, unsigned threads = 0,
       QueryKind kind = QueryKind::kSemilightpath) const {
@@ -186,15 +193,6 @@ class RouteEngine {
   [[nodiscard]] std::uint32_t num_wavelengths() const noexcept { return k_; }
 
  private:
-  /// What a core CSR slot stands for: a transmission of `phys` on
-  /// `from` (== `to`), or a conversion `from`→`to` at `node`.
-  struct SlotInfo {
-    LinkId phys;  ///< invalid for conversion slots
-    NodeId node;  ///< conversion site (invalid for transmission slots)
-    Wavelength from;
-    Wavelength to;
-  };
-
   [[nodiscard]] RouteResult trivial_self_route() const;
   /// Binary-searches the per-link transmission table for λ's (core slot,
   /// phys weight index); the core slot is kInvalidSlot when λ ∉ base Λ(e).
@@ -204,48 +202,27 @@ class RouteEngine {
   /// needs a rebuild.
   [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> locate(
       LinkId e, Wavelength lambda) const;
-  /// Returns the per-physical-node potential row min(d_base(v, t), r) for
-  /// the query (s, t), r = d_base(s, t).  Reuses the scratch's
-  /// token-stamped row when s lies inside its ball; otherwise runs one
-  /// reverse Dijkstra from t that stops when s settles.  `pops` receives
-  /// that search's heap pops (0 on a hit).
-  [[nodiscard]] const double* target_potential(NodeId s, NodeId t,
-                                               SearchScratch& scratch,
-                                               std::uint64_t& pops) const;
+  /// Expands t's potential row into the scratch's target table and
+  /// returns it: the node's potential is min(dist[v], radius).  Builds
+  /// and publishes the row on the first query to t in this engine family
+  /// (`pops` receives that budgeted reverse search's heap pops, 0
+  /// otherwise) and skips the expansion when the scratch already holds it.
+  [[nodiscard]] const SearchScratch::TargetPotential& target_potential(
+      NodeId t, SearchScratch& scratch, std::uint64_t& pops) const;
+
+  /// Build-time structure that no weight patch touches, plus the
+  /// write-once potential rows; shared by every copy (route_engine.cc).
+  struct Frozen;
 
   std::uint32_t n_ = 0;  ///< physical nodes
   std::uint32_t k_ = 0;  ///< wavelength universe size
+  std::shared_ptr<const Frozen> frozen_;
 
-  // Semilightpath core: flattened G' plus seed/sink lists and metadata.
-  std::unique_ptr<CsrDigraph> core_;
-  std::vector<SlotInfo> slot_info_;             // per core slot
-  std::vector<std::vector<NodeId>> sources_of_; // Y_v (aux node ids)
-  std::vector<std::vector<NodeId>> sinks_of_;   // X_v (aux node ids)
-  std::vector<std::uint32_t> core_phys_;        // core node -> physical node
-
-  // Goal direction: base-weight lower-bound machinery.  All of it is
-  // frozen at build time (see the residual-safety invariant above).
-  LandmarkTables landmarks_;
-  /// Reversed physical topology, each link weighted by its *base*
-  /// cheapest-wavelength cost (the per-target potential's search graph).
-  std::unique_ptr<CsrDigraph> rev_base_;
-  /// Base (build-time) weight per core slot; set_weight's floor.
-  std::vector<double> base_core_weights_;
-  /// Identity token stamped into scratch-resident potential caches.
-  std::uint64_t potential_token_ = 0;
-
-  // Per-link sorted (λ, core transmission slot) table for O(log k0) patch
-  // lookup; entries parallel a (λ, phys weight index) table.
-  struct TransSlot {
-    Wavelength lambda;
-    std::uint32_t core_slot;
-    std::uint32_t phys_weight_index;
-  };
-  std::vector<std::vector<TransSlot>> trans_slots_;  // per physical link
-
-  // Lightpath cache: one CSR of the physical topology, shared by all
-  // wavelengths; weight rows lw_[λ * phys_links + slot].
-  std::unique_ptr<CsrDigraph> phys_;
+  /// This copy's current weight per core slot (the core's own weights
+  /// stay the build-time base, set_weight's floor).
+  AlignedVector<double> core_weights_;
+  /// Lightpath weight rows over the shared physical CSR:
+  /// lightpath_weights_[λ * phys_links + slot].
   std::vector<double> lightpath_weights_;
 
   Stats stats_;

@@ -166,6 +166,52 @@ NodeId dijkstra_csr_run(const CsrDigraph& g, std::span<const NodeId> sources,
   return csr_search_run(g, sources, scratch, NoPotential{}, stats, weights);
 }
 
+double dijkstra_csr_budget(const CsrDigraph& g, NodeId source,
+                           std::uint32_t budget, SearchScratch& scratch,
+                           std::vector<std::uint32_t>& order,
+                           CsrRunStats* stats) {
+  LUMEN_REQUIRE(source.value() < g.num_nodes());
+  scratch.begin(g.num_nodes());
+  scratch.touch(source.value());
+  scratch.dist_[source.value()] = 0.0;
+  scratch.heap_push(source.value(), 0.0);
+  const double* w = g.weights_data();
+  const std::uint32_t* heads = g.heads_data();
+  for (std::uint32_t pops = 0; !scratch.heap_.empty(); ++pops) {
+    // Every unsettled node lies behind the frontier, so none is closer
+    // than its least key.
+    if (pops == budget) return scratch.hkey_.front();
+    const std::uint32_t u = scratch.heap_pop_min();
+    scratch.state_[u] = SearchScratch::kSettled;
+    order.push_back(u);
+    if (stats != nullptr) {
+      ++stats->pops;
+      ++stats->settled;
+    }
+    const double du = scratch.dist_[u];
+    const auto [first, last] = g.out_slot_range(NodeId{u});
+    for (std::uint32_t slot = first; slot < last; ++slot) {
+      if (w[slot] == kInfiniteCost) continue;
+      const std::uint32_t v = heads[slot];
+      scratch.touch(v);
+      if (scratch.state_[v] == SearchScratch::kSettled) continue;
+      const double candidate = du + w[slot];
+      if (candidate < scratch.dist_[v]) {
+        const bool queued = scratch.state_[v] == SearchScratch::kInHeap;
+        scratch.dist_[v] = candidate;
+        scratch.parent_[v] = slot;
+        if (stats != nullptr) ++stats->relaxations;
+        if (queued) {
+          scratch.heap_decrease(v, candidate);
+        } else {
+          scratch.heap_push(v, candidate);
+        }
+      }
+    }
+  }
+  return kInfiniteCost;
+}
+
 ShortestPathTree dijkstra_csr(const CsrDigraph& g, NodeId source,
                               std::optional<NodeId> target) {
   LUMEN_REQUIRE(source.value() < g.num_nodes());

@@ -175,27 +175,28 @@ class SearchScratch {
   /// if needed and invalidates all per-node state from previous queries.
   void begin(std::uint32_t num_nodes);
 
-  /// A token-stamped per-target distance table for goal-directed searches.
-  /// The owner (a RouteEngine, identified by a unique token) fills it
-  /// lazily with one reverse Dijkstra from `target` that stops when the
-  /// query's source settles, at radius r = d(source, target).  Each node
-  /// settled inside that ball holds its exact distance to the target;
-  /// every other node holds r (or +inf when the search proved it cannot
-  /// reach the target at all, in which case radius is +inf and the table
-  /// is exact everywhere).  min(d(v, target), r) is the min of two
-  /// consistent bounds, so the table is a consistent, admissible
-  /// potential.  It is reused while (owner, target) match and the next
-  /// query's source lies inside the ball, so batches and repeated queries
-  /// to the same target amortize it.  The tables hold *base*-weight
-  /// distances, which stay admissible for the owner's whole lifetime
-  /// (weight patches only ever raise weights), so no weight-change
-  /// invalidation is ever needed.
+  /// The goal-directed query's per-target distance table: one engine
+  /// potential row expanded over the node ids.  The owner (a RouteEngine
+  /// family, identified by a unique token) keeps one write-once row per
+  /// target: the nodes its budgeted reverse Dijkstra from `target`
+  /// settled, each with its exact distance to the target, and the radius
+  /// r at which the search stopped (+inf when it ran out of nodes, in
+  /// which case the row is exact everywhere).  Every node the row does not
+  /// list is at least r from the target, so the potential of v is
+  /// min(dist[v], radius): the min of two consistent bounds, hence a
+  /// consistent, admissible potential for every source.  Expanding a row
+  /// writes its entries into `dist` and resets the previous row's (O(row),
+  /// not O(n)); `dist` holds +inf off the row.  The table is reused while
+  /// (owner, target) match, so repeated queries to one target read it
+  /// as it is.  Rows hold *base*-weight distances, which stay admissible
+  /// for the owner's whole lifetime (weight patches only ever raise
+  /// weights), so no weight-change invalidation is ever needed.
   struct TargetPotential {
     std::uint64_t owner = 0;  ///< 0 = empty slot
     std::uint32_t target = 0xffffffffu;
-    std::uint32_t source = 0xffffffffu;  ///< the source the ball ends at
-    double radius = 0.0;       ///< r; +inf when the table is exact
-    std::vector<double> dist;  ///< per-node min(distance-to-target, r)
+    double radius = 0.0;       ///< r; +inf when the row is exact
+    std::vector<double> dist;  ///< per node: row distance, +inf off the row
+    std::vector<std::uint32_t> nodes;  ///< the row's nodes (reset on reuse)
   };
   [[nodiscard]] TargetPotential& target_potential() noexcept {
     return target_potential_;
@@ -209,16 +210,10 @@ class SearchScratch {
   }
 
   /// Tentative/final distance of v in the current query (+inf when never
-  /// touched).  Final iff settled(v).
+  /// touched).  Final once the search has settled v.
   [[nodiscard]] double dist(NodeId v) const noexcept {
     return stamp_[v.value()] == generation_ ? dist_[v.value()] : kInfiniteCost;
   }
-  [[nodiscard]] bool settled(NodeId v) const noexcept {
-    return stamp_[v.value()] == generation_ && state_[v.value()] == kSettled;
-  }
-  /// True when no node waits in the search frontier (after an early exit,
-  /// the nodes still queued at the stop).
-  [[nodiscard]] bool frontier_empty() const noexcept { return heap_.empty(); }
   /// Slot of the CSR link that last relaxed v (kInvalidSlot at seeds and
   /// untouched nodes).
   [[nodiscard]] std::uint32_t parent_slot(NodeId v) const noexcept {
@@ -230,6 +225,10 @@ class SearchScratch {
   friend NodeId dijkstra_csr_run(const CsrDigraph&, std::span<const NodeId>,
                                  SearchScratch&, CsrRunStats*,
                                  std::span<const double>);
+  friend double dijkstra_csr_budget(const CsrDigraph&, NodeId, std::uint32_t,
+                                    SearchScratch&,
+                                    std::vector<std::uint32_t>&,
+                                    CsrRunStats*);
   template <bool kPrefetch, class Potential>
   friend NodeId csr_search_run_impl(const CsrDigraph&, std::span<const NodeId>,
                                     SearchScratch&, Potential&&, CsrRunStats*,
@@ -310,6 +309,18 @@ struct CsrRunStats {
 NodeId dijkstra_csr_run(const CsrDigraph& g, std::span<const NodeId> sources,
                         SearchScratch& scratch, CsrRunStats* stats = nullptr,
                         std::span<const double> weights = {});
+
+/// Budgeted single-source Dijkstra (the engine's per-target potential
+/// rows): settles at most `budget` nodes from `source`, appending each to
+/// `order` in settle order (its final distance is scratch.dist(v)).
+/// Returns the least key left in the frontier at the stop, a lower bound
+/// on the distance of every unsettled node, or +inf when the search ran
+/// out of reachable nodes first (every unsettled node is then
+/// unreachable).
+double dijkstra_csr_budget(const CsrDigraph& g, NodeId source,
+                           std::uint32_t budget, SearchScratch& scratch,
+                           std::vector<std::uint32_t>& order,
+                           CsrRunStats* stats = nullptr);
 
 /// The shared relaxation kernel behind dijkstra_csr_run and astar_csr_run
 /// (both weight-override variants included): one loop, instantiated with

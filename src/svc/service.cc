@@ -64,9 +64,12 @@ RoutingService::RoutingService(const WdmNetwork& net,
     : options_(options), num_nodes_(net.num_nodes()), table_(net) {
   LUMEN_REQUIRE(options_.num_shards >= 1 && options_.num_shards <= 0xffff);
   LUMEN_REQUIRE(options_.num_tenants >= 1);
+  // One engine build; every replica is a copy of it, so the shards share
+  // its structure and its per-target potential rows.
+  const RouteEngine engine(net);
   shards_.reserve(options_.num_shards);
   for (std::uint32_t i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i, net, &table_, &log_));
+    shards_.push_back(std::make_unique<Shard>(i, engine, &table_, &log_));
   }
   tenants_ = std::make_unique<TenantState[]>(options_.num_tenants);
 }

@@ -2,7 +2,9 @@
 //
 // RoutingService is the concurrent counterpart of SessionManager: many
 // threads call open()/close() at once, each shard routes on its own
-// RouteEngine replica, and every commit is arbitrated by the global
+// RouteEngine replica (copies of one engine: each patches its own
+// weights, all share the structure and the per-target potential rows),
+// and every commit is arbitrated by the global
 // atomic SlotTable (slot ownership can never be double-booked — see
 // slot_table.h).  An admission starts at a round-robin shard and tries
 // every shard's engine mutex once, taking the first free replica; only
@@ -39,7 +41,7 @@
 namespace lumen::svc {
 
 struct ServiceOptions {
-  /// Session-space partitions (each owns a full RouteEngine replica).
+  /// Session-space partitions (each owns a RouteEngine replica).
   std::uint32_t num_shards = 4;
   /// Tenants known to the service (TenantId 0 .. num_tenants-1).  Every
   /// tenant starts with an unlimited quota; set_quota limits it.
@@ -49,8 +51,9 @@ struct ServiceOptions {
 /// See file comment.
 class RoutingService {
  public:
-  /// Builds num_shards replicas of `net` (the dominant construction
-  /// cost) and the slot table.  The network itself is not retained.
+  /// Builds one engine over `net` (the dominant construction cost),
+  /// copies it into num_shards replicas, and builds the slot table.  The
+  /// network itself is not retained.
   RoutingService(const WdmNetwork& net, const ServiceOptions& options);
 
   /// Routes and commits one session for `tenant` on the first shard whose

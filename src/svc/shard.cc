@@ -10,20 +10,30 @@
 namespace lumen::svc {
 namespace {
 
-// Every replica is RouteEngine(net): no ALT landmarks, and every admission
-// is one goal-directed query whose per-target potential is a reverse
-// Dijkstra from t that stops when the admission's source settles.  Chosen
-// by measurement (perfbench svc-sparse-mt, 10 s alternating runs, 4-vCPU
-// host, RelWithDebInfo; ops_per_s and admit_p50_us medians, setup_s and
-// peak_rss_mib ranges):
+// Every replica is a copy of one RouteEngine(net) (RoutingService builds
+// it): no ALT landmarks, and every admission is one goal-directed query
+// whose per-target potential row — a reverse Dijkstra from t stopped
+// after a pop budget B — is built once and shared by every replica.
+// Chosen by measurement (perfbench svc-sparse-mt, 10 s alternating runs,
+// 4-vCPU host, RelWithDebInfo; ops_per_s and admit_p50_us medians,
+// setup_s and peak_rss_mib ranges; each block is one A/B session, and
+// the host drifts between sessions):
 //
-//   potential            runs  ops_per_s  p50_us  setup_s      peak_rss_mib
-//   full row + 8 ALT     10    32.2k      197     0.041-0.044  24.7-25.0
-//   capped row           10    48.1k      139     0.030-0.033  24.1-24.4
-//   capped row + 8 ALT    4    42.5k      148     0.040-0.043  24.5-25.0
+// potential                  runs  ops_per_s  p50_us  setup_s      peak_rss_mib
+// full row + 8 ALT           10    32.2k      197     0.041-0.044  24.7-25.0
+// capped at s                10    48.1k      139     0.030-0.033  24.1-24.4
+// capped at s + 8 ALT         4    42.5k      148     0.040-0.043  24.5-25.0
 //
-// (capped row against capped row + 8 ALT: 47.5k vs 42.5k, better in 4 of
-// 4 pairs.)  Earlier, full row + 8 ALT ran at 23.7k ops/s against 6.96k
+// capped at s, per replica   12    44.5k      143     0.029-0.038  24.0-24.4
+// shared rows, B = 192       12    94.7k       45     0.008-0.010  18.3-18.4
+//
+// shared rows, B = 128        3    89.2k       48     0.009-0.009  18.1-18.3
+// shared rows, B = 192        3   100.2k       44     0.009-0.010  18.3-18.3
+// shared rows, B = 256        3   103.3k       42     0.009-0.009  18.3-18.4
+//
+// (capped at s against capped at s + 8 ALT: 47.5k vs 42.5k, better in 4
+// of 4 pairs; the B sweep ran before a lost race drained the inbox;
+// B = 192 is 6⌈√n⌉ at n = 1024, see route_engine.cc for why not 256.)  Earlier, full row + 8 ALT ran at 23.7k ops/s against 6.96k
 // for the since-deleted CH+ALT mode and 4.09k for CH (5 s runs, with
 // 1.64-1.86 s setup and 139 MiB peak RSS), and ALT without the target
 // term at 13.2k.
@@ -35,9 +45,9 @@ constexpr std::uint32_t kMaxCommitAttempts = 4;
 
 }  // namespace
 
-Shard::Shard(std::uint32_t index, const WdmNetwork& net, SlotTable* table,
+Shard::Shard(std::uint32_t index, const RouteEngine& engine, SlotTable* table,
              CommitLog* log)
-    : index_(index), table_(table), log_(log), engine_(net) {
+    : index_(index), table_(table), log_(log), engine_(engine) {
   LUMEN_REQUIRE(table_ != nullptr && log_ != nullptr);
 }
 
@@ -114,14 +124,16 @@ Shard::AdmitOutcome Shard::admit_locked(TenantId tenant, NodeId source,
       // Lost a slot race.  claim_all claimed and then rolled back
       // slots[0, conflict_pos): a peer that lost a race on one of them in
       // between patched it +inf, so the prefix goes out for broadcast
-      // too.  Patch the contested slot from the table truth and re-route;
-      // if its holder rolls back as well, the holder's broadcast restores
-      // it here.
+      // too.  Patch the contested slot from the table truth, apply every
+      // note that arrived since this admission began (the commit that
+      // beat us usually sent more than the one slot), and re-route; if
+      // the holder rolls back as well, its broadcast restores the slot.
       ++out.ticket.conflicts;
       conflicts_.fetch_add(1, std::memory_order_relaxed);
       out.slots.insert(out.slots.end(), slots.begin(),
                        slots.begin() + conflict_pos);
       resync_slot_locked(slots[conflict_pos]);
+      drain_inbox_locked();
       out.ticket.status = AdmitStatus::kAborted;
       continue;
     }

@@ -50,8 +50,15 @@ namespace lumen::svc {
 /// drive one shard against its own table).
 class Shard {
  public:
-  Shard(std::uint32_t index, const WdmNetwork& net, SlotTable* table,
+  /// A shard whose replica is a copy of `engine` (RouteEngine's copy
+  /// shares the build-time structure and the per-target potential rows,
+  /// so every shard of a service reads one row table).
+  Shard(std::uint32_t index, const RouteEngine& engine, SlotTable* table,
         CommitLog* log);
+  /// A shard with its own RouteEngine(net).
+  Shard(std::uint32_t index, const WdmNetwork& net, SlotTable* table,
+        CommitLog* log)
+      : Shard(index, RouteEngine(net), table, log) {}
 
   struct AdmitOutcome {
     AdmitTicket ticket;
@@ -61,9 +68,10 @@ class Shard {
     std::vector<std::uint32_t> slots;
   };
 
-  /// Routes on the replica (ALT + target potential), two-phase-commits
-  /// against the table, and re-routes after a lost slot race.  Blocks
-  /// while another admission holds the engine mutex.
+  /// Routes on the replica (A* under the shared per-target potential
+  /// row), two-phase-commits against the table, and re-routes after a
+  /// lost slot race.  Blocks while another admission holds the engine
+  /// mutex.
   [[nodiscard]] AdmitOutcome admit(TenantId tenant, NodeId source,
                                    NodeId target);
   /// admit() when the engine mutex is free right now; nullopt when

@@ -1,7 +1,7 @@
 // Value types shared across the sharded multi-tenant routing service.
 //
 // The service partitions the SESSION space: every shard owns a disjoint
-// slice of the session table and a full RouteEngine replica of the
+// slice of the session table and a RouteEngine replica of the
 // topology, while the (link, wavelength) resource space stays global
 // behind the atomic SlotTable (see slot_table.h).  These types name the
 // pieces that cross those boundaries.

@@ -1,5 +1,5 @@
-// Goal-directed RouteEngine equivalence: the A* search (the cached,
-// source-capped per-target reverse-Dijkstra potential, max-combined with
+// Goal-directed RouteEngine equivalence: the A* search (the shared,
+// budget-capped per-target reverse-Dijkstra potential, max-combined with
 // ALT landmark bounds on engines built with landmarks) must return
 // *bit-identical* costs to the engine's uninformed Dijkstra — both
 // searches relax the same weights with the same left-to-right additions,
@@ -398,12 +398,24 @@ TEST(GoalDirectedEngineTest, DefaultEngineBuildsNoLandmarks) {
   EXPECT_GT(RouteEngine(net, kWithLandmarks).stats().landmarks, 0u);
 }
 
-TEST(GoalDirectedEngineTest, RowIsReusedInsideTheBallAndRecomputedOutside) {
-  // A bidirectional line 0 - 1 - ... - 9 of unit links: d_base(v, 0) = v,
-  // so the reverse search from t = 0 that stops at s settles exactly the
-  // nodes 0..s.
-  WdmNetwork net(10, 1, std::make_shared<UniformConversion>(0.5));
-  for (std::uint32_t v = 0; v + 1 < 10; ++v) {
+/// Nodes of the long test networks: above every reverse-search pop
+/// budget, so their potential rows are capped at a finite radius.
+constexpr std::uint32_t kLongNodes = 1200;
+
+/// The potential the scratch's expanded row gives node v.
+double row_bound(const SearchScratch::TargetPotential& row, std::uint32_t v) {
+  return std::min(row.dist[v], row.radius);
+}
+
+TEST(GoalDirectedEngineTest, OneCappedRowServesSourcesInsideAndOutsideItsBall) {
+  // A bidirectional line 0 - 1 - ... - (kLongNodes - 1) of unit links:
+  // d_base(v, 0) = v, so the budgeted reverse search from t = 0 settles
+  // 0, 1, 2, ... in order and stops at an integral radius r_B well short
+  // of the line's end.  The row is t's alone: sources inside and outside
+  // the ball reach the flat optimum through it, and only the first query
+  // builds it.
+  WdmNetwork net(kLongNodes, 1, std::make_shared<UniformConversion>(0.5));
+  for (std::uint32_t v = 0; v + 1 < kLongNodes; ++v) {
     add_hop(net, v, v + 1, 1.0);
     add_hop(net, v + 1, v, 1.0);
   }
@@ -415,41 +427,47 @@ TEST(GoalDirectedEngineTest, RowIsReusedInsideTheBallAndRecomputedOutside) {
   const RouteResult first =
       expect_flat_optimum(net, engine, scratch, NodeId{5}, t);
   EXPECT_GT(first.stats.potential_pops, 0u);
-  EXPECT_EQ(row.radius, 5.0);
-  for (std::uint32_t v = 0; v < 10; ++v)
-    EXPECT_EQ(row.dist[v], std::min(static_cast<double>(v), 5.0)) << v;
+  const double radius = row.radius;
+  EXPECT_LT(radius, static_cast<double>(kLongNodes - 1));
+  EXPECT_EQ(radius, std::floor(radius));
+  EXPECT_EQ(static_cast<double>(first.stats.potential_pops), radius);
+  for (std::uint32_t v = 0; v < kLongNodes; ++v)
+    EXPECT_EQ(row_bound(row, v), std::min(static_cast<double>(v), radius))
+        << v;
 
-  // s2 = 3 lies inside the ball: the row is reused as it is.
-  const RouteResult inside =
-      expect_flat_optimum(net, engine, scratch, NodeId{3}, t);
-  EXPECT_EQ(inside.stats.potential_pops, 0u);
-  EXPECT_EQ(row.source, 5u);
+  // s2 lies far outside the ball: the same row serves it, unbuilt.
+  const NodeId outside{kLongNodes - 3};
+  const RouteResult far = expect_flat_optimum(net, engine, scratch, outside, t);
+  EXPECT_EQ(far.stats.potential_pops, 0u);
+  EXPECT_EQ(row.radius, radius);
 
-  // s3 = 8 lies outside: the capped row would be weak, so it is
-  // recomputed to the new source.
-  const RouteResult outside =
-      expect_flat_optimum(net, engine, scratch, NodeId{8}, t);
-  EXPECT_GT(outside.stats.potential_pops, first.stats.potential_pops);
-  EXPECT_EQ(row.source, 8u);
-  EXPECT_EQ(row.radius, 8.0);
+  // A fresh scratch (another thread) reads the published row too.
+  SearchScratch other;
+  const RouteResult middle = expect_flat_optimum(
+      net, engine, other, NodeId{static_cast<std::uint32_t>(radius) / 2}, t);
+  EXPECT_EQ(middle.stats.potential_pops, 0u);
+  EXPECT_EQ(other.target_potential().radius, radius);
 
-  // A retry of the same (s, t), as after a lost commit, is a hit.
+  // A retry of the same (s, t), as after a lost commit, builds nothing.
   const RouteResult retry =
-      expect_flat_optimum(net, engine, scratch, NodeId{8}, t);
+      expect_flat_optimum(net, engine, scratch, outside, t);
   EXPECT_EQ(retry.stats.potential_pops, 0u);
 }
 
 TEST(GoalDirectedEngineTest, DeadAppendixWithLiveFrontierStaysCapped) {
-  // As PrunedAndSettledStatsAreConsistent, plus node 12 whose link into t
-  // keeps the reverse frontier non-empty when s settles.  The dead
-  // appendix 3..11 then cannot be proved dead: its row entries are the
-  // radius, nothing is pruned, and the optimum is unchanged.
-  WdmNetwork net(13, 2, std::make_shared<UniformConversion>(0.1));
+  // As PrunedAndSettledStatsAreConsistent, plus a chain of kLongNodes
+  // nodes feeding t whose links keep the reverse frontier non-empty when
+  // the pop budget runs out.  The dead appendix 3..11 then cannot be
+  // proved dead: its row entries are the radius, nothing is pruned, and
+  // the optimum is unchanged.
+  const std::uint32_t n = 12 + kLongNodes;
+  WdmNetwork net(n, 2, std::make_shared<UniformConversion>(0.1));
   add_hop(net, 0, 1, 1.0);
   add_hop(net, 1, 2, 1.0);
   add_hop(net, 0, 3, 0.01);
   for (std::uint32_t i = 3; i < 11; ++i) add_hop(net, i, i + 1, 0.01);
   add_hop(net, 12, 2, 5.0);
+  for (std::uint32_t i = 12; i + 1 < n; ++i) add_hop(net, i + 1, i, 5.0);
   RouteEngine engine(net);
   SearchScratch scratch;
   const RouteResult goal =
@@ -457,8 +475,10 @@ TEST(GoalDirectedEngineTest, DeadAppendixWithLiveFrontierStaysCapped) {
   ASSERT_TRUE(goal.found);
   EXPECT_EQ(goal.cost, 2.0);
   const SearchScratch::TargetPotential& row = scratch.target_potential();
-  EXPECT_EQ(row.radius, 2.0);
-  for (std::uint32_t v = 3; v < 12; ++v) EXPECT_EQ(row.dist[v], 2.0) << v;
+  EXPECT_GT(row.radius, 2.0);
+  EXPECT_LT(row.radius, kInfiniteCost);
+  for (std::uint32_t v = 3; v < 12; ++v)
+    EXPECT_EQ(row_bound(row, v), row.radius) << v;
   EXPECT_EQ(goal.stats.search_pruned, 0u);
 }
 
@@ -510,6 +530,143 @@ TEST(GoalDirectedEngineTest, PotentialCountersMatchQueryStats) {
   // Uninformed searches never build a potential.
   const RouteResult plain = engine.route_semilightpath(NodeId{1}, NodeId{30});
   EXPECT_EQ(plain.stats.potential_pops, 0u);
+}
+
+TEST(GoalDirectedEngineTest, CappedRowsStayExactUnderChurn) {
+  // The fuzz and churn sweeps above run on networks of at most 40 nodes,
+  // where every row is exact.  Here every network is larger than the pop
+  // budget, so most rows stop at a finite radius; goal direction must
+  // still match the uninformed engine bit for bit, and the per-request
+  // router to rounding, while reserve / release churn raises weights.
+  Rng rng(0xb0d9'e7c4'2026ULL);
+  for (int iteration = 0; iteration < 4; ++iteration) {
+    const std::uint32_t n =
+        600 + static_cast<std::uint32_t>(rng.next_below(400));
+    const std::uint32_t k = 2 + static_cast<std::uint32_t>(rng.next_below(3));
+    const ConvKind kind = kAllKinds[rng.next_below(std::size(kAllKinds))];
+    WdmNetwork oracle = random_network(n, n, k, k, kind, rng);
+    RouteEngine engine(oracle);
+    struct Claim {
+      LinkId link;
+      Wavelength lambda;
+      double cost = 0.0;
+    };
+    std::vector<Claim> claims;
+    // One scratch across targets, as an svc replica uses it.
+    SearchScratch scratch;
+    std::uint32_t capped = 0;
+    for (int step = 0; step < 60; ++step) {
+      for (int change = 0; change < 20; ++change) {
+        if (rng.next_bool(0.6) || claims.empty()) {
+          const LinkId e{
+              static_cast<std::uint32_t>(rng.next_below(oracle.num_links()))};
+          if (oracle.num_available(e) == 0) continue;
+          const LinkWavelength lw =
+              oracle.available(e)[rng.next_below(oracle.num_available(e))];
+          ASSERT_TRUE(oracle.clear_wavelength(e, lw.lambda));
+          engine.reserve(e, lw.lambda);
+          claims.push_back({e, lw.lambda, lw.cost});
+        } else {
+          const std::size_t i = rng.next_below(claims.size());
+          const Claim claim = claims[i];
+          claims.erase(claims.begin() + static_cast<std::ptrdiff_t>(i));
+          oracle.set_wavelength(claim.link, claim.lambda, claim.cost);
+          engine.set_weight(claim.link, claim.lambda, claim.cost);
+        }
+      }
+      const NodeId s{static_cast<std::uint32_t>(rng.next_below(n))};
+      const NodeId t{static_cast<std::uint32_t>(rng.next_below(n))};
+      const RouteResult plain = engine.route_semilightpath(s, t);
+      const RouteResult goal =
+          engine.route_semilightpath(s, t, scratch, kCombined);
+      ASSERT_EQ(plain.found, goal.found)
+          << "s=" << s.value() << " t=" << t.value() << " step=" << step;
+      EXPECT_EQ(plain.cost, goal.cost)
+          << "s=" << s.value() << " t=" << t.value() << " step=" << step;
+      if (s != t && scratch.target_potential().radius < kInfiniteCost)
+        ++capped;
+      if (step % 6 == 0) {
+        const RouteResult reference = route_semilightpath(oracle, s, t);
+        ASSERT_EQ(reference.found, goal.found);
+        if (reference.found) {
+          EXPECT_NEAR(reference.cost, goal.cost, 1e-9);
+          EXPECT_TRUE(goal.path.is_valid(oracle));
+          EXPECT_NEAR(goal.path.cost(oracle), goal.cost, 1e-9);
+        }
+      }
+    }
+    EXPECT_GT(capped, 30u) << "iteration " << iteration;
+  }
+}
+
+TEST(GoalDirectedEngineTest, ParallelRowBuildsMatchASerialRun) {
+  // Four workers on a fresh engine race to build and publish the rows of
+  // scattered targets; every answer must be bit-identical (cost, path,
+  // switches) to a serial run on another fresh engine.
+  Rng rng(0x9a7a'11e1ULL);
+  const WdmNetwork net =
+      random_network(kLongNodes, kLongNodes, 4, 3, ConvKind::kRange, rng);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (int i = 0; i < 400; ++i) {
+    // 100 targets, four sources each, so rows are built under contention.
+    const auto t = static_cast<std::uint32_t>(rng.next_below(100)) * 11;
+    pairs.emplace_back(
+        NodeId{static_cast<std::uint32_t>(rng.next_below(kLongNodes))},
+        NodeId{t});
+  }
+  const RouteEngine parallel_engine(net);
+  const RouteEngine serial_engine(net);
+  const std::vector<RouteResult> parallel = parallel_engine.route_many(
+      pairs, 4, RouteEngine::QueryKind::kSemilightpath, kCombined);
+  const std::vector<RouteResult> serial = serial_engine.route_many(
+      pairs, 1, RouteEngine::QueryKind::kSemilightpath, kCombined);
+  ASSERT_EQ(parallel.size(), serial.size());
+  std::uint64_t built = 0;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    ASSERT_EQ(serial[i].found, parallel[i].found) << i;
+    EXPECT_EQ(serial[i].cost, parallel[i].cost) << i;
+    EXPECT_EQ(serial[i].path.hops(), parallel[i].path.hops()) << i;
+    EXPECT_EQ(serial[i].switches.size(), parallel[i].switches.size()) << i;
+    EXPECT_EQ(serial[i].stats.search_pops, parallel[i].stats.search_pops) << i;
+    if (serial[i].stats.potential_pops > 0) ++built;
+  }
+  // Serially, each distinct target's row is built exactly once.
+  std::vector<std::uint32_t> targets;
+  for (const auto& pair : pairs)
+    if (pair.first != pair.second) targets.push_back(pair.second.value());
+  std::sort(targets.begin(), targets.end());
+  targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+  EXPECT_EQ(built, targets.size());
+}
+
+TEST(GoalDirectedEngineTest, EngineCopiesShareRowsAndPatchTheirOwnWeights) {
+  // A copy shares the original's potential rows — a row built through one
+  // is read by the other without a build — but patches only its own
+  // weights.
+  const WdmNetwork net = paper_example_network();
+  RouteEngine original(net);
+  const NodeId s{0};
+  const NodeId t{6};
+  const RouteResult cold = original.route_semilightpath(s, t, kCombined);
+  ASSERT_TRUE(cold.found);
+  EXPECT_GT(cold.stats.potential_pops, 0u);
+
+  RouteEngine copy = original;
+  SearchScratch scratch;
+  const RouteResult shared = copy.route_semilightpath(s, t, scratch, kCombined);
+  EXPECT_EQ(shared.stats.potential_pops, 0u);
+  EXPECT_EQ(shared.cost, cold.cost);
+
+  for (const Hop& hop : cold.path.hops())
+    copy.reserve(hop.link, hop.wavelength);
+  const RouteResult detour = copy.route_semilightpath(s, t, scratch, kCombined);
+  const RouteResult still = original.route_semilightpath(s, t, kCombined);
+  EXPECT_EQ(still.cost, cold.cost);
+  EXPECT_TRUE(!detour.found || detour.cost > cold.cost);
+  for (const Hop& hop : cold.path.hops()) {
+    EXPECT_EQ(copy.weight(hop.link, hop.wavelength), kInfiniteCost);
+    EXPECT_LT(original.weight(hop.link, hop.wavelength), kInfiniteCost);
+  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "svc/shard.h"
 #include "svc/slot_table.h"
 #include "svc/types.h"
+#include "tests/obs_test_util.h"
 #include "tests/test_util.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -203,6 +204,32 @@ TEST(ShardTest, CloseReturnsFreedSlotsToTheHomeReplica) {
   ASSERT_EQ(third.ticket.status, AdmitStatus::kAdmitted);
   EXPECT_EQ(third.ticket.conflicts, 0u);
   EXPECT_DOUBLE_EQ(third.ticket.cost, first.ticket.cost);
+}
+
+TEST(ShardTest, ReplicasOfOneEngineShareItsPotentialRows) {
+  // Two shards copied from one engine, as RoutingService builds them: the
+  // first admission to a target builds its potential row, and an
+  // admission to the same target on the other shard, from another source,
+  // reads that row and builds nothing.
+  LUMEN_REQUIRE_OBS();
+  const WdmNetwork net = paper_example_network();
+  SlotTable table(net);
+  CommitLog log;
+  const RouteEngine engine(net);
+  Shard first(0, engine, &table, &log);
+  Shard second(1, engine, &table, &log);
+  obs::Counter& builds =
+      obs::Registry::global().counter("lumen.core.potential.misses");
+
+  const std::uint64_t before = builds.value();
+  const Shard::AdmitOutcome a = first.admit(TenantId{0}, NodeId{0}, NodeId{6});
+  ASSERT_EQ(a.ticket.status, AdmitStatus::kAdmitted);
+  EXPECT_EQ(builds.value() - before, 1u);
+  second.push_resync(a.slots);
+  const Shard::AdmitOutcome b =
+      second.admit(TenantId{0}, NodeId{1}, NodeId{6});
+  ASSERT_EQ(b.ticket.status, AdmitStatus::kAdmitted);
+  EXPECT_EQ(builds.value() - before, 1u);
 }
 
 TEST(RoutingServiceTest, AdmitsRoutesAndReleases) {
