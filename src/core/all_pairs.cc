@@ -67,10 +67,7 @@ std::vector<std::vector<double>> AllPairsRouter::cost_matrix() {
 }
 
 RouteEngine& AllPairsRouter::matrix_engine() {
-  if (engine_ == nullptr) {
-    engine_ = std::make_unique<RouteEngine>(
-        *net_, RouteEngine::Options{.num_landmarks = 0});
-  }
+  if (engine_ == nullptr) engine_ = std::make_unique<RouteEngine>(*net_);
   return *engine_;
 }
 

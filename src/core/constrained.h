@@ -6,10 +6,12 @@
 // finds the cheapest semilightpath using at most `max_conversions`
 // wavelength switches: Dijkstra over the product of the auxiliary graph
 // with the conversion budget (layers 0..C), which multiplies Theorem 1's
-// cost by (C+1).
+// cost by (C+1).  A shortest path of the auxiliary graph leaves each
+// X-node at most once, so C is clamped to Σ_v |X_v| (<= n·k) without
+// changing any result.
 //
 //   budget 0   == optimal pure lightpath
-//   budget ≥ n·k == the unconstrained Theorem 1 optimum
+//   budget ≥ Σ_v |X_v| == the unconstrained Theorem 1 optimum
 //
 // The full cost profile (optimal cost per budget) is also exposed; its
 // marginal improvements quantify what each additional converter stage
@@ -31,8 +33,9 @@ namespace lumen {
     const WdmNetwork& net, NodeId s, NodeId t, std::uint32_t max_conversions);
 
 /// profile[c] = optimal cost using at most c conversions, for
-/// c = 0..max_conversions (kInfiniteCost where infeasible).  Computed in
-/// one constrained Dijkstra, not max_conversions+1 separate runs.
+/// c = 0..max_conversions (kInfiniteCost where infeasible; entries past
+/// the clamp repeat its value).  Computed in one constrained Dijkstra, not
+/// max_conversions+1 separate runs.  Requires max_conversions < 2^32 - 1.
 [[nodiscard]] std::vector<double> conversion_cost_profile(
     const WdmNetwork& net, NodeId s, NodeId t, std::uint32_t max_conversions);
 

@@ -214,53 +214,14 @@ double dijkstra_csr_budget(const CsrDigraph& g, NodeId source,
 
 ShortestPathTree dijkstra_csr(const CsrDigraph& g, NodeId source,
                               std::optional<NodeId> target) {
-  LUMEN_REQUIRE(source.value() < g.num_nodes());
-  if (target) LUMEN_REQUIRE(target->value() < g.num_nodes());
-
-  ShortestPathTree tree;
-  tree.source = source;
-  tree.dist.assign(g.num_nodes(), kInfiniteCost);
-  tree.parent_link.assign(g.num_nodes(), LinkId::invalid());
-
-  std::vector<FibHeap::Handle> handle(g.num_nodes());
-  std::vector<char> in_heap(g.num_nodes(), 0);
-  std::vector<char> settled(g.num_nodes(), 0);
-
-  FibHeap heap;
-  tree.dist[source.value()] = 0.0;
-  handle[source.value()] = heap.push(0.0, source.value());
-  in_heap[source.value()] = 1;
-
   const std::uint32_t* heads = g.heads_data();
   const double* w = g.weights_data();
-  while (!heap.empty()) {
-    const auto [d, u_raw] = heap.pop_min();
-    ++tree.pops;
-    in_heap[u_raw] = 0;
-    settled[u_raw] = 1;
-    if (target && NodeId{u_raw} == *target) break;
-    if (d == kInfiniteCost) break;
-
-    const auto [first, last] = g.out_slot_range(NodeId{u_raw});
-    for (std::uint32_t slot = first; slot < last; ++slot) {
-      if (w[slot] == kInfiniteCost) continue;
-      const std::uint32_t v = heads[slot];
-      if (settled[v]) continue;
-      const double candidate = d + w[slot];
-      if (candidate < tree.dist[v]) {
-        tree.dist[v] = candidate;
-        tree.parent_link[v] = g.original(slot);
-        ++tree.relaxations;
-        if (in_heap[v]) {
-          heap.decrease_key(handle[v], candidate);
-        } else {
-          handle[v] = heap.push(candidate, v);
-          in_heap[v] = 1;
-        }
-      }
-    }
-  }
-  return tree;
+  return dijkstra_search<FibHeap>(
+      g.num_nodes(), source, target, [&](NodeId u, auto&& relax) {
+        const auto [first, last] = g.out_slot_range(u);
+        for (std::uint32_t slot = first; slot < last; ++slot)
+          relax(NodeId{heads[slot]}, w[slot], g.original(slot));
+      });
 }
 
 }  // namespace lumen

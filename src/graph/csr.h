@@ -460,8 +460,9 @@ NodeId astar_csr_run(const CsrDigraph& g, std::span<const NodeId> sources,
                         std::forward<Potential>(potential), stats, weights);
 }
 
-/// Dijkstra over the CSR view (Fibonacci heap).  Semantics identical to
-/// dijkstra() on the originating Digraph — parent links are original ids.
+/// Dijkstra over the CSR view: dijkstra_search<FibHeap> with a CSR row
+/// visitor.  Semantics identical to dijkstra() on the originating Digraph —
+/// parent links are original ids.
 [[nodiscard]] ShortestPathTree dijkstra_csr(
     const CsrDigraph& g, NodeId source,
     std::optional<NodeId> target = std::nullopt);

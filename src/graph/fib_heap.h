@@ -7,7 +7,7 @@
 //
 // A heap is meant to be reused: clear() keeps the node pool and every
 // scratch buffer, so a warm heap runs push / pop_min / decrease_key without
-// touching the allocator (dijkstra_with keeps one per thread).
+// touching the allocator (dijkstra_search keeps one per thread).
 #pragma once
 
 #include <cstdint>

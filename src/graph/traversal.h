@@ -1,9 +1,14 @@
-// Basic graph traversals: BFS, reachability, connectivity checks.
+// Basic graph traversals: BFS, reachability, connectivity checks and the
+// hop-shortest link path.
 //
-// Used by topology generators to certify that generated networks are
-// strongly connected, and by tests as simple structural oracles.
+// Callers: batch provisioning ranks demands by bfs_hops; the occupancy
+// workload generator (topo/wavelengths) and SessionManager's first-fit
+// policy route on bfs_link_path; tests use the connectivity checks as
+// structural oracles (every topology generator must return a strongly
+// connected graph).  All of them run the one FIFO loop in traversal.cc.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "graph/digraph.h"
@@ -28,5 +33,12 @@ namespace lumen {
 /// Number of hops of the shortest unweighted path source -> target, or -1
 /// when unreachable.
 [[nodiscard]] int bfs_hops(const Digraph& g, NodeId source, NodeId target);
+
+/// Links of a hop-shortest path source -> target over the links for which
+/// `usable` holds; empty when target is unreachable or equals source.  Ties
+/// go to the path discovered first: out-links are scanned in row order.
+[[nodiscard]] std::vector<LinkId> bfs_link_path(
+    const Digraph& g, NodeId source, NodeId target,
+    const std::function<bool(LinkId)>& usable);
 
 }  // namespace lumen

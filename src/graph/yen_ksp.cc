@@ -17,46 +17,14 @@ ShortestPathTree masked_dijkstra(const Digraph& g, NodeId source,
                                  NodeId target,
                                  const std::vector<char>& link_banned,
                                  const std::vector<char>& node_banned) {
-  ShortestPathTree tree;
-  tree.source = source;
-  tree.dist.assign(g.num_nodes(), kInfiniteCost);
-  tree.parent_link.assign(g.num_nodes(), LinkId::invalid());
-
-  FibHeap heap;
-  std::vector<FibHeap::Handle> handle(g.num_nodes());
-  std::vector<char> in_heap(g.num_nodes(), 0);
-  std::vector<char> settled(g.num_nodes(), 0);
-
-  tree.dist[source.value()] = 0.0;
-  handle[source.value()] = heap.push(0.0, source.value());
-  in_heap[source.value()] = 1;
-
-  while (!heap.empty()) {
-    const auto [d, u_raw] = heap.pop_min();
-    ++tree.pops;
-    in_heap[u_raw] = 0;
-    settled[u_raw] = 1;
-    if (NodeId{u_raw} == target || d == kInfiniteCost) break;
-    for (const LinkId e : g.out_links(NodeId{u_raw})) {
-      if (link_banned[e.value()]) continue;
-      const double w = g.weight(e);
-      if (w == kInfiniteCost) continue;
-      const NodeId v = g.head(e);
-      if (node_banned[v.value()] || settled[v.value()]) continue;
-      const double candidate = d + w;
-      if (candidate < tree.dist[v.value()]) {
-        tree.dist[v.value()] = candidate;
-        tree.parent_link[v.value()] = e;
-        if (in_heap[v.value()]) {
-          heap.decrease_key(handle[v.value()], candidate);
-        } else {
-          handle[v.value()] = heap.push(candidate, v.value());
-          in_heap[v.value()] = 1;
+  return dijkstra_search<FibHeap>(
+      g.num_nodes(), source, target, [&](NodeId u, auto&& relax) {
+        for (const LinkId e : g.out_links(u)) {
+          const NodeId v = g.head(e);
+          if (!link_banned[e.value()] && !node_banned[v.value()])
+            relax(v, g.weight(e), e);
         }
-      }
-    }
-  }
-  return tree;
+      });
 }
 
 double path_cost(const Digraph& g, const std::vector<LinkId>& links) {

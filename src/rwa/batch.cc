@@ -46,16 +46,14 @@ BatchResult provision_batch(
     case DemandOrder::kCheapestFirst:
     case DemandOrder::kCostliestFirst: {
       // Rank by optimal semilightpath cost on the pre-batch residual
-      // state: one default engine pre-costs every demand with its
-      // goal-directed point query (ALT + per-target potential), which
-      // returns the exact optimum — +inf when unroutable, 0 when s == t.
-      // Unroutable demands sort last either way, so feasible work is
-      // never starved by hopeless demands.
-      const RouteEngine engine(manager.residual());
-      const std::vector<RouteResult> priced =
-          engine.route_many(ordered, route_threads,
-                            RouteEngine::QueryKind::kSemilightpath,
-                            {.goal_directed = true});
+      // state: the manager's engine, kept weight-synchronized with it,
+      // pre-costs every demand with its goal-directed point query
+      // (per-target potential), which returns the exact optimum — +inf
+      // when unroutable, 0 when s == t.  Unroutable demands sort last
+      // either way, so feasible work is never starved by hopeless demands.
+      const std::vector<RouteResult> priced = manager.engine().route_many(
+          ordered, route_threads, RouteEngine::QueryKind::kSemilightpath,
+          {.goal_directed = true});
       std::vector<double> cost(ordered.size());
       for (std::size_t i = 0; i < cost.size(); ++i) cost[i] = priced[i].cost;
       std::vector<std::size_t> index(ordered.size());

@@ -23,21 +23,19 @@ DefragReport defragment(SessionManager& manager, DefragOrder order,
       break;
     case DefragOrder::kMatrixGain: {
       // Price every session's best route on the current residual state
-      // with one goal-directed point query each, then sort by estimated
-      // saving.  The estimate is conservative (it does not credit the
-      // session's own released resources), so the actual re-route can
-      // only do better.
-      const RouteEngine engine(manager.residual());
+      // (the manager's weight-synchronized engine) with one goal-directed
+      // point query each, then sort by estimated saving.  The estimate is
+      // conservative (it does not credit the session's own released
+      // resources), so the actual re-route can only do better.
       std::vector<std::pair<NodeId, NodeId>> demands;
       demands.reserve(ids.size());
       for (const SessionId id : ids) {
         const SessionRecord* session = manager.find(id);
         demands.emplace_back(session->source, session->target);
       }
-      const std::vector<RouteResult> priced =
-          engine.route_many(demands, route_threads,
-                            RouteEngine::QueryKind::kSemilightpath,
-                            {.goal_directed = true});
+      const std::vector<RouteResult> priced = manager.engine().route_many(
+          demands, route_threads, RouteEngine::QueryKind::kSemilightpath,
+          {.goal_directed = true});
       std::vector<double> gain(ids.size());
       for (std::size_t i = 0; i < ids.size(); ++i) {
         gain[i] = priced[i].cost == kInfiniteCost

@@ -1,9 +1,9 @@
 #include "rwa/session_manager.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "graph/dijkstra.h"  // kInfiniteCost
+#include "graph/traversal.h"
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
 #include "obs/trace_context.h"
@@ -45,33 +45,10 @@ RouteResult SessionManager::first_fit_route(NodeId source,
   result.found = false;
   result.cost = kInfiniteCost;
 
-  std::vector<LinkId> parent(net_.num_nodes(), LinkId::invalid());
-  std::vector<char> seen(net_.num_nodes(), 0);
-  std::queue<NodeId> queue;
-  queue.push(source);
-  seen[source.value()] = 1;
-  while (!queue.empty() && !seen[target.value()]) {
-    const NodeId u = queue.front();
-    queue.pop();
-    for (const LinkId e : net_.out_links(u)) {
-      if (net_.num_available(e) == 0) continue;
-      const NodeId v = net_.head(e);
-      if (!seen[v.value()]) {
-        seen[v.value()] = 1;
-        parent[v.value()] = e;
-        queue.push(v);
-      }
-    }
-  }
-  if (!seen[target.value()]) return result;
-
-  std::vector<LinkId> route;
-  for (NodeId v = target; v != source;) {
-    const LinkId e = parent[v.value()];
-    route.push_back(e);
-    v = net_.tail(e);
-  }
-  std::reverse(route.begin(), route.end());
+  const std::vector<LinkId> route = bfs_link_path(
+      net_.topology(), source, target,
+      [this](LinkId e) { return net_.num_available(e) > 0; });
+  if (route.empty()) return result;
 
   // First fit: smallest λ available on every link of the route.
   for (std::uint32_t l = 0; l < net_.num_wavelengths(); ++l) {

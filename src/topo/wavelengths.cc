@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
+#include "graph/traversal.h"
 #include "util/error.h"
 
 namespace lumen {
@@ -33,39 +33,6 @@ void sort_by_lambda(std::vector<LinkWavelength>& list) {
             [](const LinkWavelength& a, const LinkWavelength& b) {
               return a.lambda < b.lambda;
             });
-}
-
-/// Shortest hop path u -> v in the topology; empty when unreachable.
-std::vector<std::uint32_t> bfs_link_path(const Topology& topo,
-                                         const Digraph& g, NodeId s,
-                                         NodeId t) {
-  (void)topo;
-  std::vector<LinkId> parent(g.num_nodes(), LinkId::invalid());
-  std::vector<char> seen(g.num_nodes(), 0);
-  std::queue<NodeId> queue;
-  queue.push(s);
-  seen[s.value()] = 1;
-  while (!queue.empty() && !seen[t.value()]) {
-    const NodeId u = queue.front();
-    queue.pop();
-    for (const LinkId e : g.out_links(u)) {
-      const NodeId v = g.head(e);
-      if (!seen[v.value()]) {
-        seen[v.value()] = 1;
-        parent[v.value()] = e;
-        queue.push(v);
-      }
-    }
-  }
-  std::vector<std::uint32_t> path;
-  if (!seen[t.value()]) return path;
-  for (NodeId v = t; v != s;) {
-    const LinkId e = parent[v.value()];
-    path.push_back(e.value());
-    v = g.tail(e);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
 }
 
 }  // namespace
@@ -141,17 +108,18 @@ Availability occupancy_availability(const Topology& topo, std::uint32_t k,
     const auto s = static_cast<std::uint32_t>(rng.next_below(topo.num_nodes));
     auto t = static_cast<std::uint32_t>(rng.next_below(topo.num_nodes));
     if (s == t) t = (t + 1) % topo.num_nodes;
-    const auto path = bfs_link_path(topo, g, NodeId{s}, NodeId{t});
+    const auto path = bfs_link_path(g, NodeId{s}, NodeId{t},
+                                    [](LinkId) { return true; });
     if (path.empty()) continue;
     // First-fit: the smallest wavelength free on every link of the path.
     for (std::uint32_t l = 0; l < k; ++l) {
       const bool free = std::all_of(
-          path.begin(), path.end(), [&](std::uint32_t e) {
-            return std::find(occupied[e].begin(), occupied[e].end(), l) ==
-                   occupied[e].end();
+          path.begin(), path.end(), [&](LinkId e) {
+            const auto& busy = occupied[e.value()];
+            return std::find(busy.begin(), busy.end(), l) == busy.end();
           });
       if (free) {
-        for (const std::uint32_t e : path) occupied[e].push_back(l);
+        for (const LinkId e : path) occupied[e.value()].push_back(l);
         break;
       }
       // All wavelengths busy on some link: the demand is blocked; skip it.

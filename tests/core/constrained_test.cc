@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "core/aux_graph.h"
 #include "core/liang_shen.h"
 #include "tests/test_util.h"
 
@@ -114,6 +117,41 @@ TEST(ConstrainedTest, SelfRouteAndPreconditions) {
   for (const double c : profile) EXPECT_DOUBLE_EQ(c, 0.0);
   EXPECT_THROW(
       (void)route_semilightpath_bounded(net, NodeId{9}, NodeId{0}, 1), Error);
+}
+
+TEST(ConstrainedTest, BudgetsPastTheConversionBoundAreClamped) {
+  // A shortest auxiliary path leaves each X-node at most once, so budgets
+  // at or above Σ_v |X_v| all give the unconstrained optimum, up to
+  // UINT32_MAX, where budget + 1 wraps a 32-bit layer count to zero.
+  for (const std::uint64_t seed : {8ULL, 9ULL}) {
+    Rng rng(seed);
+    const auto net = random_network(12, 24, 4, 3, ConvKind::kUniform, rng);
+    for (std::uint32_t t = 1; t < 12; t += 3) {
+      const auto aux =
+          AuxiliaryGraph::build_single_pair(net, NodeId{0}, NodeId{t});
+      std::uint32_t x_nodes = 0;
+      for (std::uint32_t v = 0; v < net.num_nodes(); ++v)
+        x_nodes += aux.x_size(NodeId{v});
+      const auto free = route_semilightpath(net, NodeId{0}, NodeId{t});
+      for (const std::uint32_t budget :
+           {x_nodes, x_nodes + 7, std::numeric_limits<std::uint32_t>::max()}) {
+        const auto bounded =
+            route_semilightpath_bounded(net, NodeId{0}, NodeId{t}, budget);
+        ASSERT_EQ(bounded.found, free.found) << "t=" << t;
+        EXPECT_EQ(bounded.cost, free.cost) << "t=" << t << " C=" << budget;
+      }
+      // Profile entries past the clamp repeat the clamped value.
+      const auto profile =
+          conversion_cost_profile(net, NodeId{0}, NodeId{t}, x_nodes + 3);
+      for (std::uint32_t c = x_nodes; c <= x_nodes + 3; ++c)
+        EXPECT_EQ(profile[c], free.cost) << "t=" << t << " c=" << c;
+    }
+  }
+  const auto net = testing::paper_example_network();
+  EXPECT_THROW((void)conversion_cost_profile(
+                   net, NodeId{0}, NodeId{6},
+                   std::numeric_limits<std::uint32_t>::max()),
+               Error);
 }
 
 TEST(ConstrainedTest, RevisitInstanceNeedsBudgetTwo) {

@@ -72,6 +72,27 @@ TEST(TraversalTest, BfsHops) {
   EXPECT_EQ(bfs_hops(g, NodeId{0}, NodeId{4}), -1);
 }
 
+TEST(TraversalTest, BfsLinkPathTieGoesToTheLowerOutLinkRow) {
+  // Equal-hop diamond 0 -> {1, 2} -> 3: the branch whose out-link from 0
+  // comes first in the row is discovered first and carries the path.
+  Digraph g(4);
+  const LinkId to_2 = g.add_link(NodeId{0}, NodeId{2}, 1);
+  const LinkId to_1 = g.add_link(NodeId{0}, NodeId{1}, 1);
+  const LinkId from_1 = g.add_link(NodeId{1}, NodeId{3}, 1);
+  const LinkId from_2 = g.add_link(NodeId{2}, NodeId{3}, 1);
+  const auto all = [](LinkId) { return true; };
+  EXPECT_EQ(bfs_link_path(g, NodeId{0}, NodeId{3}, all),
+            (std::vector<LinkId>{to_2, from_2}));
+  // Filtering the winning branch's first link hands the tie to the other.
+  const auto skip = [&](LinkId e) { return e != to_2; };
+  EXPECT_EQ(bfs_link_path(g, NodeId{0}, NodeId{3}, skip),
+            (std::vector<LinkId>{to_1, from_1}));
+  // Unreachable and self targets give the empty path.
+  const auto none = [](LinkId) { return false; };
+  EXPECT_TRUE(bfs_link_path(g, NodeId{0}, NodeId{3}, none).empty());
+  EXPECT_TRUE(bfs_link_path(g, NodeId{3}, NodeId{3}, all).empty());
+}
+
 TEST(TraversalTest, RandomBidirectionalGraphIsStronglyConnected) {
   Rng rng(5);
   Digraph g(30);

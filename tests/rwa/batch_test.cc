@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "core/liang_shen.h"
+#include "obs/registry.h"
+#include "tests/obs_test_util.h"
 #include "tests/test_util.h"
 #include "topo/topologies.h"
 #include "topo/wavelengths.h"
@@ -99,6 +101,22 @@ TEST(BatchTest, CostOrderingsOfferCheapestOrCostliestFirst) {
     EXPECT_GE(costly.find(costly_result.sessions[i - 1])->cost,
               costly.find(costly_result.sessions[i])->cost - 1e-9);
   }
+}
+
+TEST(BatchTest, CostOrderingsPriceOnTheManagersEngine) {
+  // Pricing runs on the manager's weight-synchronized engine: no second
+  // engine core is built for the batch.
+  LUMEN_REQUIRE_OBS();
+  const std::vector<std::pair<NodeId, NodeId>> demands = {
+      {NodeId{0}, NodeId{13}}, {NodeId{2}, NodeId{9}}, {NodeId{5}, NodeId{6}}};
+  auto manager = nsfnet_manager(4, RoutingPolicy::kSemilightpathEngine);
+  const obs::Counter& core_builds =
+      obs::Registry::global().counter("lumen.route.engine.core_builds");
+  const std::uint64_t before = core_builds.value();
+  const auto result =
+      provision_batch(manager, demands, DemandOrder::kCheapestFirst);
+  EXPECT_EQ(result.carried, demands.size());
+  EXPECT_EQ(core_builds.value(), before);
 }
 
 TEST(BatchTest, CostOrderingsFollowThePaperRouterCosts) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 
 #include "graph/dijkstra.h"  // kInfiniteCost
@@ -115,6 +116,43 @@ TEST(AvailabilityTest, OccupancyZeroDemandsIsFull) {
   const auto avail =
       occupancy_availability(topo, 4, 0, CostSpec::unit(), rng);
   for (const auto& list : avail) EXPECT_EQ(list.size(), 4u);
+}
+
+/// FNV-1a digest of every (link, λ, cost) triple of an occupancy
+/// workload on a 40-node sparse topology; `pairs` counts the triples.
+std::uint64_t occupancy_digest(std::uint64_t seed, std::size_t& pairs) {
+  Rng rng(seed);
+  const Topology topo = random_sparse_topology(40, 60, rng);
+  const Availability avail =
+      occupancy_availability(topo, 8, 120, CostSpec::uniform(0.5, 3.0), rng);
+  std::uint64_t digest = 14695981039346656037ULL;
+  const auto mix = [&](std::uint64_t x) {
+    digest ^= x;
+    digest *= 1099511628211ULL;
+  };
+  pairs = 0;
+  for (std::size_t e = 0; e < avail.size(); ++e) {
+    for (const LinkWavelength& lw : avail[e]) {
+      mix(e);
+      mix(lw.lambda.value());
+      mix(std::bit_cast<std::uint64_t>(lw.cost));
+      ++pairs;
+    }
+  }
+  return digest;
+}
+
+TEST(AvailabilityTest, OccupancyOutputIsPinned) {
+  // The hop-shortest routes (ties to the lower out-link row) and first-fit
+  // wavelengths of the occupancy generator fix exactly which (link, λ)
+  // pairs survive; these digests pin that output.
+  std::size_t pairs = 0;
+  EXPECT_EQ(occupancy_digest(11, pairs), 0x8d8848fe79f3c66dULL);
+  EXPECT_EQ(pairs, 441u);
+  EXPECT_EQ(occupancy_digest(12, pairs), 0x9da010c8c2cb5cbaULL);
+  EXPECT_EQ(pairs, 455u);
+  EXPECT_EQ(occupancy_digest(13, pairs), 0x7ef5b00264051e85ULL);
+  EXPECT_EQ(pairs, 486u);
 }
 
 TEST(AssembleTest, BuildsRoutableNetwork) {
