@@ -10,7 +10,8 @@
 //     over the immutable flattened core.
 // The single-thread amortized speedup is the acceptance gate (>= 5x on
 // this workload); items_processed makes the per-route rate comparable
-// across regimes.
+// across regimes.  BM_EngineBuild times the engine construction alone: the
+// same build every perfbench workload's setup_s samples.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -67,6 +68,15 @@ void BM_SemilightpathEngine(benchmark::State& state) {
   const WdmNetwork net = engine_network();
   RouteEngine engine(net);
   const auto pairs = query_mix(64);
+  // The engine's core must price every pair as the per-request router
+  // does, bit for bit; when it does not, the loop below does not run.
+  for (const auto& [s, t] : pairs) {
+    if (engine.route_semilightpath(s, t).cost !=
+        route_semilightpath(net, s, t).cost) {
+      state.SkipWithError("engine optimum disagrees with route_semilightpath");
+      break;
+    }
+  }
   std::size_t i = 0;
   for (auto _ : state) {
     const auto& [s, t] = pairs[i++ % pairs.size()];

@@ -67,11 +67,11 @@ void index_distinct(std::vector<Wavelength>& lambdas, std::uint32_t& next_id,
 
 }  // namespace
 
-AuxiliaryGraph AuxiliaryGraph::build(const WdmNetwork& net, TerminalMode mode,
-                                     NodeId s, NodeId t) {
+AuxiliaryGraph AuxiliaryGraph::build(const WdmNetwork& net, NodeId s,
+                                     NodeId t) {
   Stopwatch timer;
   AuxiliaryGraph aux;
-  aux.all_pairs_ = mode == TerminalMode::kAllPairs;
+  aux.all_pairs_ = !s.valid();
   const std::uint32_t n = net.num_nodes();
   const ConversionModel& conv = net.conversion();
   thread_local BuildScratch scratch;
@@ -139,9 +139,9 @@ AuxiliaryGraph AuxiliaryGraph::build(const WdmNetwork& net, TerminalMode mode,
     terminal_links += aux.y_row(src.value()).size() +
                       aux.x_row(dst.value()).size();
   };
-  if (mode == TerminalMode::kSinglePair) {
+  if (!aux.all_pairs_) {
     count_terminals(s, t);
-  } else if (mode == TerminalMode::kAllPairs) {
+  } else {
     for (std::uint32_t vi = 0; vi < n; ++vi)
       count_terminals(NodeId{vi}, NodeId{vi});
   }
@@ -223,10 +223,10 @@ AuxiliaryGraph AuxiliaryGraph::build(const WdmNetwork& net, TerminalMode mode,
                         Wavelength::invalid()});
     return std::pair{source, sink};
   };
-  if (mode == TerminalMode::kSinglePair) {
+  if (!aux.all_pairs_) {
     std::tie(aux.single_source_terminal_, aux.single_sink_terminal_) =
         add_terminals(s, t);
-  } else if (mode == TerminalMode::kAllPairs) {
+  } else {
     aux.source_terminals_.resize(n);
     aux.sink_terminals_.resize(n);
     for (std::uint32_t vi = 0; vi < n; ++vi)
@@ -246,15 +246,11 @@ AuxiliaryGraph AuxiliaryGraph::build_single_pair(const WdmNetwork& net,
   LUMEN_REQUIRE(s.value() < net.num_nodes());
   LUMEN_REQUIRE(t.value() < net.num_nodes());
   LUMEN_REQUIRE_MSG(s != t, "single-pair auxiliary graph requires s != t");
-  return build(net, TerminalMode::kSinglePair, s, t);
-}
-
-AuxiliaryGraph AuxiliaryGraph::build_core(const WdmNetwork& net) {
-  return build(net, TerminalMode::kNone);
+  return build(net, s, t);
 }
 
 AuxiliaryGraph AuxiliaryGraph::build_all_pairs(const WdmNetwork& net) {
-  return build(net, TerminalMode::kAllPairs);
+  return build(net, NodeId::invalid(), NodeId::invalid());
 }
 
 NodeId AuxiliaryGraph::source_terminal() const {
@@ -290,31 +286,19 @@ const AuxLinkInfo& AuxiliaryGraph::link_info(LinkId aux) const {
 }
 
 NodeId AuxiliaryGraph::x_node(NodeId v, Wavelength lambda) const {
-  return lookup(x_nodes(v), lambda);
+  return lookup(x_row(v.value()), lambda);
 }
 
 NodeId AuxiliaryGraph::y_node(NodeId v, Wavelength lambda) const {
-  return lookup(y_nodes(v), lambda);
+  return lookup(y_row(v.value()), lambda);
 }
 
 std::uint32_t AuxiliaryGraph::x_size(NodeId v) const {
-  return static_cast<std::uint32_t>(x_nodes(v).size());
+  return static_cast<std::uint32_t>(x_row(v.value()).size());
 }
 
 std::uint32_t AuxiliaryGraph::y_size(NodeId v) const {
-  return static_cast<std::uint32_t>(y_nodes(v).size());
-}
-
-std::span<const std::pair<Wavelength, NodeId>> AuxiliaryGraph::x_nodes(
-    NodeId v) const {
-  LUMEN_REQUIRE(v.value() < num_physical_nodes());
-  return x_row(v.value());
-}
-
-std::span<const std::pair<Wavelength, NodeId>> AuxiliaryGraph::y_nodes(
-    NodeId v) const {
-  LUMEN_REQUIRE(v.value() < num_physical_nodes());
-  return y_row(v.value());
+  return static_cast<std::uint32_t>(y_row(v.value()).size());
 }
 
 Semilightpath AuxiliaryGraph::to_semilightpath(

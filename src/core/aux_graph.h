@@ -14,33 +14,26 @@
 // A shortest s'→t'' path in the auxiliary graph maps 1:1 to an optimal
 // semilightpath of G, including the wavelength of every link and the switch
 // settings at conversion nodes.
+//
+// This is the materialised construction, with every gadget link stored and
+// numbered.  It serves the paper's own experiments (E1/E3, route_on_aux),
+// Yen's search (k_shortest) and G_all (all_pairs, multicast), and it is the
+// reference for the lazy layout in layout.h: route_semilightpath, the
+// conversion-bounded router and RouteEngine build from that layout, which
+// numbers G' the same way, and are tested against this graph.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/layout.h"
 #include "core/route_types.h"
 #include "graph/digraph.h"
 #include "wdm/network.h"
 #include "wdm/semilightpath.h"
 
 namespace lumen {
-
-/// Role of an auxiliary-graph node.
-enum class AuxNodeKind : std::uint8_t {
-  kIn,              ///< x ∈ X_v: "at v having arrived on λ"
-  kOut,             ///< y ∈ Y_v: "at v about to leave on λ"
-  kSourceTerminal,  ///< s' (single-pair) or v' (all-pairs)
-  kSinkTerminal,    ///< t'' (single-pair) or v'' (all-pairs)
-};
-
-/// What an auxiliary node stands for in the physical network.
-struct AuxNodeInfo {
-  AuxNodeKind kind;
-  NodeId node;        ///< the physical node v
-  Wavelength lambda;  ///< invalid for terminals
-};
 
 /// Role of an auxiliary-graph link.
 enum class AuxLinkKind : std::uint8_t {
@@ -87,13 +80,6 @@ class AuxiliaryGraph {
   /// Builds G_all with per-node terminals (Corollary 1).
   [[nodiscard]] static AuxiliaryGraph build_all_pairs(const WdmNetwork& net);
 
-  /// Builds the terminal-free core G' (gadgets + E_org) only.  This is the
-  /// build-once structure the RouteEngine flattens: any (s, t) query can be
-  /// answered on it by seeding a multi-source search at Y_s ("virtual
-  /// terminals") instead of materializing s'/t''.  Terminal accessors are
-  /// invalid on a core graph.
-  [[nodiscard]] static AuxiliaryGraph build_core(const WdmNetwork& net);
-
   /// The underlying weighted digraph to run shortest paths on.
   [[nodiscard]] const Digraph& graph() const noexcept { return graph_; }
 
@@ -120,12 +106,6 @@ class AuxiliaryGraph {
   [[nodiscard]] std::uint32_t x_size(NodeId v) const;
   [[nodiscard]] std::uint32_t y_size(NodeId v) const;
 
-  /// All of X_v / Y_v as sorted (λ, aux-node) pairs (engine seed lists).
-  [[nodiscard]] std::span<const std::pair<Wavelength, NodeId>> x_nodes(
-      NodeId v) const;
-  [[nodiscard]] std::span<const std::pair<Wavelength, NodeId>> y_nodes(
-      NodeId v) const;
-
   [[nodiscard]] const AuxGraphStats& stats() const noexcept { return stats_; }
 
   /// Translates an auxiliary-graph link path (e.g. from extract_path on a
@@ -138,15 +118,11 @@ class AuxiliaryGraph {
  private:
   AuxiliaryGraph() = default;
 
-  /// Which terminals the build adds after the core G'.
-  enum class TerminalMode : std::uint8_t { kNone, kSinglePair, kAllPairs };
-
-  /// The one construction routine behind the three public builders.  It
-  /// counts every node, link and adjacency row first, then fills storage
-  /// sized exactly once, so the hot loops never reallocate.
-  static AuxiliaryGraph build(const WdmNetwork& net, TerminalMode mode,
-                              NodeId s = NodeId::invalid(),
-                              NodeId t = NodeId::invalid());
+  /// The one construction routine behind the two public builders: G'
+  /// plus s' and t'', or with s and t invalid, v' and v'' for every node.
+  /// It counts every node, link and adjacency row first, then fills
+  /// storage sized exactly once, so the hot loops never reallocate.
+  static AuxiliaryGraph build(const WdmNetwork& net, NodeId s, NodeId t);
 
   NodeId add_aux_node(AuxNodeInfo info, std::uint32_t out_capacity,
                       std::uint32_t in_capacity);
@@ -160,15 +136,14 @@ class AuxiliaryGraph {
                                      Wavelength lambda);
   /// X_v / Y_v as slices of the flattened per-node indexes.
   [[nodiscard]] std::span<const LambdaEntry> x_row(std::uint32_t v) const {
+    LUMEN_REQUIRE(v + 1 < x_begin_.size());
     return std::span(x_entries_).subspan(x_begin_[v],
                                          x_begin_[v + 1] - x_begin_[v]);
   }
   [[nodiscard]] std::span<const LambdaEntry> y_row(std::uint32_t v) const {
+    LUMEN_REQUIRE(v + 1 < y_begin_.size());
     return std::span(y_entries_).subspan(y_begin_[v],
                                          y_begin_[v + 1] - y_begin_[v]);
-  }
-  [[nodiscard]] std::uint32_t num_physical_nodes() const noexcept {
-    return static_cast<std::uint32_t>(x_begin_.size()) - 1;
   }
 
   Digraph graph_;

@@ -1,25 +1,19 @@
 // The Liang–Shen optimal semilightpath algorithm (Theorem 1).
 //
-// route_semilightpath lays out the layered auxiliary graph G_{s,t} for one
-// request and runs Dijkstra (Fibonacci heap by default) from s' to t''.
-// The layout keeps X_v, Y_v and E_org only.  The gadget links
-// x_v(λ) -> y_v(λ') are generated from c_v when the search settles x_v(λ),
-// in the order the materialised graph lists them, so the search is
-// Dijkstra on G_{s,t} exactly: same optimum, same pops, same hops.  The
-// build is O(km + Σ_v |X_v| + |Y_v|); the k² gadget term is paid only for
-// settled X-nodes, O(k²n + km + kn log(kn)) in the worst case.  For
-// networks with |Λ(e)| <= k_0 the same code meets Theorem 4's
-// O(d²nk_0² + mk_0 log n), independent of the universe size k, because it
-// never enumerates Λ itself.
+// route_semilightpath lays out G' for one request (core/layout.h) and runs
+// Dijkstra (Fibonacci heap by default) from s' to t'' of its PairGraph.
+// The gadget links x_v(λ) -> y_v(λ') are generated from c_v when the
+// search settles x_v(λ), in the order the materialised graph lists them,
+// so the search is Dijkstra on G_{s,t} exactly: same optimum, same pops,
+// same hops.  The build is O(km + Σ_v |X_v| + |Y_v|); the k² gadget term
+// is paid only for settled X-nodes, O(k²n + km + kn log(kn)) in the worst
+// case.  With |Λ(e)| <= k_0 that meets Theorem 4's O(d²nk_0² + mk_0 log n),
+// independent of the universe size k, because Λ is never enumerated.
 //
-// RouteStats::aux_nodes is |V'|.  aux_links counts the links the search
-// saw: E_org, the terminal ties and the gadget links of the settled
-// X-nodes.  It does not count every X_v × Y_v pair: that count alone would
-// put the k²n term back into every route.
-//
-// route_on_aux searches a materialised AuxiliaryGraph instead: the paper's
-// construction (E1/E3), and the reference route_semilightpath is tested
-// against.
+// RouteStats::aux_nodes is |V'|; aux_links counts the links the search saw
+// (PairGraph::links_searched).  route_on_aux searches a materialised
+// AuxiliaryGraph instead: the paper's construction (E1/E3), and the
+// reference route_semilightpath is tested against.
 #pragma once
 
 #include "core/aux_graph.h"

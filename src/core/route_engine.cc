@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cmath>
 
-#include "core/aux_graph.h"
+#include "core/layout.h"
 #include "graph/landmarks.h"
 #include "obs/registry.h"
 #include "obs/trace_context.h"
@@ -103,15 +103,6 @@ std::uint32_t potential_budget(std::uint32_t n) {
                  std::ceil(std::sqrt(static_cast<double>(n))));
 }
 
-/// What a core CSR slot stands for: a transmission of `phys` on
-/// `from` (== `to`), or a conversion `from`→`to` at `node`.
-struct SlotInfo {
-  LinkId phys;  ///< invalid for conversion slots
-  NodeId node;  ///< conversion site (invalid for transmission slots)
-  Wavelength from;
-  Wavelength to;
-};
-
 /// Per-link sorted (λ, core transmission slot, lightpath weight index)
 /// entry for O(log k0) patch lookup.
 struct TransSlot {
@@ -135,6 +126,20 @@ struct PotentialRow {
 std::uint64_t next_potential_token() {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+/// The CSR slots of the search-tree path from a seed to `hit`, in order.
+std::vector<std::uint32_t> tree_slots(const CsrDigraph& g,
+                                      const SearchScratch& scratch,
+                                      NodeId hit) {
+  std::vector<std::uint32_t> slots;
+  for (std::uint32_t slot = scratch.parent_slot(hit);
+       slot != CsrDigraph::kInvalidSlot; slot = scratch.parent_slot(hit)) {
+    slots.push_back(slot);
+    hit = g.tail(slot);
+  }
+  std::reverse(slots.begin(), slots.end());
+  return slots;
 }
 
 /// Runs work(i, scratch) for every i in [0, count): inline for threads ==
@@ -169,13 +174,20 @@ void drain(std::size_t count, unsigned threads, const Work& work) {
 
 struct RouteEngine::Frozen {
   // Semilightpath core: flattened G' (its stored weights are the base
-  // weights) plus seed/sink lists and metadata.
+  // weights; a slot's original is its physical link, invalid on gadget
+  // slots) plus seed/sink lists and metadata.
   std::unique_ptr<CsrDigraph> core;
-  std::vector<SlotInfo> slot_info;             // per core slot
-  std::vector<std::vector<NodeId>> sources_of;  // Y_v (aux node ids)
-  std::vector<std::vector<NodeId>> sinks_of;    // X_v (aux node ids)
-  std::vector<std::uint32_t> core_phys;         // core node -> physical node
-  std::vector<std::vector<TransSlot>> trans_slots;  // per physical link
+  std::vector<NodeId> core_ids;  // 0, 1, ..., |V(G')| - 1
+  /// Virtual terminals: sources_of[v] = Y_v, sinks_of[v] = X_v, both id
+  /// ranges of G' and so slices of core_ids.
+  std::vector<std::span<const NodeId>> sources_of;
+  std::vector<std::span<const NodeId>> sinks_of;
+  std::vector<std::uint32_t> core_phys;  // core node -> physical node
+  std::vector<Wavelength> core_lambda;   // core node -> its λ
+  /// Link e's transmission slots, ascending by λ, are
+  /// trans_slots[trans_begin[e], trans_begin[e + 1]).
+  std::vector<std::uint32_t> trans_begin;
+  std::vector<TransSlot> trans_slots;
 
   // Goal direction: base-weight lower-bound machinery (see the
   // residual-safety invariant in the header).
@@ -212,22 +224,6 @@ RouteEngine::RouteEngine(const WdmNetwork& net, const Options& options)
   auto frozen = std::make_shared<Frozen>();
   Frozen& f = *frozen;
 
-  // --- semilightpath core: flatten G' into a CSR arena -------------------
-  const AuxiliaryGraph aux = AuxiliaryGraph::build_core(net);
-  f.core = std::make_unique<CsrDigraph>(aux.graph());
-
-  f.sources_of.resize(n_);
-  f.sinks_of.resize(n_);
-  for (std::uint32_t vi = 0; vi < n_; ++vi) {
-    const NodeId v{vi};
-    for (const auto& [lambda, y] : aux.y_nodes(v))
-      f.sources_of[vi].push_back(y);
-    for (const auto& [lambda, x] : aux.x_nodes(v)) f.sinks_of[vi].push_back(x);
-  }
-  f.core_phys.resize(f.core->num_nodes());
-  for (std::uint32_t a = 0; a < f.core->num_nodes(); ++a)
-    f.core_phys[a] = aux.node_info(NodeId{a}).node.value();
-
   // --- goal direction: base-weight lower-bound machinery ------------------
   // The physical topology with each link at its *base* cheapest-wavelength
   // cost.  Every semilightpath suffix pays at least this per physical link
@@ -263,50 +259,67 @@ RouteEngine::RouteEngine(const WdmNetwork& net, const Options& options)
     }
   }
 
-  // --- slot metadata + per-link patch tables ------------------------------
+  // --- semilightpath core: G' flattened into a CSR arena -----------------
+  // Rows in node-id order, as CoreLayout::relax_out lists them (so, the
+  // materialised G''s), with each link's patch table filled in the same
+  // pass, ascending by λ as Y_u is.  Σ_v |X_v|·|Y_v| bounds the gadget
+  // slots (equals them under full conversion): one allocation per row.
+  const CoreLayout layout(net);
+  const std::uint32_t core_nodes = layout.num_nodes();
+  std::size_t max_slots = layout.num_transmissions();
+  for (std::uint32_t vi = 0; vi < n_; ++vi)
+    max_slots += std::size_t{layout.x_ids(NodeId{vi}).size()} *
+                 layout.y_ids(NodeId{vi}).size();
+  AlignedVector<std::uint32_t> offsets, heads;
+  AlignedVector<double> weights;
+  std::vector<LinkId> links;
+  heads.reserve(max_slots);
+  weights.reserve(max_slots);
+  links.reserve(max_slots);
+  f.trans_begin.resize(m + 1, 0);
+  for (std::uint32_t ei = 0; ei < m; ++ei)
+    f.trans_begin[ei + 1] = f.trans_begin[ei] + net.num_available(LinkId{ei});
+  f.trans_slots.resize(f.trans_begin[m]);
+  std::vector<std::uint32_t> fill(f.trans_begin.begin(),
+                                  f.trans_begin.end() - 1);
+  for (std::uint32_t a = 0; a < core_nodes; ++a) {
+    offsets.push_back(static_cast<std::uint32_t>(heads.size()));
+    const auto [kind, v, lambda] = layout.node(NodeId{a});
+    f.core_ids.push_back(NodeId{a});
+    f.core_phys.push_back(v.value());
+    f.core_lambda.push_back(lambda);
+    layout.relax_out(NodeId{a}, net.conversion(),
+                     [&](NodeId head, double weight, LinkId link, bool) {
+                       if (link.valid()) {
+                         const std::uint32_t ei = link.value();
+                         f.trans_slots[fill[ei]++] = {
+                             lambda, static_cast<std::uint32_t>(heads.size()),
+                             lambda.value() * m + phys_slot_of[ei]};
+                       }
+                       heads.push_back(head.value());
+                       weights.push_back(weight);
+                       links.push_back(link);
+                     });
+  }
+  offsets.push_back(static_cast<std::uint32_t>(heads.size()));
+  core_weights_.assign(weights.begin(), weights.end());
+  f.core = std::make_unique<CsrDigraph>(std::move(offsets), std::move(heads),
+                                        std::move(weights), std::move(links));
   const CsrDigraph& core = *f.core;
-  f.slot_info.resize(core.num_links());
-  f.trans_slots.resize(m);
-  for (std::uint32_t slot = 0; slot < core.num_links(); ++slot) {
-    const AuxLinkInfo& info = aux.link_info(core.link(slot).original);
-    if (info.kind == AuxLinkKind::kTransmission) {
-      f.slot_info[slot] = {info.physical_link, NodeId::invalid(), info.from,
-                           info.to};
-      const std::uint32_t ei = info.physical_link.value();
-      f.trans_slots[ei].push_back(
-          {info.from, slot,
-           static_cast<std::uint32_t>(
-               static_cast<std::size_t>(info.from.value()) * m +
-               phys_slot_of[ei])});
-      ++stats_.transmission_slots;
-    } else {
-      LUMEN_ASSERT(info.kind == AuxLinkKind::kConversion);
-      f.slot_info[slot] = {LinkId::invalid(), info.node, info.from, info.to};
-    }
+  stats_.transmission_slots = layout.num_transmissions();
+  const auto slice = [&f](CoreLayout::Ids ids) {
+    return std::span(f.core_ids).subspan(*ids.begin(), ids.size());
+  };
+  for (std::uint32_t vi = 0; vi < n_; ++vi) {
+    f.sources_of.push_back(slice(layout.y_ids(NodeId{vi})));
+    f.sinks_of.push_back(slice(layout.x_ids(NodeId{vi})));
   }
-  for (auto& table : f.trans_slots) {
-    std::sort(table.begin(), table.end(),
-              [](const TransSlot& a, const TransSlot& b) {
-                return a.lambda < b.lambda;
-              });
-  }
-  core_weights_.assign(core.weights_data(),
-                       core.weights_data() + core.num_links());
 
   stats_.core_nodes = core.num_nodes();
   stats_.core_links = core.num_links();
   frozen_ = std::move(frozen);
   stats_.build_seconds = timer.seconds();
   EngineInstruments::get().core_builds.add();
-}
-
-RouteResult RouteEngine::trivial_self_route() const {
-  RouteResult result;
-  result.found = true;
-  result.cost = 0.0;
-  result.stats.aux_nodes = stats_.core_nodes;
-  result.stats.aux_links = stats_.core_links;
-  return result;
 }
 
 RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t) {
@@ -372,9 +385,13 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
   LUMEN_REQUIRE(t.value() < n_);
   EngineInstruments& instruments = EngineInstruments::get();
   instruments.requests.add();
+  RouteResult result;
+  result.stats.aux_nodes = stats_.core_nodes;
+  result.stats.aux_links = stats_.core_links;
   if (s == t) {
     instruments.found.add();
-    return trivial_self_route();
+    result.found = true;  // the empty path, of cost 0
+    return result;
   }
   // Ambient causal span: an engine query launched inside a traced request
   // (SessionManager::open) becomes a child of that request's span tree.
@@ -383,9 +400,6 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
 
   const Frozen& f = *frozen_;
   const CsrDigraph& core = *f.core;
-  RouteResult result;
-  result.stats.aux_nodes = core.num_nodes();
-  result.stats.aux_links = core.num_links();
   Stopwatch timer;
 
   // The target table must be resolved before scratch.begin() below:
@@ -426,8 +440,8 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
   CsrRunStats run_stats;
   NodeId hit;
   if (goal) {
-    hit = astar_csr_run(core, f.sources_of[s.value()], scratch, potential,
-                        &run_stats, core_weights_);
+    hit = csr_search_run(core, f.sources_of[s.value()], scratch, potential,
+                         &run_stats, core_weights_);
   } else {
     hit = dijkstra_csr_run(core, f.sources_of[s.value()], scratch, &run_stats,
                            core_weights_);
@@ -451,23 +465,21 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
 
   result.found = true;
   result.cost = scratch.dist(hit);
-  // Walk parent slots back to a seed, then translate forward: transmission
-  // slots become hops; conversion slots with from != to become switches.
-  std::vector<std::uint32_t> slots;
-  for (NodeId v = hit;;) {
-    const std::uint32_t slot = scratch.parent_slot(v);
-    if (slot == CsrDigraph::kInvalidSlot) break;
-    slots.push_back(slot);
-    v = core.tail(slot);
-  }
-  std::reverse(slots.begin(), slots.end());
+  // Translate the tree path forward (s != t, so it has a slot): transmission
+  // slots become hops, gadget slots with λ != λ' become switches.
+  const std::vector<std::uint32_t> slots = tree_slots(core, scratch, hit);
+  std::uint32_t tail = core.tail(slots.front()).value();
   for (const std::uint32_t slot : slots) {
-    const SlotInfo& info = f.slot_info[slot];
-    if (info.phys.valid()) {
-      result.path.append(Hop{info.phys, info.from});
-    } else if (info.from != info.to) {
-      result.switches.push_back(SwitchSetting{info.node, info.from, info.to});
+    const std::uint32_t head = core.head(slot).value();
+    const Wavelength from = f.core_lambda[tail];
+    const Wavelength to = f.core_lambda[head];
+    if (const LinkId e = core.original(slot); e.valid()) {
+      result.path.append(Hop{e, from});
+    } else if (from != to) {
+      result.switches.push_back(
+          SwitchSetting{NodeId{f.core_phys[tail]}, from, to});
     }
+    tail = head;
   }
 
   instruments.found.add();
@@ -526,16 +538,8 @@ RouteResult RouteEngine::route_lightpath(NodeId s, NodeId t,
 
     best.found = true;
     best.cost = scratch.dist(hit);
-    std::vector<std::uint32_t> slots;
-    for (NodeId v = hit;;) {
-      const std::uint32_t slot = scratch.parent_slot(v);
-      if (slot == CsrDigraph::kInvalidSlot) break;
-      slots.push_back(slot);
-      v = phys.tail(slot);
-    }
-    std::reverse(slots.begin(), slots.end());
     Semilightpath path;
-    for (const std::uint32_t slot : slots)
+    for (const std::uint32_t slot : tree_slots(phys, scratch, hit))
       path.append(Hop{phys.original(slot), Wavelength{li}});
     best.path = std::move(path);
   }
@@ -596,27 +600,23 @@ std::vector<std::vector<double>> RouteEngine::bulk_costs(
 
 std::pair<std::uint32_t, std::uint32_t> RouteEngine::find_slot(
     LinkId e, Wavelength lambda) const {
-  LUMEN_REQUIRE(e.value() < frozen_->trans_slots.size());
-  const auto& table = frozen_->trans_slots[e.value()];
+  const Frozen& f = *frozen_;
+  LUMEN_REQUIRE(e.value() + 1 < f.trans_begin.size());
+  const TransSlot* first = f.trans_slots.data() + f.trans_begin[e.value()];
+  const TransSlot* last = f.trans_slots.data() + f.trans_begin[e.value() + 1];
   const auto it = std::lower_bound(
-      table.begin(), table.end(), lambda,
+      first, last, lambda,
       [](const TransSlot& entry, Wavelength l) { return entry.lambda < l; });
-  if (it == table.end() || it->lambda != lambda)
+  if (it == last || it->lambda != lambda)
     return {CsrDigraph::kInvalidSlot, 0};
   return {it->core_slot, it->phys_weight_index};
 }
 
-std::pair<std::uint32_t, std::uint32_t> RouteEngine::locate(
-    LinkId e, Wavelength lambda) const {
-  const auto slot = find_slot(e, lambda);
-  LUMEN_REQUIRE_MSG(slot.first != CsrDigraph::kInvalidSlot,
+void RouteEngine::set_weight(LinkId e, Wavelength lambda, double weight) {
+  const auto [core_slot, weight_index] = find_slot(e, lambda);
+  LUMEN_REQUIRE_MSG(core_slot != CsrDigraph::kInvalidSlot,
                     "wavelength not in the base availability of this link; "
                     "structural changes require a new RouteEngine");
-  return slot;
-}
-
-void RouteEngine::set_weight(LinkId e, Wavelength lambda, double weight) {
-  const auto [core_slot, weight_index] = locate(e, lambda);
   LUMEN_REQUIRE_MSG(weight >= frozen_->core->weight(core_slot),
                     "patched weight below the build-time base breaks the "
                     "goal-direction lower bounds; build a new RouteEngine");

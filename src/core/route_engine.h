@@ -6,8 +6,9 @@
 // (s, t), so the engine hoists everything else out of the hot path:
 //
 //   * The wavelength-gadget core G' (G_M + conversion gadgets, NO
-//     terminals) is built once per network and flattened into a
-//     cache-friendly CSR arena (CsrDigraph).
+//     terminals) is flattened once per network into a cache-friendly CSR
+//     arena (CsrDigraph), row by row from its layout (core/layout.h):
+//     no AuxiliaryGraph is materialised on the way.
 //   * A query (s, t) uses *virtual terminals*: a multi-source Dijkstra is
 //     seeded from every y_s(λ) at distance 0 (exactly the zero-weight
 //     s' ties of G_{s,t}) and stops at the first settled x_t(λ) (which,
@@ -193,14 +194,9 @@ class RouteEngine {
   [[nodiscard]] std::uint32_t num_wavelengths() const noexcept { return k_; }
 
  private:
-  [[nodiscard]] RouteResult trivial_self_route() const;
   /// Binary-searches the per-link transmission table for λ's (core slot,
   /// phys weight index); the core slot is kInvalidSlot when λ ∉ base Λ(e).
   [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> find_slot(
-      LinkId e, Wavelength lambda) const;
-  /// find_slot() that fails (REQUIRE) on a miss — a structural change
-  /// needs a rebuild.
-  [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> locate(
       LinkId e, Wavelength lambda) const;
   /// Expands t's potential row into the scratch's target table and
   /// returns it: the node's potential is min(dist[v], radius).  Builds

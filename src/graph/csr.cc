@@ -1,48 +1,56 @@
 #include "graph/csr.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "graph/fib_heap.h"
 
 namespace lumen {
 
-CsrDigraph::CsrDigraph(const Digraph& g) {
-  offsets_.resize(g.num_nodes() + 1);
-  heads_.reserve(g.num_links());
-  weights_.reserve(g.num_links());
-  originals_.reserve(g.num_links());
-  std::uint32_t cursor = 0;
+namespace {
+
+/// Packs g's out-rows, or with `reverse` its in-rows pointing back at the
+/// links' tails, in node order.
+CsrDigraph pack(const Digraph& g, bool reverse) {
+  AlignedVector<std::uint32_t> offsets, heads;
+  AlignedVector<double> weights;
+  std::vector<LinkId> originals;
+  offsets.reserve(g.num_nodes() + 1);
+  heads.reserve(g.num_links());
+  weights.reserve(g.num_links());
+  originals.reserve(g.num_links());
   for (std::uint32_t v = 0; v < g.num_nodes(); ++v) {
-    offsets_[v] = cursor;
-    for (const LinkId e : g.out_links(NodeId{v})) {
-      heads_.push_back(g.head(e).value());
-      weights_.push_back(g.weight(e));
-      originals_.push_back(e);
-      ++cursor;
+    offsets.push_back(static_cast<std::uint32_t>(heads.size()));
+    for (const LinkId e : reverse ? g.in_links(NodeId{v})
+                                  : g.out_links(NodeId{v})) {
+      heads.push_back((reverse ? g.tail(e) : g.head(e)).value());
+      weights.push_back(g.weight(e));
+      originals.push_back(e);
     }
   }
-  offsets_[g.num_nodes()] = cursor;
+  offsets.push_back(static_cast<std::uint32_t>(heads.size()));
+  return CsrDigraph(std::move(offsets), std::move(heads), std::move(weights),
+                    std::move(originals));
 }
 
-CsrDigraph CsrDigraph::reversed(const Digraph& g) {
-  CsrDigraph csr;
-  csr.offsets_.resize(g.num_nodes() + 1);
-  csr.heads_.reserve(g.num_links());
-  csr.weights_.reserve(g.num_links());
-  csr.originals_.reserve(g.num_links());
-  std::uint32_t cursor = 0;
-  for (std::uint32_t v = 0; v < g.num_nodes(); ++v) {
-    csr.offsets_[v] = cursor;
-    for (const LinkId e : g.in_links(NodeId{v})) {
-      csr.heads_.push_back(g.tail(e).value());
-      csr.weights_.push_back(g.weight(e));
-      csr.originals_.push_back(e);
-      ++cursor;
-    }
-  }
-  csr.offsets_[g.num_nodes()] = cursor;
-  return csr;
+}  // namespace
+
+CsrDigraph::CsrDigraph(const Digraph& g) : CsrDigraph(pack(g, false)) {}
+
+CsrDigraph::CsrDigraph(AlignedVector<std::uint32_t> offsets,
+                       AlignedVector<std::uint32_t> heads,
+                       AlignedVector<double> weights,
+                       std::vector<LinkId> originals)
+    : offsets_(std::move(offsets)),
+      heads_(std::move(heads)),
+      weights_(std::move(weights)),
+      originals_(std::move(originals)) {
+  LUMEN_REQUIRE(!offsets_.empty() && offsets_.back() == heads_.size() &&
+                weights_.size() == heads_.size() &&
+                originals_.size() == heads_.size());
 }
+
+CsrDigraph CsrDigraph::reversed(const Digraph& g) { return pack(g, true); }
 
 NodeId CsrDigraph::tail(std::uint32_t slot) const {
   LUMEN_REQUIRE(slot < num_links());

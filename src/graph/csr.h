@@ -1,4 +1,4 @@
-// Compressed-sparse-row (CSR) digraph view with patchable weights.
+// Compressed-sparse-row (CSR) digraph view with overridable weights.
 //
 // The mutable Digraph stores per-node link vectors — convenient while
 // building, but each adjacency list is its own heap allocation.  CSR packs
@@ -15,10 +15,10 @@
 // a per-wavelength weight override becomes a plain row-pointer swap
 // instead of a per-link branch.
 //
-// The structure (offsets, heads) is immutable after construction, but
-// weights may be patched in place via slot indices (set_weight): this is
+// The view is immutable after construction, but a search may read its
+// weights from the caller's own row instead of the stored one: this is
 // what lets the build-once RouteEngine flip residual availability to/from
-// +inf in O(1) per (link, wavelength) instead of rebuilding the arena.
+// +inf in O(1) per (link, wavelength) without touching the shared arena.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +32,8 @@
 
 namespace lumen {
 
-/// CSR snapshot of a Digraph's out-adjacency.  Structure is fixed;
-/// weights are patchable by slot.
+/// CSR snapshot of a Digraph's out-adjacency (or of packed rows).  Fixed
+/// once built; searches may override its weights with a per-slot row.
 class CsrDigraph {
  public:
   /// One packed out-link, materialized by value from the SoA rows.
@@ -48,6 +48,12 @@ class CsrDigraph {
 
   /// Snapshots `g` (O(n + m)).
   explicit CsrDigraph(const Digraph& g);
+
+  /// Adopts packed rows: node v's out-links are the slots
+  /// [offsets[v], offsets[v + 1]) of `heads`, `weights` and `originals`.
+  CsrDigraph(AlignedVector<std::uint32_t> offsets,
+             AlignedVector<std::uint32_t> heads, AlignedVector<double> weights,
+             std::vector<LinkId> originals);
 
   /// Snapshots the *reversed* graph: slot (v, e) holds link e of g packed
   /// under its head v, pointing back at g.tail(e).  Searches over this
@@ -104,24 +110,14 @@ class CsrDigraph {
   /// Lets parent-slot chains from SearchScratch be walked back to a seed.
   [[nodiscard]] NodeId tail(std::uint32_t slot) const;
 
-  /// Patches the weight stored in `slot` (>= 0, may be +infinity).  The
-  /// structure is untouched, so views/spans stay valid.
-  void set_weight(std::uint32_t slot, double weight) {
-    LUMEN_REQUIRE(slot < num_links());
-    LUMEN_REQUIRE_MSG(weight >= 0.0, "link weights must be non-negative");
-    weights_[slot] = weight;
-  }
-
   /// Reverse index: result[original link id] = slot holding its snapshot.
   /// Each Digraph link appears in exactly one slot.  O(m).
   [[nodiscard]] std::vector<std::uint32_t> slots_by_original() const;
 
  private:
-  CsrDigraph() = default;  // backs the reversed() factory
-
   AlignedVector<std::uint32_t> offsets_;  // n+1 entries
   AlignedVector<std::uint32_t> heads_;    // per slot
-  AlignedVector<double> weights_;         // per slot (patchable)
+  AlignedVector<double> weights_;         // per slot
   std::vector<LinkId> originals_;         // per slot (cold: path extraction)
 };
 
@@ -143,18 +139,6 @@ NodeId csr_search_run_impl(const CsrDigraph& g, std::span<const NodeId> sources,
                            SearchScratch& scratch, Potential&& potential,
                            CsrRunStats* stats, std::span<const double> weights);
 
-template <class Potential>
-NodeId csr_search_run(const CsrDigraph& g, std::span<const NodeId> sources,
-                      SearchScratch& scratch, Potential&& potential,
-                      CsrRunStats* stats, std::span<const double> weights);
-
-/// Declared here (defaults live on this declaration) so it can be a
-/// friend of SearchScratch; definition below the class.
-template <class Potential>
-NodeId astar_csr_run(const CsrDigraph& g, std::span<const NodeId> sources,
-                     SearchScratch& scratch, Potential&& potential,
-                     CsrRunStats* stats = nullptr,
-                     std::span<const double> weights = {});
 
 /// Reusable search state for the CSR search kernels.  Buffers are sized to
 /// the graph once and invalidated lazily via generation stamps, so after
@@ -205,9 +189,6 @@ class SearchScratch {
   /// Marks v as a sink of the current query (search stops at the first
   /// settled sink).
   void mark_sink(NodeId v);
-  [[nodiscard]] bool is_sink(NodeId v) const noexcept {
-    return sink_stamp_[v.value()] == generation_;
-  }
 
   /// Tentative/final distance of v in the current query (+inf when never
   /// touched).  Final once the search has settled v.
@@ -322,12 +303,12 @@ double dijkstra_csr_budget(const CsrDigraph& g, NodeId source,
                            std::vector<std::uint32_t>& order,
                            CsrRunStats* stats = nullptr);
 
-/// The shared relaxation kernel behind dijkstra_csr_run and astar_csr_run
-/// (both weight-override variants included): one loop, instantiated with
-/// NoPotential for the uninformed search so the goal-directed branches
-/// compile out, and with kPrefetch = false for graphs whose scratch rows
-/// fit in cache (see kPrefetchMinNodes).  See astar_csr_run for the
-/// potential contract.
+/// The shared relaxation kernel behind dijkstra_csr_run and the
+/// goal-directed csr_search_run (both weight-override variants included):
+/// one loop, instantiated with NoPotential for the uninformed search so the
+/// goal-directed branches compile out, and with kPrefetch = false for
+/// graphs whose scratch rows fit in cache (see kPrefetchMinNodes).  See
+/// csr_search_run for the potential contract.
 template <bool kPrefetch, class Potential>
 NodeId csr_search_run_impl(const CsrDigraph& g, std::span<const NodeId> sources,
                            SearchScratch& scratch, Potential&& potential,
@@ -426,21 +407,8 @@ NodeId csr_search_run_impl(const CsrDigraph& g, std::span<const NodeId> sources,
   return NodeId::invalid();
 }
 
-template <class Potential>
-NodeId csr_search_run(const CsrDigraph& g, std::span<const NodeId> sources,
-                      SearchScratch& scratch, Potential&& potential,
-                      CsrRunStats* stats, std::span<const double> weights) {
-  if (g.num_nodes() >= kPrefetchMinNodes) {
-    return csr_search_run_impl<true>(g, sources, scratch,
-                                     std::forward<Potential>(potential), stats,
-                                     weights);
-  }
-  return csr_search_run_impl<false>(g, sources, scratch,
-                                    std::forward<Potential>(potential), stats,
-                                    weights);
-}
-
-/// Goal-directed (A*) variant of dijkstra_csr_run.
+/// Goal-directed (A*) variant of dijkstra_csr_run (and, with NoPotential,
+/// dijkstra_csr_run itself).
 ///
 /// `potential(v)` must be an *admissible, consistent* lower bound on the
 /// remaining cost from node v to every marked sink (kInfiniteCost when v
@@ -453,11 +421,18 @@ NodeId csr_search_run(const CsrDigraph& g, std::span<const NodeId> sources,
 /// The potential is evaluated at most once per touched node per query
 /// (memoized in the scratch).
 template <class Potential>
-NodeId astar_csr_run(const CsrDigraph& g, std::span<const NodeId> sources,
-                     SearchScratch& scratch, Potential&& potential,
-                     CsrRunStats* stats, std::span<const double> weights) {
-  return csr_search_run(g, sources, scratch,
-                        std::forward<Potential>(potential), stats, weights);
+NodeId csr_search_run(const CsrDigraph& g, std::span<const NodeId> sources,
+                      SearchScratch& scratch, Potential&& potential,
+                      CsrRunStats* stats = nullptr,
+                      std::span<const double> weights = {}) {
+  if (g.num_nodes() >= kPrefetchMinNodes) {
+    return csr_search_run_impl<true>(g, sources, scratch,
+                                     std::forward<Potential>(potential), stats,
+                                     weights);
+  }
+  return csr_search_run_impl<false>(g, sources, scratch,
+                                    std::forward<Potential>(potential), stats,
+                                    weights);
 }
 
 /// Dijkstra over the CSR view: dijkstra_search<FibHeap> with a CSR row

@@ -41,7 +41,6 @@ TEST(AuxGraphBuildTest, RowsHoldTheirLinksInIdOrder) {
   Rng rng(2024);
   for (int trial = 0; trial < 40; ++trial) {
     const WdmNetwork net = fuzz_network(rng);
-    expect_rows_in_link_order(AuxiliaryGraph::build_core(net).graph());
     expect_rows_in_link_order(AuxiliaryGraph::build_all_pairs(net).graph());
     const auto s = NodeId{0};
     const auto t = NodeId{net.num_nodes() - 1};
@@ -68,13 +67,6 @@ TEST(AuxGraphBuildTest, BuildSecondsFitInsideTheCall) {
     {
       Stopwatch wall;
       const auto aux = AuxiliaryGraph::build_all_pairs(net);
-      const double seconds = wall.seconds();
-      EXPECT_GT(aux.stats().build_seconds, 0.0);
-      EXPECT_LE(aux.stats().build_seconds, seconds);
-    }
-    {
-      Stopwatch wall;
-      const auto aux = AuxiliaryGraph::build_core(net);
       const double seconds = wall.seconds();
       EXPECT_GT(aux.stats().build_seconds, 0.0);
       EXPECT_LE(aux.stats().build_seconds, seconds);

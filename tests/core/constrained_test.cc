@@ -154,6 +154,47 @@ TEST(ConstrainedTest, BudgetsPastTheConversionBoundAreClamped) {
                Error);
 }
 
+TEST(ConstrainedTest, UnboundedBudgetSearchesOnlyTheOptimumsLayers) {
+  // The unconstrained optimum's c* conversions bound every budget that
+  // matters, so even budget UINT32_MAX searches at most c* + 1 layers of
+  // G_{s,t}, not Σ_v |X_v| + 1 of them; an unreachable target needs none.
+  Rng rng(28);
+  const auto net = random_network(40, 120, 8, 4, ConvKind::kRange, rng);
+  constexpr auto kUnbounded = std::numeric_limits<std::uint32_t>::max();
+  int found = 0;
+  for (std::uint32_t t = 1; t < 40; ++t) {
+    const auto aux =
+        AuxiliaryGraph::build_single_pair(net, NodeId{0}, NodeId{t});
+    const std::uint64_t nodes = aux.stats().total_nodes();
+    const auto free = route_semilightpath(net, NodeId{0}, NodeId{t});
+    const auto bounded =
+        route_semilightpath_bounded(net, NodeId{0}, NodeId{t}, kUnbounded);
+    ASSERT_EQ(bounded.found, free.found) << "t=" << t;
+    if (!free.found) {
+      EXPECT_EQ(bounded.stats.aux_nodes, nodes) << "t=" << t;
+      continue;
+    }
+    ++found;
+    const std::uint32_t optimum = free.path.num_conversions();
+    EXPECT_LE(bounded.stats.aux_nodes, nodes * (optimum + 1)) << "t=" << t;
+    EXPECT_EQ(bounded.cost, free.cost) << "t=" << t;
+    EXPECT_LE(bounded.path.num_conversions(), optimum) << "t=" << t;
+    EXPECT_TRUE(bounded.path.is_valid(net)) << "t=" << t;
+  }
+  EXPECT_GT(found, 20);
+
+  // Nothing enters node 2.
+  WdmNetwork cut(3, 2, std::make_shared<UniformConversion>(0.5));
+  cut.set_wavelength(cut.add_link(NodeId{0}, NodeId{1}), Wavelength{0}, 1.0);
+  const auto none =
+      route_semilightpath_bounded(cut, NodeId{0}, NodeId{2}, kUnbounded);
+  EXPECT_FALSE(none.found);
+  EXPECT_EQ(none.stats.aux_nodes,
+            AuxiliaryGraph::build_single_pair(cut, NodeId{0}, NodeId{2})
+                .stats()
+                .total_nodes());
+}
+
 TEST(ConstrainedTest, RevisitInstanceNeedsBudgetTwo) {
   // The Fig. 5 instance needs two conversions at w; budget 1 blocks it.
   auto conv = std::make_shared<MatrixConversion>(4, 3);
