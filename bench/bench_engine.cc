@@ -12,6 +12,9 @@
 // this workload); items_processed makes the per-route rate comparable
 // across regimes.  BM_EngineBuild times the engine construction alone: the
 // same build every perfbench workload's setup_s samples.
+// BM_EngineSaturatedTarget times a blocked admission's query: every
+// in-slot of the target is reserved, so the engine refuses it from the
+// endpoint check without a search (arg 0 flat, 1 goal-directed).
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -135,6 +138,40 @@ BENCHMARK(BM_RouteManyBatch)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
+
+void BM_EngineSaturatedTarget(benchmark::State& state) {
+  const WdmNetwork net = engine_network();
+  RouteEngine engine(net);
+  const NodeId t{kNodes / 2};
+  for (const LinkId e : net.in_links(t)) {
+    for (const LinkWavelength& slot : net.available(e))
+      engine.reserve(e, slot.lambda);
+  }
+  const RouteEngine::QueryOptions query{.goal_directed = state.range(0) != 0};
+  std::vector<NodeId> sources;
+  for (const auto& [s, unused] : query_mix(64))
+    if (s != t) sources.push_back(s);
+  // Every query must be refused before it searches; when one is not, the
+  // loop below does not run.
+  for (const NodeId s : sources) {
+    const RouteResult r = engine.route_semilightpath(s, t, query);
+    if (r.found || r.stats.search_pops > 0) {
+      state.SkipWithError("saturated target was searched or routed");
+      break;
+    }
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        engine.route_semilightpath(sources[i++ % sources.size()], t, query));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(query.goal_directed ? "goal_directed" : "flat");
+}
+BENCHMARK(BM_EngineSaturatedTarget)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_EngineBuild(benchmark::State& state) {
   const WdmNetwork net = engine_network();

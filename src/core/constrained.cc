@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "core/layout.h"
 #include "graph/dijkstra.h"
@@ -14,27 +15,35 @@ namespace {
 /// Dijkstra over the product of G_{s,t} with the conversion budget: state
 /// node·layers + used, where `used` counts real conversions so far.  It
 /// first runs the unconstrained search of the same graph.  An optimum with
-/// c* conversions bounds every budget that matters: with c* + 1 layers the
-/// product already holds that optimum, so budgets beyond c* are clamped
-/// away, and an unreachable t'' needs no product search at all.
+/// c* conversions bounds every budget that matters: a budget C >= c* gets
+/// that optimum itself, and with c* + 1 layers the product already holds
+/// it, so budgets beyond c* are clamped away.  An unreachable t'' needs no
+/// product search at all.
 struct BudgetSearch {
   Stopwatch clock;  // started before the layout below is built
   PairGraph graph;
   double build_seconds = 0.0;
   ShortestPathTree unbounded;  // route_semilightpath's search
-  // min(max_conversions, c*) + 1, or 0 when t'' is unreachable.
+  Semilightpath optimum;       // its route, when t'' is reachable
+  // min(max_conversions, c*) + 1 once search_layers() ran, else 0.
   std::uint32_t layers = 0;
   ShortestPathTree tree;  // the product search
 
-  BudgetSearch(const WdmNetwork& net, NodeId s, NodeId t,
-               std::uint32_t max_conversions)
-      : graph(net, s, t) {
+  BudgetSearch(const WdmNetwork& net, NodeId s, NodeId t) : graph(net, s, t) {
     build_seconds = clock.seconds();
     unbounded = graph.search<FibHeap>();
-    if (!unbounded.reached(graph.sink())) return;
-    const std::uint32_t optimum_conversions =
-        graph.path(unbounded, graph.sink()).num_conversions();
-    layers = std::min(max_conversions, optimum_conversions) + 1;
+    if (reached()) optimum = graph.path(unbounded, graph.sink());
+  }
+
+  [[nodiscard]] bool reached() const {
+    return unbounded.reached(graph.sink());
+  }
+
+  /// Runs the product search over min(max_conversions, c*) + 1 layers;
+  /// t'' must be reachable.
+  void search_layers(std::uint32_t max_conversions) {
+    LUMEN_ASSERT(reached());
+    layers = std::min(max_conversions, optimum.num_conversions()) + 1;
     const std::uint64_t states =
         static_cast<std::uint64_t>(graph.num_nodes()) * layers;
     LUMEN_REQUIRE_MSG(states <= std::numeric_limits<std::uint32_t>::max(),
@@ -85,7 +94,12 @@ RouteResult route_semilightpath_bounded(const WdmNetwork& net, NodeId s,
     return result;
   }
 
-  const BudgetSearch search(net, s, t, max_conversions);
+  BudgetSearch search(net, s, t);
+  // The unconstrained optimum is the answer whenever it fits the budget;
+  // only a budget below c* needs the product search.
+  const bool within_budget =
+      search.reached() && search.optimum.num_conversions() <= max_conversions;
+  if (search.reached() && !within_budget) search.search_layers(max_conversions);
   result.stats.build_seconds = search.build_seconds;
   result.stats.search_seconds = search.clock.seconds() - search.build_seconds;
   result.stats.aux_nodes =
@@ -95,15 +109,21 @@ RouteResult route_semilightpath_bounded(const WdmNetwork& net, NodeId s,
   result.stats.search_relaxations =
       search.unbounded.relaxations + search.tree.relaxations;
 
-  const NodeId best = search.best_sink_state(max_conversions);
-  if (!best.valid()) {
-    result.found = false;
-    result.cost = kInfiniteCost;
-    return result;
+  if (within_budget) {
+    result.found = true;
+    result.cost = search.unbounded.dist[search.graph.sink().value()];
+    result.path = std::move(search.optimum);
+  } else {
+    const NodeId best = search.best_sink_state(max_conversions);
+    if (!best.valid()) {
+      result.found = false;
+      result.cost = kInfiniteCost;
+      return result;
+    }
+    result.found = true;
+    result.cost = search.tree.dist[best.value()];
+    result.path = search.graph.path(search.tree, best, search.layers);
   }
-  result.found = true;
-  result.cost = search.tree.dist[best.value()];
-  result.path = search.graph.path(search.tree, best, search.layers);
   result.switches = result.path.switch_settings(net);
   LUMEN_ASSERT(result.path.num_conversions() <= max_conversions);
   return result;
@@ -121,7 +141,8 @@ std::vector<double> conversion_cost_profile(const WdmNetwork& net, NodeId s,
     std::fill(profile.begin(), profile.end(), 0.0);
     return profile;
   }
-  const BudgetSearch search(net, s, t, max_conversions);
+  BudgetSearch search(net, s, t);
+  if (search.reached()) search.search_layers(max_conversions);
   // Budgets past the clamped layer count repeat its value.
   for (std::uint32_t c = 0; c <= max_conversions; ++c) {
     const NodeId best = search.best_sink_state(c);

@@ -47,8 +47,10 @@ struct EngineInstruments {
   obs::Counter& potential_misses =
       obs::Registry::global().counter("lumen.core.potential.misses");
   // Per-stage search split: labeled children keyed stage=astar /
-  // dijkstra / lightpath.  The tag sets are interned once here, so the
-  // per-query cost is a lock-free family probe.
+  // dijkstra / lightpath, plus stage=saturated for the semilightpath
+  // queries refused before any search (a saturated endpoint; 0 pops).
+  // The tag sets are interned once here, so the per-query cost is a
+  // lock-free family probe.
   obs::LabeledFamily<obs::Counter>& stage_queries =
       obs::Registry::global().labeled_counter(
           "lumen.route.engine.stage_queries");
@@ -57,6 +59,7 @@ struct EngineInstruments {
   const obs::TagSet astar_stage = obs::TagSet{}.stage("astar");
   const obs::TagSet dijkstra_stage = obs::TagSet{}.stage("dijkstra");
   const obs::TagSet lightpath_stage = obs::TagSet{}.stage("lightpath");
+  const obs::TagSet saturated_stage = obs::TagSet{}.stage("saturated");
 
   static EngineInstruments& get() {
     static EngineInstruments instruments;
@@ -378,6 +381,29 @@ const SearchScratch::TargetPotential& RouteEngine::target_potential(
   return table;
 }
 
+bool RouteEngine::saturated_endpoint(NodeId s, NodeId t) const {
+  const Frozen& f = *frozen_;
+  const double* weights = core_weights_.data();
+  const auto finite = [](double w) { return w < kInfiniteCost; };
+  // s' reaches the core only through the E_org rows of Y_s; Y_s is an id
+  // range, so its rows are one contiguous slot range.
+  const std::span<const NodeId> ys = f.sources_of[s.value()];
+  if (ys.empty() ||
+      std::none_of(weights + f.core->out_slot_range(ys.front()).first,
+                   weights + f.core->out_slot_range(ys.back()).second,
+                   finite))
+    return true;
+  // X_t is entered only by the transmission slots of t's physical
+  // in-links, which are t's out-links in the reversed base topology.
+  const auto [first, last] = f.rev_base->out_slot_range(t);
+  for (std::uint32_t slot = first; slot < last; ++slot) {
+    const std::uint32_t e = f.rev_base->original(slot).value();
+    for (std::uint32_t i = f.trans_begin[e]; i < f.trans_begin[e + 1]; ++i)
+      if (finite(weights[f.trans_slots[i].core_slot])) return false;
+  }
+  return true;
+}
+
 RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
                                              SearchScratch& scratch,
                                              const QueryOptions& query) const {
@@ -401,6 +427,22 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
   const Frozen& f = *frozen_;
   const CsrDigraph& core = *f.core;
   Stopwatch timer;
+
+  const auto not_found = [&] {
+    result.found = false;
+    result.cost = kInfiniteCost;
+    instruments.not_found.add();
+    instruments.latency.record_seconds(result.stats.total_seconds());
+    return std::move(result);
+  };
+
+  // X_t = ∅ or Y_s = ∅ in the residual G_{s,t}: no search can reach t'',
+  // so refuse before the potential row and the search (0 pops).
+  if (saturated_endpoint(s, t)) {
+    instruments.record_stage(instruments.saturated_stage, CsrRunStats{});
+    result.stats.search_seconds = timer.seconds();
+    return not_found();
+  }
 
   // The target table must be resolved before scratch.begin() below:
   // building a row runs its own search in the same scratch.
@@ -455,13 +497,7 @@ RouteResult RouteEngine::route_semilightpath(NodeId s, NodeId t,
   result.stats.search_pruned = run_stats.pruned;
   result.stats.search_seconds = timer.seconds();
 
-  if (!hit.valid()) {
-    result.found = false;
-    result.cost = kInfiniteCost;
-    instruments.not_found.add();
-    instruments.latency.record_seconds(result.stats.total_seconds());
-    return result;
-  }
+  if (!hit.valid()) return not_found();
 
   result.found = true;
   result.cost = scratch.dist(hit);

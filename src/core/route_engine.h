@@ -16,6 +16,15 @@
 //     query therefore mutates nothing and — after warm-up — allocates
 //     only its result; the search state lives in a reusable
 //     generation-stamped SearchScratch.
+//   * Before it searches, a query reads its endpoints' slots: when every
+//     current slot out of Y_s or every one into X_t is +inf, the residual
+//     G_{s,t} has Y_s = ∅ or X_t = ∅ (the paper builds X_t from the
+//     wavelengths still available into t), so t'' is unreachable.  The
+//     query then returns not found without building a potential row or
+//     searching (search_pops = potential_pops = 0).  The check costs
+//     O(deg·k0) reads and keeps no state, so weight patches and copies
+//     have nothing to keep in sync.  The search alone would learn the
+//     same only by exhausting everything s still reaches.
 //   * Residual updates are in-place weight patches: set_weight(e, λ, w)
 //     rewrites one transmission slot (and one per-wavelength subnetwork
 //     slot) in O(log k0); reserving is setting +inf, releasing is
@@ -107,6 +116,8 @@ class RouteEngine {
   /// Optimal semilightpath s -> t on the current (patched) weights.
   /// Result contract identical to route_semilightpath(); stats report the
   /// prebuilt core size and build_seconds = 0 (construction is amortized).
+  /// A saturated endpoint (every slot out of s or into t at +inf) returns
+  /// not found with zero search and potential stats, before any search.
   /// The scratch-less overloads use the engine's internal scratch and are
   /// NOT thread-safe; for concurrent queries pass one SearchScratch per
   /// thread (the engine itself is then safe to share read-only).
@@ -205,6 +216,10 @@ class RouteEngine {
   /// otherwise) and skips the expansion when the scratch already holds it.
   [[nodiscard]] const SearchScratch::TargetPotential& target_potential(
       NodeId t, SearchScratch& scratch, std::uint64_t& pops) const;
+  /// True when every current core slot out of Y_s, or every one into
+  /// X_t, is +inf: the residual G_{s,t} then has Y_s = ∅ or X_t = ∅ and
+  /// no route.  O(deg·k0) weight reads; s != t.
+  [[nodiscard]] bool saturated_endpoint(NodeId s, NodeId t) const;
 
   /// Build-time structure that no weight patch touches, plus the
   /// write-once potential rows; shared by every copy (route_engine.cc).

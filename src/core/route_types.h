@@ -21,7 +21,10 @@ struct RouteStats {
   /// Wavelength subnetworks searched (lightpath routing only: one Dijkstra
   /// per wavelength; 0 for single-search semilightpath routing).
   std::uint64_t wavelengths_searched = 0;
-  /// Heap pops during the shortest-path search.
+  /// Heap pops during the shortest-path search.  0 when a RouteEngine
+  /// query refused before searching because an endpoint is saturated
+  /// (every slot out of s or into t reserved or failed); that refusal
+  /// also builds no potential row (potential_pops = 0).
   std::uint64_t search_pops = 0;
   /// Nodes settled by the search (== search_pops for the heap codes here,
   /// which never lazy-delete; kept explicit so goal-directed and plain

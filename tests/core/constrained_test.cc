@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "core/aux_graph.h"
 #include "core/liang_shen.h"
@@ -193,6 +194,46 @@ TEST(ConstrainedTest, UnboundedBudgetSearchesOnlyTheOptimumsLayers) {
             AuxiliaryGraph::build_single_pair(cut, NodeId{0}, NodeId{2})
                 .stats()
                 .total_nodes());
+}
+
+TEST(ConstrainedTest, BudgetsFromTheOptimumsConversionsReturnTheOptimum) {
+  // A budget C >= c* admits the unconstrained optimum itself, so the
+  // bounded router returns route_semilightpath's search: the same pops,
+  // cost, path and switches, with no product search on top.  Below c*
+  // the product search runs.
+  Rng rng(29);
+  const auto net = random_network(40, 120, 8, 4, ConvKind::kRange, rng);
+  int found = 0;
+  int converting = 0;
+  for (std::uint32_t t = 1; t < 40; ++t) {
+    const auto free = route_semilightpath(net, NodeId{0}, NodeId{t});
+    if (!free.found) continue;
+    ++found;
+    const std::uint32_t optimum = free.path.num_conversions();
+    for (const std::uint32_t budget :
+         {optimum, optimum + 1, std::numeric_limits<std::uint32_t>::max()}) {
+      const auto bounded =
+          route_semilightpath_bounded(net, NodeId{0}, NodeId{t}, budget);
+      const std::string context =
+          "t=" + std::to_string(t) + " C=" + std::to_string(budget);
+      ASSERT_TRUE(bounded.found) << context;
+      EXPECT_EQ(bounded.stats.search_pops, free.stats.search_pops) << context;
+      EXPECT_EQ(bounded.cost, free.cost) << context;
+      EXPECT_EQ(bounded.path, free.path) << context;
+      EXPECT_EQ(bounded.switches, free.switches) << context;
+      EXPECT_EQ(bounded.stats.aux_nodes, free.stats.aux_nodes) << context;
+    }
+    if (optimum == 0) continue;
+    ++converting;
+    const auto tighter =
+        route_semilightpath_bounded(net, NodeId{0}, NodeId{t}, optimum - 1);
+    EXPECT_GT(tighter.stats.search_pops, free.stats.search_pops) << "t=" << t;
+    if (tighter.found) {
+      EXPECT_GE(tighter.cost, free.cost) << "t=" << t;
+    }
+  }
+  EXPECT_GT(found, 20);
+  EXPECT_GT(converting, 5);
 }
 
 TEST(ConstrainedTest, RevisitInstanceNeedsBudgetTwo) {

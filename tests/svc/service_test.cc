@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/registry.h"
@@ -298,6 +299,52 @@ TEST(RoutingServiceTest, ExhaustionBlocks) {
   ASSERT_TRUE(service.close(first.id));
   const AdmitTicket third = service.open(TenantId{0}, NodeId{0}, NodeId{1});
   EXPECT_EQ(third.status, AdmitStatus::kAdmitted);
+}
+
+TEST(RoutingServiceTest, SaturatedTargetBlocksWithoutAClaim) {
+  // Node 2 has two in-links of one wavelength each; two sessions into it
+  // hold both, so a third open to 2 meets a saturated target (its source
+  // still has the free 0 -> 1) and must block without claiming a slot.
+  WdmNetwork net(3, 1, std::make_shared<NoConversion>());
+  for (const auto& [u, v] : {std::pair{0u, 2u}, std::pair{1u, 2u},
+                             std::pair{0u, 1u}})
+    net.set_wavelength(net.add_link(NodeId{u}, NodeId{v}), Wavelength{0}, 1.0);
+  RoutingService service(net, ServiceOptions{.num_shards = 2});
+  const AdmitTicket first = service.open(TenantId{0}, NodeId{0}, NodeId{2});
+  const AdmitTicket second = service.open(TenantId{0}, NodeId{1}, NodeId{2});
+  ASSERT_EQ(first.status, AdmitStatus::kAdmitted);
+  ASSERT_EQ(second.status, AdmitStatus::kAdmitted);
+  ASSERT_EQ(service.slot_table().occupied(), 2u);
+
+  const obs::TagSet saturated = obs::TagSet{}.stage("saturated");
+  obs::Counter& refusals = obs::Registry::global()
+                               .labeled_counter("lumen.route.engine.stage_queries")
+                               .at(saturated);
+  const std::uint64_t refusals_before = refusals.value();
+  const AdmitTicket blocked = service.open(TenantId{0}, NodeId{0}, NodeId{2});
+  EXPECT_EQ(blocked.status, AdmitStatus::kBlocked);
+  EXPECT_FALSE(blocked.id.valid());
+  EXPECT_EQ(service.slot_table().occupied(), 2u);
+  EXPECT_EQ(service.active_sessions(), 2u);
+  if constexpr (obs::kObsEnabled) {
+    EXPECT_EQ(refusals.value() - refusals_before, 1u);
+  }
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.offered, 3u);
+  EXPECT_EQ(stats.admitted, 2u);
+  EXPECT_EQ(stats.blocked, 1u);
+  EXPECT_EQ(stats.offered, stats.admitted + stats.blocked +
+                               stats.quota_denied + stats.aborted);
+  EXPECT_EQ(stats.active, stats.admitted - stats.released);
+  EXPECT_EQ(stats.commit_conflicts, 0u);
+
+  // Freeing one in-slot of 2 reopens it, over 0 -> 1 -> 2.
+  ASSERT_TRUE(service.close(second.id));
+  const AdmitTicket again = service.open(TenantId{0}, NodeId{0}, NodeId{2});
+  EXPECT_EQ(again.status, AdmitStatus::kAdmitted);
+  EXPECT_EQ(again.hops, 2u);
+  EXPECT_EQ(service.slot_table().occupied(), first.hops + again.hops);
 }
 
 TEST(RoutingServiceTest, QuotaDeniesAndRefunds) {
