@@ -1,16 +1,13 @@
-// E14: build-once route-many amortization.
+// E14: build once, route many: the engine's amortization.
 //
 // Measures the RouteEngine against the per-request routers on the ISSUE's
 // reference workload — a 100-node sparse WAN with a 16-wavelength universe
-// — in three regimes:
+// — in two regimes:
 //   * per-request rebuild (route_semilightpath / route_lightpath): every
 //     query pays construction + search;
-//   * engine single queries: construction amortized away, search only;
-//   * engine batches (route_many) at 1/2/4 threads: the parallel fan-out
-//     over the immutable flattened core.
-// The single-thread amortized speedup is the acceptance gate (>= 5x on
-// this workload); items_processed makes the per-route rate comparable
-// across regimes.  BM_EngineBuild times the engine construction alone: the
+//   * engine single queries: construction amortized away, search only.
+// The amortized speedup is the acceptance gate (>= 5x on this workload);
+// items_processed makes the per-route rate comparable across regimes.  BM_EngineBuild times the engine construction alone: the
 // same build every perfbench workload's setup_s samples.
 // BM_EngineSaturatedTarget times a blocked admission's query: every
 // in-slot of the target is reserved, so the engine refuses it from the
@@ -118,26 +115,6 @@ void BM_LightpathEngine(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LightpathEngine)->Unit(benchmark::kMicrosecond);
-
-void BM_RouteManyBatch(benchmark::State& state) {
-  const WdmNetwork net = engine_network();
-  RouteEngine engine(net);
-  const auto pairs = query_mix(256);
-  const unsigned threads = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.route_many(pairs, threads));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(pairs.size()));
-  state.counters["threads"] = threads;
-}
-BENCHMARK(BM_RouteManyBatch)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
 
 void BM_EngineSaturatedTarget(benchmark::State& state) {
   const WdmNetwork net = engine_network();

@@ -1,15 +1,11 @@
 #include "core/all_pairs.h"
 
-#include "core/route_engine.h"
-
 namespace lumen {
 
 AllPairsRouter::AllPairsRouter(const WdmNetwork& net)
     : net_(&net),
       aux_(AuxiliaryGraph::build_all_pairs(net)),
       trees_(net.num_nodes()) {}
-
-AllPairsRouter::~AllPairsRouter() = default;
 
 const ShortestPathTree& AllPairsRouter::tree_for(NodeId s) {
   LUMEN_REQUIRE(s.value() < net_->num_nodes());
@@ -64,25 +60,6 @@ std::vector<std::vector<double>> AllPairsRouter::cost_matrix() {
     for (std::uint32_t t = 0; t < n; ++t)
       matrix[s][t] = cost(NodeId{s}, NodeId{t});
   return matrix;
-}
-
-RouteEngine& AllPairsRouter::matrix_engine() {
-  if (engine_ == nullptr) engine_ = std::make_unique<RouteEngine>(*net_);
-  return *engine_;
-}
-
-std::vector<std::vector<double>> AllPairsRouter::cost_matrix(
-    unsigned threads) {
-  if (threads == 1) return cost_matrix();
-  // One flat full Dijkstra per source over the flattened core, each
-  // worker reusing one scratch, instead of the per-source tree Dijkstras
-  // (which re-allocate their whole search state every call).  Isolated
-  // sources return their +inf row without any search at all.
-  const std::uint32_t n = net_->num_nodes();
-  std::vector<NodeId> sources;
-  sources.reserve(n);
-  for (std::uint32_t v = 0; v < n; ++v) sources.push_back(NodeId{v});
-  return matrix_engine().bulk_costs(sources, threads);
 }
 
 }  // namespace lumen

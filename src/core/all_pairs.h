@@ -9,7 +9,6 @@
 // when q' = n.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -20,14 +19,11 @@
 
 namespace lumen {
 
-class RouteEngine;
-
 /// Answers repeated optimal-semilightpath queries over one network.
 /// The network must outlive the router and must not be mutated meanwhile.
 class AllPairsRouter {
  public:
   explicit AllPairsRouter(const WdmNetwork& net);
-  ~AllPairsRouter();
 
   /// Cost of the optimal semilightpath s -> t (kInfiniteCost when none,
   /// 0 when s == t).
@@ -38,16 +34,6 @@ class AllPairsRouter {
 
   /// The n×n matrix of optimal costs (row = source); forces all n trees.
   [[nodiscard]] std::vector<std::vector<double>> cost_matrix();
-
-  /// Same matrix, served by RouteEngine::bulk_costs: an engine over the
-  /// flattened core (built lazily on first call, cached) spreads the
-  /// sources across `threads` workers (0 = one per hardware thread), one
-  /// flat full Dijkstra per source.  The matrix matches the serial
-  /// overload (which still builds per-source trees — route() needs them
-  /// for path extraction); trees are neither built nor consumed here, so
-  /// trees_computed() does not advance.  threads = 1 falls through to the
-  /// serial overload.
-  [[nodiscard]] std::vector<std::vector<double>> cost_matrix(unsigned threads);
 
   /// Structural stats of G_all (Corollary 1 size checks).
   [[nodiscard]] const AuxGraphStats& aux_stats() const noexcept {
@@ -61,15 +47,11 @@ class AllPairsRouter {
 
  private:
   const ShortestPathTree& tree_for(NodeId s);
-  /// The engine behind cost_matrix(threads), built on first use (no
-  /// landmarks: full one-to-all searches are not goal-directed).
-  RouteEngine& matrix_engine();
 
   const WdmNetwork* net_;
   AuxiliaryGraph aux_;
   std::vector<std::optional<ShortestPathTree>> trees_;  // per source node
   std::uint32_t trees_computed_ = 0;
-  std::unique_ptr<RouteEngine> engine_;  // lazy; see matrix_engine()
 };
 
 }  // namespace lumen

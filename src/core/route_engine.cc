@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <span>
 
 #include "core/layout.h"
 #include "graph/landmarks.h"
 #include "obs/registry.h"
 #include "obs/trace_context.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace lumen {
 
@@ -143,34 +143,6 @@ std::vector<std::uint32_t> tree_slots(const CsrDigraph& g,
   }
   std::reverse(slots.begin(), slots.end());
   return slots;
-}
-
-/// Runs work(i, scratch) for every i in [0, count): inline for threads ==
-/// 1 or a single item, otherwise one drainer per pool worker, each owning
-/// its scratch, with a shared cursor balancing uneven item costs.  Items
-/// write distinct result slots, so the pool's join is the only
-/// synchronization needed.
-template <class Work>
-void drain(std::size_t count, unsigned threads, const Work& work) {
-  if (threads == 1 || count <= 1) {
-    SearchScratch scratch;
-    for (std::size_t i = 0; i < count; ++i) work(i, scratch);
-    return;
-  }
-  ThreadPool pool(threads);
-  std::atomic<std::size_t> cursor{0};
-  const std::size_t drainers = std::min<std::size_t>(pool.size(), count);
-  for (std::size_t w = 0; w < drainers; ++w) {
-    pool.submit([&] {
-      SearchScratch scratch;
-      for (;;) {
-        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) return;
-        work(i, scratch);
-      }
-    });
-  }
-  pool.wait();
 }
 
 }  // namespace
@@ -584,54 +556,6 @@ RouteResult RouteEngine::route_lightpath(NodeId s, NodeId t,
   (best.found ? instruments.found : instruments.not_found).add();
   instruments.latency.record_seconds(best.stats.total_seconds());
   return best;
-}
-
-std::vector<RouteResult> RouteEngine::route_many(
-    std::span<const std::pair<NodeId, NodeId>> pairs, unsigned threads,
-    QueryKind kind, const QueryOptions& query) const {
-  std::vector<RouteResult> results(pairs.size());
-  drain(pairs.size(), threads, [&](std::size_t i, SearchScratch& scratch) {
-    const auto& [s, t] = pairs[i];
-    results[i] = kind == QueryKind::kSemilightpath
-                     ? route_semilightpath(s, t, scratch, query)
-                     : route_lightpath(s, t, scratch);
-  });
-  return results;
-}
-
-std::vector<std::vector<double>> RouteEngine::bulk_costs(
-    std::span<const NodeId> sources, unsigned threads) const {
-  for (const NodeId s : sources) LUMEN_REQUIRE(s.value() < n_);
-  EngineInstruments& instruments = EngineInstruments::get();
-  const Frozen& f = *frozen_;
-  std::vector<std::vector<double>> rows(sources.size());
-  drain(sources.size(), threads, [&](std::size_t i, SearchScratch& scratch) {
-    const NodeId s = sources[i];
-    std::vector<double>& row = rows[i];
-    row.assign(n_, kInfiniteCost);
-    row[s.value()] = 0.0;
-    // Isolated sources (no usable wavelength at all) need no search.
-    if (f.sources_of[s.value()].empty()) return;
-    scratch.begin(f.core->num_nodes());
-    CsrRunStats run_stats;
-    (void)dijkstra_csr_run(*f.core, f.sources_of[s.value()], scratch,
-                           &run_stats, core_weights_);
-    instruments.record_search(run_stats);
-    instruments.record_stage(instruments.dijkstra_stage, run_stats);
-    // row[t] = min over the sinks X_t of the core distance — the point
-    // query's first-settled-sink rule applied to every target at once.
-    // The diagonal stays 0 (trivial self-route).
-    for (std::uint32_t t = 0; t < n_; ++t) {
-      if (t == s.value()) continue;
-      double best = kInfiniteCost;
-      for (const NodeId x : f.sinks_of[t]) {
-        const double d = scratch.dist(x);
-        if (d < best) best = d;
-      }
-      row[t] = best;
-    }
-  });
-  return rows;
 }
 
 std::pair<std::uint32_t, std::uint32_t> RouteEngine::find_slot(

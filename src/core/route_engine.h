@@ -1,4 +1,4 @@
-// Build-once route-many: a reusable flattened auxiliary-graph engine.
+// Build once, route many: a reusable flattened auxiliary-graph engine.
 //
 // route_semilightpath() lays out a fresh G_{s,t} on every query: an
 // O(km + Σ_v |X_v| + |Y_v|) build, plus the k² gadget links of every
@@ -33,8 +33,6 @@
 //   * route_lightpath gets the same treatment: one CSR snapshot of the
 //     physical topology shared by all wavelengths, with one weight row
 //     per λ — k searches per query, zero construction.
-//   * route_many() fans a batch of queries over a ThreadPool; the
-//     flattened core is searched concurrently with per-thread scratch.
 //   * Goal direction (QueryOptions{goal_directed}): single-pair queries
 //     run multi-source A* instead of uniform Dijkstra, keyed by
 //     f = g + π_t(v).  π_t comes from a cheapest-wavelength reverse
@@ -68,7 +66,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -137,37 +134,6 @@ class RouteEngine {
   [[nodiscard]] RouteResult route_lightpath(NodeId s, NodeId t);
   [[nodiscard]] RouteResult route_lightpath(NodeId s, NodeId t,
                                             SearchScratch& scratch) const;
-
-  enum class QueryKind { kSemilightpath, kLightpath };
-
-  /// Routes a batch of (s, t) queries concurrently over the immutable
-  /// flattened core (threads = 0 → one per hardware thread; 1 → inline).
-  /// results[i] answers pairs[i].  Weights must not be patched while a
-  /// batch is in flight.  `query` applies to semilightpath batches; each
-  /// worker owns a scratch, and goal-directed workers share the engine's
-  /// per-target potential rows, so a batch builds each target's row once
-  /// whatever its order.
-  [[nodiscard]] std::vector<RouteResult> route_many(
-      std::span<const std::pair<NodeId, NodeId>> pairs, unsigned threads = 0,
-      QueryKind kind = QueryKind::kSemilightpath) const {
-    return route_many(pairs, threads, kind, QueryOptions{});
-  }
-  [[nodiscard]] std::vector<RouteResult> route_many(
-      std::span<const std::pair<NodeId, NodeId>> pairs, unsigned threads,
-      QueryKind kind, const QueryOptions& query) const;
-
-  // --- one-to-all cost rows ----------------------------------------------
-
-  /// Full semilightpath cost rows: result[i][t] = cheapest cost
-  /// sources[i] → t for every physical node t (+inf when unreachable,
-  /// always 0 on the diagonal).  One flat full Dijkstra over the core per
-  /// source, reduced over each target's sinks — the same relaxations and
-  /// additions as a point query, so every row entry equals the matching
-  /// route_semilightpath cost bit-for-bit.  threads = 0 → one per
-  /// hardware thread, 1 → inline; weights must not be patched while a
-  /// call is in flight.
-  [[nodiscard]] std::vector<std::vector<double>> bulk_costs(
-      std::span<const NodeId> sources, unsigned threads = 0) const;
 
   // --- in-place residual updates ------------------------------------------
 

@@ -128,17 +128,11 @@ struct CsrRunStats;
 /// (no potential memo, no pruning branch) out of csr_search_run.
 struct NoPotential {};
 
-/// Below this node count the scratch rows (dist/stamp/state) fit
-/// comfortably in L2 and the software-prefetch bookkeeping is pure
-/// overhead (~10 ns/pop measured on the n = 64 engine bench), so
-/// csr_search_run dispatches to the prefetch-free instantiation.
-inline constexpr std::uint32_t kPrefetchMinNodes = 1u << 15;
-
-template <bool kPrefetch, class Potential>
-NodeId csr_search_run_impl(const CsrDigraph& g, std::span<const NodeId> sources,
-                           SearchScratch& scratch, Potential&& potential,
-                           CsrRunStats* stats, std::span<const double> weights);
-
+template <class Potential>
+NodeId csr_search_run(const CsrDigraph& g, std::span<const NodeId> sources,
+                      SearchScratch& scratch, Potential&& potential,
+                      CsrRunStats* stats = nullptr,
+                      std::span<const double> weights = {});
 
 /// Reusable search state for the CSR search kernels.  Buffers are sized to
 /// the graph once and invalidated lazily via generation stamps, so after
@@ -210,10 +204,10 @@ class SearchScratch {
                                     SearchScratch&,
                                     std::vector<std::uint32_t>&,
                                     CsrRunStats*);
-  template <bool kPrefetch, class Potential>
-  friend NodeId csr_search_run_impl(const CsrDigraph&, std::span<const NodeId>,
-                                    SearchScratch&, Potential&&, CsrRunStats*,
-                                    std::span<const double>);
+  template <class Potential>
+  friend NodeId csr_search_run(const CsrDigraph&, std::span<const NodeId>,
+                               SearchScratch&, Potential&&, CsrRunStats*,
+                               std::span<const double>);
 
   static constexpr std::uint8_t kInHeap = 1;
   static constexpr std::uint8_t kSettled = 2;
@@ -303,27 +297,36 @@ double dijkstra_csr_budget(const CsrDigraph& g, NodeId source,
                            std::vector<std::uint32_t>& order,
                            CsrRunStats* stats = nullptr);
 
-/// The shared relaxation kernel behind dijkstra_csr_run and the
-/// goal-directed csr_search_run (both weight-override variants included):
-/// one loop, instantiated with NoPotential for the uninformed search so the
-/// goal-directed branches compile out, and with kPrefetch = false for
-/// graphs whose scratch rows fit in cache (see kPrefetchMinNodes).  See
-/// csr_search_run for the potential contract.
-template <bool kPrefetch, class Potential>
-NodeId csr_search_run_impl(const CsrDigraph& g, std::span<const NodeId> sources,
-                           SearchScratch& scratch, Potential&& potential,
-                           CsrRunStats* stats, std::span<const double> weights) {
+/// Goal-directed (A*) variant of dijkstra_csr_run, and the one relaxation
+/// loop behind both: dijkstra_csr_run instantiates it with NoPotential, so
+/// the goal-directed branches compile out.
+///
+/// `potential(v)` must be an *admissible, consistent* lower bound on the
+/// remaining cost from node v to every marked sink (kInfiniteCost when v
+/// provably cannot reach one — such nodes are pruned outright and counted
+/// in CsrRunStats::pruned).  The heap is ordered by f = dist + potential;
+/// settled distances (scratch.dist()) are true g-costs, so results are
+/// exchangeable with dijkstra_csr_run's.  With a consistent potential the
+/// first settled sink is still the cheapest one (all sinks must have
+/// potential 0), and every settled node carries its optimal distance.
+/// The potential is evaluated once per seed, and at most once more per
+/// node a relaxation reaches (memoized in the scratch).
+template <class Potential>
+NodeId csr_search_run(const CsrDigraph& g, std::span<const NodeId> sources,
+                      SearchScratch& scratch, Potential&& potential,
+                      CsrRunStats* stats, std::span<const double> weights) {
   constexpr bool kGoal = !std::is_same_v<std::decay_t<Potential>, NoPotential>;
-  // How far ahead of the relaxation cursor the scratch rows of upcoming
-  // heads are prefetched; far enough to cover an L2 miss, near enough to
-  // stay within typical out-degrees.
-  [[maybe_unused]] constexpr std::uint32_t kLookahead = 4;
   LUMEN_REQUIRE(weights.empty() || weights.size() == g.num_links());
   // SoA: an override is a wholesale row swap, not a per-link branch.
   const double* w = weights.empty() ? g.weights_data() : weights.data();
   const std::uint32_t* heads = g.heads_data();
   if constexpr (kGoal) scratch.ensure_potentials();
 
+  // The memo is read only by relaxations: a seed that survives settles at
+  // distance 0 and is never relaxed again, so the seeds below call
+  // `potential` directly.  With this single call site the memo inlines
+  // into the relaxation loop; called from both loops, GCC -O2 left it out
+  // of line, a call per relaxation.
   const auto pot_of = [&](std::uint32_t v) -> double {
     if (scratch.pot_stamp_[v] != scratch.generation_) {
       scratch.pot_stamp_[v] = scratch.generation_;
@@ -338,7 +341,7 @@ NodeId csr_search_run_impl(const CsrDigraph& g, std::span<const NodeId> sources,
     if (scratch.dist_[s.value()] > 0.0) {
       double h = 0.0;
       if constexpr (kGoal) {
-        h = pot_of(s.value());
+        h = potential(s.value());
         if (h == kInfiniteCost) {
           if (stats != nullptr) ++stats->pruned;
           continue;
@@ -353,13 +356,7 @@ NodeId csr_search_run_impl(const CsrDigraph& g, std::span<const NodeId> sources,
   while (!scratch.heap_.empty()) {
     const std::uint32_t u = scratch.heap_pop_min();
     scratch.state_[u] = SearchScratch::kSettled;
-    // Issue the prefetch of u's packed head/weight rows before the
-    // bookkeeping below so the lines arrive by the relaxation loop.
     const auto [first, last] = g.out_slot_range(NodeId{u});
-    if constexpr (kPrefetch) {
-      prefetch_read(heads + first);
-      prefetch_read(w + first);
-    }
     if (stats != nullptr) {
       ++stats->pops;
       ++stats->settled;
@@ -368,14 +365,6 @@ NodeId csr_search_run_impl(const CsrDigraph& g, std::span<const NodeId> sources,
     const double du = scratch.dist_[u];
 
     for (std::uint32_t slot = first; slot < last; ++slot) {
-      if constexpr (kPrefetch) {
-        if (slot + kLookahead < last) {
-          // The head -> scratch-row load is data-dependent; hint it early.
-          const std::uint32_t ahead = heads[slot + kLookahead];
-          prefetch_read(scratch.stamp_.data() + ahead);
-          prefetch_read(scratch.dist_.data() + ahead);
-        }
-      }
       const double wt = w[slot];
       if (wt == kInfiniteCost) continue;
       const std::uint32_t v = heads[slot];
@@ -405,34 +394,6 @@ NodeId csr_search_run_impl(const CsrDigraph& g, std::span<const NodeId> sources,
     }
   }
   return NodeId::invalid();
-}
-
-/// Goal-directed (A*) variant of dijkstra_csr_run (and, with NoPotential,
-/// dijkstra_csr_run itself).
-///
-/// `potential(v)` must be an *admissible, consistent* lower bound on the
-/// remaining cost from node v to every marked sink (kInfiniteCost when v
-/// provably cannot reach one — such nodes are pruned outright and counted
-/// in CsrRunStats::pruned).  The heap is ordered by f = dist + potential;
-/// settled distances (scratch.dist()) are true g-costs, so results are
-/// exchangeable with dijkstra_csr_run's.  With a consistent potential the
-/// first settled sink is still the cheapest one (all sinks must have
-/// potential 0), and every settled node carries its optimal distance.
-/// The potential is evaluated at most once per touched node per query
-/// (memoized in the scratch).
-template <class Potential>
-NodeId csr_search_run(const CsrDigraph& g, std::span<const NodeId> sources,
-                      SearchScratch& scratch, Potential&& potential,
-                      CsrRunStats* stats = nullptr,
-                      std::span<const double> weights = {}) {
-  if (g.num_nodes() >= kPrefetchMinNodes) {
-    return csr_search_run_impl<true>(g, sources, scratch,
-                                     std::forward<Potential>(potential), stats,
-                                     weights);
-  }
-  return csr_search_run_impl<false>(g, sources, scratch,
-                                    std::forward<Potential>(potential), stats,
-                                    weights);
 }
 
 /// Dijkstra over the CSR view: dijkstra_search<FibHeap> with a CSR row

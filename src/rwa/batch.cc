@@ -11,7 +11,13 @@ namespace lumen {
 BatchResult provision_batch(
     SessionManager& manager,
     std::span<const std::pair<NodeId, NodeId>> demands, DemandOrder order,
-    Rng* rng, unsigned route_threads) {
+    Rng* rng) {
+  const std::uint32_t n = manager.residual().num_nodes();
+  for (const auto& [s, t] : demands) {
+    LUMEN_REQUIRE_MSG(s.value() < n && t.value() < n,
+                      "batch demand endpoint outside the network");
+    LUMEN_REQUIRE_MSG(s != t, "a batch demand needs distinct endpoints");
+  }
   std::vector<std::pair<NodeId, NodeId>> ordered(demands.begin(),
                                                  demands.end());
   switch (order) {
@@ -49,13 +55,16 @@ BatchResult provision_batch(
       // state: the manager's engine, kept weight-synchronized with it,
       // pre-costs every demand with its goal-directed point query
       // (per-target potential), which returns the exact optimum — +inf
-      // when unroutable, 0 when s == t.  Unroutable demands sort last
-      // either way, so feasible work is never starved by hopeless demands.
-      const std::vector<RouteResult> priced = manager.engine().route_many(
-          ordered, route_threads, RouteEngine::QueryKind::kSemilightpath,
-          {.goal_directed = true});
+      // when unroutable (every demand has s != t, checked above).
+      // Unroutable demands sort last either way, so feasible work is
+      // never starved by hopeless demands.
+      SearchScratch scratch;
       std::vector<double> cost(ordered.size());
-      for (std::size_t i = 0; i < cost.size(); ++i) cost[i] = priced[i].cost;
+      for (std::size_t i = 0; i < cost.size(); ++i)
+        cost[i] = manager.engine()
+                      .route_semilightpath(ordered[i].first, ordered[i].second,
+                                           scratch, {.goal_directed = true})
+                      .cost;
       std::vector<std::size_t> index(ordered.size());
       for (std::size_t i = 0; i < index.size(); ++i) index[i] = i;
       std::stable_sort(index.begin(), index.end(),

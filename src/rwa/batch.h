@@ -4,8 +4,8 @@
 // When a demand set is known up front, the order in which demands grab
 // resources changes how many fit: serving long-haul demands first tends
 // to reduce blocking (short demands are easier to squeeze in afterwards).
-// provision_batch runs one ordering; compare_orderings runs them all on
-// identical fresh managers — the study bench_rwa's static half reports.
+// provision_batch runs one ordering; to compare orderings, run each on an
+// identical fresh manager.
 #pragma once
 
 #include <cstdint>
@@ -38,17 +38,17 @@ struct BatchResult {
 };
 
 /// Offers every demand to `manager` in the given order.  `rng` is used
-/// only for kRandom (must be non-null then).
+/// only for kRandom (must be non-null then).  Every demand is checked
+/// first (both endpoints in the network, s != t): a bad one throws
+/// lumen::Error before any session opens, so the manager is untouched.
 ///
 /// The cost-based orderings rank demands by their optimal semilightpath
-/// cost on the manager's pre-batch residual state — one build-once
-/// RouteEngine pre-costs them with goal-directed point queries
-/// (`route_threads` workers; 0 = one per hardware thread).  Demands with
-/// no route at all sort last under both.  `route_threads`
-/// is ignored by the other orders.
+/// cost on the manager's pre-batch residual state — the manager's
+/// RouteEngine pre-costs them one goal-directed point query at a time.
+/// Demands with no route at all sort last under both.
 [[nodiscard]] BatchResult provision_batch(
     SessionManager& manager,
     std::span<const std::pair<NodeId, NodeId>> demands, DemandOrder order,
-    Rng* rng = nullptr, unsigned route_threads = 0);
+    Rng* rng = nullptr);
 
 }  // namespace lumen

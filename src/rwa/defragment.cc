@@ -9,8 +9,7 @@
 
 namespace lumen {
 
-DefragReport defragment(SessionManager& manager, DefragOrder order,
-                        unsigned route_threads) {
+DefragReport defragment(SessionManager& manager, DefragOrder order) {
   DefragReport report;
   std::vector<SessionId> ids = manager.active_session_ids();
   switch (order) {
@@ -27,20 +26,17 @@ DefragReport defragment(SessionManager& manager, DefragOrder order,
       // point query each, then sort by estimated saving.  The estimate is
       // conservative (it does not credit the session's own released
       // resources), so the actual re-route can only do better.
-      std::vector<std::pair<NodeId, NodeId>> demands;
-      demands.reserve(ids.size());
-      for (const SessionId id : ids) {
-        const SessionRecord* session = manager.find(id);
-        demands.emplace_back(session->source, session->target);
-      }
-      const std::vector<RouteResult> priced = manager.engine().route_many(
-          demands, route_threads, RouteEngine::QueryKind::kSemilightpath,
-          {.goal_directed = true});
+      SearchScratch scratch;
       std::vector<double> gain(ids.size());
       for (std::size_t i = 0; i < ids.size(); ++i) {
-        gain[i] = priced[i].cost == kInfiniteCost
-                      ? -kInfiniteCost
-                      : manager.find(ids[i])->cost - priced[i].cost;
+        const SessionRecord* session = manager.find(ids[i]);
+        const double priced =
+            manager.engine()
+                .route_semilightpath(session->source, session->target,
+                                     scratch, {.goal_directed = true})
+                .cost;
+        gain[i] = priced == kInfiniteCost ? -kInfiniteCost
+                                          : session->cost - priced;
       }
       std::vector<std::size_t> index(ids.size());
       for (std::size_t i = 0; i < index.size(); ++i) index[i] = i;

@@ -39,11 +39,8 @@ enum class DefragOrder : std::uint8_t {
 };
 
 /// One pass over all active sessions of `manager`.  Guarantees no session
-/// is dropped and no session's cost increases.  `route_threads` is used
-/// only by kMatrixGain's bulk pre-costing (0 = one worker per hardware
-/// thread); the per-session re-routes themselves stay serial either way.
+/// is dropped and no session's cost increases.
 [[nodiscard]] DefragReport defragment(
-    SessionManager& manager, DefragOrder order = DefragOrder::kCostliestFirst,
-    unsigned route_threads = 0);
+    SessionManager& manager, DefragOrder order = DefragOrder::kCostliestFirst);
 
 }  // namespace lumen

@@ -1,12 +1,9 @@
-// Cache-line-aligned storage and software prefetch for the hot search
-// arrays.
+// Cache-line-aligned storage for the hot search arrays.
 //
 // The CSR search kernels are memory-bound: the per-node SoA rows
 // (distances, heap keys, parents) and the packed head/weight arrays are
 // streamed by every relaxation.  Aligning each array to a cache-line
-// boundary keeps one logical row from straddling two lines, and explicit
-// prefetch hides the latency of the data-dependent loads (head -> scratch
-// state) that the hardware prefetcher cannot predict.
+// boundary keeps one logical row from straddling two lines.
 #pragma once
 
 #include <cstddef>
@@ -44,14 +41,5 @@ struct CacheAlignedAllocator {
 /// A std::vector whose storage starts on a cache-line boundary.
 template <class T>
 using AlignedVector = std::vector<T, CacheAlignedAllocator<T>>;
-
-/// Read-intent prefetch hint; a no-op on compilers without the builtin.
-inline void prefetch_read(const void* address) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(address, /*rw=*/0, /*locality=*/3);
-#else
-  (void)address;
-#endif
-}
 
 }  // namespace lumen

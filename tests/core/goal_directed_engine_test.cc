@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -209,6 +211,25 @@ TEST(GoalDirectedEngineTest, ChurnKeepsBaseBoundsAdmissible) {
   }
 }
 
+/// Goal-directed answers to `pairs` from `threads` std::threads that share
+/// `engine` read-only, each with its own SearchScratch: worker w answers
+/// pairs w, w + threads, ...  results[i] answers pairs[i].
+std::vector<RouteResult> route_on_threads(
+    const RouteEngine& engine,
+    const std::vector<std::pair<NodeId, NodeId>>& pairs, unsigned threads) {
+  std::vector<RouteResult> results(pairs.size());
+  const auto work = [&](std::size_t first) {
+    SearchScratch scratch;
+    for (std::size_t i = first; i < pairs.size(); i += threads)
+      results[i] = engine.route_semilightpath(pairs[i].first, pairs[i].second,
+                                              scratch, kCombined);
+  };
+  std::vector<std::thread> workers;
+  for (unsigned w = 0; w < threads; ++w) workers.emplace_back(work, w);
+  for (std::thread& worker : workers) worker.join();
+  return results;
+}
+
 TEST(GoalDirectedEngineTest, RouteManyGoalDirectedMatchesSequential) {
   Rng rng(0xba7c'0de5ULL);
   const WdmNetwork net = random_network(40, 60, 5, 3, ConvKind::kUniform, rng);
@@ -220,8 +241,7 @@ TEST(GoalDirectedEngineTest, RouteManyGoalDirectedMatchesSequential) {
         NodeId{static_cast<std::uint32_t>(rng.next_below(net.num_nodes()))},
         NodeId{static_cast<std::uint32_t>(rng.next_below(net.num_nodes()))});
   }
-  const std::vector<RouteResult> parallel = engine.route_many(
-      pairs, 4, RouteEngine::QueryKind::kSemilightpath, kCombined);
+  const std::vector<RouteResult> parallel = route_on_threads(engine, pairs, 4);
   ASSERT_EQ(parallel.size(), pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const RouteResult plain =
@@ -616,10 +636,10 @@ TEST(GoalDirectedEngineTest, ParallelRowBuildsMatchASerialRun) {
   }
   const RouteEngine parallel_engine(net);
   const RouteEngine serial_engine(net);
-  const std::vector<RouteResult> parallel = parallel_engine.route_many(
-      pairs, 4, RouteEngine::QueryKind::kSemilightpath, kCombined);
-  const std::vector<RouteResult> serial = serial_engine.route_many(
-      pairs, 1, RouteEngine::QueryKind::kSemilightpath, kCombined);
+  const std::vector<RouteResult> parallel =
+      route_on_threads(parallel_engine, pairs, 4);
+  const std::vector<RouteResult> serial =
+      route_on_threads(serial_engine, pairs, 1);
   ASSERT_EQ(parallel.size(), serial.size());
   std::uint64_t built = 0;
   for (std::size_t i = 0; i < pairs.size(); ++i) {

@@ -75,9 +75,34 @@ TEST(BatchTest, RandomNeedsRng) {
       Error);
 }
 
+TEST(BatchTest, InvalidDemandThrowsBeforeAnyOpen) {
+  // A bad demand anywhere in the batch (s == t, or an endpoint outside the
+  // 14-node network) throws before the first session opens, whatever the
+  // order: the manager offers, carries and holds nothing.
+  const std::vector<std::vector<std::pair<NodeId, NodeId>>> batches = {
+      {{NodeId{0}, NodeId{5}}, {NodeId{1}, NodeId{6}}, {NodeId{3}, NodeId{3}},
+       {NodeId{2}, NodeId{7}}},
+      {{NodeId{0}, NodeId{5}}, {NodeId{1}, NodeId{14}}},
+      {{NodeId{0}, NodeId{5}}, {NodeId{14}, NodeId{1}}}};
+  for (const auto& demands : batches) {
+    for (const auto order :
+         {DemandOrder::kGiven, DemandOrder::kShortestFirst,
+          DemandOrder::kLongestFirst, DemandOrder::kRandom,
+          DemandOrder::kCheapestFirst, DemandOrder::kCostliestFirst}) {
+      auto manager = nsfnet_manager(4, RoutingPolicy::kSemilightpathEngine);
+      Rng shuffle_rng(7);
+      EXPECT_THROW((void)provision_batch(manager, demands, order, &shuffle_rng),
+                   Error)
+          << "order " << static_cast<int>(order);
+      EXPECT_EQ(manager.active_sessions(), 0u);
+      EXPECT_EQ(manager.stats().offered, 0u);
+    }
+  }
+}
+
 TEST(BatchTest, CostOrderingsOfferCheapestOrCostliestFirst) {
   // The cost-based orders rank by optimal semilightpath cost on the
-  // pre-batch state (engine-batched), so with a fresh manager the carried
+  // pre-batch state (engine-priced), so with a fresh manager the carried
   // costs of an uncontended prefix must come out sorted.
   const std::vector<std::pair<NodeId, NodeId>> demands = {
       {NodeId{0}, NodeId{13}}, {NodeId{0}, NodeId{1}}, {NodeId{2}, NodeId{9}},
@@ -85,8 +110,7 @@ TEST(BatchTest, CostOrderingsOfferCheapestOrCostliestFirst) {
 
   auto cheap = nsfnet_manager(8, RoutingPolicy::kSemilightpathEngine);
   const auto cheap_result =
-      provision_batch(cheap, demands, DemandOrder::kCheapestFirst,
-                      /*rng=*/nullptr, /*route_threads=*/2);
+      provision_batch(cheap, demands, DemandOrder::kCheapestFirst);
   ASSERT_EQ(cheap_result.carried, demands.size());
   for (std::size_t i = 1; i < cheap_result.sessions.size(); ++i) {
     EXPECT_LE(cheap.find(cheap_result.sessions[i - 1])->cost,
@@ -145,8 +169,7 @@ TEST(BatchTest, CostOrderingsFollowThePaperRouterCosts) {
                                   : cost[a] > cost[b];
                      });
 
-    const auto result = provision_batch(manager, demands, order,
-                                         /*rng=*/nullptr, /*route_threads=*/2);
+    const auto result = provision_batch(manager, demands, order);
     EXPECT_EQ(result.blocked, demands.size() - expected.size());
     ASSERT_EQ(result.sessions.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "rwa/dynamic_workload.h"
 #include "tests/test_util.h"
@@ -114,6 +117,46 @@ TEST(DefragmentTest, ImprovesContinuityAlignmentMetricOrLeavesItBe) {
   const NetworkMetrics after = compute_metrics(manager.residual());
   // Moving sessions to cheaper (shorter) routes can only free pairs.
   EXPECT_GE(after.free_pairs, before.free_pairs);
+}
+
+// kMatrixGain orders the pass by each session's goal-directed engine
+// price on the current residual state; the pass keeps the default
+// ordering's guarantees.
+TEST(BulkCostsTest, DefragMatrixGainKeepsTheContract) {
+  Rng rng(67);
+  const Topology topo = grid_topology(4, 4);
+  const Availability avail =
+      full_availability(topo, 3, CostSpec::unit(), rng);
+  SessionManager manager(
+      assemble_network(topo, 3, avail,
+                       std::make_shared<UniformConversion>(0.1)),
+      RoutingPolicy::kSemilightpathEngine);
+  DynamicWorkloadConfig config;
+  config.arrival_rate = 20.0;
+  config.mean_holding_time = 1.0;
+  config.num_arrivals = 150;
+  config.seed = 68;
+  (void)run_dynamic_workload(manager, config);
+  Rng demand_rng(69);
+  std::vector<std::pair<SessionId, double>> before;
+  for (const auto& [s, t] : random_demands(16, 12, demand_rng)) {
+    const auto id = manager.open(s, t);
+    if (id.has_value()) before.emplace_back(*id, manager.find(*id)->cost);
+  }
+  const std::uint64_t active_before = manager.active_sessions();
+
+  const auto report = defragment(manager, DefragOrder::kMatrixGain);
+  // Same guarantees as the default ordering: nothing dropped, nothing
+  // worse, savings non-negative.
+  EXPECT_EQ(manager.active_sessions(), active_before);
+  EXPECT_EQ(report.considered, active_before);
+  EXPECT_GE(report.cost_saved, 0.0);
+  for (const auto& [id, old_cost] : before) {
+    const SessionRecord* record = manager.find(id);
+    ASSERT_NE(record, nullptr);
+    EXPECT_TRUE(record->active);
+    EXPECT_LE(record->cost, old_cost + 1e-9);
+  }
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // Shard's re-sync rule (rolled-back claims and closes), and the
 // RoutingService front-end (admission outcomes, endpoint checks, quotas,
 // tenant/service accounting under concurrent churn, one instrument per
-// metric, SLO rule wiring).
+// metric, SLO rule wiring), and a demand list opened one by one
+// (accounting, double-booking, quota order).
 #include "svc/service.h"
 
 #include <gtest/gtest.h>
@@ -26,7 +27,9 @@
 namespace lumen::svc {
 namespace {
 
+using lumen::testing::ConvKind;
 using lumen::testing::paper_example_network;
+using lumen::testing::random_network;
 
 TEST(SvcSessionIdTest, PacksShardAndSequence) {
   EXPECT_FALSE(SvcSessionId{}.valid());
@@ -564,6 +567,94 @@ TEST(RoutingServiceTest, DefaultSloRulesCoverTheServiceInstruments) {
   EXPECT_EQ(rules[1].name, "svc-abort-rate");
   EXPECT_EQ(rules[1].denominator, "lumen.svc.offered");
   EXPECT_EQ(rules[2].name, "svc-quota-pressure");
+}
+
+/// Opens `demands` one by one for tenant 0, tickets in input order.
+std::vector<svc::AdmitTicket> open_each(
+    svc::RoutingService& service,
+    const std::vector<std::pair<NodeId, NodeId>>& demands) {
+  std::vector<svc::AdmitTicket> tickets;
+  for (const auto& [s, t] : demands) {
+    tickets.push_back(service.open(svc::TenantId{0}, s, t));
+  }
+  return tickets;
+}
+
+TEST(BulkCostsTest, SvcOpenBatchAdmitsAndAccounts) {
+  Rng rng(0x5c'0001ULL);
+  const WdmNetwork net = random_network(12, 14, 4, 3, ConvKind::kUniform, rng);
+  svc::RoutingService service(net, svc::ServiceOptions{.num_shards = 2});
+
+  std::vector<std::pair<NodeId, NodeId>> demands;
+  for (std::uint32_t i = 0; i < 24; ++i) {
+    const NodeId s{static_cast<std::uint32_t>(rng.next_below(12))};
+    const NodeId t{static_cast<std::uint32_t>(rng.next_below(12))};
+    if (s == t) continue;
+    demands.emplace_back(s, t);
+  }
+  const auto tickets = open_each(service, demands);
+  ASSERT_EQ(tickets.size(), demands.size());
+
+  std::uint64_t admitted = 0;
+  for (const auto& ticket : tickets) {
+    ASSERT_TRUE(ticket.status == svc::AdmitStatus::kAdmitted ||
+                ticket.status == svc::AdmitStatus::kBlocked);
+    if (ticket.status == svc::AdmitStatus::kAdmitted) {
+      ++admitted;
+      EXPECT_TRUE(ticket.id.valid());
+      EXPECT_GT(ticket.hops, 0u);
+    }
+  }
+  EXPECT_GT(admitted, 0u);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.offered, demands.size());
+  EXPECT_EQ(stats.admitted, admitted);
+  EXPECT_EQ(stats.blocked, demands.size() - admitted);
+  EXPECT_EQ(service.active_sessions(), admitted);
+
+  // The batch must be double-booking clean, exactly like serial opens.
+  service.drain_all();
+  std::vector<bool> owned(service.slot_table().num_slots(), false);
+  for (const auto& [bits, slots] : service.active_reservations()) {
+    for (const std::uint32_t slot : slots) {
+      EXPECT_FALSE(owned[slot]) << "slot " << slot << " double-booked";
+      owned[slot] = true;
+    }
+  }
+
+  // Every admitted ticket closes exactly once.
+  for (const auto& ticket : tickets) {
+    if (ticket.status == svc::AdmitStatus::kAdmitted) {
+      EXPECT_TRUE(service.close(ticket.id));
+      EXPECT_FALSE(service.close(ticket.id));
+    }
+  }
+  EXPECT_EQ(service.active_sessions(), 0u);
+}
+
+TEST(BulkCostsTest, SvcOpenBatchHonorsQuotaInInputOrder) {
+  Rng rng(0x5c'0002ULL);
+  const WdmNetwork net = random_network(10, 12, 4, 3, ConvKind::kUniform, rng);
+  svc::RoutingService service(net, svc::ServiceOptions{.num_shards = 1});
+  service.set_quota(svc::TenantId{0}, 2);
+
+  std::vector<std::pair<NodeId, NodeId>> demands;
+  for (std::uint32_t i = 0; i + 1 < 10; i += 2) {
+    demands.emplace_back(NodeId{i}, NodeId{i + 1});
+  }
+  const auto tickets = open_each(service, demands);
+  ASSERT_EQ(tickets.size(), 5u);
+  // Quota claims run in input order: demands past the quota are denied
+  // regardless of how cheap they would have been.
+  std::uint64_t denied = 0;
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    if (tickets[i].status == svc::AdmitStatus::kQuotaDenied) {
+      ++denied;
+      EXPECT_GE(i, 2u) << "denied inside the quota prefix";
+    }
+  }
+  EXPECT_EQ(denied, 3u);
+  EXPECT_LE(service.active_sessions(), 2u);
 }
 
 }  // namespace
