@@ -3,13 +3,16 @@
 // with k (its wavelength graph always materializes all k·n nodes and scans
 // k·n² node pairs).
 //
-// Sweep: n = 512, m ≈ 1536, k_0 = 3 fixed; k = 8 … 1024.
-// Expected shape: the BM_LS_UniverseSweep series is flat; the
-// BM_CFZ_UniverseSweep series grows superlinearly in k.
+// Sweep: n = 512, m ≈ 1536, k_0 = 3 fixed; k = 8 … 65,536 for the route,
+// 8 … 2^20 for the layout of G' alone.
+// Expected shape: the BM_LS_UniverseSweep and BM_CoreLayoutBuild series
+// are flat; the BM_CFZ_UniverseSweep series grows superlinearly in k.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
+#include "core/aux_graph.h"
 #include "core/cfz.h"
+#include "core/layout.h"
 #include "core/liang_shen.h"
 
 namespace {
@@ -39,8 +42,37 @@ void BM_LS_UniverseSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_LS_UniverseSweep)
     ->RangeMultiplier(2)
-    ->Range(8, 1024)
+    ->Range(8, 65536)
     ->Unit(benchmark::kMillisecond);
+
+/// The per-request layout of G' alone: its λ radix sort is sized by |E_M|
+/// and the largest λ, never by k, so this series stays flat up to 2^20.
+/// Errors out when the layout's size differs from the materialised graph's.
+void BM_CoreLayoutBuild(benchmark::State& state) {
+  const auto k = static_cast<std::uint32_t>(state.range(0));
+  const WdmNetwork net = bench::restricted_network(kN, k, kK0, kSeed);
+  const auto aux =
+      AuxiliaryGraph::build_single_pair(net, NodeId{0}, NodeId{kN / 2});
+  std::uint32_t nodes = 0;
+  std::uint64_t transmissions = 0;
+  for (auto _ : state) {
+    const CoreLayout layout(net);
+    benchmark::DoNotOptimize(nodes = layout.num_nodes());
+    transmissions = layout.num_transmissions();
+  }
+  if (nodes != aux.stats().gadget_nodes ||
+      transmissions != aux.stats().transmission_links) {
+    state.SkipWithError("CoreLayout size differs from the materialised G'");
+    return;
+  }
+  state.counters["k"] = k;
+  state.counters["aux_nodes"] = nodes;
+  state.counters["transmissions"] = static_cast<double>(transmissions);
+}
+BENCHMARK(BM_CoreLayoutBuild)
+    ->RangeMultiplier(4)
+    ->Range(8, 1 << 20)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_CFZ_UniverseSweep(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));

@@ -2,9 +2,13 @@
 //
 // G' is every node's wavelength gadget plus E_org, without terminals.  Node
 // ids run X_v then Y_v, node by node, each sorted by λ.  The λs come from
-// the incident links only, never from the universe Λ, so a layout costs
-// O(km + Σ_v |X_v| + |Y_v|) plus sorting each node's λs, whatever k is
-// (Theorem 4).  Only E_org is stored; gadget links are generated from c_v.
+// the incident links only, never from the universe Λ.  A layout is built
+// as a CSR is: E_M's (e, λ) entries are numbered in link-id order, radix
+// sorted by λ with a digit of at most min(|E_M|, max λ + 1) values, then
+// counting sorted by head and by tail, and one walk over the nodes numbers
+// them.  That is O(|E_M| + n) per pass, one λ pass while max λ < |E_M|,
+// and no array sized by k (Theorem 4).  Only E_org is stored; gadget links are generated
+// from c_v.
 // AuxiliaryGraph materialises the same numbering and rows independently,
 // as the reference.  RouteEngine flattens G' into its CSR core once;
 // PairGraph is the G_{s,t} of one request, whose searches generate only
@@ -96,10 +100,6 @@ class CoreLayout {
   }
 
  private:
-  /// Sorts `lambdas` and adds one `kind` node of v per distinct λ; a
-  /// Y-node's E_org row is sized by its λ's multiplicity.
-  void add_layer(AuxNodeKind kind, NodeId v, std::vector<Wavelength>& lambdas);
-
   std::vector<AuxNodeInfo> node_;
   /// X_v is [layer_begin_[2v], layer_begin_[2v + 1]), Y_v the next range.
   std::vector<std::uint32_t> layer_begin_;

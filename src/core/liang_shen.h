@@ -5,10 +5,12 @@
 // The gadget links x_v(λ) -> y_v(λ') are generated from c_v when the
 // search settles x_v(λ), in the order the materialised graph lists them,
 // so the search is Dijkstra on G_{s,t} exactly: same optimum, same pops,
-// same hops.  The build is O(km + Σ_v |X_v| + |Y_v|); the k² gadget term
+// same hops.  The build is a few O(|E_M| + n) counting-sort passes over
+// E_M (|E_M| <= km), one λ pass while every λ < |E_M|; the k² gadget term
 // is paid only for settled X-nodes, O(k²n + km + kn log(kn)) in the worst
 // case.  With |Λ(e)| <= k_0 that meets Theorem 4's O(d²nk_0² + mk_0 log n),
-// independent of the universe size k, because Λ is never enumerated.
+// independent of the universe size k, because Λ is never enumerated and
+// no array is sized by k.
 //
 // RouteStats::aux_nodes is |V'|; aux_links counts the links the search saw
 // (PairGraph::links_searched).  route_on_aux searches a materialised
